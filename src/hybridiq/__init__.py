@@ -14,7 +14,6 @@ from .classical import (
     validate_kernel,
 )
 from .channel import (
-    ChannelPipeline,
     HybridChannel,
     apply,
     completeness_defect,

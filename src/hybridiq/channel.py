@@ -25,13 +25,11 @@ from .errors import (
     ShapeMismatch,
     SpaceMismatch,
 )
-from .linalg import dagger
+from .linalg import kraus_defect, kraus_gram, right_normalize
 from .rand import random_complex
 from .state import HybridState, new_state
 
 COMPLETENESS_TOL = 1e-9
-# above this many product blocks per cell pair, compose() stays lazy
-LAZY_BLOCK_LIMIT = 10_000
 COEFF_EIGENVALUE_CUTOFF = 1e-12
 
 
@@ -53,43 +51,17 @@ class HybridChannel:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelPipeline:
-    """Lazy composition: stages applied left to right."""
-
-    stages: tuple[HybridChannel, ...]
-
-    @property
-    def src_space(self) -> ClassicalSpace:
-        return self.stages[0].src_space
-
-    @property
-    def dst_space(self) -> ClassicalSpace:
-        return self.stages[-1].dst_space
-
-    @property
-    def qdim_src(self) -> int:
-        return self.stages[0].qdim_src
-
-    @property
-    def qdim_dst(self) -> int:
-        return self.stages[-1].qdim_dst
+def _defects_per_source(channel: HybridChannel) -> np.ndarray:
+    """Max-entry deviation of sum_{m,a} L^dag L from identity, per source cell."""
+    totals = np.zeros((channel.src_space.size, channel.qdim_src, channel.qdim_src), dtype=complex)
+    for (_, n), stack in channel.blocks.items():
+        totals[n] += kraus_gram(stack)
+    return np.abs(totals - np.eye(channel.qdim_src)).max(axis=(1, 2))
 
 
 def completeness_defect(channel: HybridChannel) -> float:
     """Max entrywise deviation of sum_{m,a} L^dag L from identity over source cells."""
-    worst = 0.0
-    for n in range(channel.src_space.size):
-        worst = max(worst, _source_defect(channel, n))
-    return worst
-
-
-def _source_defect(channel: HybridChannel, n: int) -> float:
-    total = np.zeros((channel.qdim_src, channel.qdim_src), dtype=complex)
-    for (m, n2), stack in channel.blocks.items():
-        if n2 == n:
-            total += np.einsum("aji,ajk->ik", stack.conj(), stack)
-    return float(np.abs(total - np.eye(channel.qdim_src)).max())
+    return float(_defects_per_source(channel).max())
 
 
 def from_blocks(
@@ -126,10 +98,10 @@ def from_blocks(
         normalized[(m, n)] = stack
 
     channel = HybridChannel(src_space, dst_space, qdim_src, qdim_dst, normalized, kind)
-    for n in range(src_space.size):
-        defect = _source_defect(channel, n)
-        if defect > tol:
-            raise IncompleteChannel(n, defect)
+    defects = _defects_per_source(channel)
+    bad = np.flatnonzero(defects > tol)
+    if bad.size:
+        raise IncompleteChannel(int(bad[0]), float(defects[bad[0]]))
     return channel
 
 
@@ -138,12 +110,8 @@ def identity_channel(space: ClassicalSpace, qdim: int) -> HybridChannel:
     return from_blocks(space, space, qdim, qdim, blocks)
 
 
-def apply(channel: HybridChannel | ChannelPipeline, state: HybridState) -> HybridState:
+def apply(channel: HybridChannel, state: HybridState) -> HybridState:
     """Transform cell masses: sigma'_m = sum_{n,a} L_a(m,n) sigma_n L_a(m,n)^dag."""
-    if isinstance(channel, ChannelPipeline):
-        for stage in channel.stages:
-            state = apply(stage, state)
-        return state
     if channel.src_space != state.space or channel.qdim_src != state.qdim:
         raise SpaceMismatch(
             f"channel source ({channel.src_space.size} cells, qdim {channel.qdim_src}) "
@@ -155,43 +123,56 @@ def apply(channel: HybridChannel | ChannelPipeline, state: HybridState) -> Hybri
     return new_state(channel.dst_space, out)
 
 
-def _as_stages(channel) -> tuple[HybridChannel, ...]:
-    return channel.stages if isinstance(channel, ChannelPipeline) else (channel,)
-
-
-def compose(second, first):
+def compose(second: HybridChannel, first: HybridChannel) -> HybridChannel:
     """Channel equal to "apply first, then second".
 
-    Product blocks are materialized eagerly; when some cell pair would exceed
-    LAZY_BLOCK_LIMIT blocks the result stays a :class:`ChannelPipeline`, which
-    is apply-equivalent.
+    For each cell pair (k, n) the product blocks B_b(k, m) A_a(m, n), summed
+    over the intermediate cell m, are stacked as row vectors V; the Choi
+    matrix V^T V* is factored back into Kraus blocks.  A cell-pair map has
+    Kraus rank at most q_dst * q_src, so no pair ever holds more blocks.
     """
     if first.dst_space != second.src_space or first.qdim_dst != second.qdim_src:
         raise SpaceMismatch("destination of the first channel does not match source of the second")
-    stages = _as_stages(first) + _as_stages(second)
-    if len(stages) > 2:
-        return ChannelPipeline(stages)
-    ch1, ch2 = stages
-
-    per_pair: dict[tuple[int, int], int] = {}
-    for (k, m2), stack2 in ch2.blocks.items():
-        for (m1, n), stack1 in ch1.blocks.items():
-            if m1 == m2:
-                per_pair[(k, n)] = per_pair.get((k, n), 0) + stack2.shape[0] * stack1.shape[0]
-    if per_pair and max(per_pair.values()) > LAZY_BLOCK_LIMIT:
-        return ChannelPipeline(stages)
-
-    merged: dict[tuple[int, int], list[np.ndarray]] = {}
-    for (k, m2), stack2 in sorted(ch2.blocks.items()):
-        for (m1, n), stack1 in sorted(ch1.blocks.items()):
-            if m1 != m2:
-                continue
-            prod = np.einsum("bij,ajk->baik", stack2, stack1)
-            merged.setdefault((k, n), []).append(prod.reshape(-1, ch2.qdim_dst, ch1.qdim_src))
-    blocks = {key: np.concatenate(parts) for key, parts in merged.items()}
+    by_mid: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for (m, n), stack1 in first.blocks.items():
+        by_mid.setdefault(m, []).append((n, stack1))
+    q_dst, q_src = second.qdim_dst, first.qdim_src
+    choi: dict[tuple[int, int], np.ndarray] = {}
+    for (k, m), stack2 in second.blocks.items():
+        for n, stack1 in by_mid.get(m, ()):
+            v = np.einsum("bij,ajk->baik", stack2, stack1).reshape(-1, q_dst * q_src)
+            if (k, n) in choi:
+                choi[(k, n)] += v.T @ v.conj()
+            else:
+                choi[(k, n)] = v.T @ v.conj()
+    blocks = {
+        key: factors.reshape(-1, q_dst, q_src) for key, factors in _psd_factors(choi).items()
+    }
     return from_blocks(
-        ch1.src_space, ch2.dst_space, ch1.qdim_src, ch2.qdim_dst, blocks, kind="composed"
+        first.src_space, second.dst_space, q_src, q_dst, blocks, kind="composed"
     )
+
+
+def _psd_factors(mats: dict[tuple[int, int], np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
+    """Rows f_g with mats[key] = sum_g f_g f_g^dag, as one (g, b) array per key.
+
+    The Hermitian part of each matrix is eigendecomposed and f_g is
+    sqrt(lambda_g) times the eigenvector; eigenvalues at or below
+    COEFF_EIGENVALUE_CUTOFF of the largest are dropped (the factorization is
+    not unique and minimal rank is not needed), and keys left with no rows are
+    omitted.  An eigenvalue below -COMPLETENESS_TOL of the trace norm raises
+    NotPSDCoefficients for that key.
+    """
+    stacked = np.array(list(mats.values()))
+    vals, vecs = np.linalg.eigh((stacked + stacked.conj().swapaxes(-1, -2)) / 2)
+    factors: dict[tuple[int, int], np.ndarray] = {}
+    for key, lam, vec in zip(mats, vals, vecs):
+        if lam[0] < -COMPLETENESS_TOL * max(1.0, float(np.abs(lam).sum())):
+            raise NotPSDCoefficients(*key)
+        keep = lam > COEFF_EIGENVALUE_CUTOFF * max(lam[-1], 0.0)
+        if keep.any():
+            factors[key] = np.sqrt(lam[keep])[:, None] * vec[:, keep].T
+    return factors
 
 
 def non_interacting(kernel: MarkovKernel, kraus: Sequence[np.ndarray]) -> HybridChannel:
@@ -207,7 +188,7 @@ def non_interacting(kernel: MarkovKernel, kraus: Sequence[np.ndarray]) -> Hybrid
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise IncompleteKraus(f"Kraus set must stack to (k, d, d), got shape {stack.shape}")
     q = stack.shape[1]
-    defect = np.abs(np.einsum("aji,ajk->ik", stack.conj(), stack) - np.eye(q)).max()
+    defect = kraus_defect(stack)
     if defect > COMPLETENESS_TOL:
         raise IncompleteKraus(f"sum L^dag L deviates from identity by {defect:.3e}")
 
@@ -231,9 +212,7 @@ def from_coeff_kernel(
 
     ``coeffs[m, n]`` is the matrix k_{ab}(m, n) weighting L_a sigma L_b^dag.
     Each Hermitized coefficient matrix must be PSD; its eigendecomposition
-    yields the Kraus blocks sqrt(lambda) * sum_a v[a] L_a.  Eigenvalues below
-    1e-12 of the largest are dropped (the factorization is not unique and
-    minimal rank is not needed).
+    yields the Kraus blocks sqrt(lambda) * sum_a v[a] L_a (see _psd_factors).
     """
     mats = np.asarray(basis, dtype=complex)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -251,19 +230,11 @@ def from_coeff_kernel(
     if k.shape != expected:
         raise ShapeMismatch(f"coefficients have shape {k.shape}, expected {expected}")
 
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for m in range(dst_space.size):
-        for n in range(src_space.size):
-            s = (k[m, n] + dagger(k[m, n])) / 2
-            vals, vecs = np.linalg.eigh(s)
-            scale = max(1.0, float(np.abs(vals).sum()))
-            if vals[0] < -COMPLETENESS_TOL * scale:
-                raise NotPSDCoefficients(m, n)
-            keep = vals > COEFF_EIGENVALUE_CUTOFF * max(vals[-1], 0.0)
-            if not keep.any():
-                continue
-            factors = np.sqrt(vals[keep])[:, None] * vecs[:, keep].T  # (g, b)
-            blocks[(m, n)] = np.einsum("gb,bij->gij", factors, mats)
+    pairs = {(m, n): k[m, n] for m in range(dst_space.size) for n in range(src_space.size)}
+    blocks = {
+        key: np.einsum("gb,bij->gij", factors, mats)
+        for key, factors in _psd_factors(pairs).items()
+    }
     return from_blocks(src_space, dst_space, d, d, blocks, kind="coeff_kernel")
 
 
@@ -304,14 +275,13 @@ def random_channel(
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for n in range(src_space.size):
         for attempt in range(3):
-            raw = random_complex(rng, (n_dst, branching, qdim_dst, qdim_src))
-            total = np.einsum("maji,majk->ik", raw.conj(), raw)
-            vals, vecs = np.linalg.eigh(total)
-            if vals[0] > 1e-12 * vals[-1]:
+            try:
+                stack = right_normalize(random_complex(rng, (n_dst, branching, qdim_dst, qdim_src)))
                 break
+            except NumericalFailure:
+                continue
         else:
             raise NumericalFailure(f"normalizer for source cell {n} is singular")
-        inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
         for m in range(n_dst):
-            blocks[(m, n)] = raw[m] @ inv_sqrt
+            blocks[(m, n)] = stack[m]
     return from_blocks(src_space, dst_space, qdim_src, qdim_dst, blocks)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io
-from .channel import apply, completeness_defect, random_channel
-from .classical import ClassicalSpace, counting_space, validate_kernel
+from .channel import COMPLETENESS_TOL, apply, completeness_defect, random_channel
+from .classical import STOCHASTIC_TOL, ClassicalSpace, counting_space, validate_kernel
 from .correlations import mutual_information
 from .errors import (
     HybridError,
@@ -30,8 +30,8 @@ from .errors import (
     ShapeMismatch,
     UnknownSuite,
 )
-from .linalg import von_neumann_entropy
-from .locc import is_ppt, run
+from .linalg import HERMITICITY_TOL, TRACE_TOL, kraus_defect, von_neumann_entropy
+from .locc import INSTRUMENT_TOL, is_ppt, run
 from .properties import SUITES, run_suite
 from .rand import random_stochastic_matrix, seeded_rng
 from .state import distance, quantum_marginal, random_state
@@ -39,11 +39,6 @@ from .state import distance, quantum_marginal, random_state
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
-
-HERMITICITY_CHECK_TOL = 1e-9
-STATE_CHECK_TOL = 1e-9
-KERNEL_CHECK_TOL = 1e-12
-COMPLETENESS_CHECK_TOL = 1e-9
 
 
 @dataclass
@@ -54,7 +49,6 @@ class RunConfig:
     tol: float | None = None
     out: str | None = None
     fmt: str = "json"
-    threads: int = 0
 
 
 def _fmt_float(x: float) -> str:
@@ -120,7 +114,7 @@ def _validate_state(obj, tol: float) -> list[dict]:
         raise ParseError(f"state: mass matrices must be {qdim}x{qdim}")
     checks = _space_checks(space)
     herm = float(np.abs(masses - masses.conj().transpose(0, 2, 1)).max())
-    checks.append(_check("masses_hermitian", herm, HERMITICITY_CHECK_TOL))
+    checks.append(_check("masses_hermitian", herm, HERMITICITY_TOL))
     sym = (masses + masses.conj().transpose(0, 2, 1)) / 2
     checks.append(_check("masses_positive", float(-np.linalg.eigvalsh(sym).min()), tol))
     total = float(np.einsum("nii->", sym).real)
@@ -178,14 +172,10 @@ def _validate_protocol(obj, tol: float) -> list[dict]:
         ]
     except ShapeMismatch as exc:
         raise ParseError(f"protocol: {exc}") from exc
-    worst = 0.0
-    for rnd in protocol.rounds:
-        d_side = protocol.dims[rnd.side - 1]
-        for stack in rnd.instrument.values():
-            defect = np.abs(
-                np.einsum("aji,ajk->ik", stack.conj(), stack) - np.eye(d_side)
-            ).max()
-            worst = max(worst, float(defect))
+    worst = max(
+        (kraus_defect(stack) for rnd in protocol.rounds for stack in rnd.instrument.values()),
+        default=0.0,
+    )
     return [_check("instrument_completeness", worst, tol)]
 
 
@@ -194,19 +184,19 @@ def _validate_one(path: str, tol_override: float | None) -> dict:
     kind = _detect_kind(obj)
     try:
         if kind == "state":
-            checks = _validate_state(obj, tol_override or STATE_CHECK_TOL)
+            checks = _validate_state(obj, tol_override or TRACE_TOL)
         elif kind == "channel":
-            checks = _validate_channel(obj, tol_override or COMPLETENESS_CHECK_TOL)
+            checks = _validate_channel(obj, tol_override or COMPLETENESS_TOL)
         elif kind == "protocol":
-            checks = _validate_protocol(obj, tol_override or COMPLETENESS_CHECK_TOL)
+            checks = _validate_protocol(obj, tol_override or INSTRUMENT_TOL)
         elif kind == "kernel":
             matrix = io.kernel_matrix_from_json(obj)
-            report = validate_kernel(matrix, tol_override or KERNEL_CHECK_TOL)
+            report = validate_kernel(matrix, tol_override or STOCHASTIC_TOL)
             checks = [
                 {
                     "name": "kernel_column_stochastic",
                     "deviation": float(report.deviation),
-                    "tolerance": tol_override or KERNEL_CHECK_TOL,
+                    "tolerance": tol_override or STOCHASTIC_TOL,
                     "ok": report.ok,
                     **({} if report.ok else {"error": report.message}),
                 }
@@ -378,91 +368,107 @@ def cmd_randgen(config: RunConfig, kind: str, args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors end in exit code 1, not argparse's 2."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
+def _at_least(low: int):
+    def count(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hybridiq",
         description="Hybrid classical-quantum states, channels, correlations, and LOCC.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def out(p):
+        p.add_argument("--out", default=None, help="write the report/result here")
+
+    def seed(p):
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        if out:
-            p.add_argument("--out", default=None, help="write the report/result here")
-        p.add_argument(
-            "--format", dest="fmt", choices=("json", "csv"), default="json",
-            help="stdout format where supported",
-        )
 
     p = sub.add_parser("validate", help="check spec files against their invariants")
     p.add_argument("paths", nargs="+")
-    common(p)
+    p.add_argument("--tol", type=float, default=None, help="tolerance override")
+    out(p)
 
     p = sub.add_parser("evolve", help="drive a state through a channel pipeline")
     p.add_argument("state")
     p.add_argument("channels", nargs="+")
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_at_least(0), default=1)
     p.add_argument("--metrics-out", default=None, help="per-step metrics CSV")
-    common(p)
+    out(p)
 
     p = sub.add_parser("locc", help="run a LOCC protocol on a density matrix")
     p.add_argument("protocol")
     p.add_argument("state")
-    common(p)
+    out(p)
 
     p = sub.add_parser("metrics", help="report metrics of one state (or distance of two)")
     p.add_argument("states", nargs="+")
-    common(p)
+    p.add_argument(
+        "--format", dest="fmt", choices=("json", "csv"), default="json", help="stdout format"
+    )
+    out(p)
 
     p = sub.add_parser("properties", help="run a randomized property suite")
     p.add_argument("suite", help=f"one of {sorted(SUITES)}")
-    p.add_argument("--trials", type=int, default=1000)
-    common(p)
+    p.add_argument("--trials", type=_at_least(1), default=1000)
+    seed(p)
+    out(p)
 
     p = sub.add_parser("randgen", help="generate a seeded random instance")
     gen = p.add_subparsers(dest="kind", required=True)
     g = gen.add_parser("state")
     g.add_argument("--cells", type=int, default=4)
     g.add_argument("--qdim", type=int, default=2)
-    common(g)
     g = gen.add_parser("channel")
     g.add_argument("--src-cells", type=int, default=3)
     g.add_argument("--dst-cells", type=int, default=3)
     g.add_argument("--qdim-src", type=int, default=2)
     g.add_argument("--qdim-dst", type=int, default=2)
     g.add_argument("--branching", type=int, default=2)
-    common(g)
     g = gen.add_parser("kernel")
     g.add_argument("--rows", type=int, default=3)
     g.add_argument("--cols", type=int, default=3)
-    common(g)
+    for g in gen.choices.values():
+        seed(g)
+        out(g)
     return parser
 
 
-def _threads_from_env() -> int:
+def _check_threads_env() -> None:
     raw = os.environ.get("HYBRIDIQ_THREADS", "0")
     try:
         threads = int(raw)
     except ValueError:
-        raise ParseError(f"HYBRIDIQ_THREADS must be a non-negative integer, got {raw!r}")
+        threads = -1
     if threads < 0:
         raise ParseError(f"HYBRIDIQ_THREADS must be a non-negative integer, got {raw!r}")
-    return threads
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        threads = _threads_from_env()
+        args = parser.parse_args(argv)
+        _check_threads_env()
         config = RunConfig(
             command=args.command,
             seed=getattr(args, "seed", 0),
             tol=getattr(args, "tol", None),
-            out=getattr(args, "out", None),
+            out=args.out,
             fmt=getattr(args, "fmt", "json"),
-            threads=threads,
         )
         if args.command == "validate":
             config.inputs = args.paths
@@ -481,7 +487,6 @@ def main(argv=None) -> int:
             return cmd_properties(config, args.suite, args.trials)
         if args.command == "randgen":
             return cmd_randgen(config, args.kind, args)
-        parser.error(f"unknown command {args.command!r}")
     except (ParseError, IoError, UnknownSuite) as exc:
         print(f"hybridiq: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

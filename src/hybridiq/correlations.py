@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import HybridChannel, apply
-from .errors import NotAnEnsemble
+from .errors import HybridError, NotAnEnsemble
 from .linalg import SPECTRAL_CUTOFF, TRACE_TOL, von_neumann_entropy
 from .state import HybridState, ZERO_MASS, classical_marginal, quantum_marginal
 
@@ -76,23 +76,24 @@ def holevo(ensemble: Ensemble) -> float:
     return _holevo_raw(ensemble.probabilities, ensemble.states)
 
 
-def state_ensemble(state: HybridState) -> Ensemble:
-    """Ensemble (p_n, sigma_n / p_n) over cells with positive mass."""
+def _cell_ensemble(state: HybridState) -> tuple[np.ndarray, np.ndarray]:
+    """(p_n, sigma_n / p_n) over cells with positive mass, p renormalized, unvalidated."""
     p = classical_marginal(state).masses
     keep = p > ZERO_MASS
     if not keep.any():
         raise NotAnEnsemble("state has no cell with positive mass")
     kept = p[keep]
-    return Ensemble(kept / kept.sum(), state.masses[keep] / kept[:, None, None])
+    return kept / kept.sum(), state.masses[keep] / kept[:, None, None]
+
+
+def state_ensemble(state: HybridState) -> Ensemble:
+    """Ensemble (p_n, sigma_n / p_n) over cells with positive mass."""
+    return Ensemble(*_cell_ensemble(state))
 
 
 def mutual_information(state: HybridState) -> float:
     """Correlation between the classical and quantum subsystems, in nats."""
-    p = classical_marginal(state).masses
-    keep = p > ZERO_MASS
-    kept = p[keep]
-    conditionals = state.masses[keep] / kept[:, None, None]
-    return max(_holevo_raw(kept / kept.sum(), conditionals), 0.0)
+    return max(_holevo_raw(*_cell_ensemble(state)), 0.0)
 
 
 def mutual_information_three_term(state: HybridState) -> float:
@@ -128,7 +129,7 @@ def monotonicity_report(state: HybridState, channel: HybridChannel) -> Monotonic
     ``violation`` flags I_after exceeding I_before beyond numerical slack.
     """
     if getattr(channel, "kind", None) != "non_interacting":
-        raise ValueError("monotonicity_report requires a channel built by non_interacting()")
+        raise HybridError("monotonicity_report requires a channel built by non_interacting()")
     before = mutual_information(state)
     after = mutual_information(apply(channel, state))
     return MonotonicityReport(

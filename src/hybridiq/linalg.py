@@ -45,6 +45,26 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m - dagger(m)).max())
 
 
+def kraus_gram(stack: np.ndarray) -> np.ndarray:
+    """sum_a L_a^dag L_a over every leading axis of a (..., d_out, d_in) Kraus stack."""
+    flat = stack.reshape(-1, *stack.shape[-2:])
+    return np.einsum("aji,ajk->ik", flat.conj(), flat)
+
+
+def kraus_defect(stack: np.ndarray) -> float:
+    """Max-entry deviation of sum_a L_a^dag L_a from the identity."""
+    gram = kraus_gram(stack)
+    return float(np.abs(gram - np.eye(gram.shape[0])).max())
+
+
+def right_normalize(raw: np.ndarray) -> np.ndarray:
+    """raw @ (sum L^dag L)^(-1/2), which makes the stack complete."""
+    vals, vecs = np.linalg.eigh(kraus_gram(raw))
+    if not vals[0] > 1e-12 * vals[-1]:
+        raise NumericalFailure("sum L^dag L is singular")
+    return raw @ ((vecs / np.sqrt(vals)) @ vecs.conj().T)
+
+
 class HermEig(NamedTuple):
     """Spectral decomposition with eigenvalues sorted non-increasing."""
 

@@ -24,7 +24,7 @@ from .errors import (
     RecordSpaceTooLarge,
     ShapeMismatch,
 )
-from .linalg import _require_density, hermitian_eig, partial_transpose
+from .linalg import _require_density, hermitian_eig, kraus_defect, partial_transpose
 from .state import HybridState, ZERO_MASS, new_state, point_mass_state, product_state, quantum_marginal
 from .channel import HybridChannel, apply, from_blocks, non_interacting
 
@@ -84,9 +84,7 @@ class LoccProtocol:
                         f"instrument at round {r}, history {history} has shape "
                         f"{stack.shape}, expected ({rnd.outcomes}, {d_side}, {d_side})"
                     )
-                defect = np.abs(
-                    np.einsum("aji,ajk->ik", stack.conj(), stack) - np.eye(d_side)
-                ).max()
+                defect = kraus_defect(stack)
                 if defect > INSTRUMENT_TOL:
                     raise IncompleteInstrument(
                         history,

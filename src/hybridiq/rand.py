@@ -12,6 +12,8 @@ import zlib
 
 import numpy as np
 
+from .linalg import right_normalize
+
 
 def seeded_rng(seed: int, *key) -> np.random.Generator:
     """Generator for stream ``key`` (strings or ints) under a master seed."""
@@ -63,8 +65,4 @@ def random_stochastic_matrix(rows: int, cols: int, rng: np.random.Generator) -> 
 
 def random_kraus_set(dim: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Kraus operators of a CPTP map, right-normalized so sum L^dag L = I."""
-    raw = random_complex(rng, (count, dim, dim))
-    total = np.einsum("aji,ajk->ik", raw.conj(), raw)
-    vals, vecs = np.linalg.eigh(total)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return [k @ inv_sqrt for k in raw]
+    return list(right_normalize(random_complex(rng, (count, dim, dim))))

@@ -53,7 +53,7 @@ class HybridState:
         return f"HybridState(cells={self.space.size}, qdim={self.qdim})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Effect:
     """Positive operator E with I - E also positive."""
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hybridiq.channel import (
-    ChannelPipeline,
+    HybridChannel,
     apply,
     completeness_defect,
     compose,
@@ -235,18 +235,24 @@ def test_compose_matches_sequential_and_associativity():
     left = compose(ch3, compose(ch2, ch1))
     right = compose(compose(ch3, ch2), ch1)
     assert np.abs(apply(left, w).masses - apply(right, w).masses).max() <= 1e-10
+    for ch in (composed, left, right):
+        assert all(
+            stack.shape[0] <= ch.qdim_src * ch.qdim_dst for stack in ch.blocks.values()
+        )
 
 
-def test_compose_goes_lazy_on_block_blowup():
+def test_compose_bounds_blocks_on_block_blowup():
+    # 110 x 110 = 12100 product blocks refactor into at most q_dst * q_src = 16
     rng = np.random.default_rng(9)
     space = counting_space(1)
     big1 = random_channel(space, space, 4, 4, branching=110, seed=rng)
     big2 = random_channel(space, space, 4, 4, branching=110, seed=rng)
-    lazy = compose(big2, big1)
-    assert isinstance(lazy, ChannelPipeline)
+    both = compose(big2, big1)
+    assert isinstance(both, HybridChannel)
+    assert both.blocks[(0, 0)].shape[0] <= 16
     w = random_state(space, 4, rng)
     expected = apply(big2, apply(big1, w))
-    assert np.abs(apply(lazy, w).masses - expected.masses).max() <= 1e-12
+    assert np.abs(apply(both, w).masses - expected.masses).max() <= 1e-12
 
 
 def test_coeff_kernel_pauli_reduces_to_non_interacting():

@@ -199,3 +199,27 @@ def test_threads_env_var_validation(monkeypatch, state_file):
     assert main(["metrics", str(state_file)]) == 0
     monkeypatch.setenv("HYBRIDIQ_THREADS", "blue")
     assert main(["metrics", str(state_file)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve"],
+        ["validate", "x.json", "--no-such-flag"],
+        ["metrics", "x.json", "--seed", "3"],
+        ["validate", "x.json", "--format", "csv"],
+        ["evolve", "s.json", "c.json", "--tol", "1e-3"],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert "error" in capsys.readouterr().err
+
+
+def test_negative_counts_exit_1(tmp_path, state_file, capsys):
+    ch_path = tmp_path / "ident.json"
+    io.dump_json(io.channel_to_json(identity_channel(counting_space(3), 2)), ch_path)
+    assert main(["evolve", str(state_file), str(ch_path), "--steps", "-3"]) == 1
+    assert main(["properties", "axioms", "--trials", "-5"]) == 1
+    assert main(["properties", "axioms", "--trials", "0"]) == 1
+    assert capsys.readouterr().out == ""

@@ -18,7 +18,7 @@ from hybridiq.correlations import (
     mutual_information_three_term,
     state_ensemble,
 )
-from hybridiq.errors import NotAnEnsemble
+from hybridiq.errors import HybridError, NotAnEnsemble
 from hybridiq.linalg import relative_entropy, von_neumann_entropy
 from hybridiq.rand import (
     random_density,
@@ -181,7 +181,7 @@ def test_monotonicity_requires_non_interacting():
     space = counting_space(2)
     ch = random_channel(space, space, 2, 2, branching=2, seed=0)
     w = random_state(space, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(HybridError):
         monotonicity_report(w, ch)
 
 

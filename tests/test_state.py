@@ -93,6 +93,12 @@ def test_probability_bad_inputs():
         Effect(-0.1 * np.eye(2))
 
 
+def test_effect_equality_is_identity():
+    e = Effect(np.eye(2))
+    assert e == e
+    assert Effect(np.eye(2)) != Effect(np.eye(2))
+
+
 def test_axiom_additivity_on_random_state():
     rng = np.random.default_rng(1)
     w = random_state(counting_space(6), 3, rng)
