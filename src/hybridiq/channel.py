@@ -71,7 +71,6 @@ def from_blocks(
     qdim_dst: int,
     blocks,
     kind: str = "blocks",
-    tol: float = COMPLETENESS_TOL,
 ) -> HybridChannel:
     """Build a channel from {(m, n): [L, ...]} and verify per-source completeness."""
     if qdim_src < 1 or qdim_dst < 1:
@@ -99,7 +98,7 @@ def from_blocks(
 
     channel = HybridChannel(src_space, dst_space, qdim_src, qdim_dst, normalized, kind)
     defects = _defects_per_source(channel)
-    bad = np.flatnonzero(defects > tol)
+    bad = np.flatnonzero(defects > COMPLETENESS_TOL)
     if bad.size:
         raise IncompleteChannel(int(bad[0]), float(defects[bad[0]]))
     return channel

@@ -3,34 +3,30 @@
 Subcommands: validate | evolve | locc | metrics | properties | randgen.
 All randomness flows from --seed (default 0); identical command lines produce
 byte-identical report files.  Exit codes: 0 success, 1 parse/IO/usage error,
-2 invariant violation or domain error.  The HYBRIDIQ_THREADS environment
-variable (0 = auto) caps parallelism; the current implementation evaluates
-sequentially, which is trivially within any cap.
+2 invariant violation or domain error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import io
 from .channel import COMPLETENESS_TOL, apply, completeness_defect, random_channel
-from .classical import STOCHASTIC_TOL, ClassicalSpace, counting_space, validate_kernel
+from .classical import STOCHASTIC_TOL, counting_space, validate_kernel
 from .correlations import mutual_information
-from .errors import (
-    HybridError,
-    IncompleteInstrument,
-    IoError,
-    ParseError,
-    ShapeMismatch,
-    UnknownSuite,
+from .errors import HybridError, IoError, ParseError, UnknownSuite
+from .linalg import (
+    HERMITICITY_TOL,
+    PSD_TOL,
+    TRACE_TOL,
+    block_margins,
+    kraus_defect,
+    von_neumann_entropy,
 )
-from .linalg import HERMITICITY_TOL, TRACE_TOL, kraus_defect, von_neumann_entropy
 from .locc import INSTRUMENT_TOL, is_ppt, run
 from .properties import SUITES, run_suite
 from .rand import random_stochastic_matrix, seeded_rng
@@ -39,16 +35,6 @@ from .state import distance, quantum_marginal, random_state
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    seed: int = 0
-    tol: float | None = None
-    out: str | None = None
-    fmt: str = "json"
 
 
 def _fmt_float(x: float) -> str:
@@ -64,13 +50,16 @@ def _emit(payload: dict, out_path: str | None) -> None:
             fh.write("\n")
 
 
-def _check(name: str, deviation: float, tolerance: float) -> dict:
-    return {
+def _check(name: str, deviation: float, tolerance: float, error: str = "") -> dict:
+    check = {
         "name": name,
         "deviation": float(deviation),
         "tolerance": float(tolerance),
         "ok": bool(deviation <= tolerance),
     }
+    if error and not check["ok"]:
+        check["error"] = error
+    return check
 
 
 def _detect_kind(obj) -> str:
@@ -89,141 +78,94 @@ def _detect_kind(obj) -> str:
     raise ParseError("cannot determine file kind (state/channel/protocol/kernel/space)")
 
 
-def _space_checks(space: ClassicalSpace) -> list[dict]:
-    # ClassicalSpace construction already enforces positivity; report the margin
-    w_min = float(space.weights.min())
+def _state_checks(obj) -> list[dict]:
+    # new_state's comparisons on the parsed masses, so a failing file still
+    # shows every margin instead of only the first exception
+    _, masses, _ = io.state_parts_from_json(obj)
+    margins = block_margins(masses)
+    total = float(np.einsum("nii->", margins.sym).real)
     return [
-        {
-            "name": "space_weights_positive",
-            "deviation": -w_min,
-            "tolerance": 0.0,
-            "ok": bool(w_min > 0.0),
-        }
+        _check(
+            "masses_finite",
+            margins.nonfinite.sum(),
+            0.0,
+            f"NotPositive: non-finite entries at cell {margins.nonfinite.argmax()}",
+        ),
+        _check(
+            "masses_hermitian",
+            margins.hermiticity.max(),
+            HERMITICITY_TOL,
+            f"NotPositive: not Hermitian at cell {margins.hermiticity.argmax()}",
+        ),
+        _check(
+            "masses_positive",
+            -margins.floor.min(),
+            PSD_TOL,
+            f"NotPositive: negative eigenvalue at cell {margins.floor.argmin()}",
+        ),
+        _check(
+            "normalization_w_X_I",
+            abs(total - 1.0),
+            TRACE_TOL,
+            f"NotNormalized: total trace {total!r}",
+        ),
     ]
 
 
-def _validate_state(obj, tol: float) -> list[dict]:
-    space = io.space_from_json(obj["space"])
-    qdim = int(obj["qdim"])
-    if not isinstance(obj["masses"], list) or len(obj["masses"]) != space.size:
-        raise ParseError(f"state: need one mass matrix per cell ({space.size})")
-    masses = np.stack(
-        [io.matrix_from_json(m, f"mass[{i}]") for i, m in enumerate(obj["masses"])]
-    )
-    if masses.shape[1] != qdim:
-        raise ParseError(f"state: mass matrices must be {qdim}x{qdim}")
-    checks = _space_checks(space)
-    herm = float(np.abs(masses - masses.conj().transpose(0, 2, 1)).max())
-    checks.append(_check("masses_hermitian", herm, HERMITICITY_TOL))
-    sym = (masses + masses.conj().transpose(0, 2, 1)) / 2
-    checks.append(_check("masses_positive", float(-np.linalg.eigvalsh(sym).min()), tol))
-    total = float(np.einsum("nii->", sym).real)
-    name = "normalization_w_X_I"
-    if abs(total - 1.0) > tol:
-        checks.append(
-            {
-                "name": name,
-                "deviation": abs(total - 1.0),
-                "tolerance": tol,
-                "ok": False,
-                "error": f"NotNormalized: total trace {total!r}",
-            }
-        )
-    else:
-        checks.append(_check(name, abs(total - 1.0), tol))
-    return checks
+def _channel_checks(obj) -> list[dict]:
+    channel = io.channel_from_json(obj)
+    return [_check("channel_completeness", completeness_defect(channel), COMPLETENESS_TOL)]
 
 
-def _validate_channel(obj, tol: float) -> list[dict]:
-    channel = None
-    try:
-        channel = io.channel_from_json(obj)
-        checks = _space_checks(channel.src_space)
-        checks.append(
-            _check("channel_completeness", completeness_defect(channel), tol)
-        )
-        return checks
-    except ParseError:
-        raise
-    except HybridError as exc:
-        return [
-            {
-                "name": "channel_construction",
-                "deviation": float("inf"),
-                "tolerance": tol,
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        ]
-
-
-def _validate_protocol(obj, tol: float) -> list[dict]:
-    try:
-        protocol = io.protocol_from_json(obj)
-    except IncompleteInstrument as exc:
-        return [
-            {
-                "name": "instrument_completeness",
-                "deviation": float("inf"),
-                "tolerance": tol,
-                "ok": False,
-                "error": f"IncompleteInstrument: {exc}",
-            }
-        ]
-    except ShapeMismatch as exc:
-        raise ParseError(f"protocol: {exc}") from exc
+def _protocol_checks(obj) -> list[dict]:
+    protocol = io.protocol_from_json(obj)
     worst = max(
         (kraus_defect(stack) for rnd in protocol.rounds for stack in rnd.instrument.values()),
         default=0.0,
     )
-    return [_check("instrument_completeness", worst, tol)]
+    return [_check("instrument_completeness", worst, INSTRUMENT_TOL)]
 
 
-def _validate_one(path: str, tol_override: float | None) -> dict:
+def _kernel_checks(obj) -> list[dict]:
+    report = validate_kernel(io.kernel_matrix_from_json(obj))
+    return [
+        _check("kernel_column_stochastic", report.deviation, STOCHASTIC_TOL, report.message)
+    ]
+
+
+def _space_checks(obj) -> list[dict]:
+    # ClassicalSpace rejects non-positive weights, so loading is the whole check
+    io.space_from_json(obj)
+    return []
+
+
+_CHECKS = {
+    "state": _state_checks,
+    "channel": _channel_checks,
+    "protocol": _protocol_checks,
+    "kernel": _kernel_checks,
+    "space": _space_checks,
+}
+
+
+def _validate_one(path: str) -> dict:
     obj = io.load_json(path)
     kind = _detect_kind(obj)
     try:
-        if kind == "state":
-            checks = _validate_state(obj, tol_override or TRACE_TOL)
-        elif kind == "channel":
-            checks = _validate_channel(obj, tol_override or COMPLETENESS_TOL)
-        elif kind == "protocol":
-            checks = _validate_protocol(obj, tol_override or INSTRUMENT_TOL)
-        elif kind == "kernel":
-            matrix = io.kernel_matrix_from_json(obj)
-            report = validate_kernel(matrix, tol_override or STOCHASTIC_TOL)
-            checks = [
-                {
-                    "name": "kernel_column_stochastic",
-                    "deviation": float(report.deviation),
-                    "tolerance": tol_override or STOCHASTIC_TOL,
-                    "ok": report.ok,
-                    **({} if report.ok else {"error": report.message}),
-                }
-            ]
-        else:
-            checks = _space_checks(io.space_from_json(obj))
+        checks = _CHECKS[kind](obj)
     except (ParseError, IoError):
         raise
     except HybridError as exc:
-        # invariant failures surfaced as exceptions become a failed check, so
-        # one bad file yields a violation report instead of aborting the run
-        checks = [
-            {
-                "name": f"{kind}_construction",
-                "deviation": float("inf"),
-                "tolerance": 0.0,
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-        ]
+        # a loader's invariant failure becomes a failed check, so one bad file
+        # yields a violation report instead of aborting the run
+        checks = [_check(f"{kind}_construction", np.inf, 0.0, f"{type(exc).__name__}: {exc}")]
     return {"path": path, "kind": kind, "checks": checks, "ok": all(c["ok"] for c in checks)}
 
 
-def cmd_validate(config: RunConfig) -> int:
-    reports = [_validate_one(path, config.tol) for path in config.inputs]
+def cmd_validate(paths: list[str], out: str | None) -> int:
+    reports = [_validate_one(path) for path in paths]
     payload = {"reports": reports, "ok": all(r["ok"] for r in reports)}
-    _emit(payload, config.out)
+    _emit(payload, out)
     return EXIT_OK if payload["ok"] else EXIT_VIOLATION
 
 
@@ -254,9 +196,11 @@ def _write_metrics_csv(rows: list[dict], path: str) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def cmd_evolve(config: RunConfig, steps: int, metrics_out: str | None) -> int:
-    state = io.state_from_json(io.load_json(config.inputs[0]))
-    channels = [io.channel_from_json(io.load_json(p)) for p in config.inputs[1:]]
+def cmd_evolve(
+    state_path: str, channel_paths: list[str], steps: int, metrics_out: str | None, out: str | None
+) -> int:
+    state = io.state_from_json(io.load_json(state_path))
+    channels = [io.channel_from_json(io.load_json(p)) for p in channel_paths]
     if not channels:
         print("evolve: need at least one channel file", file=sys.stderr)
         return EXIT_ERROR
@@ -274,15 +218,15 @@ def cmd_evolve(config: RunConfig, steps: int, metrics_out: str | None) -> int:
 
     if metrics_out:
         _write_metrics_csv(rows, metrics_out)
-    if config.out:
-        io.dump_json(io.state_to_json(state), config.out)
+    if out:
+        io.dump_json(io.state_to_json(state), out)
     _emit({"steps": steps, "rows": rows}, None)
     return EXIT_OK
 
 
-def cmd_locc(config: RunConfig) -> int:
-    protocol = io.protocol_from_json(io.load_json(config.inputs[0]))
-    rho = io.matrix_from_json(io.load_json(config.inputs[1]), "input state")
+def cmd_locc(protocol_path: str, state_path: str, out: str | None) -> int:
+    protocol = io.protocol_from_json(io.load_json(protocol_path))
+    rho = io.matrix_from_json(io.load_json(state_path), "input state")
     state, lam = run(protocol, rho)
     d1, d2 = protocol.dims
     conclusive = d1 * d2 <= 6
@@ -299,25 +243,26 @@ def cmd_locc(config: RunConfig) -> int:
         "ppt_verdict": ("PPT" if ppt else "NPT") + ("" if conclusive else " (necessary only)"),
         "ppt_conclusive": conclusive,
     }
-    _emit(payload, config.out)
+    _emit(payload, out)
     return EXIT_OK
 
 
-def cmd_metrics(config: RunConfig) -> int:
-    state = io.state_from_json(io.load_json(config.inputs[0]))
+def cmd_metrics(paths: list[str], fmt: str, out: str | None) -> int:
+    state = io.state_from_json(io.load_json(paths[0]))
+    entropy = von_neumann_entropy(quantum_marginal(state))
     payload = {
         "cells": state.space.size,
         "qdim": state.qdim,
         "total_trace": float(np.einsum("nii->", state.masses).real),
         "min_block_eigenvalue": float(np.linalg.eigvalsh(state.masses).min()),
-        "quantum_entropy": von_neumann_entropy(quantum_marginal(state)),
+        "quantum_entropy": entropy,
         "mutual_information": mutual_information(state),
-        "bound_2S": 2.0 * von_neumann_entropy(quantum_marginal(state)),
+        "bound_2S": 2.0 * entropy,
     }
-    if len(config.inputs) > 1:
-        other = io.state_from_json(io.load_json(config.inputs[1]))
+    if len(paths) > 1:
+        other = io.state_from_json(io.load_json(paths[1]))
         payload["distance"] = distance(state, other)
-    if config.fmt == "csv":
+    if fmt == "csv":
         keys = sorted(payload)
         lines = [",".join(keys)]
         lines.append(
@@ -328,24 +273,25 @@ def cmd_metrics(config: RunConfig) -> int:
         )
         text = "\n".join(lines)
         print(text)
-        if config.out:
-            with open(config.out, "w", encoding="utf-8") as fh:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         return EXIT_OK
-    _emit(payload, config.out)
+    _emit(payload, out)
     return EXIT_OK
 
 
-def cmd_properties(config: RunConfig, suite: str, trials: int) -> int:
-    report = run_suite(suite, trials, config.seed)
-    _emit(report.to_dict(), config.out)
+def cmd_properties(suite: str, trials: int, seed: int, out: str | None) -> int:
+    report = run_suite(suite, trials, seed)
+    _emit(report.to_dict(), out)
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def cmd_randgen(config: RunConfig, kind: str, args) -> int:
+def cmd_randgen(args: argparse.Namespace) -> int:
+    kind = args.kind
     if kind == "state":
         space = counting_space(args.cells)
-        state = random_state(space, args.qdim, seeded_rng(config.seed, "randgen.state"))
+        state = random_state(space, args.qdim, seeded_rng(args.seed, "randgen.state"))
         payload = io.state_to_json(state)
     elif kind == "channel":
         channel = random_channel(
@@ -354,17 +300,14 @@ def cmd_randgen(config: RunConfig, kind: str, args) -> int:
             args.qdim_src,
             args.qdim_dst,
             args.branching,
-            seeded_rng(config.seed, "randgen.channel"),
+            seeded_rng(args.seed, "randgen.channel"),
         )
         payload = io.channel_to_json(channel)
     else:
-        matrix = random_stochastic_matrix(args.rows, args.cols, seeded_rng(config.seed, "randgen.kernel"))
+        matrix = random_stochastic_matrix(args.rows, args.cols, seeded_rng(args.seed, "randgen.kernel"))
         payload = {"P": matrix.ravel().tolist(), "rows": args.rows, "cols": args.cols}
-    if not config.out:
-        print("randgen: --out is required", file=sys.stderr)
-        return EXIT_ERROR
-    io.dump_json(payload, config.out)
-    print(json.dumps({"kind": kind, "out": config.out, "seed": config.seed}, sort_keys=True))
+    io.dump_json(payload, args.out)
+    print(json.dumps({"kind": kind, "out": args.out, "seed": args.seed}, sort_keys=True))
     return EXIT_OK
 
 
@@ -392,15 +335,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def out(p):
-        p.add_argument("--out", default=None, help="write the report/result here")
+    def out(p, required=False):
+        p.add_argument("--out", required=required, help="write the report/result here")
 
     def seed(p):
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
     p = sub.add_parser("validate", help="check spec files against their invariants")
     p.add_argument("paths", nargs="+")
-    p.add_argument("--tol", type=float, default=None, help="tolerance override")
     out(p)
 
     p = sub.add_parser("evolve", help="drive a state through a channel pipeline")
@@ -444,49 +386,26 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--cols", type=int, default=3)
     for g in gen.choices.values():
         seed(g)
-        out(g)
+        out(g, required=True)
     return parser
-
-
-def _check_threads_env() -> None:
-    raw = os.environ.get("HYBRIDIQ_THREADS", "0")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = -1
-    if threads < 0:
-        raise ParseError(f"HYBRIDIQ_THREADS must be a non-negative integer, got {raw!r}")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_threads_env()
-        config = RunConfig(
-            command=args.command,
-            seed=getattr(args, "seed", 0),
-            tol=getattr(args, "tol", None),
-            out=args.out,
-            fmt=getattr(args, "fmt", "json"),
-        )
         if args.command == "validate":
-            config.inputs = args.paths
-            return cmd_validate(config)
+            return cmd_validate(args.paths, args.out)
         if args.command == "evolve":
-            config.inputs = [args.state] + args.channels
-            return cmd_evolve(config, args.steps, args.metrics_out)
+            return cmd_evolve(args.state, args.channels, args.steps, args.metrics_out, args.out)
         if args.command == "locc":
-            config.inputs = [args.protocol, args.state]
-            return cmd_locc(config)
+            return cmd_locc(args.protocol, args.state, args.out)
         if args.command == "metrics":
-            config.inputs = args.states
-            return cmd_metrics(config)
+            return cmd_metrics(args.states, args.fmt, args.out)
         if args.command == "properties":
-            config.inputs = [args.suite]
-            return cmd_properties(config, args.suite, args.trials)
+            return cmd_properties(args.suite, args.trials, args.seed, args.out)
         if args.command == "randgen":
-            return cmd_randgen(config, args.kind, args)
+            return cmd_randgen(args)
     except (ParseError, IoError, UnknownSuite) as exc:
         print(f"hybridiq: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

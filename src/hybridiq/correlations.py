@@ -16,8 +16,21 @@ import numpy as np
 
 from .channel import HybridChannel, apply
 from .errors import HybridError, NotAnEnsemble
-from .linalg import SPECTRAL_CUTOFF, TRACE_TOL, von_neumann_entropy
-from .state import HybridState, ZERO_MASS, classical_marginal, quantum_marginal
+from .linalg import (
+    HERMITICITY_TOL,
+    PSD_TOL,
+    SPECTRAL_CUTOFF,
+    TRACE_TOL,
+    block_margins,
+    von_neumann_entropy,
+)
+from .state import (
+    HybridState,
+    ZERO_MASS,
+    classical_marginal,
+    is_probability_vector,
+    quantum_marginal,
+)
 
 MONOTONICITY_SLACK = 1e-8
 
@@ -34,19 +47,22 @@ class Ensemble:
         rho = np.asarray(self.states, dtype=complex)
         if p.ndim != 1 or p.size == 0:
             raise NotAnEnsemble("need at least one member")
-        if rho.ndim != 3 or rho.shape[0] != p.size or rho.shape[1] != rho.shape[2]:
+        if rho.ndim != 3 or rho.shape != (p.size, rho.shape[1], rho.shape[1]) or rho.size == 0:
             raise NotAnEnsemble(f"states of shape {rho.shape} do not match {p.size} probabilities")
-        if np.any(p < -ZERO_MASS) or abs(p.sum() - 1.0) > TRACE_TOL:
+        if not is_probability_vector(p):
             raise NotAnEnsemble("probabilities must be non-negative and sum to 1")
-        herm_defect = np.abs(rho - rho.conj().transpose(0, 2, 1)).max()
-        if herm_defect > TRACE_TOL:
-            raise NotAnEnsemble(f"a member deviates from Hermiticity by {herm_defect:.3e}")
-        sym = (rho + rho.conj().transpose(0, 2, 1)) / 2
+        margins = block_margins(rho)
+        if margins.nonfinite.any():
+            raise NotAnEnsemble("a member has non-finite entries")
+        if margins.hermiticity.max() > HERMITICITY_TOL:
+            raise NotAnEnsemble(
+                f"a member deviates from Hermiticity by {margins.hermiticity.max():.3e}"
+            )
+        sym = margins.sym
         traces = np.einsum("rii->r", sym).real
         if np.abs(traces - 1.0).max() > TRACE_TOL:
             raise NotAnEnsemble("every member must have unit trace")
-        eigs = np.linalg.eigvalsh(sym)
-        if eigs[:, 0].min() < -TRACE_TOL:
+        if margins.floor.min() < -PSD_TOL:
             raise NotAnEnsemble("a member is not positive semidefinite")
         p = np.clip(p, 0.0, None)
         p.flags.writeable = False

@@ -50,11 +50,11 @@ def space_to_json(space: ClassicalSpace) -> dict:
 def space_from_json(obj: Any) -> ClassicalSpace:
     try:
         weights = np.asarray(obj["weights"], dtype=float)
+        labels = obj.get("labels")
+        if labels is not None:
+            labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"space: expected a weights list, got {obj!r:.120}") from exc
-    labels = obj.get("labels")
-    if labels is not None:
-        labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
+        raise ParseError(f"space: expected weights and optional labels, got {obj!r:.120}") from exc
     return ClassicalSpace(weights, labels)
 
 
@@ -96,7 +96,8 @@ def state_to_json(state: HybridState) -> dict:
     }
 
 
-def state_from_json(obj: Any, renormalize: bool = False) -> HybridState:
+def state_parts_from_json(obj: Any) -> tuple[ClassicalSpace, np.ndarray, int]:
+    """Schema-check a state object into the arguments of new_state: (space, masses, qdim)."""
     try:
         space_obj, qdim, masses_obj = obj["space"], int(obj["qdim"]), obj["masses"]
     except (KeyError, TypeError, ValueError) as exc:
@@ -107,7 +108,11 @@ def state_from_json(obj: Any, renormalize: bool = False) -> HybridState:
     masses = [matrix_from_json(m, f"mass[{i}]") for i, m in enumerate(masses_obj)]
     if any(m.shape[0] != qdim for m in masses):
         raise ParseError(f"state: mass matrices must be {qdim}x{qdim}")
-    return new_state(space, np.stack(masses), renormalize=renormalize)
+    return space, np.stack(masses), qdim
+
+
+def state_from_json(obj: Any) -> HybridState:
+    return new_state(*state_parts_from_json(obj))
 
 
 def channel_to_json(channel: HybridChannel) -> dict:

@@ -40,9 +40,42 @@ def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Max-entry deviation from Hermiticity."""
-    return float(np.abs(m - dagger(m)).max())
+def hermiticity_defect(m: np.ndarray) -> np.ndarray:
+    """Max-entry deviation from Hermiticity of each matrix of a (..., d, d) array."""
+    return np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1))
+
+
+class BlockMargins(NamedTuple):
+    """How far each block of a (n, d, d) stack is from a positive Hermitian matrix.
+
+    Blocks with a non-finite entry are measured as the zero matrix, so the
+    other margins stay finite and describe the remaining blocks.
+    """
+
+    nonfinite: np.ndarray    # (n,) block has a non-finite entry
+    hermiticity: np.ndarray  # (n,) max-entry deviation from Hermiticity
+    eigenvalues: np.ndarray  # (n, d) ascending eigenvalues of the Hermitian part
+    scales: np.ndarray       # (n,) max(1, trace norm of the Hermitian part)
+    sym: np.ndarray          # (n, d, d) Hermitian part
+
+    @property
+    def floor(self) -> np.ndarray:
+        """lambda_min / max(1, trace norm); a block is positive when this is >= -PSD_TOL."""
+        return self.eigenvalues[:, 0] / self.scales
+
+
+def block_margins(stack: np.ndarray) -> BlockMargins:
+    """Measure a (n, d, d) complex stack with one batched eigvalsh and no eigenvectors."""
+    nonfinite = ~np.isfinite(stack).all(axis=(1, 2))
+    if nonfinite.any():
+        stack = np.where(nonfinite[:, None, None], 0.0, stack)
+    sym = (stack + stack.conj().transpose(0, 2, 1)) / 2
+    try:
+        eigs = np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
+    scales = np.maximum(1.0, np.abs(eigs).sum(axis=1))
+    return BlockMargins(nonfinite, hermiticity_defect(stack), eigs, scales, sym)
 
 
 def kraus_gram(stack: np.ndarray) -> np.ndarray:
@@ -72,7 +105,7 @@ class HermEig(NamedTuple):
     eigenvectors: np.ndarray
 
 
-def hermitian_eig(m, htol: float = HERMITICITY_TOL) -> HermEig:
+def hermitian_eig(m) -> HermEig:
     """Eigendecomposition of a Hermitian matrix.
 
     The input is symmetrized before decomposition, which stabilizes
@@ -80,9 +113,9 @@ def hermitian_eig(m, htol: float = HERMITICITY_TOL) -> HermEig:
     eigenvalue order.
     """
     arr = as_cmatrix(m)
-    defect = hermiticity_defect(arr)
-    if defect > htol:
-        raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3e} (tol {htol:.1e})")
+    defect = float(hermiticity_defect(arr))
+    if defect > HERMITICITY_TOL:
+        raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3e}")
     sym = (arr + dagger(arr)) / 2
     try:
         vals, vecs = np.linalg.eigh(sym)
@@ -134,22 +167,25 @@ def partial_transpose(m, dim_a: int, dim_b: int, side: str) -> np.ndarray:
 
 def is_psd(m, tol: float = PSD_TOL) -> bool:
     """Whether min eigenvalue >= -tol * max(1, trace norm).  Requires Hermitian input."""
-    eig = hermitian_eig(m)
-    scale = max(1.0, float(np.abs(eig.eigenvalues).sum()))
-    return bool(eig.eigenvalues[-1] >= -tol * scale)
+    margins = block_margins(as_cmatrix(m)[None])
+    defect = float(margins.hermiticity[0])
+    if defect > HERMITICITY_TOL:
+        raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3e}")
+    return bool(margins.floor[0] >= -tol)
 
 
 def _require_density(rho, name: str = "state") -> np.ndarray:
-    arr = as_cmatrix(rho, name)
-    defect = hermiticity_defect(arr)
+    margins = block_margins(as_cmatrix(rho, name)[None])
+    defect = float(margins.hermiticity[0])
     if defect > HERMITICITY_TOL:
         raise NotAState(f"{name} deviates from Hermiticity by {defect:.3e}")
-    tr = float(np.trace(arr).real)
+    sym = margins.sym[0]
+    tr = float(np.trace(sym).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotAState(f"{name} has trace {tr!r}, expected 1")
-    if not is_psd(arr):
+    if margins.floor[0] < -PSD_TOL:
         raise NotAState(f"{name} is not positive semidefinite")
-    return (arr + dagger(arr)) / 2
+    return sym
 
 
 def von_neumann_entropy(rho) -> float:

@@ -25,7 +25,15 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import _require_density, hermitian_eig, kraus_defect, partial_transpose
-from .state import HybridState, ZERO_MASS, new_state, point_mass_state, product_state, quantum_marginal
+from .state import (
+    HybridState,
+    ZERO_MASS,
+    is_probability_vector,
+    new_state,
+    point_mass_state,
+    product_state,
+    quantum_marginal,
+)
 from .channel import HybridChannel, apply, from_blocks, non_interacting
 
 INSTRUMENT_TOL = 1e-9
@@ -234,7 +242,7 @@ def separable_from_ensemble(space: ClassicalSpace, f, states_1, states_2) -> np.
     p = np.asarray(f, dtype=float)
     if p.ndim != 1 or p.size != space.size:
         raise NotAState(f"cell masses have shape {p.shape}, expected ({space.size},)")
-    if np.any(p < -ZERO_MASS) or abs(p.sum() - 1.0) > 1e-9:
+    if not is_probability_vector(p):
         raise NotAState("cell masses must be non-negative and sum to 1")
     eta1 = [_require_density(s, f"first-side state {i}") for i, s in enumerate(states_1)]
     eta2 = [_require_density(s, f"second-side state {i}") for i, s in enumerate(states_2)]

@@ -109,7 +109,7 @@ class SuiteReport:
     trials: int
     seed: int
     checks: list[CheckResult] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
+    elapsed_seconds: float = 0.0  # not in to_dict, so identical runs write identical reports
 
     @property
     def ok(self) -> bool:
@@ -126,7 +126,6 @@ class SuiteReport:
             "seed": self.seed,
             "ok": self.ok,
             "violations": self.violations,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
             "checks": [c.to_dict() for c in self.checks],
         }
 

@@ -30,6 +30,7 @@ from .linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
     TRACE_TOL,
+    block_margins,
     dagger,
     trace_norm,
     _require_density,
@@ -62,20 +63,17 @@ class Effect:
     def __post_init__(self):
         try:
             arr = np.asarray(self.matrix, dtype=complex)
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-                raise BadEffect(f"effect must be a square matrix, got shape {arr.shape}")
-            if not np.all(np.isfinite(arr.real) & np.isfinite(arr.imag)):
-                raise BadEffect("effect has non-finite entries")
-            defect = float(np.abs(arr - dagger(arr)).max())
-            if defect > HERMITICITY_TOL:
-                raise BadEffect(f"effect deviates from Hermiticity by {defect:.3e}")
-            vals = np.linalg.eigvalsh((arr + dagger(arr)) / 2)
-        except BadEffect:
-            raise
-        except Exception as exc:
+        except (TypeError, ValueError) as exc:
             raise BadEffect(str(exc)) from exc
-        scale = max(1.0, float(np.abs(vals).sum()))
-        if vals[0] < -PSD_TOL * scale:
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+            raise BadEffect(f"effect must be a square matrix, got shape {arr.shape}")
+        margins = block_margins(arr[None])
+        if margins.nonfinite[0]:
+            raise BadEffect("effect has non-finite entries")
+        if margins.hermiticity[0] > HERMITICITY_TOL:
+            raise BadEffect(f"effect deviates from Hermiticity by {margins.hermiticity[0]:.3e}")
+        vals, scale = margins.eigenvalues[0], margins.scales[0]
+        if margins.floor[0] < -PSD_TOL:
             raise BadEffect(f"effect has eigenvalue {vals[0]!r} below zero")
         if vals[-1] > 1.0 + PSD_TOL * scale:
             raise BadEffect(f"effect has eigenvalue {vals[-1]!r} above one")
@@ -104,7 +102,7 @@ class Conditioned(NamedTuple):
 
 def _stack_masses(masses, qdim: int | None) -> np.ndarray:
     arr = np.asarray(masses, dtype=complex)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
         raise DimensionMismatch(f"masses must stack to (cells, q, q), got shape {arr.shape}")
     if qdim is not None and arr.shape[1] != qdim:
         raise DimensionMismatch(f"mass blocks are {arr.shape[1]}-dimensional, expected {qdim}")
@@ -127,23 +125,18 @@ def new_state(
     arr = _stack_masses(masses, qdim)
     if arr.shape[0] != space.size:
         raise DimensionMismatch(f"{arr.shape[0]} mass blocks for {space.size} cells")
-    finite = (np.isfinite(arr.real) & np.isfinite(arr.imag)).reshape(arr.shape[0], -1).all(axis=1)
-    if not finite.all():
-        cell = int(np.argwhere(~finite)[0][0])
+    margins = block_margins(arr)
+    if margins.nonfinite.any():
+        cell = int(margins.nonfinite.argmax())
         raise NotPositive(cell, f"mass block at cell {cell} has non-finite entries")
-
-    defects = np.abs(arr - arr.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    if defects.max() > HERMITICITY_TOL:
-        cell = int(defects.argmax())
+    if margins.hermiticity.max() > HERMITICITY_TOL:
+        cell = int(margins.hermiticity.argmax())
         raise NotPositive(cell, f"mass block at cell {cell} is not Hermitian")
-
-    sym = (arr + arr.conj().transpose(0, 2, 1)) / 2
-    eigs = np.linalg.eigvalsh(sym)
-    scales = np.maximum(1.0, np.abs(eigs).sum(axis=1))
-    bad = eigs[:, 0] < -PSD_TOL * scales
+    bad = margins.floor < -PSD_TOL
     if bad.any():
-        raise NotPositive(int(np.argwhere(bad)[0][0]))
+        raise NotPositive(int(bad.argmax()))
 
+    sym = margins.sym
     total = float(np.einsum("nii->", sym).real)
     if abs(total - 1.0) > TRACE_TOL:
         if renormalize and abs(total - 1.0) <= RENORMALIZE_WINDOW:
@@ -153,6 +146,11 @@ def new_state(
 
     sym.flags.writeable = False
     return HybridState(space, int(arr.shape[1]), sym)
+
+
+def is_probability_vector(p: np.ndarray) -> bool:
+    """Whether p >= -ZERO_MASS entrywise and sums to one within TRACE_TOL; NaN fails."""
+    return bool(np.all(p >= -ZERO_MASS) and abs(p.sum() - 1.0) <= TRACE_TOL)
 
 
 def _event_indices(state: HybridState, event: Iterable[int]) -> np.ndarray:
@@ -232,7 +230,7 @@ def product_state(space: ClassicalSpace, f, rho) -> HybridState:
     p = np.asarray(f, dtype=float)
     if p.ndim != 1 or p.size != space.size:
         raise NotAState(f"classical masses have shape {p.shape}, expected ({space.size},)")
-    if np.any(p < -ZERO_MASS) or abs(p.sum() - 1.0) > TRACE_TOL:
+    if not is_probability_vector(p):
         raise NotAState("classical masses must be non-negative and sum to 1")
     density = _require_density(rho)
     return new_state(space, np.clip(p, 0.0, None)[:, None, None] * density)

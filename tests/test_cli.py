@@ -7,6 +7,7 @@ from hybridiq import io
 from hybridiq.channel import identity_channel, non_interacting
 from hybridiq.classical import counting_space, uniform_mixing_kernel
 from hybridiq.cli import main
+from hybridiq.errors import HybridError
 from hybridiq.locc import LoccProtocol, LoccRound
 from hybridiq.state import new_state, random_state
 
@@ -172,10 +173,7 @@ def test_properties_report_determinism(tmp_path):
     for out in (out1, out2):
         assert main(["properties", "metric", "--trials", "20", "--seed", "5",
                      "--out", str(out)]) == 0
-    r1, r2 = json.loads(out1.read_text()), json.loads(out2.read_text())
-    r1.pop("elapsed_seconds")
-    r2.pop("elapsed_seconds")
-    assert r1 == r2
+    assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_randgen_determinism_and_validity(tmp_path):
@@ -194,13 +192,6 @@ def test_randgen_determinism_and_validity(tmp_path):
     assert main(["validate", str(tmp_path / "k.json")]) == 0
 
 
-def test_threads_env_var_validation(monkeypatch, state_file):
-    monkeypatch.setenv("HYBRIDIQ_THREADS", "4")
-    assert main(["metrics", str(state_file)]) == 0
-    monkeypatch.setenv("HYBRIDIQ_THREADS", "blue")
-    assert main(["metrics", str(state_file)]) == 1
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -209,6 +200,8 @@ def test_threads_env_var_validation(monkeypatch, state_file):
         ["metrics", "x.json", "--seed", "3"],
         ["validate", "x.json", "--format", "csv"],
         ["evolve", "s.json", "c.json", "--tol", "1e-3"],
+        ["validate", "x.json", "--tol", "1e-3"],
+        ["randgen", "state", "--cells", "2"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -223,3 +216,103 @@ def test_negative_counts_exit_1(tmp_path, state_file, capsys):
     assert main(["properties", "axioms", "--trials", "-5"]) == 1
     assert main(["properties", "axioms", "--trials", "0"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def _state_obj(**changes):
+    obj = io.state_to_json(random_state(counting_space(2), 2, 1))
+    obj.update(changes)
+    return obj
+
+
+def _bell_protocol_obj():
+    return io.protocol_to_json(LoccProtocol((2, 2), (LoccRound(2, {(): [P0, P1]}, side=1),)))
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {k: v for k, v in _state_obj().items() if k != "space"},
+        _state_obj(qdim="x"),
+        _state_obj(space={"weights": [1.0, 1.0], "labels": 5}),
+    ],
+    ids=["missing-space", "bad-qdim", "bad-labels"],
+)
+def test_validate_malformed_state_exits_1(tmp_path, obj, capsys):
+    path = tmp_path / "state.json"
+    io.dump_json(obj, path)
+    assert main(["validate", str(path)]) == 1
+    assert main(["metrics", str(path)]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_validate_nan_mass_reports_every_margin(tmp_path, capsys):
+    obj = _state_obj()
+    obj["masses"][1]["re"][0] = float("nan")
+    path = tmp_path / "nan.json"
+    io.dump_json(obj, path)
+    assert main(["validate", str(path)]) == 2
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["reports"][0]["checks"]}
+    assert not checks["masses_finite"]["ok"]
+    assert "cell 1" in checks["masses_finite"]["error"]
+    for name in ("masses_hermitian", "masses_positive", "normalization_w_X_I"):
+        assert np.isfinite(checks[name]["deviation"])
+
+
+def test_misshaped_protocol_exits_2_under_validate_and_locc(tmp_path, capsys):
+    obj = _bell_protocol_obj()
+    obj["rounds"][0]["outcomes"] = 3
+    proto_path = tmp_path / "proto.json"
+    io.dump_json(obj, proto_path)
+    rho_path = tmp_path / "bell.json"
+    io.dump_json(io.matrix_to_json(BELL), rho_path)
+    assert main(["validate", str(proto_path)]) == 2
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["checks"][0]["name"] == "protocol_construction"
+    assert "ShapeMismatch" in report["checks"][0]["error"]
+    assert main(["locc", str(proto_path), str(rho_path)]) == 2
+
+
+def _spec_files():
+    unnormalized = _state_obj()
+    for entry in unnormalized["masses"]:
+        entry["re"] = (0.8 * np.asarray(entry["re"])).tolist()
+        entry["im"] = (0.8 * np.asarray(entry["im"])).tolist()
+    non_psd = {
+        "space": {"weights": [1.0]},
+        "qdim": 2,
+        "masses": [io.matrix_to_json(np.diag([1.01, -0.01]))],
+    }
+    incomplete_channel = io.channel_to_json(identity_channel(counting_space(2), 2))
+    incomplete_channel["blocks"][0]["L"][0]["re"] = [0.5, 0.0, 0.0, 0.5]
+    incomplete_instrument = _bell_protocol_obj()
+    incomplete_instrument["rounds"][0]["instrument"][""][1]["re"] = [0.0, 0.0, 0.0, 0.5]
+    files = [
+        ("good-state", io.state_from_json, _state_obj()),
+        ("unnormalized-state", io.state_from_json, unnormalized),
+        ("non-psd-state", io.state_from_json, non_psd),
+        ("good-channel", io.channel_from_json,
+         io.channel_to_json(identity_channel(counting_space(2), 2))),
+        ("incomplete-channel", io.channel_from_json, incomplete_channel),
+        ("good-protocol", io.protocol_from_json, _bell_protocol_obj()),
+        ("incomplete-instrument", io.protocol_from_json, incomplete_instrument),
+        ("good-kernel", io.kernel_from_json, {"P": [0.5, 0.0, 0.5, 1.0], "rows": 2, "cols": 2}),
+        ("bad-kernel", io.kernel_from_json, {"P": [0.5, 0.4, 0.0, 1.0], "rows": 2, "cols": 2}),
+        ("good-space", io.space_from_json, {"weights": [0.5, 2.0]}),
+        ("bad-space", io.space_from_json, {"weights": [0.5, -2.0]}),
+    ]
+    return [pytest.param(*f, id=f[0]) for f in files]
+
+
+@pytest.mark.parametrize("name, loader, obj", _spec_files())
+def test_validate_agrees_with_loaders(tmp_path, name, loader, obj, capsys):
+    path = tmp_path / f"{name}.json"
+    io.dump_json(obj, path)
+    try:
+        loader(io.load_json(path))
+        accepted = True
+    except HybridError:
+        accepted = False
+    assert accepted == name.startswith("good")
+    assert main(["validate", str(path)]) == (0 if accepted else 2)
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert all(c["ok"] for c in report["checks"]) == accepted

@@ -91,6 +91,10 @@ def test_ensemble_validation():
         Ensemble(np.array([0.5, 0.5]), np.stack([KET0, 2 * KET1]))
     with pytest.raises(NotAnEnsemble):
         Ensemble(np.array([1.0]), np.stack([np.array([[0.0, 1.0], [0.0, 1.0]])]))
+    with pytest.raises(NotAnEnsemble):
+        Ensemble(np.array([np.nan]), np.stack([KET0]))
+    with pytest.raises(NotAnEnsemble):
+        Ensemble(np.array([1.0]), np.stack([np.full((2, 2), np.nan)]))
 
 
 def test_mutual_information_product_is_zero():

@@ -5,6 +5,7 @@ import pytest
 
 from hybridiq.errors import DimensionMismatch, NotAState, NotHermitian, NumericalFailure
 from hybridiq.linalg import (
+    block_margins,
     hermitian_eig,
     is_psd,
     partial_trace,
@@ -157,6 +158,24 @@ def test_is_psd():
     u = random_unitary(3, rng)
     m = (u * np.array([0.2, 0.0, 0.8])) @ u.conj().T
     assert is_psd(m, 1e-9)
+
+
+def test_block_margins():
+    stack = np.stack(
+        [
+            np.diag([0.25, 0.75]),
+            np.diag([1.5, -0.5]),
+            np.array([[0.5, 1e-6], [0.0, 0.5]]),
+            np.full((2, 2), np.nan),
+        ]
+    ).astype(complex)
+    m = block_margins(stack)
+    assert m.nonfinite.tolist() == [False, False, False, True]
+    assert m.hermiticity == pytest.approx([0.0, 0.0, 1e-6, 0.0])
+    assert m.floor == pytest.approx([0.25, -0.25, 0.5 - 5e-7, 0.0])
+    assert np.array_equal(m.sym[3], np.zeros((2, 2)))
+    for sym, vals in zip(m.sym, m.eigenvalues):
+        assert np.linalg.eigvalsh(sym) == pytest.approx(vals, abs=1e-15)
 
 
 def test_von_neumann_entropy_values():

@@ -20,10 +20,7 @@ def test_small_suites_pass(name):
 def test_suite_reports_are_deterministic():
     a = run_suite("axioms", 40, 9)
     b = run_suite("axioms", 40, 9)
-    da, db = a.to_dict(), b.to_dict()
-    da.pop("elapsed_seconds")
-    db.pop("elapsed_seconds")
-    assert da == db
+    assert a.to_dict() == b.to_dict()
 
 
 def test_suite_report_shape():

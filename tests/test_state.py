@@ -5,6 +5,7 @@ from hybridiq.classical import counting_space, discretize_interval
 from hybridiq.errors import (
     BadEffect,
     BadEvent,
+    DimensionMismatch,
     NotNormalized,
     NotPositive,
     SpaceMismatch,
@@ -48,6 +49,14 @@ def test_new_state_rejects_negative_block():
     with pytest.raises(NotPositive) as info:
         new_state(counting_space(1), masses)
     assert info.value.cell == 0
+    with pytest.raises(NotPositive) as info:
+        new_state(counting_space(2), np.stack([KET0, np.full((2, 2), np.nan)]))
+    assert info.value.cell == 1
+
+
+def test_new_state_rejects_empty_blocks():
+    with pytest.raises(DimensionMismatch):
+        new_state(counting_space(1), np.zeros((1, 0, 0)))
 
 
 def test_new_state_rejects_bad_trace_and_renormalizes():
