@@ -21,6 +21,7 @@ from .channel import (
     extend_with_ancilla,
     from_blocks,
     from_coeff_kernel,
+    from_rows,
     identity_channel,
     non_interacting,
     random_channel,

@@ -1,16 +1,17 @@
-"""Hybrid operations in discrete Kraus-block form.
+"""Hybrid operations in discrete Kraus-row form.
 
-A channel holds, for each (target cell m, source cell n) pair, a finite list
-of ``qdim_dst x qdim_src`` blocks.  Blocks act on cell masses, so the single
-validity condition is per-source completeness: summing L^dag L over all
-targets and blocks of a source cell gives the identity, independent of cell
-weights.
+A channel is a table of Kraus rows: row r is a ``qdim_dst x qdim_src`` operator
+that carries quantum content from source cell ``src[r]`` to target cell
+``dst[r]``.  Operators act on cell masses, so the single validity condition is
+per-source completeness: summing L^dag L over all rows of a source cell gives
+the identity, independent of cell weights.  Whole-table operations run as
+batched matrix products followed by segment sums over sorted cell indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .errors import (
     ShapeMismatch,
     SpaceMismatch,
 )
-from .linalg import kraus_defect, kraus_gram, right_normalize
+from .linalg import kraus_defect, kraus_grams, right_normalize
 from .rand import random_complex
 from .state import HybridState, new_state
 
@@ -35,13 +36,19 @@ COEFF_EIGENVALUE_CUTOFF = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HybridChannel:
-    """Validated Kraus-block channel; construct through :func:`from_blocks`."""
+    """Validated Kraus-row channel; construct through :func:`from_blocks` or :func:`from_rows`.
+
+    Rows are sorted by (dst, src), the rows of one cell pair keep the order they
+    were given in, and the three row arrays are read-only.
+    """
 
     src_space: ClassicalSpace
     dst_space: ClassicalSpace
     qdim_src: int
     qdim_dst: int
-    blocks: Mapping[tuple[int, int], np.ndarray]  # (m, n) -> stacked (k, q_dst, q_src)
+    dst: np.ndarray    # (R,) target cell of each row
+    src: np.ndarray    # (R,) source cell of each row
+    kraus: np.ndarray  # (R, qdim_dst, qdim_src)
     kind: str = field(default="blocks", compare=False)
 
     def __repr__(self) -> str:
@@ -51,17 +58,81 @@ class HybridChannel:
         )
 
 
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Indices where a sorted, non-empty key array starts a new run of equal keys."""
+    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+
+
+def _sum_runs(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
+    """(size, ...) array whose entry k sums the rows of ``values`` with key k; keys sorted."""
+    out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
+    if keys.size:
+        starts = run_starts(keys)
+        out[keys[starts]] = np.add.reduceat(values, starts, axis=0)
+    return out
+
+
 def _defects_per_source(channel: HybridChannel) -> np.ndarray:
-    """Max-entry deviation of sum_{m,a} L^dag L from identity, per source cell."""
-    totals = np.zeros((channel.src_space.size, channel.qdim_src, channel.qdim_src), dtype=complex)
-    for (_, n), stack in channel.blocks.items():
-        totals[n] += kraus_gram(stack)
+    """Max-entry deviation of sum L^dag L from identity, per source cell."""
+    order = np.argsort(channel.src, kind="stable")
+    totals = _sum_runs(
+        kraus_grams(channel.kraus[order]), channel.src[order], channel.src_space.size
+    )
     return np.abs(totals - np.eye(channel.qdim_src)).max(axis=(1, 2))
 
 
 def completeness_defect(channel: HybridChannel) -> float:
-    """Max entrywise deviation of sum_{m,a} L^dag L from identity over source cells."""
+    """Max entrywise deviation of sum L^dag L from identity over source cells."""
     return float(_defects_per_source(channel).max())
+
+
+def from_rows(
+    src_space: ClassicalSpace,
+    dst_space: ClassicalSpace,
+    qdim_src: int,
+    qdim_dst: int,
+    dst,
+    src,
+    kraus,
+    kind: str = "blocks",
+) -> HybridChannel:
+    """Build a channel from parallel rows (target cell, source cell, Kraus operator).
+
+    Rows are stably sorted by (dst, src) and per-source completeness is
+    verified; IncompleteChannel names the first source cell that fails.
+    """
+    if qdim_src < 1 or qdim_dst < 1:
+        raise ShapeMismatch("quantum dimensions must be positive")
+    dst = np.asarray(dst, dtype=np.intp)
+    src = np.asarray(src, dtype=np.intp)
+    kraus = np.asarray(kraus, dtype=complex)
+    if kraus.size == 0:  # no rows, whatever the given shape
+        kraus = kraus.reshape(0, qdim_dst, qdim_src)
+    rows = kraus.shape[0] if kraus.ndim == 3 else -1
+    if kraus.shape[1:] != (qdim_dst, qdim_src) or dst.shape != (rows,) or src.shape != (rows,):
+        raise ShapeMismatch(
+            f"{dst.shape} targets, {src.shape} sources and Kraus rows of shape "
+            f"{kraus.shape} do not form (R,), (R,), (R, {qdim_dst}, {qdim_src})"
+        )
+    order = np.lexsort((src, dst))
+    dst, src, kraus = dst[order], src[order], kraus[order]
+    outside = (dst < 0) | (dst >= dst_space.size) | (src < 0) | (src >= src_space.size)
+    if outside.any():
+        r = int(outside.argmax())
+        raise ShapeMismatch(f"block key ({dst[r]}, {src[r]}) outside the cell grid")
+    nonfinite = ~np.isfinite(kraus).all(axis=(1, 2))
+    if nonfinite.any():
+        r = int(nonfinite.argmax())
+        raise NumericalFailure(f"blocks at ({dst[r]}, {src[r]}) have non-finite entries")
+    for arr in (dst, src, kraus):
+        arr.flags.writeable = False
+
+    channel = HybridChannel(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus, kind)
+    defects = _defects_per_source(channel)
+    bad = np.flatnonzero(defects > COMPLETENESS_TOL)
+    if bad.size:
+        raise IncompleteChannel(int(bad[0]), float(defects[bad[0]]))
+    return channel
 
 
 def from_blocks(
@@ -73,14 +144,12 @@ def from_blocks(
     kind: str = "blocks",
 ) -> HybridChannel:
     """Build a channel from {(m, n): [L, ...]} and verify per-source completeness."""
-    if qdim_src < 1 or qdim_dst < 1:
-        raise ShapeMismatch("quantum dimensions must be positive")
-    normalized: dict[tuple[int, int], np.ndarray] = {}
-    for key in sorted(blocks):
+    dst: list[int] = []
+    src: list[int] = []
+    stacks = []
+    for key, stack in blocks.items():
         m, n = int(key[0]), int(key[1])
-        if not (0 <= m < dst_space.size and 0 <= n < src_space.size):
-            raise ShapeMismatch(f"block key ({m}, {n}) outside the cell grid")
-        stack = np.asarray(blocks[key], dtype=complex)
+        stack = np.asarray(stack, dtype=complex)
         if stack.ndim == 2:
             stack = stack[None]
         if stack.ndim != 3 or stack.shape[1:] != (qdim_dst, qdim_src):
@@ -88,94 +157,89 @@ def from_blocks(
                 f"blocks at ({m}, {n}) have shape {stack.shape}, "
                 f"expected (k, {qdim_dst}, {qdim_src})"
             )
-        if stack.shape[0] == 0:
-            continue
-        if not np.all(np.isfinite(stack.real) & np.isfinite(stack.imag)):
-            raise NumericalFailure(f"blocks at ({m}, {n}) have non-finite entries")
-        stack = stack.copy()
-        stack.flags.writeable = False
-        normalized[(m, n)] = stack
-
-    channel = HybridChannel(src_space, dst_space, qdim_src, qdim_dst, normalized, kind)
-    defects = _defects_per_source(channel)
-    bad = np.flatnonzero(defects > COMPLETENESS_TOL)
-    if bad.size:
-        raise IncompleteChannel(int(bad[0]), float(defects[bad[0]]))
-    return channel
+        dst += [m] * stack.shape[0]
+        src += [n] * stack.shape[0]
+        stacks.append(stack)
+    kraus = np.concatenate(stacks) if stacks else ()
+    return from_rows(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus, kind)
 
 
 def identity_channel(space: ClassicalSpace, qdim: int) -> HybridChannel:
-    blocks = {(n, n): np.eye(qdim, dtype=complex)[None] for n in range(space.size)}
-    return from_blocks(space, space, qdim, qdim, blocks)
+    cells = np.arange(space.size)
+    eye = np.broadcast_to(np.eye(qdim, dtype=complex), (space.size, qdim, qdim))
+    return from_rows(space, space, qdim, qdim, cells, cells, eye)
 
 
 def apply(channel: HybridChannel, state: HybridState) -> HybridState:
-    """Transform cell masses: sigma'_m = sum_{n,a} L_a(m,n) sigma_n L_a(m,n)^dag."""
+    """Transform cell masses: sigma'_m = sum_{r: dst[r] = m} L_r sigma_{src[r]} L_r^dag."""
     if channel.src_space != state.space or channel.qdim_src != state.qdim:
         raise SpaceMismatch(
             f"channel source ({channel.src_space.size} cells, qdim {channel.qdim_src}) "
             f"does not match state ({state.space.size} cells, qdim {state.qdim})"
         )
-    out = np.zeros((channel.dst_space.size, channel.qdim_dst, channel.qdim_dst), dtype=complex)
-    for (m, n), stack in channel.blocks.items():
-        out[m] += np.einsum("aij,jk,alk->il", stack, state.masses[n], stack.conj())
-    return new_state(channel.dst_space, out)
+    kraus = channel.kraus
+    terms = kraus @ state.masses[channel.src] @ kraus.conj().swapaxes(1, 2)
+    return new_state(channel.dst_space, _sum_runs(terms, channel.dst, channel.dst_space.size))
 
 
 def compose(second: HybridChannel, first: HybridChannel) -> HybridChannel:
     """Channel equal to "apply first, then second".
 
-    For each cell pair (k, n) the product blocks B_b(k, m) A_a(m, n), summed
-    over the intermediate cell m, are stacked as row vectors V; the Choi
-    matrix V^T V* is factored back into Kraus blocks.  A cell-pair map has
-    Kraus rank at most q_dst * q_src, so no pair ever holds more blocks.
+    Rows of the two channels are joined on the intermediate cell m; for each
+    cell pair (k, n) the products B(k, m) A(m, n) are stacked as row vectors V
+    and the Choi matrix V^T V* is factored back into Kraus rows.  A cell-pair
+    map has Kraus rank at most q_dst * q_src, so no pair ever holds more rows.
     """
     if first.dst_space != second.src_space or first.qdim_dst != second.qdim_src:
         raise SpaceMismatch("destination of the first channel does not match source of the second")
-    by_mid: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for (m, n), stack1 in first.blocks.items():
-        by_mid.setdefault(m, []).append((n, stack1))
     q_dst, q_src = second.qdim_dst, first.qdim_src
-    choi: dict[tuple[int, int], np.ndarray] = {}
-    for (k, m), stack2 in second.blocks.items():
-        for n, stack1 in by_mid.get(m, ()):
-            v = np.einsum("bij,ajk->baik", stack2, stack1).reshape(-1, q_dst * q_src)
-            if (k, n) in choi:
-                choi[(k, n)] += v.T @ v.conj()
-            else:
-                choi[(k, n)] = v.T @ v.conj()
-    blocks = {
-        key: factors.reshape(-1, q_dst, q_src) for key, factors in _psd_factors(choi).items()
-    }
-    return from_blocks(
-        first.src_space, second.dst_space, q_src, q_dst, blocks, kind="composed"
+    # first's rows are sorted by their target m, so each m owns one contiguous
+    # run; pair every row of second with the run of first at its source m
+    count = np.bincount(first.dst, minlength=first.dst_space.size)
+    reps = count[second.src]
+    i = np.repeat(np.arange(second.src.size), reps)
+    offset = np.arange(i.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    j = (np.cumsum(count) - count)[second.src[i]] + offset
+    products = (second.kraus[i] @ first.kraus[j]).reshape(-1, q_dst * q_src)
+
+    order = np.lexsort((first.src[j], second.dst[i]))
+    pair_dst, pair_src = second.dst[i][order], first.src[j][order]
+    starts = run_starts(pair_dst * first.src_space.size + pair_src)
+    sizes = np.diff(np.r_[starts, order.size])
+    run = np.repeat(np.arange(starts.size), sizes)
+    # per-pair stacks V, zero-padded to a common height: padding adds nothing to V^T V*
+    padded = np.zeros((starts.size, sizes.max(), q_dst * q_src), dtype=complex)
+    padded[run, np.arange(order.size) - starts[run]] = products[order]
+    choi = padded.swapaxes(1, 2) @ padded.conj()
+    dst, src, factors = _psd_factors(choi, pair_dst[starts], pair_src[starts])
+    return from_rows(
+        first.src_space, second.dst_space, q_src, q_dst, dst, src,
+        factors.reshape(-1, q_dst, q_src), kind="composed",
     )
 
 
-def _psd_factors(mats: dict[tuple[int, int], np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
-    """Rows f_g with mats[key] = sum_g f_g f_g^dag, as one (g, b) array per key.
+def _psd_factors(mats: np.ndarray, dst: np.ndarray, src: np.ndarray):
+    """Rows f_g with mats[i] = sum_g f_g f_g^dag, as (dst, src, (G, b) factors).
 
     The Hermitian part of each matrix is eigendecomposed and f_g is
     sqrt(lambda_g) times the eigenvector; eigenvalues at or below
     COEFF_EIGENVALUE_CUTOFF of the largest are dropped (the factorization is
-    not unique and minimal rank is not needed), and keys left with no rows are
-    omitted.  An eigenvalue below -COMPLETENESS_TOL of the trace norm raises
-    NotPSDCoefficients for that key.
+    not unique and minimal rank is not needed), so a matrix may yield no rows.
+    An eigenvalue below -COMPLETENESS_TOL of the trace norm raises
+    NotPSDCoefficients for the first such cell pair (dst[i], src[i]).
     """
-    stacked = np.array(list(mats.values()))
-    vals, vecs = np.linalg.eigh((stacked + stacked.conj().swapaxes(-1, -2)) / 2)
-    factors: dict[tuple[int, int], np.ndarray] = {}
-    for key, lam, vec in zip(mats, vals, vecs):
-        if lam[0] < -COMPLETENESS_TOL * max(1.0, float(np.abs(lam).sum())):
-            raise NotPSDCoefficients(*key)
-        keep = lam > COEFF_EIGENVALUE_CUTOFF * max(lam[-1], 0.0)
-        if keep.any():
-            factors[key] = np.sqrt(lam[keep])[:, None] * vec[:, keep].T
-    return factors
+    vals, vecs = np.linalg.eigh((mats + mats.conj().swapaxes(-1, -2)) / 2)
+    negative = vals[:, 0] < -COMPLETENESS_TOL * np.maximum(1.0, np.abs(vals).sum(axis=1))
+    if negative.any():
+        i = int(negative.argmax())
+        raise NotPSDCoefficients(int(dst[i]), int(src[i]))
+    keep = vals > COEFF_EIGENVALUE_CUTOFF * np.maximum(vals[:, -1:], 0.0)
+    pair, g = np.nonzero(keep)
+    return dst[pair], src[pair], np.sqrt(vals[pair, g])[:, None] * vecs[pair, :, g]
 
 
 def non_interacting(kernel: MarkovKernel, kraus: Sequence[np.ndarray]) -> HybridChannel:
-    """Channel of non-interacting subsystems: blocks sqrt(P[m,n]) * L_a.
+    """Channel of non-interacting subsystems: rows sqrt(P[m,n]) * L_a for P[m,n] > 0.
 
     The classical marginal evolves by the kernel alone, the quantum marginal by
     the Kraus set alone, and product states stay product states.
@@ -192,13 +256,13 @@ def non_interacting(kernel: MarkovKernel, kraus: Sequence[np.ndarray]) -> Hybrid
         raise IncompleteKraus(f"sum L^dag L deviates from identity by {defect:.3e}")
 
     p = kernel.matrix
-    blocks = {
-        (m, n): np.sqrt(p[m, n]) * stack
-        for m in range(kernel.dst.size)
-        for n in range(kernel.src.size)
-        if p[m, n] > 0.0
-    }
-    return from_blocks(kernel.src, kernel.dst, q, q, blocks, kind="non_interacting")
+    m, n = np.nonzero(p > 0.0)
+    k = stack.shape[0]
+    kraus = (np.sqrt(p[m, n])[:, None, None, None] * stack).reshape(-1, q, q)
+    return from_rows(
+        kernel.src, kernel.dst, q, q, np.repeat(m, k), np.repeat(n, k), kraus,
+        kind="non_interacting",
+    )
 
 
 def from_coeff_kernel(
@@ -211,7 +275,7 @@ def from_coeff_kernel(
 
     ``coeffs[m, n]`` is the matrix k_{ab}(m, n) weighting L_a sigma L_b^dag.
     Each Hermitized coefficient matrix must be PSD; its eigendecomposition
-    yields the Kraus blocks sqrt(lambda) * sum_a v[a] L_a (see _psd_factors).
+    yields the Kraus rows sqrt(lambda) * sum_a v[a] L_a (see _psd_factors).
     """
     mats = np.asarray(basis, dtype=complex)
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -229,32 +293,24 @@ def from_coeff_kernel(
     if k.shape != expected:
         raise ShapeMismatch(f"coefficients have shape {k.shape}, expected {expected}")
 
-    pairs = {(m, n): k[m, n] for m in range(dst_space.size) for n in range(src_space.size)}
-    blocks = {
-        key: np.einsum("gb,bij->gij", factors, mats)
-        for key, factors in _psd_factors(pairs).items()
-    }
-    return from_blocks(src_space, dst_space, d, d, blocks, kind="coeff_kernel")
+    m, n = np.divmod(np.arange(dst_space.size * src_space.size), src_space.size)
+    dst, src, factors = _psd_factors(k.reshape(-1, b, b), m, n)
+    kraus = (factors @ mats.reshape(b, d * d)).reshape(-1, d, d)
+    return from_rows(src_space, dst_space, d, d, dst, src, kraus, kind="coeff_kernel")
 
 
 def extend_with_ancilla(channel: HybridChannel, ancilla_dim: int) -> HybridChannel:
-    """Tensor every block with the identity on a non-interacting ancilla."""
+    """Tensor every Kraus row with the identity on a non-interacting ancilla."""
     if ancilla_dim < 1:
         raise ShapeMismatch("ancilla dimension must be positive")
     if ancilla_dim == 1:
         return channel
-    eye = np.eye(ancilla_dim, dtype=complex)
-    blocks = {
-        key: np.stack([np.kron(block, eye) for block in stack])
-        for key, stack in channel.blocks.items()
-    }
-    return from_blocks(
-        channel.src_space,
-        channel.dst_space,
-        channel.qdim_src * ancilla_dim,
-        channel.qdim_dst * ancilla_dim,
-        blocks,
-        kind=channel.kind,
+    q_src, q_dst = channel.qdim_src * ancilla_dim, channel.qdim_dst * ancilla_dim
+    # kron(L, I)[i a + k, j a + l] = L[i, j] I[k, l]
+    kraus = np.einsum("rij,kl->rikjl", channel.kraus, np.eye(ancilla_dim))
+    return from_rows(
+        channel.src_space, channel.dst_space, q_src, q_dst, channel.dst, channel.src,
+        kraus.reshape(-1, q_dst, q_src), kind=channel.kind,
     )
 
 
@@ -266,13 +322,13 @@ def random_channel(
     branching: int,
     seed,
 ) -> HybridChannel:
-    """Seeded random channel; blocks are right-normalized per source cell."""
+    """Seeded random channel; each source cell's rows are right-normalized together."""
     if branching < 1:
         raise ShapeMismatch("branching must be at least 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    n_dst = dst_space.size
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for n in range(src_space.size):
+    n_src, n_dst = src_space.size, dst_space.size
+    stacks = []
+    for n in range(n_src):
         for attempt in range(3):
             try:
                 stack = right_normalize(random_complex(rng, (n_dst, branching, qdim_dst, qdim_src)))
@@ -281,6 +337,9 @@ def random_channel(
                 continue
         else:
             raise NumericalFailure(f"normalizer for source cell {n} is singular")
-        for m in range(n_dst):
-            blocks[(m, n)] = stack[m]
-    return from_blocks(src_space, dst_space, qdim_src, qdim_dst, blocks)
+        stacks.append(stack)
+    # (n, m, a, i, j) -> rows ordered by (m, n, a)
+    kraus = np.stack(stacks).swapaxes(0, 1).reshape(-1, qdim_dst, qdim_src)
+    dst = np.repeat(np.arange(n_dst), n_src * branching)
+    src = np.tile(np.repeat(np.arange(n_src), branching), n_dst)
+    return from_rows(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus)

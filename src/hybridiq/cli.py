@@ -373,17 +373,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("randgen", help="generate a seeded random instance")
     gen = p.add_subparsers(dest="kind", required=True)
     g = gen.add_parser("state")
-    g.add_argument("--cells", type=int, default=4)
-    g.add_argument("--qdim", type=int, default=2)
+    g.add_argument("--cells", type=_at_least(1), default=4)
+    g.add_argument("--qdim", type=_at_least(1), default=2)
     g = gen.add_parser("channel")
-    g.add_argument("--src-cells", type=int, default=3)
-    g.add_argument("--dst-cells", type=int, default=3)
-    g.add_argument("--qdim-src", type=int, default=2)
-    g.add_argument("--qdim-dst", type=int, default=2)
-    g.add_argument("--branching", type=int, default=2)
+    g.add_argument("--src-cells", type=_at_least(1), default=3)
+    g.add_argument("--dst-cells", type=_at_least(1), default=3)
+    g.add_argument("--qdim-src", type=_at_least(1), default=2)
+    g.add_argument("--qdim-dst", type=_at_least(1), default=2)
+    g.add_argument("--branching", type=_at_least(1), default=2)
     g = gen.add_parser("kernel")
-    g.add_argument("--rows", type=int, default=3)
-    g.add_argument("--cols", type=int, default=3)
+    g.add_argument("--rows", type=_at_least(1), default=3)
+    g.add_argument("--cols", type=_at_least(1), default=3)
     for g in gen.choices.values():
         seed(g)
         out(g, required=True)

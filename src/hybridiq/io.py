@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .channel import HybridChannel, from_blocks, from_coeff_kernel, non_interacting
+from .channel import HybridChannel, from_blocks, from_coeff_kernel, non_interacting, run_starts
 from .classical import ClassicalSpace, MarkovKernel, counting_space
 from .errors import IoError, ParseError
 from .locc import LoccProtocol, LoccRound
@@ -116,14 +116,21 @@ def state_from_json(obj: Any) -> HybridState:
 
 
 def channel_to_json(channel: HybridChannel) -> dict:
+    # rows are sorted by (dst, src), so each cell pair is one run of rows
+    starts = run_starts(channel.dst * channel.src_space.size + channel.src)
+    ends = np.r_[starts[1:], channel.dst.size]
     return {
         "src_space": space_to_json(channel.src_space),
         "dst_space": space_to_json(channel.dst_space),
         "qdim_src": channel.qdim_src,
         "qdim_dst": channel.qdim_dst,
         "blocks": [
-            {"m": m, "n": n, "L": [matrix_to_json(b) for b in stack]}
-            for (m, n), stack in sorted(channel.blocks.items())
+            {
+                "m": int(channel.dst[a]),
+                "n": int(channel.src[a]),
+                "L": [matrix_to_json(b) for b in channel.kraus[a:z]],
+            }
+            for a, z in zip(starts, ends)
         ],
     }
 

@@ -84,6 +84,11 @@ def kraus_gram(stack: np.ndarray) -> np.ndarray:
     return np.einsum("aji,ajk->ik", flat.conj(), flat)
 
 
+def kraus_grams(stack: np.ndarray) -> np.ndarray:
+    """Batched form of kraus_gram: L^dag L for each operator of a (R, d_out, d_in) stack."""
+    return stack.conj().swapaxes(-1, -2) @ stack
+
+
 def kraus_defect(stack: np.ndarray) -> float:
     """Max-entry deviation of sum_a L_a^dag L_a from the identity."""
     gram = kraus_gram(stack)
@@ -174,7 +179,8 @@ def is_psd(m, tol: float = PSD_TOL) -> bool:
     return bool(margins.floor[0] >= -tol)
 
 
-def _require_density(rho, name: str = "state") -> np.ndarray:
+def _density_spectrum(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
+    """Check a density matrix; return its Hermitian part and ascending eigenvalues."""
     margins = block_margins(as_cmatrix(rho, name)[None])
     defect = float(margins.hermiticity[0])
     if defect > HERMITICITY_TOL:
@@ -185,24 +191,26 @@ def _require_density(rho, name: str = "state") -> np.ndarray:
         raise NotAState(f"{name} has trace {tr!r}, expected 1")
     if margins.floor[0] < -PSD_TOL:
         raise NotAState(f"{name} is not positive semidefinite")
-    return sym
+    return sym, margins.eigenvalues[0]
+
+
+def _require_density(rho, name: str = "state") -> np.ndarray:
+    return _density_spectrum(rho, name)[0]
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -sum lambda ln lambda, in nats, over eigenvalues above the cutoff."""
-    arr = _require_density(rho)
-    vals = np.linalg.eigvalsh(arr)
+    _, vals = _density_spectrum(rho)
     vals = vals[vals > SPECTRAL_CUTOFF]
     return max(float(-(vals * np.log(vals)).sum()), 0.0)
 
 
 def relative_entropy(rho, tau) -> float:
     """S(rho || tau) = tr(rho ln rho) - tr(rho ln tau), +inf outside tau's support."""
-    r = _require_density(rho, "rho")
+    r, r_vals = _density_spectrum(rho, "rho")
     t = _require_density(tau, "tau")
     if r.shape != t.shape:
         raise DimensionMismatch(f"dimension mismatch: {r.shape[0]} vs {t.shape[0]}")
-    r_vals = np.linalg.eigvalsh(r)
     r_vals = r_vals[r_vals > SPECTRAL_CUTOFF]
     tr_rho_ln_rho = float((r_vals * np.log(r_vals)).sum())
 

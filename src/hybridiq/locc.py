@@ -34,7 +34,7 @@ from .state import (
     product_state,
     quantum_marginal,
 )
-from .channel import HybridChannel, apply, from_blocks, non_interacting
+from .channel import HybridChannel, apply, from_blocks, from_rows, non_interacting
 
 INSTRUMENT_TOL = 1e-9
 RECORD_SPACE_LIMIT = 100_000
@@ -118,6 +118,7 @@ class Branch(NamedTuple):
 
 
 def _lift(protocol: LoccProtocol, side: int, v: np.ndarray) -> np.ndarray:
+    """One side's operator, or a (k, d_side, d_side) stack of them, on the full system."""
     d1, d2 = protocol.dims
     return np.kron(v, np.eye(d2)) if side == 1 else np.kron(np.eye(d1), v)
 
@@ -218,22 +219,42 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
     """
     d = protocol.dims[0] * protocol.dims[1]
     space = full_record_space(protocol)
-    index = {rec: i for i, rec in enumerate(space.labels)}
+    sizes = [rnd.outcomes + 1 for rnd in protocol.rounds]
+    # cells enumerate records in mixed radix (sizes), round 0 most significant
+    cells = np.arange(space.size)
     eye = np.eye(d, dtype=complex)
 
     channels = []
     for r, rnd in enumerate(protocol.rounds):
-        blocks: dict[tuple[int, int], np.ndarray] = {}
-        for n, rec in enumerate(space.labels):
-            history = rec[:r]
-            ops = rnd.instrument.get(history) if all(x >= 1 for x in history) else None
-            if rec[r] != 0 or ops is None:
-                blocks[(n, n)] = eye[None]
-                continue
-            for label in range(1, rnd.outcomes + 1):
-                target = rec[:r] + (label,) + rec[r + 1:]
-                blocks[(index[target], n)] = _lift(protocol, rnd.side, ops[label - 1])[None]
-        channels.append(from_blocks(space, space, d, d, blocks, kind="locc_round"))
+        stride = int(np.prod(sizes[r + 1:], dtype=np.int64))
+        label = (cells // stride) % sizes[r]
+        # instrument histories never hold a 0, so the table misses every
+        # partly measured history as well as the ones without an entry
+        table = np.full(int(np.prod(sizes[:r], dtype=np.int64)), -1)
+        for i, history in enumerate(rnd.instrument):
+            code = 0
+            for x, size in zip(history, sizes):
+                code = code * size + x
+            table[code] = i
+        which = table[cells // (stride * sizes[r])]
+        acting = (label == 0) & (which >= 0)
+        lifted = np.array(
+            [_lift(protocol, rnd.side, ops) for ops in rnd.instrument.values()], dtype=complex
+        ).reshape(-1, rnd.outcomes, d, d)
+        passive, active = cells[~acting], cells[acting]
+        targets = active[:, None] + stride * np.arange(1, rnd.outcomes + 1)
+        channels.append(
+            from_rows(
+                space, space, d, d,
+                np.concatenate([passive, targets.ravel()]),
+                np.concatenate([passive, np.repeat(active, rnd.outcomes)]),
+                np.concatenate([
+                    np.broadcast_to(eye, (passive.size, d, d)),
+                    lifted[which[active]].reshape(-1, d, d),
+                ]),
+                kind="locc_round",
+            )
+        )
     return channels
 
 

@@ -218,9 +218,8 @@ def run_metric(trials: int, seed: int) -> SuiteReport:
 
 def _apply_oracle(channel, state) -> np.ndarray:
     out = np.zeros((channel.dst_space.size, channel.qdim_dst, channel.qdim_dst), dtype=complex)
-    for (m, n), stack in channel.blocks.items():
-        for mat in stack:
-            out[m] += mat @ state.masses[n] @ mat.conj().T
+    for m, n, mat in zip(channel.dst, channel.src, channel.kraus):
+        out[m] += mat @ state.masses[n] @ mat.conj().T
     return out
 
 

@@ -32,7 +32,6 @@ from .linalg import (
     TRACE_TOL,
     block_margins,
     dagger,
-    trace_norm,
     _require_density,
 )
 from .rand import random_complex
@@ -190,30 +189,24 @@ def conditional_quantum(state: HybridState, cell: int) -> np.ndarray:
     return state.masses[cell] / p
 
 
-def _canonical_sign(diff: np.ndarray) -> float:
-    # fixes the sign of a Hermitian difference so the trace norm below is
-    # computed from bit-identical input for either argument order
-    flat = diff.ravel()
-    re = flat.real
-    nz = np.nonzero(re)[0]
-    if nz.size:
-        return 1.0 if re[nz[0]] > 0 else -1.0
-    im = flat.imag
-    nz = np.nonzero(im)[0]
-    if nz.size:
-        return 1.0 if im[nz[0]] > 0 else -1.0
-    return 1.0
+def _canonical_signs(diffs: np.ndarray) -> np.ndarray:
+    # fixes the sign of each Hermitian difference (that of its first nonzero
+    # real part, else of its first nonzero imaginary part) so the trace norms
+    # below are computed from bit-identical input for either argument order
+    flat = diffs.reshape(diffs.shape[0], -1)
+    rows = np.arange(flat.shape[0])
+    re = flat.real[rows, (flat.real != 0).argmax(axis=1)]
+    im = flat.imag[rows, (flat.imag != 0).argmax(axis=1)]
+    return np.where(np.where(re != 0, re, im) < 0, -1.0, 1.0)
 
 
 def distance(w1: HybridState, w2: HybridState) -> float:
     """Integrated trace-norm metric; lies in [0, 2] and is exactly symmetric."""
     if w1.space != w2.space or w1.qdim != w2.qdim:
         raise SpaceMismatch("states live on different spaces")
-    total = 0.0
-    for n in range(w1.space.size):
-        diff = w1.masses[n] - w2.masses[n]
-        total += trace_norm(_canonical_sign(diff) * diff)
-    return total
+    diffs = w1.masses - w2.masses
+    signed = _canonical_signs(diffs)[:, None, None] * diffs
+    return float(np.linalg.svd(signed, compute_uv=False).sum())
 
 
 def mix(w1: HybridState, w2: HybridState, t: float) -> HybridState:

@@ -9,6 +9,7 @@ from hybridiq.channel import (
     extend_with_ancilla,
     from_blocks,
     from_coeff_kernel,
+    from_rows,
     identity_channel,
     non_interacting,
     random_channel,
@@ -26,7 +27,9 @@ from hybridiq.errors import (
     NotPSDCoefficients,
     SpaceMismatch,
 )
+from hybridiq.linalg import right_normalize
 from hybridiq.rand import (
+    random_complex,
     random_density,
     random_kraus_set,
     random_probability_vector,
@@ -56,16 +59,22 @@ PAULI = [
 
 
 def apply_oracle(channel, state):
-    """Naive triple-loop evaluation of the Kraus-block sum."""
+    """Naive triple-loop evaluation of the Kraus-row sum."""
     out = np.zeros((channel.dst_space.size, channel.qdim_dst, channel.qdim_dst), dtype=complex)
     for m in range(channel.dst_space.size):
         for n in range(channel.src_space.size):
-            stack = channel.blocks.get((m, n))
-            if stack is None:
-                continue
-            for L in stack:
+            for r in np.flatnonzero((channel.dst == m) & (channel.src == n)):
+                L = channel.kraus[r]
                 out[m] += L @ state.masses[n] @ L.conj().T
     return out
+
+
+def blocks_of(channel):
+    """The rows grouped into {(m, n): stacked Kraus operators}, in row order."""
+    grouped = {}
+    for m, n, L in zip(channel.dst.tolist(), channel.src.tolist(), channel.kraus):
+        grouped.setdefault((m, n), []).append(L)
+    return {key: np.stack(stack) for key, stack in grouped.items()}
 
 
 def indop_oracle(kernel, kraus, state):
@@ -113,6 +122,25 @@ def test_from_blocks_incomplete():
     assert info.value.deviation == pytest.approx(0.1, abs=1e-12)
 
 
+def test_incomplete_channel_names_first_bad_source():
+    space = counting_space(4)
+    eye = np.eye(2, dtype=complex)
+    blocks = {(n, n): eye[None] for n in range(4)}
+    blocks[(3, 3)] = 0.5 * eye[None]
+    blocks[(0, 1)] = 0.5 * eye[None]  # cell 1 sums to 1.25 I, cell 3 to 0.25 I
+    with pytest.raises(IncompleteChannel) as info:
+        from_blocks(space, space, 2, 2, blocks)
+    assert info.value.cell == 1
+    assert info.value.deviation == pytest.approx(0.25, abs=1e-12)
+
+    # a source cell without any rows is incomplete by the full identity
+    del blocks[(0, 0)]
+    with pytest.raises(IncompleteChannel) as info:
+        from_blocks(space, space, 2, 2, blocks)
+    assert info.value.cell == 0
+    assert info.value.deviation == pytest.approx(1.0, abs=1e-12)
+
+
 def test_identity_channel_is_identity():
     rng = np.random.default_rng(1)
     space = counting_space(3)
@@ -131,6 +159,55 @@ def test_apply_matches_oracle():
         assert np.abs(out.masses - apply_oracle(ch, w)).max() <= 1e-11
         assert np.trace(out.masses.sum(axis=0)).real == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.eigvalsh(out.masses).min() >= -1e-9
+
+
+def test_apply_matches_oracle_on_ragged_rows():
+    # per-pair Kraus counts 3, 1 | 2, 0 (an empty stack), 4, with q_src != q_dst
+    rng = np.random.default_rng(16)
+    src, dst = counting_space(2), counting_space(3)
+    layout = {0: {(2, 0): 1, (0, 0): 3}, 1: {(1, 1): 2, (0, 1): 0, (2, 1): 4}}
+    blocks = {}
+    for n, counts in layout.items():
+        stack = right_normalize(random_complex(rng, (sum(counts.values()), 3, 2)))
+        bounds = np.cumsum([0] + list(counts.values()))
+        for (key, _), a, z in zip(counts.items(), bounds[:-1], bounds[1:]):
+            blocks[key] = stack[a:z]
+    ch = from_blocks(src, dst, 2, 3, blocks)
+
+    pairs = list(zip(ch.dst.tolist(), ch.src.tolist()))
+    assert pairs == sorted(pairs)
+    grouped = blocks_of(ch)
+    assert sorted(grouped) == sorted(key for key, stack in blocks.items() if len(stack))
+    for key, stack in grouped.items():
+        assert np.array_equal(stack, blocks[key])  # each pair keeps its Kraus order
+    for _ in range(3):
+        w = random_state(src, 2, rng)
+        assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("cells, qdim, branching", [(32, 2, 1), (4, 16, 2)])
+def test_apply_matches_oracle_at_scale(cells, qdim, branching):
+    rng = np.random.default_rng(cells)
+    space = counting_space(cells)
+    ch = random_channel(space, space, qdim, qdim, branching=branching, seed=rng)
+    assert ch.kraus.shape[0] == cells * cells * branching
+    w = random_state(space, qdim, rng)
+    assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
+
+
+def test_from_rows_sorts_copies_and_freezes():
+    rng = np.random.default_rng(17)
+    one, two = counting_space(1), counting_space(2)
+    kraus = right_normalize(random_complex(rng, (3, 2, 2)))
+    ch = from_rows(one, two, 2, 2, [1, 0, 1], [0, 0, 0], kraus)
+    assert ch.dst.tolist() == [0, 1, 1] and ch.src.tolist() == [0, 0, 0]
+    assert np.array_equal(ch.kraus, kraus[[1, 0, 2]])  # stable within the (1, 0) pair
+    kraus[:] = 0.0
+    assert completeness_defect(ch) <= 1e-12
+    for arr in (ch.dst, ch.src, ch.kraus):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_apply_space_mismatch():
@@ -237,7 +314,7 @@ def test_compose_matches_sequential_and_associativity():
     assert np.abs(apply(left, w).masses - apply(right, w).masses).max() <= 1e-10
     for ch in (composed, left, right):
         assert all(
-            stack.shape[0] <= ch.qdim_src * ch.qdim_dst for stack in ch.blocks.values()
+            stack.shape[0] <= ch.qdim_src * ch.qdim_dst for stack in blocks_of(ch).values()
         )
 
 
@@ -249,7 +326,7 @@ def test_compose_bounds_blocks_on_block_blowup():
     big2 = random_channel(space, space, 4, 4, branching=110, seed=rng)
     both = compose(big2, big1)
     assert isinstance(both, HybridChannel)
-    assert both.blocks[(0, 0)].shape[0] <= 16
+    assert blocks_of(both)[(0, 0)].shape[0] <= 16
     w = random_state(space, 4, rng)
     expected = apply(big2, apply(big1, w))
     assert np.abs(apply(both, w).masses - expected.masses).max() <= 1e-12
@@ -392,7 +469,8 @@ def test_random_channel_determinism():
     src, dst = counting_space(2), counting_space(3)
     ch1 = random_channel(src, dst, 2, 2, branching=2, seed=99)
     ch2 = random_channel(src, dst, 2, 2, branching=2, seed=99)
-    assert sorted(ch1.blocks) == sorted(ch2.blocks)
-    for key in ch1.blocks:
-        assert np.array_equal(ch1.blocks[key], ch2.blocks[key])
+    blocks1, blocks2 = blocks_of(ch1), blocks_of(ch2)
+    assert sorted(blocks1) == sorted(blocks2)
+    for key in blocks1:
+        assert np.array_equal(blocks1[key], blocks2[key])
     assert completeness_defect(ch1) <= 1e-12

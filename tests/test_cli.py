@@ -186,6 +186,11 @@ def test_randgen_determinism_and_validity(tmp_path):
     assert main(["randgen", "channel", "--src-cells", "2", "--dst-cells", "2",
                  "--seed", "3", "--out", str(tmp_path / "ch.json")]) == 0
     assert main(["validate", str(tmp_path / "ch.json")]) == 0
+    assert main(["randgen", "channel", "--src-cells", "3", "--dst-cells", "2",
+                 "--branching", "3", "--seed", "5", "--out", str(tmp_path / "ch2.json")]) == 0
+    for name in ("ch.json", "ch2.json"):
+        obj = io.load_json(tmp_path / name)
+        assert io.channel_to_json(io.channel_from_json(obj)) == obj
 
     assert main(["randgen", "kernel", "--rows", "3", "--cols", "2",
                  "--seed", "4", "--out", str(tmp_path / "k.json")]) == 0
@@ -207,6 +212,23 @@ def test_randgen_determinism_and_validity(tmp_path):
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "kind, flag",
+    [
+        ("state", "--cells"), ("state", "--qdim"),
+        ("channel", "--src-cells"), ("channel", "--dst-cells"), ("channel", "--qdim-src"),
+        ("channel", "--qdim-dst"), ("channel", "--branching"),
+        ("kernel", "--rows"), ("kernel", "--cols"),
+    ],
+)
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_nonpositive_randgen_sizes_exit_1(tmp_path, kind, flag, value, capsys):
+    out = tmp_path / "x.json"
+    assert main(["randgen", kind, flag, value, "--out", str(out)]) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_counts_exit_1(tmp_path, state_file, capsys):

@@ -160,8 +160,41 @@ def test_as_hybrid_channels_single_round_identity():
     assert len(channels) == 1
     ch = channels[0]
     assert ch.src_space.labels == ((0,), (1,))
-    assert (1, 0) in ch.blocks and (1, 1) in ch.blocks
+    pairs = set(zip(ch.dst.tolist(), ch.src.tolist()))
+    assert (1, 0) in pairs and (1, 1) in pairs
     assert completeness_defect(ch) <= 1e-12
+
+
+def test_as_hybrid_channels_mixed_outcomes_and_missing_history():
+    # 3, 1 and 2 outcomes on a 2x3 system; outcome 3 of round 0 has a zero
+    # operator, so its history (3,) may lack an instrument and passes through
+    rng = np.random.default_rng(5)
+    zero = np.zeros((2, 2), dtype=complex)
+    proto = LoccProtocol(
+        (2, 3),
+        (
+            LoccRound(3, {(): [P0, P1, zero]}, side=1),
+            LoccRound(1, {(1,): [np.eye(3)], (2,): [np.eye(3)]}, side=2),
+            LoccRound(2, {(1, 1): [P0, P1], (2, 1): random_instrument(2, 2, rng)}, side=1),
+        ),
+    )
+    channels = as_hybrid_channels(proto)
+    space = channels[0].src_space
+    index = {rec: i for i, rec in enumerate(space.labels)}
+    passing = index[(3, 0, 0)]
+    rows = np.flatnonzero(channels[1].src == passing)
+    assert channels[1].dst[rows].tolist() == [passing]
+    assert np.array_equal(channels[1].kraus[rows[0]], np.eye(6))
+
+    rho = random_density(6, rng)
+    state = initial_record_state(proto, rho)
+    for ch in channels:
+        assert completeness_defect(ch) <= 1e-9
+        state = apply(ch, state)
+    direct, lam = run(proto, rho)
+    for rec, mass in zip(direct.space.labels, direct.masses):
+        assert np.abs(state.masses[index[rec]] - mass).max() <= 1e-10
+    assert np.abs(quantum_marginal(state) - lam).max() <= 1e-10
 
 
 def test_as_hybrid_channels_bell_measurement():
