@@ -6,11 +6,14 @@ that carries quantum content from source cell ``src[r]`` to target cell
 per-source completeness: summing L^dag L over all rows of a source cell gives
 the identity, independent of cell weights.  Whole-table operations run as
 batched matrix products followed by segment sums over sorted cell indices.
+Rows are the only stored layout; small-q channels also cache one transfer
+matrix per cell pair (see :attr:`HybridChannel.transfer`), derived from rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +35,13 @@ from .state import HybridState, new_state
 
 COMPLETENESS_TOL = 1e-9
 COEFF_EIGENVALUE_CUTOFF = 1e-12
+# apply() uses the transfer table when qdim_dst * qdim_src is at most this.
+# At q = 2 one 4x4 product per cell pair is several times faster than two 2x2
+# products per row.  The table grows as q^4 per pair (64 MiB for an 8-cell
+# channel at q = 16, where the table-based apply is several times slower), and
+# building it costs more than it saves on a channel applied once, as each LOCC
+# round channel is at q = 4.
+TRANSFER_QDIM_PRODUCT_LIMIT = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,10 +67,33 @@ class HybridChannel:
             f"{self.dst_space.size}x{self.qdim_dst}, kind={self.kind!r})"
         )
 
+    @cached_property
+    def transfer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per cell pair (pair_dst, pair_src, T), built from the rows on first use.
+
+        T is (P, qdim_dst^2, qdim_src^2): T[p] = sum_r L_r (x) conj(L_r) over the
+        rows of pair p, so vec(sigma'_m) gains T[p] @ vec(sigma_n) with row-major
+        vec.  At qdim 1 it is the transition probability P(m|n).  Pairs are in
+        row order, and the arrays are read-only and not serialized.
+        """
+        starts = pair_starts(self)
+        q_dst, q_src = self.qdim_dst, self.qdim_src
+        terms = np.einsum("rai,rbj->rabij", self.kraus, self.kraus.conj())
+        table = np.add.reduceat(terms.reshape(-1, q_dst * q_dst, q_src * q_src), starts, axis=0)
+        out = (self.dst[starts], self.src[starts], table)
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
 
 def run_starts(keys: np.ndarray) -> np.ndarray:
     """Indices where a sorted, non-empty key array starts a new run of equal keys."""
-    return np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
+def pair_starts(channel: HybridChannel) -> np.ndarray:
+    """Index of the first row of each cell pair (rows are sorted by (dst, src))."""
+    return run_starts(channel.dst * channel.src_space.size + channel.src)
 
 
 def _sum_runs(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
@@ -171,15 +204,27 @@ def identity_channel(space: ClassicalSpace, qdim: int) -> HybridChannel:
 
 
 def apply(channel: HybridChannel, state: HybridState) -> HybridState:
-    """Transform cell masses: sigma'_m = sum_{r: dst[r] = m} L_r sigma_{src[r]} L_r^dag."""
+    """Transform cell masses: sigma'_m = sum_{r: dst[r] = m} L_r sigma_{src[r]} L_r^dag.
+
+    When qdim_dst * qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT each cell pair is
+    one product with its cached transfer matrix; otherwise every row is a
+    batched L sigma L^dag.
+    """
     if channel.src_space != state.space or channel.qdim_src != state.qdim:
         raise SpaceMismatch(
             f"channel source ({channel.src_space.size} cells, qdim {channel.qdim_src}) "
             f"does not match state ({state.space.size} cells, qdim {state.qdim})"
         )
-    kraus = channel.kraus
-    terms = kraus @ state.masses[channel.src] @ kraus.conj().swapaxes(1, 2)
-    return new_state(channel.dst_space, _sum_runs(terms, channel.dst, channel.dst_space.size))
+    q = channel.qdim_dst
+    if q * channel.qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT:
+        dst, src, table = channel.transfer
+        # take() gathers these rows about 3x faster than fancy indexing
+        vecs = state.masses.reshape(state.space.size, -1).take(src, axis=0)
+        terms = np.einsum("pij,pj->pi", table, vecs).reshape(-1, q, q)
+    else:
+        dst, kraus = channel.dst, channel.kraus
+        terms = kraus @ state.masses[channel.src] @ kraus.conj().swapaxes(1, 2)
+    return new_state(channel.dst_space, _sum_runs(terms, dst, channel.dst_space.size))
 
 
 def compose(second: HybridChannel, first: HybridChannel) -> HybridChannel:

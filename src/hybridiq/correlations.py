@@ -22,6 +22,7 @@ from .linalg import (
     SPECTRAL_CUTOFF,
     TRACE_TOL,
     block_margins,
+    nonnegative,
     von_neumann_entropy,
 )
 from .state import (
@@ -109,7 +110,7 @@ def state_ensemble(state: HybridState) -> Ensemble:
 
 def mutual_information(state: HybridState) -> float:
     """Correlation between the classical and quantum subsystems, in nats."""
-    return max(_holevo_raw(*_cell_ensemble(state)), 0.0)
+    return nonnegative(_holevo_raw(*_cell_ensemble(state)))
 
 
 def mutual_information_three_term(state: HybridState) -> float:

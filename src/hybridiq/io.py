@@ -12,7 +12,7 @@ from typing import Any
 
 import numpy as np
 
-from .channel import HybridChannel, from_blocks, from_coeff_kernel, non_interacting, run_starts
+from .channel import HybridChannel, from_blocks, from_coeff_kernel, non_interacting, pair_starts
 from .classical import ClassicalSpace, MarkovKernel, counting_space
 from .errors import IoError, ParseError
 from .locc import LoccProtocol, LoccRound
@@ -28,16 +28,27 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
-def matrix_from_json(obj: Any, what: str = "matrix") -> np.ndarray:
+def matrix_from_json(
+    obj: Any, what: str = "matrix", shape: tuple[int, int] | None = None
+) -> np.ndarray:
+    """Decode a dim x dim matrix, or a ``shape`` matrix whose "dim" is its row count.
+
+    matrix_to_json writes the row count as "dim", so a rectangular Kraus row
+    (whose shape the channel header gives) round-trips through the same encoding.
+    """
     try:
         dim = int(obj["dim"])
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{what}: expected keys dim/re/im, got {obj!r:.120}") from exc
-    if dim < 1 or re.shape != (dim * dim,) or im.shape != (dim * dim,):
-        raise ParseError(f"{what}: {dim}x{dim} matrix needs {dim * dim} re and im entries")
-    return (re + 1j * im).reshape(dim, dim)
+    rows, cols = shape or (dim, dim)
+    size = rows * cols
+    if dim != rows or rows < 1 or cols < 1 or re.shape != (size,) or im.shape != (size,):
+        raise ParseError(
+            f"{what}: {rows}x{cols} matrix needs dim {rows} and {size} re and im entries"
+        )
+    return (re + 1j * im).reshape(rows, cols)
 
 
 def space_to_json(space: ClassicalSpace) -> dict:
@@ -116,8 +127,7 @@ def state_from_json(obj: Any) -> HybridState:
 
 
 def channel_to_json(channel: HybridChannel) -> dict:
-    # rows are sorted by (dst, src), so each cell pair is one run of rows
-    starts = run_starts(channel.dst * channel.src_space.size + channel.src)
+    starts = pair_starts(channel)
     ends = np.r_[starts[1:], channel.dst.size]
     return {
         "src_space": space_to_json(channel.src_space),
@@ -202,7 +212,7 @@ def channel_from_json(obj: Any) -> HybridChannel:
     for entry in entries:
         try:
             key = (int(entry["m"]), int(entry["n"]))
-            mats = [matrix_from_json(b, f"block{key}") for b in entry["L"]]
+            mats = [matrix_from_json(b, f"block{key}", (qdim_dst, qdim_src)) for b in entry["L"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"channel block entry malformed: {entry!r:.120}") from exc
         if key in blocks:

@@ -198,11 +198,16 @@ def _require_density(rho, name: str = "state") -> np.ndarray:
     return _density_spectrum(rho, name)[0]
 
 
+def nonnegative(x: float) -> float:
+    """max(x, 0.0) as +0.0 when x is zero (max(-0.0, 0.0) is -0.0); NaN passes through."""
+    return max(x, 0.0) + 0.0
+
+
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -sum lambda ln lambda, in nats, over eigenvalues above the cutoff."""
     _, vals = _density_spectrum(rho)
     vals = vals[vals > SPECTRAL_CUTOFF]
-    return max(float(-(vals * np.log(vals)).sum()), 0.0)
+    return nonnegative(float(-(vals * np.log(vals)).sum()))
 
 
 def relative_entropy(rho, tau) -> float:
@@ -221,4 +226,4 @@ def relative_entropy(rho, tau) -> float:
         return math.inf
     keep = ~kernel
     tr_rho_ln_tau = float((weights[keep] * np.log(t_vals[keep])).sum())
-    return max(tr_rho_ln_rho - tr_rho_ln_tau, 0.0)
+    return nonnegative(tr_rho_ln_rho - tr_rho_ln_tau)

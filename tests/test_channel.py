@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hybridiq.channel import (
+    TRANSFER_QDIM_PRODUCT_LIMIT,
     HybridChannel,
     apply,
     completeness_defect,
@@ -161,18 +162,20 @@ def test_apply_matches_oracle():
         assert np.linalg.eigvalsh(out.masses).min() >= -1e-9
 
 
-def test_apply_matches_oracle_on_ragged_rows():
-    # per-pair Kraus counts 3, 1 | 2, 0 (an empty stack), 4, with q_src != q_dst
+# (2, 3) is above the transfer-table limit, the rest at or below it
+@pytest.mark.parametrize("q_src, q_dst", [(2, 3), (2, 2), (1, 2), (2, 1), (1, 4), (4, 1)])
+def test_apply_matches_oracle_on_ragged_rows(q_src, q_dst):
+    # per-pair Kraus counts 3, 1 | 2, 0 (an empty stack), 4
     rng = np.random.default_rng(16)
     src, dst = counting_space(2), counting_space(3)
     layout = {0: {(2, 0): 1, (0, 0): 3}, 1: {(1, 1): 2, (0, 1): 0, (2, 1): 4}}
     blocks = {}
     for n, counts in layout.items():
-        stack = right_normalize(random_complex(rng, (sum(counts.values()), 3, 2)))
+        stack = right_normalize(random_complex(rng, (sum(counts.values()), q_dst, q_src)))
         bounds = np.cumsum([0] + list(counts.values()))
         for (key, _), a, z in zip(counts.items(), bounds[:-1], bounds[1:]):
             blocks[key] = stack[a:z]
-    ch = from_blocks(src, dst, 2, 3, blocks)
+    ch = from_blocks(src, dst, q_src, q_dst, blocks)
 
     pairs = list(zip(ch.dst.tolist(), ch.src.tolist()))
     assert pairs == sorted(pairs)
@@ -181,8 +184,20 @@ def test_apply_matches_oracle_on_ragged_rows():
     for key, stack in grouped.items():
         assert np.array_equal(stack, blocks[key])  # each pair keeps its Kraus order
     for _ in range(3):
-        w = random_state(src, 2, rng)
+        w = random_state(src, q_src, rng)
         assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
+    # the table is cached exactly on the transfer side of the shape rule
+    assert ("transfer" in vars(ch)) == (q_src * q_dst <= TRANSFER_QDIM_PRODUCT_LIMIT)
+
+
+def test_apply_at_qdim_1_is_the_classical_kernel():
+    rng = np.random.default_rng(18)
+    src, dst = counting_space(4), counting_space(3)
+    kernel = MarkovKernel(src, dst, random_stochastic_matrix(3, 4, rng))
+    w = random_state(src, 1, rng)
+    out = apply(non_interacting(kernel, [np.eye(1)]), w)
+    p = w.masses[:, 0, 0].real
+    assert np.abs(out.masses[:, 0, 0] - kernel.matrix @ p).max() <= 1e-12
 
 
 @pytest.mark.parametrize("cells, qdim, branching", [(32, 2, 1), (4, 16, 2)])

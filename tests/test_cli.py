@@ -7,7 +7,7 @@ from hybridiq import io
 from hybridiq.channel import identity_channel, non_interacting
 from hybridiq.classical import counting_space, uniform_mixing_kernel
 from hybridiq.cli import main
-from hybridiq.errors import HybridError
+from hybridiq.errors import HybridError, ParseError
 from hybridiq.locc import LoccProtocol, LoccRound
 from hybridiq.state import new_state, random_state
 
@@ -195,6 +195,53 @@ def test_randgen_determinism_and_validity(tmp_path):
     assert main(["randgen", "kernel", "--rows", "3", "--cols", "2",
                  "--seed", "4", "--out", str(tmp_path / "k.json")]) == 0
     assert main(["validate", str(tmp_path / "k.json")]) == 0
+
+
+@pytest.mark.parametrize("q_src, q_dst", [(3, 2), (1, 4)])
+def test_rectangular_channel_round_trips(tmp_path, q_src, q_dst, capsys):
+    path = tmp_path / "c.json"
+    assert main(["randgen", "channel", "--qdim-src", str(q_src), "--qdim-dst", str(q_dst),
+                 "--out", str(path)]) == 0
+    assert main(["validate", str(path)]) == 0
+    obj = io.load_json(path)
+    assert io.channel_to_json(io.channel_from_json(obj)) == obj
+
+    obj["blocks"][0]["L"][0]["re"].append(0.0)
+    io.dump_json(obj, path)
+    with pytest.raises(ParseError, match="needs dim"):
+        io.channel_from_json(io.load_json(path))
+
+
+def test_qdim_1_metrics_print_no_negative_zero(tmp_path, capsys):
+    state, ch = tmp_path / "s.json", tmp_path / "c.json"
+    csv_path, metrics = tmp_path / "m.csv", tmp_path / "metrics.json"
+    assert main(["randgen", "state", "--cells", "3", "--qdim", "1", "--out", str(state)]) == 0
+    assert main(["randgen", "channel", "--qdim-src", "1", "--qdim-dst", "1",
+                 "--out", str(ch)]) == 0
+    assert main(["metrics", str(state), "--out", str(metrics)]) == 0
+    payload = io.load_json(metrics)
+    for key in ("quantum_entropy", "mutual_information", "bound_2S"):
+        assert str(payload[key]) == "0.0"
+    assert main(["evolve", str(state), str(ch), "--steps", "2",
+                 "--metrics-out", str(csv_path)]) == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == ["0", "0", "0"]
+
+
+def test_evolve_is_byte_deterministic(tmp_path, capsys):
+    state, ch = tmp_path / "s.json", tmp_path / "c.json"
+    assert main(["randgen", "state", "--cells", "4", "--qdim", "2", "--seed", "8",
+                 "--out", str(state)]) == 0
+    assert main(["randgen", "channel", "--src-cells", "4", "--dst-cells", "4",
+                 "--seed", "9", "--out", str(ch)]) == 0
+    outputs = []
+    for run in ("a", "b"):
+        csv_path, out = tmp_path / f"{run}.csv", tmp_path / f"{run}.json"
+        assert main(["evolve", str(state), str(ch), "--steps", "3",
+                     "--metrics-out", str(csv_path), "--out", str(out)]) == 0
+        outputs.append((csv_path.read_bytes(), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) == 5  # header + initial row + 3 steps
 
 
 @pytest.mark.parametrize(
