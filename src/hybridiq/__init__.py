@@ -50,7 +50,6 @@ from .locc import (
     LoccRound,
     SteeringScript,
     as_hybrid_channels,
-    branch_operators,
     initial_record_state,
     is_ppt,
     run,

@@ -201,9 +201,6 @@ def cmd_evolve(
 ) -> int:
     state = io.state_from_json(io.load_json(state_path))
     channels = [io.channel_from_json(io.load_json(p)) for p in channel_paths]
-    if not channels:
-        print("evolve: need at least one channel file", file=sys.stderr)
-        return EXIT_ERROR
 
     rows = [_metrics_row(0, state, None)]
     for step in range(1, steps + 1):

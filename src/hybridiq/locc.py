@@ -4,15 +4,18 @@ A protocol measures the two quantum sides in rounds; each round's instrument
 may depend on the history of earlier outcomes.  Outcome label 0 is reserved
 for "not yet measured", so complete records have every label >= 1.  Running a
 protocol produces a hybrid state over complete records plus the overall
-quantum operation Lambda(rho); the same protocol can be lowered to one hybrid
-channel per round acting on the full record space.
+quantum operation Lambda(rho).  ``run`` evaluates in product form: a record's
+branch operator is A_x (x) B_x, so it tracks only the two local factors and
+never forms an operator on the full system.  The same protocol can be lowered
+to one hybrid channel per round acting on the full record space.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -105,76 +108,51 @@ class LoccProtocol:
             resolved.append(LoccRound(rnd.outcomes, instrument, side))
         object.__setattr__(self, "rounds", tuple(resolved))
 
-    @property
-    def n_rounds(self) -> int:
-        return len(self.rounds)
 
-
-class Branch(NamedTuple):
-    record: tuple[int, ...]
-    w: np.ndarray       # full-space operator, product of lifted round operators
-    w_side1: np.ndarray
-    w_side2: np.ndarray
-
-
-def _lift(protocol: LoccProtocol, side: int, v: np.ndarray) -> np.ndarray:
+def _lift(dims: tuple[int, int], side: int, v: np.ndarray) -> np.ndarray:
     """One side's operator, or a (k, d_side, d_side) stack of them, on the full system."""
-    d1, d2 = protocol.dims
+    d1, d2 = dims
     return np.kron(v, np.eye(d2)) if side == 1 else np.kron(np.eye(d1), v)
 
 
-def branch_operators(protocol: LoccProtocol, rho: np.ndarray | None = None) -> list[Branch]:
-    """Accumulated operators for every complete outcome record, in lexicographic order.
-
-    With ``rho`` given, branches whose mass already fell to zero are pruned,
-    which is what lets instruments omit unreachable histories; without it every
-    history must have an instrument entry.
-    """
-    d1, d2 = protocol.dims
-    d = d1 * d2
-    frontier = [Branch((), np.eye(d, dtype=complex), np.eye(d1, dtype=complex), np.eye(d2, dtype=complex))]
-    for rnd in protocol.rounds:
-        next_frontier = []
-        for branch in frontier:
-            ops = rnd.instrument.get(branch.record)
-            if ops is None:
-                if rho is not None:
-                    mass = np.einsum("ij,jk,ik->", branch.w, rho, branch.w.conj()).real
-                    if mass <= ZERO_MASS:
-                        continue
-                raise IncompleteInstrument(branch.record)
-            for label in range(1, rnd.outcomes + 1):
-                v = ops[label - 1]
-                lifted = _lift(protocol, rnd.side, v)
-                next_frontier.append(
-                    Branch(
-                        branch.record + (label,),
-                        lifted @ branch.w,
-                        (v @ branch.w_side1) if rnd.side == 1 else branch.w_side1,
-                        (v @ branch.w_side2) if rnd.side == 2 else branch.w_side2,
-                    )
-                )
-        frontier = next_frontier
-    return frontier
+def _record_space(protocol: LoccProtocol, first: int) -> ClassicalSpace:
+    """Counting-measure space of records with labels from ``first`` up to each round's outcomes."""
+    ranges = [range(first, rnd.outcomes + 1) for rnd in protocol.rounds]
+    total = math.prod(len(labels) for labels in ranges)
+    if total > RECORD_SPACE_LIMIT:
+        raise RecordSpaceTooLarge(f"record space has {total} cells (limit {RECORD_SPACE_LIMIT})")
+    return counting_space(total, labels=tuple(itertools.product(*ranges)))
 
 
 def complete_record_space(protocol: LoccProtocol) -> ClassicalSpace:
     """Counting-measure space of complete records, labelled by the record tuples."""
-    total = int(np.prod([rnd.outcomes for rnd in protocol.rounds]))
-    if total > RECORD_SPACE_LIMIT:
-        raise RecordSpaceTooLarge(f"record space has {total} cells (limit {RECORD_SPACE_LIMIT})")
-    records = tuple(
-        itertools.product(*(range(1, rnd.outcomes + 1) for rnd in protocol.rounds))
+    return _record_space(protocol, 1)
+
+
+def full_record_space(protocol: LoccProtocol) -> ClassicalSpace:
+    """Counting-measure space over all records, 0 meaning "not yet measured"."""
+    return _record_space(protocol, 0)
+
+
+def _record_masses(a: np.ndarray, b: np.ndarray, rho4: np.ndarray) -> np.ndarray:
+    """W_k rho W_k^dag for W_k = a_k (x) b_k, with rho reshaped to (d1, d2, d1, d2)."""
+    d = a.shape[1] * b.shape[1]
+    masses = np.einsum(
+        "kai,kbj,ijlm,kcl,kem->kabce", a, b, rho4, a.conj(), b.conj(), optimize=True
     )
-    return counting_space(len(records), labels=records)
+    return masses.reshape(-1, d, d)
 
 
 def run(protocol: LoccProtocol, rho) -> tuple[HybridState, np.ndarray]:
-    """Execute all rounds on ``rho``.
+    """Execute all rounds on ``rho`` in product form.
 
-    Returns the hybrid state over complete outcome records (cell mass
-    W_x rho W_x^dag for record x) and the overall quantum operation output
-    Lambda(rho) = sum_x W_x rho W_x^dag.
+    Record x has the branch operator W_x = A_x (x) B_x.  Each round multiplies
+    only the acting side's stack of local factors; the cell masses
+    W_x rho W_x^dag then come from one contraction of rho against the two
+    stacks.  Returns the hybrid state over complete outcome records and
+    Lambda(rho) = sum_x W_x rho W_x^dag.  A history without an instrument is
+    pruned when its branch mass is at most ZERO_MASS, else IncompleteInstrument
+    names the first one, round by round and lexicographically within a round.
     """
     d1, d2 = protocol.dims
     density = _require_density(rho, "input state")
@@ -183,29 +161,31 @@ def run(protocol: LoccProtocol, rho) -> tuple[HybridState, np.ndarray]:
             f"input state has dimension {density.shape[0]}, expected {d1 * d2}"
         )
     space = complete_record_space(protocol)
-    index = {rec: i for i, rec in enumerate(space.labels)}
-    masses = np.zeros((space.size, d1 * d2, d1 * d2), dtype=complex)
-    for branch in branch_operators(protocol, density):
-        masses[index[branch.record]] = branch.w @ density @ branch.w.conj().T
+    rho4 = density.reshape(d1, d2, d1, d2)
+    histories = [()]
+    factors = [np.eye(d1, dtype=complex)[None], np.eye(d2, dtype=complex)[None]]
+    for rnd in protocol.rounds:
+        missing = [i for i, history in enumerate(histories) if history not in rnd.instrument]
+        if missing:
+            lost = _record_masses(factors[0][missing], factors[1][missing], rho4)
+            for i, mass in zip(missing, np.einsum("kii->k", lost).real):
+                if mass > ZERO_MASS:
+                    raise IncompleteInstrument(histories[i])
+        # a pruned history continues with zero operators, so its records keep zero mass
+        acting = rnd.side - 1
+        pruned = np.zeros((rnd.outcomes,) + factors[acting].shape[1:], dtype=complex)
+        step = np.stack([rnd.instrument.get(history, pruned) for history in histories])
+        factors[acting] = (step @ factors[acting][:, None]).reshape((-1,) + pruned.shape[1:])
+        factors[1 - acting] = np.repeat(factors[1 - acting], rnd.outcomes, axis=0)
+        histories = [h + (label,) for h in histories for label in range(1, rnd.outcomes + 1)]
+    masses = _record_masses(*factors, rho4)
     state = new_state(space, masses)
     return state, quantum_marginal(state)
 
 
-def full_record_space(protocol: LoccProtocol) -> ClassicalSpace:
-    """Counting-measure space over all records, 0 meaning "not yet measured"."""
-    sizes = [rnd.outcomes + 1 for rnd in protocol.rounds]
-    total = int(np.prod(sizes))
-    if total > RECORD_SPACE_LIMIT:
-        raise RecordSpaceTooLarge(f"record space has {total} cells (limit {RECORD_SPACE_LIMIT})")
-    records = tuple(itertools.product(*(range(s) for s in sizes)))
-    return counting_space(total, labels=records)
-
-
 def initial_record_state(protocol: LoccProtocol, rho) -> HybridState:
-    """Point mass at record (0, ..., 0) with quantum part ``rho``."""
-    space = full_record_space(protocol)
-    zero = (0,) * protocol.n_rounds
-    return point_mass_state(space, space.labels.index(zero), rho)
+    """Point mass at record (0, ..., 0), the first cell, with quantum part ``rho``."""
+    return point_mass_state(full_record_space(protocol), 0, rho)
 
 
 def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
@@ -239,7 +219,7 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
         which = table[cells // (stride * sizes[r])]
         acting = (label == 0) & (which >= 0)
         lifted = np.array(
-            [_lift(protocol, rnd.side, ops) for ops in rnd.instrument.values()], dtype=complex
+            [_lift(protocol.dims, rnd.side, ops) for ops in rnd.instrument.values()], dtype=complex
         ).reshape(-1, rnd.outcomes, d, d)
         passive, active = cells[~acting], cells[acting]
         targets = active[:, None] + stride * np.arange(1, rnd.outcomes + 1)
@@ -258,6 +238,17 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
     return channels
 
 
+def _cell_states(space: ClassicalSpace, states, side: str) -> list[np.ndarray]:
+    """One density matrix per cell of ``space``, all of one dimension."""
+    eta = [_require_density(s, f"{side} state {i}") for i, s in enumerate(states)]
+    if len(eta) != space.size:
+        raise NotAState(f"need one {side} density matrix per cell, got {len(eta)}")
+    dims = sorted({e.shape[0] for e in eta})
+    if len(dims) > 1:
+        raise DimensionMismatch(f"{side} states have dimensions {dims}, expected one")
+    return eta
+
+
 def separable_from_ensemble(space: ClassicalSpace, f, states_1, states_2) -> np.ndarray:
     """Discretized separable state sum_n f_n eta1_n (x) eta2_n."""
     p = np.asarray(f, dtype=float)
@@ -265,10 +256,8 @@ def separable_from_ensemble(space: ClassicalSpace, f, states_1, states_2) -> np.
         raise NotAState(f"cell masses have shape {p.shape}, expected ({space.size},)")
     if not is_probability_vector(p):
         raise NotAState("cell masses must be non-negative and sum to 1")
-    eta1 = [_require_density(s, f"first-side state {i}") for i, s in enumerate(states_1)]
-    eta2 = [_require_density(s, f"second-side state {i}") for i, s in enumerate(states_2)]
-    if len(eta1) != space.size or len(eta2) != space.size:
-        raise NotAState("need one density matrix per cell on each side")
+    eta1 = _cell_states(space, states_1, "first-side")
+    eta2 = _cell_states(space, states_2, "second-side")
     d1, d2 = eta1[0].shape[0], eta2[0].shape[0]
     out = np.zeros((d1 * d2, d1 * d2), dtype=complex)
     for weight, a, b in zip(np.clip(p, 0.0, None), eta1, eta2):
@@ -276,7 +265,7 @@ def separable_from_ensemble(space: ClassicalSpace, f, states_1, states_2) -> np.
     return out
 
 
-def is_ppt(rho, dim_1: int, dim_2: int, tol: float = PPT_TOL) -> bool:
+def is_ppt(rho, dim_1: int, dim_2: int) -> bool:
     """Partial transpose test: conclusive for separability on 2x2 and 2x3."""
     density = _require_density(rho)
     if density.shape[0] != dim_1 * dim_2:
@@ -284,7 +273,7 @@ def is_ppt(rho, dim_1: int, dim_2: int, tol: float = PPT_TOL) -> bool:
             f"state of dimension {density.shape[0]} does not factor as {dim_1} x {dim_2}"
         )
     transposed = partial_transpose(density, dim_1, dim_2, "B")
-    return bool(np.linalg.eigvalsh(transposed)[0] >= -tol)
+    return bool(np.linalg.eigvalsh(transposed)[0] >= -PPT_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,7 +302,6 @@ def _local_repopulation(
     # is the complement projector plus the (renormalized) target spectrum
     d_side = dims[side - 1]
     d = dims[0] * dims[1]
-    eye_other = np.eye(dims[2 - side], dtype=complex)
     ground = np.zeros(d_side, dtype=complex)
     ground[0] = 1.0
     complement = np.eye(d_side, dtype=complex) - np.outer(ground, ground.conj())
@@ -328,10 +316,7 @@ def _local_repopulation(
             if vals[k] <= 0.0:
                 continue
             local.append(np.sqrt(vals[k]) * np.outer(eig.eigenvectors[:, k], ground.conj()))
-        lifted = [
-            np.kron(v, eye_other) if side == 1 else np.kron(eye_other, v) for v in local
-        ]
-        blocks[(n, n)] = np.stack(lifted)
+        blocks[(n, n)] = _lift(dims, side, np.stack(local))
     return from_blocks(space, space, d, d, blocks, kind="locc_local")
 
 
@@ -348,8 +333,8 @@ def steer_to_separable(
     |0><k| (x) |0><k'|; the next two steps repopulate side 1 and side 2 cell by
     cell from the eigendecompositions of the target conditional states.
     """
-    eta1 = [_require_density(s, f"first-side state {i}") for i, s in enumerate(states_1)]
-    eta2 = [_require_density(s, f"second-side state {i}") for i, s in enumerate(states_2)]
+    eta1 = _cell_states(space, states_1, "first-side")
+    eta2 = _cell_states(space, states_2, "second-side")
     inferred = (eta1[0].shape[0], eta2[0].shape[0])
     if dims is not None and tuple(dims) != inferred:
         raise DimensionMismatch(f"dims {tuple(dims)} do not match target states {inferred}")

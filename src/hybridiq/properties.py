@@ -66,6 +66,8 @@ from .state import (
     tensor_with_quantum,
 )
 
+STATES_PER_CHANNEL = 10
+
 PAULI = (
     np.eye(2, dtype=complex),
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -250,7 +252,7 @@ def _fhs_oracle(basis, coeffs, state, n_dst: int) -> np.ndarray:
     return out
 
 
-def run_channel(trials: int, seed: int, states_per_channel: int = 10) -> SuiteReport:
+def run_channel(trials: int, seed: int) -> SuiteReport:
     """Channel validity, the apply oracle, contraction, linearity, composition,
     and the two constructor cross-checks."""
     report = SuiteReport("channel", trials, seed)
@@ -276,7 +278,7 @@ def run_channel(trials: int, seed: int, states_per_channel: int = 10) -> SuiteRe
         q_src, q_dst = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         src, dst = counting_space(n_src), counting_space(n_dst)
         ch = _sized_random_channel(rng, src, dst, q_src, q_dst)
-        states = [random_state(src, q_src, rng) for _ in range(states_per_channel)]
+        states = [random_state(src, q_src, rng) for _ in range(STATES_PER_CHANNEL)]
         outputs = []
         for w in states:
             out = apply(ch, w)
@@ -486,6 +488,19 @@ def _random_protocol(rng: np.random.Generator, dims=(2, 2), max_rounds: int = 3,
     return locc_mod.LoccProtocol(dims, tuple(rounds))
 
 
+def _locc_oracle(protocol, rho) -> dict:
+    """W rho W^dag per complete record, W accumulated round by round on the full space."""
+    d1, d2 = protocol.dims
+    out = {}
+    for record in itertools.product(*(range(1, rnd.outcomes + 1) for rnd in protocol.rounds)):
+        w = np.eye(d1 * d2, dtype=complex)
+        for r, rnd in enumerate(protocol.rounds):
+            v = rnd.instrument[record[:r]][record[r] - 1]
+            w = (np.kron(v, np.eye(d2)) if rnd.side == 1 else np.kron(np.eye(d1), v)) @ w
+        out[record] = w @ rho @ w.conj().T
+    return out
+
+
 def run_locc(trials: int, seed: int) -> SuiteReport:
     """Protocol execution laws, the per-round channel lowering, PPT, steering."""
     report = SuiteReport("locc", trials, seed)
@@ -504,12 +519,11 @@ def run_locc(trials: int, seed: int) -> SuiteReport:
         proto = _random_protocol(rng)
         rho = random_density(4, rng)
         state, lam = locc_mod.run(proto, rho)
+        oracle = _locc_oracle(proto, rho)
         run_trace.record(abs(np.trace(lam).real - 1.0))
         run_eig.record(-float(np.linalg.eigvalsh((lam + lam.conj().T) / 2)[0]))
-        for branch in locc_mod.branch_operators(proto, rho):
-            w_structure.record(
-                float(np.abs(branch.w - np.kron(branch.w_side1, branch.w_side2)).max())
-            )
+        for rec, mass in zip(state.space.labels, state.masses):
+            w_structure.record(float(np.abs(mass - oracle[rec]).max()))
         evolved = locc_mod.initial_record_state(proto, rho)
         for ch in locc_mod.as_hybrid_channels(proto):
             evolved = apply(ch, evolved)

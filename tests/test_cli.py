@@ -254,6 +254,7 @@ def test_evolve_is_byte_deterministic(tmp_path, capsys):
         ["evolve", "s.json", "c.json", "--tol", "1e-3"],
         ["validate", "x.json", "--tol", "1e-3"],
         ["randgen", "state", "--cells", "2"],
+        ["evolve", "s.json"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):

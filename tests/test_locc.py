@@ -16,7 +16,6 @@ from hybridiq.locc import (
     LoccProtocol,
     LoccRound,
     as_hybrid_channels,
-    branch_operators,
     complete_record_space,
     initial_record_state,
     is_ppt,
@@ -25,6 +24,7 @@ from hybridiq.locc import (
     separable_from_ensemble,
     steer_to_separable,
 )
+from hybridiq.properties import _locc_oracle
 from hybridiq.rand import random_density, random_kraus_set, random_probability_vector
 from hybridiq.state import quantum_marginal
 
@@ -41,12 +41,12 @@ def random_instrument(d, outcomes, rng):
     return random_kraus_set(d, outcomes, rng)
 
 
-def random_protocol(rng, dims=(2, 2), max_rounds=3, max_outcomes=2):
+def random_protocol(rng, dims=(2, 2), max_rounds=3, max_outcomes=2, first_side=1):
     n_rounds = int(rng.integers(1, max_rounds + 1))
     outcome_counts = [int(rng.integers(1, max_outcomes + 1)) for _ in range(n_rounds)]
     rounds = []
     for r in range(n_rounds):
-        side = 1 if r % 2 == 0 else 2
+        side = first_side if r % 2 == 0 else 3 - first_side
         d_side = dims[side - 1]
         instrument = {
             history: random_instrument(d_side, outcome_counts[r], rng)
@@ -81,35 +81,46 @@ def test_bell_measurement_example():
     assert not is_ppt(BELL, 2, 2)
 
 
-def test_run_matches_record_enumeration_oracle():
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)], ids=["2x2", "2x3", "3x2"])
+def test_run_matches_record_enumeration_oracle(dims):
+    # unequal sides catch a swapped (d1, d2) reshape in the product form
+    d1, d2 = dims
     rng = np.random.default_rng(1)
-    proto = random_protocol(rng, max_rounds=2)
-    rho = random_density(4, rng)
-    state, lam = run(proto, rho)
+    for _ in range(5):
+        proto = random_protocol(rng, dims=dims, max_rounds=3)
+        rho = random_density(d1 * d2, rng)
+        state, lam = run(proto, rho)
 
-    # enumerate every record by brute force
-    oracle = {}
-    counts = [rnd.outcomes for rnd in proto.rounds]
-    for record in itertools.product(*(range(1, c + 1) for c in counts)):
-        w = np.eye(4, dtype=complex)
-        for r, rnd in enumerate(proto.rounds):
-            v = rnd.instrument[record[:r]][record[r] - 1]
-            lifted = np.kron(v, np.eye(2)) if rnd.side == 1 else np.kron(np.eye(2), v)
-            w = lifted @ w
-        oracle[record] = w @ rho @ w.conj().T
-    for i, record in enumerate(state.space.labels):
-        assert np.abs(state.masses[i] - oracle[record]).max() <= 1e-12
-    assert np.abs(lam - sum(oracle.values())).max() <= 1e-12
-    assert np.trace(lam).real == pytest.approx(1.0, abs=1e-9)
-    assert np.linalg.eigvalsh((lam + lam.conj().T) / 2)[0] >= -1e-9
+        # enumerate every record by brute force
+        oracle = {}
+        counts = [rnd.outcomes for rnd in proto.rounds]
+        for record in itertools.product(*(range(1, c + 1) for c in counts)):
+            w = np.eye(d1 * d2, dtype=complex)
+            for r, rnd in enumerate(proto.rounds):
+                v = rnd.instrument[record[:r]][record[r] - 1]
+                lifted = np.kron(v, np.eye(d2)) if rnd.side == 1 else np.kron(np.eye(d1), v)
+                w = lifted @ w
+            oracle[record] = w @ rho @ w.conj().T
+        assert state.space.labels == tuple(oracle)
+        for i, record in enumerate(state.space.labels):
+            assert np.abs(state.masses[i] - oracle[record]).max() <= 1e-12
+        assert np.abs(lam - sum(oracle.values())).max() <= 1e-12
+        assert np.trace(lam).real == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.eigvalsh((lam + lam.conj().T) / 2)[0] >= -1e-9
 
 
 def test_w_operators_factor_across_sides():
+    # the w_operators_factor oracle of the locc suite, with either side acting first
     rng = np.random.default_rng(2)
-    for _ in range(10):
-        proto = random_protocol(rng)
-        for branch in branch_operators(proto):
-            assert np.abs(branch.w - np.kron(branch.w_side1, branch.w_side2)).max() <= 1e-12
+    for first_side in (1, 2):
+        for _ in range(5):
+            proto = random_protocol(rng, dims=(2, 3), first_side=first_side)
+            assert proto.rounds[0].side == first_side
+            rho = random_density(6, rng)
+            state, _ = run(proto, rho)
+            oracle = _locc_oracle(proto, rho)
+            for record, mass in zip(state.space.labels, state.masses):
+                assert np.abs(mass - oracle[record]).max() <= 1e-12
 
 
 def test_missing_instrument_raises_or_prunes():
@@ -128,6 +139,30 @@ def test_missing_instrument_raises_or_prunes():
     rho[0, 0] = 1.0
     state, lam = run(proto, rho)
     assert np.trace(lam).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_missing_history_pruned_then_raised_in_later_round():
+    # side 2 starts in |+>, side 1 in |0>: history (2,) has zero mass and is
+    # pruned in round 2; history (1, 2) carries mass 1/2 and raises in round 3
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    proto = LoccProtocol(
+        (2, 2),
+        (
+            LoccRound(2, {(): [P0, P1]}, side=1),
+            LoccRound(2, {(1,): [P0, P1]}, side=2),
+            LoccRound(1, {(1, 1): [np.eye(2)]}, side=1),
+        ),
+    )
+    with pytest.raises(IncompleteInstrument) as info:
+        run(proto, np.kron(P0, plus))
+    assert info.value.history == (1, 2)
+
+    # on |00> the (1, 2) branch is empty too, so both missing histories prune
+    state, lam = run(proto, np.kron(P0, P0))
+    masses = dict(zip(state.space.labels, state.masses))
+    assert np.abs(masses[(1, 1, 1)] - np.kron(P0, P0)).max() <= 1e-12
+    assert all(np.abs(m).max() == 0.0 for rec, m in masses.items() if rec != (1, 1, 1))
+    assert np.abs(lam - np.kron(P0, P0)).max() <= 1e-12
 
 
 def test_incomplete_instrument_rejected_at_construction():
@@ -253,6 +288,18 @@ def test_separable_from_ensemble():
     assert is_ppt(classically_correlated, 2, 2)
     with pytest.raises(NotAState):
         separable_from_ensemble(space2, [0.7, 0.5], [P0, P1], [P0, P1])
+
+
+def test_separable_inputs_reject_mixed_dimensions_and_missing_cells():
+    space = counting_space(2)
+    rng = np.random.default_rng(11)
+    a, b = random_density(2, rng), random_density(3, rng)
+    with pytest.raises(DimensionMismatch):
+        separable_from_ensemble(space, [0.5, 0.5], [a, b], [P0, P1])
+    with pytest.raises(DimensionMismatch):
+        steer_to_separable(space, [0.5, 0.5], [P0, P1], [a, b])
+    with pytest.raises(NotAState):
+        steer_to_separable(space, [0.5, 0.5], [], [])
 
 
 def test_separable_states_are_always_ppt():
