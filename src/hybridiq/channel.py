@@ -207,8 +207,9 @@ def apply(channel: HybridChannel, state: HybridState) -> HybridState:
     """Transform cell masses: sigma'_m = sum_{r: dst[r] = m} L_r sigma_{src[r]} L_r^dag.
 
     When qdim_dst * qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT each cell pair is
-    one product with its cached transfer matrix; otherwise every row is a
-    batched L sigma L^dag.
+    one product with its cached transfer matrix; otherwise every row whose
+    source cell has non-zero mass is a batched L sigma L^dag.  A zero-mass
+    cell costs no Kraus product here and no eigen-solve in the output check.
     """
     if channel.src_space != state.space or channel.qdim_src != state.qdim:
         raise SpaceMismatch(
@@ -222,8 +223,12 @@ def apply(channel: HybridChannel, state: HybridState) -> HybridState:
         vecs = state.masses.reshape(state.space.size, -1).take(src, axis=0)
         terms = np.einsum("pij,pj->pi", table, vecs).reshape(-1, q, q)
     else:
-        dst, kraus = channel.dst, channel.kraus
-        terms = kraus @ state.masses[channel.src] @ kraus.conj().swapaxes(1, 2)
+        dst, src, kraus = channel.dst, channel.src, channel.kraus
+        live = state.masses.any(axis=(1, 2))
+        if not live.all():
+            keep = live[src]
+            dst, src, kraus = dst[keep], src[keep], kraus[keep]
+        terms = kraus @ state.masses[src] @ kraus.conj().swapaxes(1, 2)
     return new_state(channel.dst_space, _sum_runs(terms, dst, channel.dst_space.size))
 
 

@@ -110,7 +110,7 @@ class LoccProtocol:
 
 
 def _lift(dims: tuple[int, int], side: int, v: np.ndarray) -> np.ndarray:
-    """One side's operator, or a (k, d_side, d_side) stack of them, on the full system."""
+    """One side's operator, or a (..., d_side, d_side) stack of them, on the full system."""
     d1, d2 = dims
     return np.kron(v, np.eye(d2)) if side == 1 else np.kron(np.eye(d1), v)
 
@@ -136,11 +136,13 @@ def full_record_space(protocol: LoccProtocol) -> ClassicalSpace:
 
 def _record_masses(a: np.ndarray, b: np.ndarray, rho4: np.ndarray) -> np.ndarray:
     """W_k rho W_k^dag for W_k = a_k (x) b_k, with rho reshaped to (d1, d2, d1, d2)."""
+    # pairwise in a fixed order; einsum's optimize=True would search for a path on every call
+    t = np.einsum("kai,ijlm->kajlm", a, rho4)
+    t = np.einsum("kbj,kajlm->kablm", b, t)
+    t = np.einsum("kablm,kcl->kabcm", t, a.conj())
+    t = np.einsum("kabcm,kem->kabce", t, b.conj())
     d = a.shape[1] * b.shape[1]
-    masses = np.einsum(
-        "kai,kbj,ijlm,kcl,kem->kabce", a, b, rho4, a.conj(), b.conj(), optimize=True
-    )
-    return masses.reshape(-1, d, d)
+    return t.reshape(-1, d, d)
 
 
 def run(protocol: LoccProtocol, rho) -> tuple[HybridState, np.ndarray]:
@@ -218,9 +220,10 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
             table[code] = i
         which = table[cells // (stride * sizes[r])]
         acting = (label == 0) & (which >= 0)
-        lifted = np.array(
-            [_lift(protocol.dims, rnd.side, ops) for ops in rnd.instrument.values()], dtype=complex
-        ).reshape(-1, rnd.outcomes, d, d)
+        d_side = protocol.dims[rnd.side - 1]
+        # the reshape gives a round without instrument entries an empty stack
+        stacked = np.array(list(rnd.instrument.values()), dtype=complex)
+        lifted = _lift(protocol.dims, rnd.side, stacked.reshape(-1, rnd.outcomes, d_side, d_side))
         passive, active = cells[~acting], cells[acting]
         targets = active[:, None] + stride * np.arange(1, rnd.outcomes + 1)
         channels.append(

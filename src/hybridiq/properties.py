@@ -516,8 +516,10 @@ def run_locc(trials: int, seed: int) -> SuiteReport:
 
     rng = seeded_rng(seed, "locc.protocols")
     for _ in range(few_trials):
-        proto = _random_protocol(rng)
-        rho = random_density(4, rng)
+        # unequal sides catch a d1/d2 mix-up that a square system hides
+        d1, d2 = ((2, 2), (2, 3), (3, 2))[int(rng.integers(3))]
+        proto = _random_protocol(rng, dims=(d1, d2))
+        rho = random_density(d1 * d2, rng)
         state, lam = locc_mod.run(proto, rho)
         oracle = _locc_oracle(proto, rho)
         run_trace.record(abs(np.trace(lam).real - 1.0))

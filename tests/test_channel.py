@@ -183,8 +183,13 @@ def test_apply_matches_oracle_on_ragged_rows(q_src, q_dst):
     assert sorted(grouped) == sorted(key for key, stack in blocks.items() if len(stack))
     for key, stack in grouped.items():
         assert np.array_equal(stack, blocks[key])  # each pair keeps its Kraus order
-    for _ in range(3):
-        w = random_state(src, q_src, rng)
+    states = [random_state(src, q_src, rng) for _ in range(3)]
+    # a zero-mass source cell: its rows add nothing, and all of target 1's rows come from cell 1
+    for empty in (0, 1):
+        masses = np.zeros((2, q_src, q_src), dtype=complex)
+        masses[1 - empty] = random_density(q_src, rng)
+        states.append(new_state(src, masses))
+    for w in states:
         assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
     # the table is cached exactly on the transfer side of the shape rule
     assert ("transfer" in vars(ch)) == (q_src * q_dst <= TRANSFER_QDIM_PRODUCT_LIMIT)

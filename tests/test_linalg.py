@@ -161,21 +161,35 @@ def test_is_psd():
 
 
 def test_block_margins():
+    zero = np.zeros((2, 2))
     stack = np.stack(
         [
             np.diag([0.25, 0.75]),
+            zero,
             np.diag([1.5, -0.5]),
             np.array([[0.5, 1e-6], [0.0, 0.5]]),
             np.full((2, 2), np.nan),
+            np.array([[0.0, 1.0], [-1.0, 0.0]]),  # anti-Hermitian: its Hermitian part is zero
+            zero,
         ]
     ).astype(complex)
     m = block_margins(stack)
-    assert m.nonfinite.tolist() == [False, False, False, True]
-    assert m.hermiticity == pytest.approx([0.0, 0.0, 1e-6, 0.0])
-    assert m.floor == pytest.approx([0.25, -0.25, 0.5 - 5e-7, 0.0])
-    assert np.array_equal(m.sym[3], np.zeros((2, 2)))
+    assert m.nonfinite.tolist() == [False, False, False, False, True, False, False]
+    assert m.hermiticity == pytest.approx([0.0, 0.0, 0.0, 1e-6, 0.0, 2.0, 0.0])
+    assert m.floor == pytest.approx([0.25, 0.0, -0.25, 0.5 - 5e-7, 0.0, 0.0, 0.0])
+    assert np.array_equal(m.sym[4], np.zeros((2, 2)))
     for sym, vals in zip(m.sym, m.eigenvalues):
         assert np.linalg.eigvalsh(sym) == pytest.approx(vals, abs=1e-15)
+    # blocks with a zero Hermitian part skip the eigen-solve and read exact values
+    dead = [1, 4, 5, 6]
+    assert np.array_equal(m.eigenvalues[dead], np.zeros((4, 2)))
+    assert np.array_equal(m.scales[dead], np.ones(4))
+    assert np.array_equal(m.floor[dead], np.zeros(4))
+    # the live blocks measure bit for bit as they do on their own
+    live = [0, 2, 3]
+    alone = block_margins(stack[live])
+    for got, want in zip(m, alone):
+        assert np.array_equal(got[live], want)
 
 
 def test_von_neumann_entropy_values():

@@ -266,6 +266,49 @@ def test_as_hybrid_channels_reproduce_run():
         assert np.abs(quantum_marginal(state) - lam).max() <= 1e-10
 
 
+def literal_round_rows(proto, r):
+    """Round r's rows (dst, src, kraus) with one np.kron per history, sorted by (dst, src)."""
+    d1, d2 = proto.dims
+    rnd = proto.rounds[r]
+    labels = list(itertools.product(*(range(x.outcomes + 1) for x in proto.rounds)))
+    index = {rec: i for i, rec in enumerate(labels)}
+    rows = []
+    for n, rec in enumerate(labels):
+        history = rec[:r]
+        if rec[r] != 0 or history not in rnd.instrument:
+            rows.append((n, n, np.eye(d1 * d2, dtype=complex)))
+            continue
+        ops = rnd.instrument[history]
+        lifted = np.kron(ops, np.eye(d2)) if rnd.side == 1 else np.kron(np.eye(d1), ops)
+        for x in range(rnd.outcomes):
+            rows.append((index[rec[:r] + (x + 1,) + rec[r + 1:]], n, lifted[x]))
+    rows.sort(key=lambda row: row[:2])
+    dst, src, kraus = zip(*rows)
+    return np.array(dst), np.array(src), np.stack(kraus)
+
+
+def test_as_hybrid_channels_rows_equal_per_history_lift():
+    rng = np.random.default_rng(41)
+    protocols = []
+    for first_side in (1, 2):
+        for dims in ((2, 3), (3, 2)):
+            for _ in range(4):
+                proto = random_protocol(rng, dims=dims, first_side=first_side)
+                if len({rnd.side for rnd in proto.rounds}) == 2:
+                    protocols.append(proto)
+    # a history without an instrument passes through
+    last = protocols[0].rounds[-1]
+    protocols.append(LoccProtocol(protocols[0].dims, protocols[0].rounds[:-1] + (
+        LoccRound(last.outcomes, dict(list(last.instrument.items())[1:]), last.side),
+    )))
+    assert len(protocols) >= 6
+    for proto in protocols:
+        for r, ch in enumerate(as_hybrid_channels(proto)):
+            dst, src, kraus = literal_round_rows(proto, r)
+            assert np.array_equal(ch.dst, dst) and np.array_equal(ch.src, src)
+            assert np.array_equal(ch.kraus, kraus)
+
+
 def test_record_space_limit():
     # lazy instruments make construction legal; lowering must still refuse the
     # 10^6-cell record space

@@ -67,6 +67,9 @@ def test_new_state_rejects_bad_trace_and_renormalizes():
     assert np.trace(w.masses[0]).real == pytest.approx(1.0)
     with pytest.raises(NotNormalized):
         new_state(counting_space(1), np.stack([0.5 * KET0]), renormalize=True)
+    # an all-zero stack has no eigen-solved block and still fails the trace
+    with pytest.raises(NotNormalized):
+        new_state(counting_space(3), np.zeros((3, 2, 2)))
 
 
 def test_probability_normalization_and_projector():
