@@ -298,7 +298,7 @@ def non_interacting(kernel: MarkovKernel, kraus: Sequence[np.ndarray]) -> Hybrid
     if not report.ok:
         raise BadKernel(report.message)
     stack = np.asarray(kraus, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.size:
         raise IncompleteKraus(f"Kraus set must stack to (k, d, d), got shape {stack.shape}")
     q = stack.shape[1]
     defect = kraus_defect(stack)
@@ -328,7 +328,7 @@ def from_coeff_kernel(
     yields the Kraus rows sqrt(lambda) * sum_a v[a] L_a (see _psd_factors).
     """
     mats = np.asarray(basis, dtype=complex)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2] or not mats.size:
         raise BadBasis(f"basis must stack to (b, d, d), got shape {mats.shape}")
     d = mats.shape[1]
     b = mats.shape[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import io
 from .channel import COMPLETENESS_TOL, apply, completeness_defect, random_channel
-from .classical import STOCHASTIC_TOL, counting_space, validate_kernel
+from .classical import STOCHASTIC_TOL, MarkovKernel, counting_space, validate_kernel
 from .correlations import mutual_information
 from .errors import HybridError, IoError, ParseError, UnknownSuite
 from .linalg import (
@@ -286,23 +286,17 @@ def cmd_properties(suite: str, trials: int, seed: int, out: str | None) -> int:
 
 def cmd_randgen(args: argparse.Namespace) -> int:
     kind = args.kind
+    rng = seeded_rng(args.seed, f"randgen.{kind}")
     if kind == "state":
-        space = counting_space(args.cells)
-        state = random_state(space, args.qdim, seeded_rng(args.seed, "randgen.state"))
-        payload = io.state_to_json(state)
+        payload = io.state_to_json(random_state(counting_space(args.cells), args.qdim, rng))
     elif kind == "channel":
-        channel = random_channel(
-            counting_space(args.src_cells),
-            counting_space(args.dst_cells),
-            args.qdim_src,
-            args.qdim_dst,
-            args.branching,
-            seeded_rng(args.seed, "randgen.channel"),
-        )
+        src, dst = counting_space(args.src_cells), counting_space(args.dst_cells)
+        channel = random_channel(src, dst, args.qdim_src, args.qdim_dst, args.branching, rng)
         payload = io.channel_to_json(channel)
     else:
-        matrix = random_stochastic_matrix(args.rows, args.cols, seeded_rng(args.seed, "randgen.kernel"))
-        payload = {"P": matrix.ravel().tolist(), "rows": args.rows, "cols": args.cols}
+        spaces = counting_space(args.cols), counting_space(args.rows)
+        kernel = MarkovKernel(*spaces, random_stochastic_matrix(args.rows, args.cols, rng))
+        payload = io.kernel_to_json(kernel)
     io.dump_json(payload, args.out)
     print(json.dumps({"kind": kind, "out": args.out, "seed": args.seed}, sort_keys=True))
     return EXIT_OK

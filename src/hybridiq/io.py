@@ -1,54 +1,87 @@
 """JSON encodings for matrices, spaces, kernels, states, channels, protocols.
 
-Complex matrices are serialized as row-major real/imaginary float lists, which
-round-trips bit-exactly.  Schema problems raise :class:`ParseError`; domain
-invariant violations raise the usual domain errors of the constructing module.
+One codec pair, matrices_to_json / matrices_from_json, reads and writes every list
+of complex matrices as row-major re/im floats, bit-exactly (signed zeros too) and
+one (k, rows, cols) stack per list.  Schema problems raise :class:`ParseError`;
+domain invariant violations raise the domain errors of the constructing module.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
 
-from .channel import HybridChannel, from_blocks, from_coeff_kernel, non_interacting, pair_starts
+from .channel import HybridChannel, from_coeff_kernel, from_rows, non_interacting, pair_starts
 from .classical import ClassicalSpace, MarkovKernel, counting_space
 from .errors import IoError, ParseError
 from .locc import LoccProtocol, LoccRound
 from .state import HybridState, new_state
 
 
+def _complex_array(re: Any, im: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """The re/im parsing core: one complex array from number lists of exactly ``shape``."""
+    try:
+        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: re and im must hold numbers only") from exc
+    if re.shape != shape or im.shape != shape:
+        raise ParseError(f"{what}: every re and im must be a flat list of {shape[-1]} numbers")
+    out = re.astype(complex)
+    out.imag = im  # set, not added: re + 1j * im loses the sign of zero entries
+    return out
+
+
+def matrices_to_json(stack: np.ndarray) -> list[dict]:
+    """Encode a (k, rows, cols) stack as k {"dim", "re", "im"} objects; "dim" is the row count."""
+    k, rows, cols = np.shape(stack)
+    flat = np.asarray(stack, dtype=complex).reshape(k, rows * cols)
+    return [{"dim": rows, "re": r, "im": i} for r, i in zip(flat.real.tolist(), flat.imag.tolist())]
+
+
+def matrices_from_json(objs: Any, what: Any, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Decode a list of matrix objects into one (k, rows, cols) complex stack.
+
+    Entries are ``shape`` matrices whose "dim" is the row count, else square of the
+    first entry's dim; no entries give a (0, 0, 0) stack.  Errors name entry i
+    ``what(i)`` if ``what`` is callable (``what(None)`` is the list), else ``what[i]``.
+    """
+    name = what if callable(what) else (lambda i: what if i is None else f"{what}[{i}]")
+    try:
+        objs = list(objs)
+    except TypeError as exc:
+        raise ParseError(f"{name(None)}: expected a list of matrices, got {objs!r:.120}") from exc
+    if not objs:
+        return np.zeros((0, 0, 0), dtype=complex)
+    res, ims = [], []
+    for i, obj in enumerate(objs):
+        try:
+            dim, re, im = int(obj["dim"]), obj["re"], obj["im"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{name(i)}: expected keys dim/re/im, got {obj!r:.120}") from exc
+        rows, cols = shape = shape or (dim, dim)
+        size = rows * cols
+        if not (dim == rows >= 1 and cols >= 1 and type(re) is type(im) is list
+                and len(re) == len(im) == size):
+            raise ParseError(
+                f"{name(i)}: {rows}x{cols} matrix needs dim {rows} and {size} re and im entries"
+            )
+        res.append(re)
+        ims.append(im)
+    return _complex_array(res, ims, (len(res), size), name(None)).reshape(-1, rows, cols)
+
+
 def matrix_to_json(m: np.ndarray) -> dict:
-    arr = np.asarray(m, dtype=complex)
-    return {
-        "dim": int(arr.shape[0]),
-        "re": arr.real.ravel().tolist(),
-        "im": arr.imag.ravel().tolist(),
-    }
+    return matrices_to_json(np.asarray(m)[None])[0]
 
 
 def matrix_from_json(
     obj: Any, what: str = "matrix", shape: tuple[int, int] | None = None
 ) -> np.ndarray:
-    """Decode a dim x dim matrix, or a ``shape`` matrix whose "dim" is its row count.
-
-    matrix_to_json writes the row count as "dim", so a rectangular Kraus row
-    (whose shape the channel header gives) round-trips through the same encoding.
-    """
-    try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: expected keys dim/re/im, got {obj!r:.120}") from exc
-    rows, cols = shape or (dim, dim)
-    size = rows * cols
-    if dim != rows or rows < 1 or cols < 1 or re.shape != (size,) or im.shape != (size,):
-        raise ParseError(
-            f"{what}: {rows}x{cols} matrix needs dim {rows} and {size} re and im entries"
-        )
-    return (re + 1j * im).reshape(rows, cols)
+    """Decode one matrix: the k = 1 case of :func:`matrices_from_json`."""
+    return matrices_from_json([obj], lambda i: what, shape)[0]
 
 
 def space_to_json(space: ClassicalSpace) -> dict:
@@ -70,17 +103,11 @@ def space_from_json(obj: Any) -> ClassicalSpace:
 
 
 def kernel_to_json(kernel: MarkovKernel) -> dict:
-    return {
-        "P": kernel.matrix.ravel().tolist(),
-        "rows": kernel.dst.size,
-        "cols": kernel.src.size,
-    }
+    return {"P": kernel.matrix.ravel().tolist(), "rows": kernel.dst.size, "cols": kernel.src.size}
 
 
 def kernel_from_json(
-    obj: Any,
-    src: ClassicalSpace | None = None,
-    dst: ClassicalSpace | None = None,
+    obj: Any, src: ClassicalSpace | None = None, dst: ClassicalSpace | None = None
 ) -> MarkovKernel:
     """Load a kernel; without explicit spaces, counting-measure spaces are assumed."""
     matrix = kernel_matrix_from_json(obj)
@@ -100,11 +127,8 @@ def kernel_matrix_from_json(obj: Any) -> np.ndarray:
 
 
 def state_to_json(state: HybridState) -> dict:
-    return {
-        "space": space_to_json(state.space),
-        "qdim": state.qdim,
-        "masses": [matrix_to_json(m) for m in state.masses],
-    }
+    masses = matrices_to_json(state.masses)
+    return {"space": space_to_json(state.space), "qdim": state.qdim, "masses": masses}
 
 
 def state_parts_from_json(obj: Any) -> tuple[ClassicalSpace, np.ndarray, int]:
@@ -116,10 +140,7 @@ def state_parts_from_json(obj: Any) -> tuple[ClassicalSpace, np.ndarray, int]:
     space = space_from_json(space_obj)
     if not isinstance(masses_obj, list) or len(masses_obj) != space.size:
         raise ParseError(f"state: need one mass matrix per cell ({space.size})")
-    masses = [matrix_from_json(m, f"mass[{i}]") for i, m in enumerate(masses_obj)]
-    if any(m.shape[0] != qdim for m in masses):
-        raise ParseError(f"state: mass matrices must be {qdim}x{qdim}")
-    return space, np.stack(masses), qdim
+    return space, matrices_from_json(masses_obj, "mass", (qdim, qdim)), qdim
 
 
 def state_from_json(obj: Any) -> HybridState:
@@ -127,48 +148,37 @@ def state_from_json(obj: Any) -> HybridState:
 
 
 def channel_to_json(channel: HybridChannel) -> dict:
-    starts = pair_starts(channel)
-    ends = np.r_[starts[1:], channel.dst.size]
+    rows, starts = matrices_to_json(channel.kraus), pair_starts(channel)
+    bounds = [*starts.tolist(), len(rows)]
+    pairs = zip(channel.dst[starts].tolist(), channel.src[starts].tolist(), bounds, bounds[1:])
     return {
         "src_space": space_to_json(channel.src_space),
         "dst_space": space_to_json(channel.dst_space),
         "qdim_src": channel.qdim_src,
         "qdim_dst": channel.qdim_dst,
-        "blocks": [
-            {
-                "m": int(channel.dst[a]),
-                "n": int(channel.src[a]),
-                "L": [matrix_to_json(b) for b in channel.kraus[a:z]],
-            }
-            for a, z in zip(starts, ends)
-        ],
+        "blocks": [{"m": m, "n": n, "L": rows[a:z]} for m, n, a, z in pairs],
     }
 
 
 def _complex_tensor_from_json(obj: Any, what: str) -> np.ndarray:
     try:
         shape = tuple(int(s) for s in obj["shape"])
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
+        re, im = obj["re"], obj["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{what}: expected keys shape/re/im, got {obj!r:.120}") from exc
-    size = int(np.prod(shape)) if shape else 0
-    if re.shape != (size,) or im.shape != (size,):
-        raise ParseError(f"{what}: shape {shape} needs {size} re and im entries")
-    return (re + 1j * im).reshape(shape)
+    if any(s < 0 for s in shape):
+        raise ParseError(f"{what}: shape {shape} has a negative extent")
+    return _complex_array(re, im, (math.prod(shape),), what).reshape(shape)
 
 
 def complex_tensor_to_json(arr: np.ndarray) -> dict:
     arr = np.asarray(arr, dtype=complex)
-    return {
-        "shape": list(arr.shape),
-        "re": arr.real.ravel().tolist(),
-        "im": arr.imag.ravel().tolist(),
-    }
+    flat = arr.ravel()
+    return {"shape": list(arr.shape), "re": flat.real.tolist(), "im": flat.imag.tolist()}
 
 
 def channel_from_json(obj: Any) -> HybridChannel:
-    """Load a block-form channel or lower a constructor-level spec to blocks."""
+    """Load a channel, its rows decoded in one pass into from_rows, or lower a spec."""
     if not isinstance(obj, dict):
         raise ParseError(f"channel: expected an object, got {obj!r:.120}")
     spec_type = obj.get("type")
@@ -178,25 +188,17 @@ def channel_from_json(obj: Any) -> HybridChannel:
         if "kernel" not in obj or "kraus" not in obj:
             raise ParseError("non_interacting spec needs 'kernel' and 'kraus'")
         kernel = kernel_from_json(obj["kernel"], src, dst)
-        kraus = [matrix_from_json(k, f"kraus[{i}]") for i, k in enumerate(obj["kraus"])]
-        return non_interacting(kernel, kraus)
+        return non_interacting(kernel, matrices_from_json(obj["kraus"], "kraus"))
     if spec_type == "coeff_kernel":
         if "basis" not in obj or "k" not in obj:
             raise ParseError("coeff_kernel spec needs 'basis' and 'k'")
-        basis = [matrix_from_json(b, f"basis[{i}]") for i, b in enumerate(obj["basis"])]
+        basis = matrices_from_json(obj["basis"], "basis")
         coeffs = _complex_tensor_from_json(obj["k"], "k")
         if coeffs.ndim != 4:
             raise ParseError(f"k must be a rank-4 tensor, got shape {coeffs.shape}")
-        src = (
-            space_from_json(obj["src_space"])
-            if "src_space" in obj
-            else counting_space(coeffs.shape[1])
-        )
-        dst = (
-            space_from_json(obj["dst_space"])
-            if "dst_space" in obj
-            else counting_space(coeffs.shape[0])
-        )
+        rows, cols = coeffs.shape[:2]
+        src = space_from_json(obj["src_space"]) if "src_space" in obj else counting_space(cols)
+        dst = space_from_json(obj["dst_space"]) if "dst_space" in obj else counting_space(rows)
         return from_coeff_kernel(src, dst, basis, coeffs)
     if spec_type is not None:
         raise ParseError(f"unknown channel spec type {spec_type!r}")
@@ -205,24 +207,24 @@ def channel_from_json(obj: Any) -> HybridChannel:
         src = space_from_json(obj["src_space"])
         dst = space_from_json(obj["dst_space"])
         qdim_src, qdim_dst = int(obj["qdim_src"]), int(obj["qdim_dst"])
-        entries = obj["blocks"]
+        entries = iter(obj["blocks"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("channel: expected src_space/dst_space/qdim_src/qdim_dst/blocks") from exc
-    blocks: dict[tuple[int, int], np.ndarray] = {}
+    seen, owners, rows = set(), [], []  # owners: the (m, n) of each row
     for entry in entries:
         try:
-            key = (int(entry["m"]), int(entry["n"]))
-            mats = [matrix_from_json(b, f"block{key}", (qdim_dst, qdim_src)) for b in entry["L"]]
+            key, ops = (int(entry["m"]), int(entry["n"])), list(entry["L"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"channel block entry malformed: {entry!r:.120}") from exc
-        if key in blocks:
-            raise ParseError(f"duplicate channel block entry for {key}")
-        blocks[key] = np.stack(mats)
-    return from_blocks(src, dst, qdim_src, qdim_dst, blocks)
-
-
-def _history_key(history: tuple[int, ...]) -> str:
-    return ".".join(str(x) for x in history)
+        if key in seen or not ops:
+            raise ParseError(f"block{key}: {'duplicate entry' if ops else 'no Kraus rows'}")
+        seen.add(key)
+        owners += [key] * len(ops)
+        rows += ops
+    name = lambda i: "channel" if i is None else f"block{owners[i]}"
+    kraus = matrices_from_json(rows, name, (qdim_dst, qdim_src))
+    dst_cells, src_cells = np.array(owners, dtype=np.intp).reshape(-1, 2).T
+    return from_rows(src, dst, qdim_src, qdim_dst, dst_cells, src_cells, kraus)
 
 
 def protocol_to_json(protocol: LoccProtocol) -> dict:
@@ -233,7 +235,7 @@ def protocol_to_json(protocol: LoccProtocol) -> dict:
                 "side": rnd.side,
                 "outcomes": rnd.outcomes,
                 "instrument": {
-                    _history_key(h): [matrix_to_json(v) for v in ops]
+                    ".".join(map(str, h)): matrices_to_json(ops)
                     for h, ops in sorted(rnd.instrument.items())
                 },
             }
@@ -245,26 +247,24 @@ def protocol_to_json(protocol: LoccProtocol) -> dict:
 def protocol_from_json(obj: Any) -> LoccProtocol:
     try:
         d1, d2 = (int(d) for d in obj["dims"])
-        rounds_obj = obj["rounds"]
+        rounds_obj = list(obj["rounds"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"protocol: expected keys dims/rounds, got {obj!r:.120}") from exc
     rounds = []
     for r, entry in enumerate(rounds_obj):
         try:
             outcomes = int(entry["outcomes"])
-            instrument_obj = entry["instrument"]
+            instrument_obj = entry["instrument"].items()
             side = entry.get("side")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"protocol round {r} malformed: {entry!r:.120}") from exc
         instrument = {}
-        for key, ops in instrument_obj.items():
+        for key, ops in instrument_obj:
             try:
                 history = tuple(int(x) for x in key.split(".")) if key else ()
             except ValueError as exc:
                 raise ParseError(f"protocol round {r}: bad history key {key!r}") from exc
-            instrument[history] = [
-                matrix_from_json(v, f"round {r} history {key!r}") for v in ops
-            ]
+            instrument[history] = matrices_from_json(ops, f"round {r} history {key!r}")
         rounds.append(LoccRound(outcomes, instrument, side))
     return LoccProtocol((d1, d2), tuple(rounds))
 

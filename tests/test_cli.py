@@ -342,6 +342,52 @@ def test_misshaped_protocol_exits_2_under_validate_and_locc(tmp_path, capsys):
     assert main(["locc", str(proto_path), str(rho_path)]) == 2
 
 
+def _malformed_files():
+    def edit(obj, path, value):
+        obj = json.loads(json.dumps(obj))
+        inner = obj
+        for step in path[:-1]:
+            inner = inner[step]
+        inner[path[-1]] = value
+        return obj
+
+    channel = io.channel_to_json(identity_channel(counting_space(2), 2))
+    non_int = {"type": "non_interacting", "kernel": {"P": [1.0], "rows": 1, "cols": 1}}
+    coeff = {
+        "type": "coeff_kernel",
+        "basis": io.matrices_to_json(np.eye(4).reshape(4, 2, 2)),  # matrix units
+        "k": io.complex_tensor_to_json(np.eye(4)[None, None] / 2),
+    }
+    mass = io.state_to_json(new_state(counting_space(1), [[[1.0]]], 1))
+    files = [
+        ("rounds-not-a-list", io.protocol_from_json, edit(_bell_protocol_obj(), ["rounds"], 5)),
+        ("instrument-not-an-object", io.protocol_from_json,
+         edit(_bell_protocol_obj(), ["rounds", 0, "instrument"], [])),
+        ("ops-not-a-list", io.protocol_from_json,
+         edit(_bell_protocol_obj(), ["rounds", 0, "instrument", ""], 5)),
+        ("blocks-not-a-list", io.channel_from_json, edit(channel, ["blocks"], 5)),
+        ("block-without-rows", io.channel_from_json, edit(channel, ["blocks", 0, "L"], [])),
+        ("kraus-not-a-list", io.channel_from_json, dict(non_int, kraus=5)),
+        ("basis-not-a-list", io.channel_from_json, dict(coeff, basis=5)),
+        ("k-of-empty-shape", io.channel_from_json,
+         dict(coeff, k={"shape": [], "re": [], "im": []})),
+        ("nested-re-mass", io.state_from_json, edit(mass, ["masses", 0, "re"], [[1.0]])),
+    ]
+    return [pytest.param(*f, id=f[0]) for f in files]
+
+
+@pytest.mark.parametrize("name, loader, obj", _malformed_files())
+def test_malformed_files_end_in_parse_error(tmp_path, name, loader, obj, capsys):
+    with pytest.raises(ParseError):
+        loader(obj)
+    path = tmp_path / f"{name}.json"
+    io.dump_json(obj, path)
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("hybridiq: error: ")
+
+
 def _spec_files():
     unnormalized = _state_obj()
     for entry in unnormalized["masses"]:

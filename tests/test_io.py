@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hybridiq import io
 from hybridiq.channel import apply, non_interacting, random_channel
@@ -17,11 +22,60 @@ def test_matrix_round_trip_is_bit_exact():
     assert np.array_equal(back, m)
 
 
+def _reference_matrices_to_json(stack):
+    """Literal per-row encoder: one dict per matrix, floats taken entry by entry."""
+    out = []
+    for m in stack:
+        out.append({
+            "dim": m.shape[0],
+            "re": [float(z.real) for z in m.ravel()],
+            "im": [float(z.imag) for z in m.ravel()],
+        })
+    return out
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4))
+
+
+@given(_SHAPES.flatmap(lambda s: st.tuples(
+    hnp.arrays(np.float64, s, elements=_FINITE), hnp.arrays(np.float64, s, elements=_FINITE)
+)))
+@example((np.array([[[-0.0, 5e-324], [1.7976931348623157e308, -2.2250738585072014e-308]]]),
+          np.array([[[0.0, -0.0], [-5e-324, -1e300]]])))
+def test_matrices_round_trip_bit_exact_and_match_per_row_encoder(parts):
+    re, im = parts
+    stack = np.stack([re, im], axis=-1).view(complex)[..., 0]
+    encoded = io.matrices_to_json(stack)
+    assert json.dumps(encoded) == json.dumps(_reference_matrices_to_json(stack))
+    back = io.matrices_from_json(encoded, "x", stack.shape[1:])
+    assert back.shape == stack.shape
+    assert np.array_equal(back.view(np.uint64), stack.view(np.uint64))
+    assert np.array_equal(np.signbit(back.view(np.float64)), np.signbit(stack.view(np.float64)))
+
+
 def test_matrix_from_json_rejects_malformed():
     with pytest.raises(ParseError):
         io.matrix_from_json({"dim": 2, "re": [1.0], "im": [0.0]})
     with pytest.raises(ParseError):
         io.matrix_from_json({"re": [1.0], "im": [0.0]})
+    for re in ([[1.0]], "1", 5):  # not a flat list of numbers
+        with pytest.raises(ParseError):
+            io.matrix_from_json({"dim": 1, "re": re, "im": [0.0]})
+
+    # errors in one-pass list decodes still name where the bad entry sits
+    half = np.eye(2) / np.sqrt(3)
+    kernel = MarkovKernel(counting_space(2), counting_space(2), np.array([[0.5, 0.0], [0.5, 1.0]]))
+    channel = io.channel_to_json(non_interacting(kernel, [half, half, half]))
+    block = next(b for b in channel["blocks"] if (b["m"], b["n"]) == (1, 0))
+    block["L"][2]["re"] = [1.0, 0.0, 0.0]
+    with pytest.raises(ParseError, match=r"\(1, 0\)"):
+        io.channel_from_json(channel)
+
+    protocol = io.protocol_to_json(_two_round_protocol())
+    protocol["rounds"][1]["instrument"]["2"][0]["im"] = [0.0]
+    with pytest.raises(ParseError, match=r"round 1 history '2'"):
+        io.protocol_from_json(protocol)
 
 
 def test_space_round_trip_with_labels():
@@ -104,16 +158,20 @@ def test_channel_spec_unknown_type():
         io.channel_from_json({"type": "mystery"})
 
 
-def test_protocol_round_trip():
+def _two_round_protocol():
     p0 = np.diag([1.0, 0.0]).astype(complex)
     p1 = np.diag([0.0, 1.0]).astype(complex)
-    proto = LoccProtocol(
+    return LoccProtocol(
         (2, 2),
         (
             LoccRound(2, {(): [p0, p1]}, side=1),
             LoccRound(1, {(1,): [np.eye(2)], (2,): [np.eye(2)]}, side=2),
         ),
     )
+
+
+def test_protocol_round_trip():
+    proto = _two_round_protocol()
     back = io.protocol_from_json(io.protocol_to_json(proto))
     rho = random_density(4, np.random.default_rng(5))
     s1, lam1 = run(proto, rho)
