@@ -173,7 +173,7 @@ def _metrics_row(step: int, state, previous) -> dict:
     return {
         "step": step,
         "total_trace": float(np.einsum("nii->", state.masses).real),
-        "min_block_eigenvalue": float(np.linalg.eigvalsh(state.masses).min()),
+        "min_block_eigenvalue": float(state.eigenvalues.min()),
         "mutual_information": mutual_information(state),
         "distance_from_previous": 0.0 if previous is None else distance(previous, state),
     }
@@ -251,7 +251,7 @@ def cmd_metrics(paths: list[str], fmt: str, out: str | None) -> int:
         "cells": state.space.size,
         "qdim": state.qdim,
         "total_trace": float(np.einsum("nii->", state.masses).real),
-        "min_block_eigenvalue": float(np.linalg.eigvalsh(state.masses).min()),
+        "min_block_eigenvalue": float(state.eigenvalues.min()),
         "quantum_entropy": entropy,
         "mutual_information": mutual_information(state),
         "bound_2S": 2.0 * entropy,

@@ -10,7 +10,7 @@ tr(sigma ln sigma) is ill-conditioned for near-singular blocks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,9 +19,9 @@ from .errors import HybridError, NotAnEnsemble
 from .linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
-    SPECTRAL_CUTOFF,
     TRACE_TOL,
     block_margins,
+    entropies,
     nonnegative,
     von_neumann_entropy,
 )
@@ -42,6 +42,7 @@ class Ensemble:
 
     probabilities: np.ndarray
     states: np.ndarray  # (r, d, d)
+    eigenvalues: np.ndarray = field(init=False, repr=False)  # (r, d) ascending, of each state
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
@@ -66,46 +67,45 @@ class Ensemble:
         if margins.floor.min() < -PSD_TOL:
             raise NotAnEnsemble("a member is not positive semidefinite")
         p = np.clip(p, 0.0, None)
-        p.flags.writeable = False
-        sym.flags.writeable = False
+        for arr in (p, sym, margins.eigenvalues):
+            arr.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "states", sym)
+        object.__setattr__(self, "eigenvalues", margins.eigenvalues)
 
     @property
     def size(self) -> int:
         return int(self.probabilities.size)
 
 
-def _entropy_from_eigs(vals: np.ndarray) -> float:
-    vals = vals[vals > SPECTRAL_CUTOFF]
-    return float(-(vals * np.log(vals)).sum())
-
-
-def _holevo_raw(p: np.ndarray, states: np.ndarray) -> float:
+def _holevo_raw(p: np.ndarray, states: np.ndarray, eigs: np.ndarray) -> float:
+    """S(sum p rho) - sum p S(rho), given each member's spectrum ``eigs``."""
     average = np.einsum("r,rij->ij", p, states)
-    avg_entropy = _entropy_from_eigs(np.linalg.eigvalsh(average))
-    member_entropies = np.array([_entropy_from_eigs(v) for v in np.linalg.eigvalsh(states)])
-    return avg_entropy - float(p @ member_entropies)
+    return float(entropies(np.linalg.eigvalsh(average))) - float(p @ entropies(eigs))
 
 
 def holevo(ensemble: Ensemble) -> float:
     """chi = S(sum p rho) - sum p S(rho), in nats."""
-    return _holevo_raw(ensemble.probabilities, ensemble.states)
+    return _holevo_raw(ensemble.probabilities, ensemble.states, ensemble.eigenvalues)
 
 
-def _cell_ensemble(state: HybridState) -> tuple[np.ndarray, np.ndarray]:
-    """(p_n, sigma_n / p_n) over cells with positive mass, p renormalized, unvalidated."""
+def _cell_ensemble(state: HybridState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p_n, sigma_n / p_n, its spectrum) over cells with positive mass, p renormalized."""
     p = classical_marginal(state).masses
     keep = p > ZERO_MASS
     if not keep.any():
         raise NotAnEnsemble("state has no cell with positive mass")
     kept = p[keep]
-    return kept / kept.sum(), state.masses[keep] / kept[:, None, None]
+    return (
+        kept / kept.sum(),
+        state.masses[keep] / kept[:, None, None],
+        state.eigenvalues[keep] / kept[:, None],
+    )
 
 
 def state_ensemble(state: HybridState) -> Ensemble:
     """Ensemble (p_n, sigma_n / p_n) over cells with positive mass."""
-    return Ensemble(*_cell_ensemble(state))
+    return Ensemble(*_cell_ensemble(state)[:2])
 
 
 def mutual_information(state: HybridState) -> float:
@@ -117,9 +117,9 @@ def mutual_information_three_term(state: HybridState) -> float:
     """sum tr(sigma_n ln sigma_n) - sum p_n ln p_n - tr(rho ln rho) (cross-check path)."""
     p = classical_marginal(state).masses
     keep = p > ZERO_MASS
-    mass_term = -sum(_entropy_from_eigs(v) for v in np.linalg.eigvalsh(state.masses[keep]))
+    mass_term = -float(entropies(np.linalg.eigvalsh(state.masses[keep])).sum())
     classical_term = float((p[keep] * np.log(p[keep])).sum())
-    rho_term = -_entropy_from_eigs(np.linalg.eigvalsh(quantum_marginal(state)))
+    rho_term = -float(entropies(np.linalg.eigvalsh(quantum_marginal(state))))
     return mass_term - classical_term - rho_term
 
 

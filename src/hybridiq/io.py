@@ -223,7 +223,11 @@ def channel_from_json(obj: Any) -> HybridChannel:
         rows += ops
     name = lambda i: "channel" if i is None else f"block{owners[i]}"
     kraus = matrices_from_json(rows, name, (qdim_dst, qdim_src))
-    dst_cells, src_cells = np.array(owners, dtype=np.intp).reshape(-1, 2).T
+    try:
+        qdim_src, qdim_dst = int(np.intp(qdim_src)), int(np.intp(qdim_dst))
+        dst_cells, src_cells = np.array(owners, dtype=np.intp).reshape(-1, 2).T
+    except OverflowError as exc:
+        raise ParseError("channel: a block index or qdim exceeds the platform integer") from exc
     return from_rows(src, dst, qdim_src, qdim_dst, dst_cells, src_cells, kraus)
 
 

@@ -213,11 +213,15 @@ def nonnegative(x: float) -> float:
     return max(x, 0.0) + 0.0
 
 
+def entropies(eigs: np.ndarray) -> np.ndarray:
+    """-sum lambda ln lambda over the last axis, in nats; eigenvalues <= SPECTRAL_CUTOFF add 0."""
+    vals = np.where(eigs > SPECTRAL_CUTOFF, eigs, 1.0)
+    return -(vals * np.log(vals)).sum(axis=-1)
+
+
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -sum lambda ln lambda, in nats, over eigenvalues above the cutoff."""
-    _, vals = _density_spectrum(rho)
-    vals = vals[vals > SPECTRAL_CUTOFF]
-    return nonnegative(float(-(vals * np.log(vals)).sum()))
+    return nonnegative(float(entropies(_density_spectrum(rho)[1])))
 
 
 def relative_entropy(rho, tau) -> float:
@@ -226,8 +230,7 @@ def relative_entropy(rho, tau) -> float:
     t = _require_density(tau, "tau")
     if r.shape != t.shape:
         raise DimensionMismatch(f"dimension mismatch: {r.shape[0]} vs {t.shape[0]}")
-    r_vals = r_vals[r_vals > SPECTRAL_CUTOFF]
-    tr_rho_ln_rho = float((r_vals * np.log(r_vals)).sum())
+    tr_rho_ln_rho = -float(entropies(r_vals))
 
     t_vals, t_vecs = np.linalg.eigh(t)
     weights = np.einsum("ji,jk,ki->i", t_vecs.conj(), r, t_vecs).real

@@ -8,7 +8,7 @@ cell weights only re-enter when converting masses to densities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -48,6 +48,7 @@ class HybridState:
     space: ClassicalSpace
     qdim: int
     masses: np.ndarray  # shape (cells, qdim, qdim)
+    eigenvalues: np.ndarray = field(repr=False)  # (cells, qdim) ascending, of each mass
 
     def __repr__(self) -> str:
         return f"HybridState(cells={self.space.size}, qdim={self.qdim})"
@@ -135,16 +136,17 @@ def new_state(
     if bad.any():
         raise NotPositive(int(bad.argmax()))
 
-    sym = margins.sym
+    sym, eigs = margins.sym, margins.eigenvalues
     total = float(np.einsum("nii->", sym).real)
     if abs(total - 1.0) > TRACE_TOL:
         if renormalize and abs(total - 1.0) <= RENORMALIZE_WINDOW:
-            sym = sym / total
+            sym, eigs = sym / total, eigs / total
         else:
             raise NotNormalized(total)
 
     sym.flags.writeable = False
-    return HybridState(space, int(arr.shape[1]), sym)
+    eigs.flags.writeable = False
+    return HybridState(space, int(arr.shape[1]), sym, eigs)
 
 
 def is_probability_vector(p: np.ndarray) -> bool:
@@ -201,12 +203,12 @@ def _canonical_signs(diffs: np.ndarray) -> np.ndarray:
 
 
 def distance(w1: HybridState, w2: HybridState) -> float:
-    """Integrated trace-norm metric; lies in [0, 2] and is exactly symmetric."""
+    """Integrated trace-norm metric (|eigvalsh| summed over cells); in [0, 2], exactly symmetric."""
     if w1.space != w2.space or w1.qdim != w2.qdim:
         raise SpaceMismatch("states live on different spaces")
     diffs = w1.masses - w2.masses
     signed = _canonical_signs(diffs)[:, None, None] * diffs
-    return float(np.linalg.svd(signed, compute_uv=False).sum())
+    return float(np.abs(np.linalg.eigvalsh(signed)).sum())
 
 
 def mix(w1: HybridState, w2: HybridState, t: float) -> HybridState:

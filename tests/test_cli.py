@@ -244,6 +244,17 @@ def test_evolve_is_byte_deterministic(tmp_path, capsys):
     assert len(outputs[0][0].splitlines()) == 5  # header + initial row + 3 steps
 
 
+def test_evolve_csv_header_and_min_block_eigenvalue(tmp_path):
+    state, ch, csv_path = tmp_path / "s.json", tmp_path / "c.json", tmp_path / "m.csv"
+    w = random_state(counting_space(3), 2, 13)
+    io.dump_json(io.state_to_json(w), state)
+    io.dump_json(io.channel_to_json(identity_channel(counting_space(3), 2)), ch)
+    assert main(["evolve", str(state), str(ch), "--steps", "1", "--metrics-out", str(csv_path)]) == 0
+    header, first, _ = csv_path.read_text().splitlines()
+    assert header == "step,total_trace,min_block_eigenvalue,mutual_information,distance_from_previous"
+    assert first.split(",")[2] == format(float(np.linalg.eigvalsh(w.masses).min()), ".17g")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -372,6 +383,9 @@ def _malformed_files():
         ("k-of-empty-shape", io.channel_from_json,
          dict(coeff, k={"shape": [], "re": [], "im": []})),
         ("nested-re-mass", io.state_from_json, edit(mass, ["masses", 0, "re"], [[1.0]])),
+        ("block-index-beyond-intp", io.channel_from_json, edit(channel, ["blocks", 0, "m"], 2**70)),
+        ("qdim-beyond-intp-no-blocks", io.channel_from_json,
+         dict(edit(channel, ["qdim_src"], 2**70), blocks=[])),
     ]
     return [pytest.param(*f, id=f[0]) for f in files]
 

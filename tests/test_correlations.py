@@ -97,6 +97,60 @@ def test_ensemble_validation():
         Ensemble(np.array([1.0]), np.stack([np.full((2, 2), np.nan)]))
 
 
+def _literal_entropy(rho):
+    vals = [v for v in np.linalg.eigvalsh(rho) if v > 1e-14]
+    return -sum(v * math.log(v) for v in vals)
+
+
+def _literal_mutual_information(w):
+    # the Holevo quantity of (p_n, sigma_n / p_n), one eigen-solve per member
+    p = np.array([np.trace(m).real for m in w.masses])
+    keep = [n for n in range(len(p)) if p[n] > 1e-12]
+    total = sum(p[n] for n in keep)
+    average = sum(w.masses[n] for n in keep) / total
+    members = sum(p[n] / total * _literal_entropy(w.masses[n] / p[n]) for n in keep)
+    return _literal_entropy(average) - members
+
+
+def _spectrum_reuse_cases():
+    rng = np.random.default_rng(31)
+    zero_cells = random_state(counting_space(6), 3, rng).masses.copy()
+    zero_cells[[1, 4]] = 0.0
+    zero_cells /= np.einsum("nii->", zero_cells).real
+    vecs = rng.standard_normal((5, 3, 1)) + 1j * rng.standard_normal((5, 3, 1))
+    pure = vecs @ vecs.conj().transpose(0, 2, 1)
+    rank2 = np.stack([random_density(2, rng) for _ in range(4)])
+    rank2 = np.stack([np.kron(r, KET0) for r in rank2])  # rank <= 2 in dimension 4
+    unnormalized = random_state(counting_space(5), 2, rng).masses * 1.02
+    return {
+        "zero-mass-cells": new_state(counting_space(6), zero_cells),
+        "qdim-1": new_state(counting_space(4), random_probability_vector(4, rng)[:, None, None]),
+        "pure": new_state(counting_space(5), pure / np.einsum("nii->", pure).real),
+        "rank-deficient": new_state(counting_space(4), rank2 / 4),
+        "renormalized": new_state(counting_space(5), unnormalized, renormalize=True),
+        "one-cell": new_state(counting_space(1), random_density(3, rng)[None]),
+        "one-cell-pure": new_state(counting_space(1), KET1[None]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_spectrum_reuse_cases()))
+def test_stored_spectra_match_a_per_cell_loop(name):
+    w = _spectrum_reuse_cases()[name]
+    expected = max(_literal_mutual_information(w), 0.0)
+    assert abs(mutual_information(w) - expected) <= 1e-12
+    assert abs(holevo(state_ensemble(w)) - _literal_mutual_information(w)) <= 1e-12
+
+
+def test_ensemble_eigenvalues_are_read_only_member_spectra():
+    rng = np.random.default_rng(32)
+    pure = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    ens = Ensemble(np.array([0.4, 0.6]), np.stack([random_density(3, rng), pure]))
+    assert np.array_equal(ens.eigenvalues, np.linalg.eigvalsh(ens.states))
+    assert "eigenvalues" not in repr(ens)
+    with pytest.raises(ValueError):
+        ens.eigenvalues[0, 0] = 1.0
+
+
 def test_mutual_information_product_is_zero():
     rng = np.random.default_rng(3)
     space = counting_space(5)

@@ -6,6 +6,7 @@ import pytest
 from hybridiq.errors import DimensionMismatch, NotAState, NotHermitian, NumericalFailure
 from hybridiq.linalg import (
     block_margins,
+    entropies,
     hermitian_eig,
     is_psd,
     partial_trace,
@@ -190,6 +191,21 @@ def test_block_margins():
     alone = block_margins(stack[live])
     for got, want in zip(m, alone):
         assert np.array_equal(got[live], want)
+
+
+def test_entropies_are_batched_and_skip_sub_cutoff_eigenvalues_exactly():
+    eigs = np.array([
+        [[0.5, 0.5, 1e-15, -1e-16], [1.0, 0.0, 0.0, 0.0]],
+        [[0.25, 0.25, 0.25, 0.25], [0.0, 1e-14, 0.3, 0.7 - 1e-14]],
+    ])
+    expected = np.array([
+        [-2 * 0.5 * math.log(0.5), 0.0],
+        [-4 * 0.25 * math.log(0.25), -(0.3 * math.log(0.3) + (0.7 - 1e-14) * math.log(0.7 - 1e-14))],
+    ])
+    out = entropies(eigs)
+    assert out.shape == (2, 2)
+    assert np.allclose(out, expected, rtol=0, atol=1e-15)
+    assert out[0, 0] == 2 * 0.5 * math.log(2.0) and out[0, 1] == 0.0  # cut-off terms add 0
 
 
 def test_von_neumann_entropy_values():

@@ -1,6 +1,12 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from hybridiq import io
 from hybridiq.classical import counting_space, discretize_interval
 from hybridiq.errors import (
     BadEffect,
@@ -175,6 +181,54 @@ def test_distance_metric():
     assert 0.0 <= distance(w1, w2) <= 2.0 + 1e-12
     with pytest.raises(SpaceMismatch):
         distance(a, w)
+
+
+@st.composite
+def _state_pairs(draw):
+    """Two states on 1-8 cells at q 1-5; w2 copies w1 on a drawn subset of cells (all, some or
+    none), and w1 may have zero-mass cells."""
+    cells, q = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    space = counting_space(cells)
+    m1 = random_state(space, q, rng).masses.copy()
+    zero = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+    if not zero.all():
+        m1[zero] = 0.0
+    m1 /= np.einsum("nii->", m1).real
+    shared = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)))
+    m2 = random_state(space, q, rng).masses.copy()
+    own = np.einsum("nii->n", m1[~shared]).real.sum()
+    m2[~shared] *= own / max(np.einsum("nii->n", m2[~shared]).real.sum(), 1e-300)
+    m2[shared] = m1[shared]
+    return new_state(space, m1), new_state(space, m2)
+
+
+@given(_state_pairs())
+def test_distance_is_symmetric_and_matches_svd_trace_norm(pair):
+    w1, w2 = pair
+    d = distance(w1, w2)
+    assert d == distance(w2, w1)
+    svd = sum(np.linalg.svd(a - b, compute_uv=False).sum() for a, b in zip(w1.masses, w2.masses))
+    assert abs(d - svd) <= 1e-14
+    assert distance(w1, w1) == 0.0
+    assert distance(w2, new_state(w2.space, w2.masses)) == 0.0
+
+
+def test_eigenvalues_are_the_stored_read_only_mass_spectrum():
+    rng = np.random.default_rng(12)
+    masses = random_state(counting_space(5), 3, rng).masses.copy()
+    masses[2] = 0.0
+    w = new_state(counting_space(5), masses / np.einsum("nii->", masses).real)
+    assert np.array_equal(w.eigenvalues, np.linalg.eigvalsh(w.masses))  # bit-equal
+    with pytest.raises(ValueError):
+        w.eigenvalues[0, 0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.eigenvalues = np.zeros((5, 3))
+    assert "eigenvalues" not in repr(w)
+    assert "eigenvalues" not in json.dumps(io.state_to_json(w))
+    scaled = new_state(counting_space(5), 1.05 * w.masses, renormalize=True)
+    assert np.allclose(scaled.eigenvalues, np.linalg.eigvalsh(scaled.masses), rtol=0, atol=1e-15)
+    assert not scaled.eigenvalues.flags.writeable
 
 
 def test_product_state_point_mass():
