@@ -106,12 +106,19 @@ def _sum_runs(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
 
 
 def _defects_per_source(channel: HybridChannel) -> np.ndarray:
-    """Max-entry deviation of sum L^dag L from identity, per source cell."""
-    order = np.argsort(channel.src, kind="stable")
-    totals = _sum_runs(
-        kraus_grams(channel.kraus[order]), channel.src[order], channel.src_space.size
-    )
-    return np.abs(totals - np.eye(channel.qdim_src)).max(axis=(1, 2))
+    """Max-entry deviation of sum L^dag L from identity, per source cell.
+
+    A cell without rows deviates by exactly 1, so only the cells with rows are
+    summed: a rowless channel allocates no sums and no identity.
+    """
+    defects = np.ones(channel.src_space.size)
+    if channel.src.size:
+        order = np.argsort(channel.src, kind="stable")
+        src = channel.src[order]
+        starts = run_starts(src)
+        totals = np.add.reduceat(kraus_grams(channel.kraus[order]), starts, axis=0)
+        defects[src[starts]] = np.abs(totals - np.eye(channel.qdim_src)).max(axis=(1, 2))
+    return defects
 
 
 def completeness_defect(channel: HybridChannel) -> float:
@@ -119,7 +126,7 @@ def completeness_defect(channel: HybridChannel) -> float:
     return float(_defects_per_source(channel).max())
 
 
-def from_rows(
+def _unchecked_from_rows(
     src_space: ClassicalSpace,
     dst_space: ClassicalSpace,
     qdim_src: int,
@@ -127,12 +134,13 @@ def from_rows(
     dst,
     src,
     kraus,
-    kind: str = "blocks",
+    kind: str,
 ) -> HybridChannel:
-    """Build a channel from parallel rows (target cell, source cell, Kraus operator).
+    """:func:`from_rows` without the completeness check.
 
-    Rows are stably sorted by (dst, src) and per-source completeness is
-    verified; IncompleteChannel names the first source cell that fails.
+    Coerces the rows, stably sorts them by (dst, src), checks shapes, the cell
+    range and finiteness, and makes the three arrays read-only.  Only a caller
+    that has proven every source cell complete by other means may use it.
     """
     if qdim_src < 1 or qdim_dst < 1:
         raise ShapeMismatch("quantum dimensions must be positive")
@@ -140,7 +148,12 @@ def from_rows(
     src = np.asarray(src, dtype=np.intp)
     kraus = np.asarray(kraus, dtype=complex)
     if kraus.size == 0:  # no rows, whatever the given shape
-        kraus = kraus.reshape(0, qdim_dst, qdim_src)
+        try:
+            kraus = kraus.reshape(0, qdim_dst, qdim_src)
+        except ValueError as exc:  # numpy refuses a shape whose byte count overflows
+            raise ShapeMismatch(
+                f"Kraus rows of shape ({qdim_dst}, {qdim_src}) do not fit in an array"
+            ) from exc
     rows = kraus.shape[0] if kraus.ndim == 3 else -1
     if kraus.shape[1:] != (qdim_dst, qdim_src) or dst.shape != (rows,) or src.shape != (rows,):
         raise ShapeMismatch(
@@ -159,8 +172,25 @@ def from_rows(
         raise NumericalFailure(f"blocks at ({dst[r]}, {src[r]}) have non-finite entries")
     for arr in (dst, src, kraus):
         arr.flags.writeable = False
+    return HybridChannel(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus, kind)
 
-    channel = HybridChannel(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus, kind)
+
+def from_rows(
+    src_space: ClassicalSpace,
+    dst_space: ClassicalSpace,
+    qdim_src: int,
+    qdim_dst: int,
+    dst,
+    src,
+    kraus,
+    kind: str = "blocks",
+) -> HybridChannel:
+    """Build a channel from parallel rows (target cell, source cell, Kraus operator).
+
+    Rows are stably sorted by (dst, src) and per-source completeness is
+    verified; IncompleteChannel names the first source cell that fails.
+    """
+    channel = _unchecked_from_rows(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus, kind)
     defects = _defects_per_source(channel)
     bad = np.flatnonzero(defects > COMPLETENESS_TOL)
     if bad.size:

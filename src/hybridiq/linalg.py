@@ -95,14 +95,20 @@ def kraus_gram(stack: np.ndarray) -> np.ndarray:
 
 
 def kraus_grams(stack: np.ndarray) -> np.ndarray:
-    """Batched form of kraus_gram: L^dag L for each operator of a (R, d_out, d_in) stack."""
+    """Batched form of kraus_gram: L^dag L for each operator of a (..., d_out, d_in) stack."""
     return stack.conj().swapaxes(-1, -2) @ stack
 
 
-def kraus_defect(stack: np.ndarray) -> float:
-    """Max-entry deviation of sum_a L_a^dag L_a from the identity."""
-    gram = kraus_gram(stack)
-    return float(np.abs(gram - np.eye(gram.shape[0])).max())
+def kraus_defect(stack: np.ndarray) -> np.ndarray:
+    """Max-entry deviation of sum_a L_a^dag L_a from the identity, per Kraus set.
+
+    The last three axes of ``stack`` are one set (k, d_out, d_in); any axes
+    before them are batch axes, so a (..., k, d_out, d_in) stack gives a (...)
+    array of defects and a single set gives a scalar.  A NaN entry gives a NaN
+    defect, which passes every ``defect > tol`` test: check finiteness first.
+    """
+    gram = kraus_grams(stack).sum(axis=-3)
+    return np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1))
 
 
 def right_normalize(raw: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,8 +23,10 @@ import numpy as np
 from .classical import ClassicalSpace, counting_space, identity_kernel
 from .errors import (
     DimensionMismatch,
+    IncompleteChannel,
     IncompleteInstrument,
     NotAState,
+    NumericalFailure,
     RecordSpaceTooLarge,
     ShapeMismatch,
 )
@@ -37,7 +40,14 @@ from .state import (
     product_state,
     quantum_marginal,
 )
-from .channel import HybridChannel, apply, from_blocks, from_rows, non_interacting
+from .channel import (
+    COMPLETENESS_TOL,
+    HybridChannel,
+    _unchecked_from_rows,
+    apply,
+    from_blocks,
+    non_interacting,
+)
 
 INSTRUMENT_TOL = 1e-9
 RECORD_SPACE_LIMIT = 100_000
@@ -51,7 +61,9 @@ class LoccRound:
     ``instrument`` maps a history tuple (outcomes of the earlier rounds) to the
     list of measurement operators for this round; only reachable histories need
     entries.  ``side`` may be left None to take the paper's default alternation
-    (odd rounds act on side 1, even rounds on side 2).
+    (odd rounds act on side 1, even rounds on side 2).  The rounds a
+    :class:`LoccProtocol` stores hold their instrument as a read-only mapping
+    of read-only stacks, checked finite and complete once at construction.
     """
 
     outcomes: int
@@ -79,7 +91,7 @@ class LoccProtocol:
             if rnd.outcomes < 1:
                 raise ShapeMismatch(f"round {r} needs at least one outcome")
             d_side = (d1, d2)[side - 1]
-            instrument = {}
+            histories, stacks = [], []
             for history, ops in rnd.instrument.items():
                 history = tuple(int(x) for x in history)
                 if len(history) != r:
@@ -95,16 +107,28 @@ class LoccProtocol:
                         f"instrument at round {r}, history {history} has shape "
                         f"{stack.shape}, expected ({rnd.outcomes}, {d_side}, {d_side})"
                     )
-                defect = kraus_defect(stack)
-                if defect > INSTRUMENT_TOL:
-                    raise IncompleteInstrument(
-                        history,
-                        f"round {r} instrument at history {history} deviates from "
-                        f"completeness by {defect:.3e}",
-                    )
-                stack = stack.copy()
-                stack.flags.writeable = False
-                instrument[history] = stack
+                histories.append(history)
+                stacks.append(stack)
+            # one batched pass over the round; np.array copies, so the caller's
+            # arrays stay theirs and the stored ones can be frozen
+            stacked = np.array(stacks, dtype=complex).reshape(-1, rnd.outcomes, d_side, d_side)
+            nonfinite = ~np.isfinite(stacked).all(axis=(1, 2, 3))
+            if nonfinite.any():
+                history = histories[nonfinite.argmax()]
+                raise NumericalFailure(
+                    f"round {r} instrument at history {history} has non-finite entries"
+                )
+            defects = kraus_defect(stacked)
+            bad = np.flatnonzero(defects > INSTRUMENT_TOL)
+            if bad.size:
+                i = bad[0]
+                raise IncompleteInstrument(
+                    histories[i],
+                    f"round {r} instrument at history {histories[i]} deviates from "
+                    f"completeness by {defects[i]:.3e}",
+                )
+            stacked.flags.writeable = False
+            instrument = MappingProxyType(dict(zip(histories, stacked)))
             resolved.append(LoccRound(rnd.outcomes, instrument, side))
         object.__setattr__(self, "rounds", tuple(resolved))
 
@@ -196,8 +220,12 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
     Round r moves mass from records with x_r = 0 to the records with the
     measured label written in, conjugating by the lifted instrument operators.
     Records that the round cannot act on (label already set, or history
-    without an instrument entry) are passed through unchanged, which keeps
-    every source cell complete.
+    without an instrument entry) pass through on one identity row, so they are
+    exactly complete.  An acting cell's rows are kron(A_a, I) for its
+    history's instrument, and sum_a kron(A_a, I)^dag kron(A_a, I) is
+    kron(sum_a A_a^dag A_a, I), so completeness is checked once per distinct
+    instrument instead of once per cell.  IncompleteChannel names the lowest
+    failing cell and its deviation, as :func:`from_rows` would.
     """
     d = protocol.dims[0] * protocol.dims[1]
     space = full_record_space(protocol)
@@ -223,11 +251,16 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
         d_side = protocol.dims[rnd.side - 1]
         # the reshape gives a round without instrument entries an empty stack
         stacked = np.array(list(rnd.instrument.values()), dtype=complex)
-        lifted = _lift(protocol.dims, rnd.side, stacked.reshape(-1, rnd.outcomes, d_side, d_side))
+        stacked = stacked.reshape(-1, rnd.outcomes, d_side, d_side)
         passive, active = cells[~acting], cells[acting]
+        defects = kraus_defect(stacked)[which[active]]
+        failing = np.flatnonzero(defects > COMPLETENESS_TOL)
+        if failing.size:
+            raise IncompleteChannel(int(active[failing[0]]), float(defects[failing[0]]))
+        lifted = _lift(protocol.dims, rnd.side, stacked)
         targets = active[:, None] + stride * np.arange(1, rnd.outcomes + 1)
         channels.append(
-            from_rows(
+            _unchecked_from_rows(
                 space, space, d, d,
                 np.concatenate([passive, targets.ravel()]),
                 np.concatenate([passive, np.repeat(active, rnd.outcomes)]),

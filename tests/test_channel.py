@@ -26,6 +26,7 @@ from hybridiq.errors import (
     IncompleteChannel,
     IncompleteKraus,
     NotPSDCoefficients,
+    ShapeMismatch,
     SpaceMismatch,
 )
 from hybridiq.linalg import right_normalize
@@ -140,6 +141,17 @@ def test_incomplete_channel_names_first_bad_source():
         from_blocks(space, space, 2, 2, blocks)
     assert info.value.cell == 0
     assert info.value.deviation == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rowless_channel_is_incomplete_without_allocating_per_cell_sums():
+    space = counting_space(3)
+    # cells x q^2 sums or an identity at q = 2**30 would not fit in memory
+    with pytest.raises(IncompleteChannel) as info:
+        from_rows(space, counting_space(1), 2**30, 1, [], [], ())
+    assert (info.value.cell, info.value.deviation) == (0, 1.0)
+    # no (0, 1, 2**62) complex array exists at all
+    with pytest.raises(ShapeMismatch, match="do not fit in an array"):
+        from_rows(space, space, 2**62, 1, [], [], ())
 
 
 def test_identity_channel_is_identity():

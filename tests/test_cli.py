@@ -353,6 +353,25 @@ def test_misshaped_protocol_exits_2_under_validate_and_locc(tmp_path, capsys):
     assert main(["locc", str(proto_path), str(rho_path)]) == 2
 
 
+def test_nan_instrument_fails_construction_under_validate_and_locc(tmp_path, capsys):
+    obj = _bell_protocol_obj()
+    obj["rounds"][0]["instrument"][""][1]["im"][3] = float("nan")
+    proto_path = tmp_path / "proto.json"
+    io.dump_json(obj, proto_path)
+    rho_path = tmp_path / "bell.json"
+    io.dump_json(io.matrix_to_json(BELL), rho_path)
+    assert main(["validate", str(proto_path)]) == 2
+    out = capsys.readouterr().out
+    assert "NaN" not in out
+    (check,) = json.loads(out)["reports"][0]["checks"]
+    assert check["name"] == "protocol_construction" and not check["ok"]
+    assert "NumericalFailure: round 0 instrument at history ()" in check["error"]
+    assert main(["locc", str(proto_path), str(rho_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "history ()" in captured.err and "mass block" not in captured.err
+
+
 def _malformed_files():
     def edit(obj, path, value):
         obj = json.loads(json.dumps(obj))
@@ -416,6 +435,11 @@ def _spec_files():
     incomplete_channel["blocks"][0]["L"][0]["re"] = [0.5, 0.0, 0.0, 0.5]
     incomplete_instrument = _bell_protocol_obj()
     incomplete_instrument["rounds"][0]["instrument"][""][1]["re"] = [0.0, 0.0, 0.0, 0.5]
+    nan_instrument = _bell_protocol_obj()
+    nan_instrument["rounds"][0]["instrument"][""][0]["re"][0] = float("nan")
+    # rowless channels whose dimension leaves no room for per-cell sums, or for any array
+    rowless_q30 = dict(incomplete_channel, qdim_src=2**30, qdim_dst=1, blocks=[])
+    rowless_q62 = dict(incomplete_channel, qdim_src=2**62, blocks=[])
     files = [
         ("good-state", io.state_from_json, _state_obj()),
         ("unnormalized-state", io.state_from_json, unnormalized),
@@ -425,6 +449,9 @@ def _spec_files():
         ("incomplete-channel", io.channel_from_json, incomplete_channel),
         ("good-protocol", io.protocol_from_json, _bell_protocol_obj()),
         ("incomplete-instrument", io.protocol_from_json, incomplete_instrument),
+        ("nan-instrument", io.protocol_from_json, nan_instrument),
+        ("rowless-channel-qdim-2-30", io.channel_from_json, rowless_q30),
+        ("rowless-channel-qdim-2-62", io.channel_from_json, rowless_q62),
         ("good-kernel", io.kernel_from_json, {"P": [0.5, 0.0, 0.5, 1.0], "rows": 2, "cols": 2}),
         ("bad-kernel", io.kernel_from_json, {"P": [0.5, 0.4, 0.0, 1.0], "rows": 2, "cols": 2}),
         ("good-space", io.space_from_json, {"weights": [0.5, 2.0]}),

@@ -9,13 +9,14 @@ from hybridiq.linalg import (
     entropies,
     hermitian_eig,
     is_psd,
+    kraus_defect,
     partial_trace,
     partial_transpose,
     relative_entropy,
     trace_norm,
     von_neumann_entropy,
 )
-from hybridiq.rand import random_complex, random_density, random_unitary
+from hybridiq.rand import random_complex, random_density, random_kraus_set, random_unitary
 
 
 def char_poly_coeffs(m):
@@ -191,6 +192,22 @@ def test_block_margins():
     alone = block_margins(stack[live])
     for got, want in zip(m, alone):
         assert np.array_equal(got[live], want)
+
+
+def test_kraus_defect_is_batched_over_leading_axes():
+    rng = np.random.default_rng(8)
+    sets = np.stack([
+        np.stack(random_kraus_set(3, 2, rng)) * scale for scale in (1.0, 1.01, 0.9, 1.0)
+    ]).reshape(2, 2, 2, 3, 3)
+    batched = kraus_defect(sets)
+    assert batched.shape == (2, 2)
+    for i, j in np.ndindex(2, 2):
+        gram = sum(a.conj().T @ a for a in sets[i, j])
+        single = kraus_defect(sets[i, j])
+        assert np.ndim(single) == 0 and abs(single - batched[i, j]) <= 1e-15
+        assert abs(single - np.abs(gram - np.eye(3)).max()) <= 1e-15
+    assert batched[0, 0] <= 1e-12 and batched[0, 1] == pytest.approx(0.0201, abs=1e-12)
+    assert kraus_defect(np.zeros((0, 2, 3, 3), dtype=complex)).shape == (0,)
 
 
 def test_entropies_are_batched_and_skip_sub_cutoff_eigenvalues_exactly():

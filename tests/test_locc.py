@@ -1,14 +1,19 @@
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
 
-from hybridiq.channel import apply, completeness_defect
+from hybridiq import io, locc
+from hybridiq.channel import COMPLETENESS_TOL, apply, completeness_defect, from_rows
 from hybridiq.classical import counting_space
 from hybridiq.errors import (
     DimensionMismatch,
+    IncompleteChannel,
     IncompleteInstrument,
     NotAState,
+    NumericalFailure,
     RecordSpaceTooLarge,
     ShapeMismatch,
 )
@@ -25,7 +30,7 @@ from hybridiq.locc import (
     steer_to_separable,
 )
 from hybridiq.properties import _locc_oracle
-from hybridiq.rand import random_density, random_kraus_set, random_probability_vector
+from hybridiq.rand import random_density, random_kraus_set, random_probability_vector, seeded_rng
 from hybridiq.state import quantum_marginal
 
 BELL = np.zeros((4, 4), dtype=complex)
@@ -170,6 +175,42 @@ def test_incomplete_instrument_rejected_at_construction():
         LoccProtocol((2, 2), (LoccRound(2, {(): [P0, 0.5 * P1]}, side=1),))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_instrument_rejected_at_construction(bad):
+    # a NaN defect compares False against the tolerance, so finiteness is its own check
+    ops = np.stack([P0, P1])
+    ops[1, 1, 1] = bad
+    rounds = (
+        LoccRound(2, {(): [P0, P1]}, side=1),
+        LoccRound(2, {(1,): [P0, P1], (2,): ops}, side=2),
+    )
+    with pytest.raises(NumericalFailure, match=r"round 1 instrument at history \(2,\)"):
+        LoccProtocol((2, 2), rounds)
+
+
+def test_instrument_is_read_only_and_serializes_unchanged():
+    rng = np.random.default_rng(17)
+    given = [
+        {(): random_instrument(2, 2, rng)},
+        {(1,): random_instrument(2, 3, rng), (2,): random_instrument(2, 3, rng)},
+    ]
+    proto = LoccProtocol((2, 2), (LoccRound(2, given[0]), LoccRound(3, given[1])))
+    rnd = proto.rounds[1]
+    with pytest.raises(TypeError):
+        rnd.instrument[(1,)] = random_instrument(2, 3, rng)
+    with pytest.raises(TypeError):
+        del rnd.instrument[(2,)]
+    with pytest.raises(ValueError):
+        rnd.instrument[(1,)][0][0, 0] = 2.0
+    # the frozen mapping encodes exactly as the caller's dicts of arrays would
+    expected = [
+        {".".join(map(str, h)): io.matrices_to_json(np.stack(ops)) for h, ops in sorted(d.items())}
+        for d in given
+    ]
+    encoded = io.protocol_to_json(proto)
+    assert json.dumps([r["instrument"] for r in encoded["rounds"]]) == json.dumps(expected)
+
+
 def test_protocol_shape_validation():
     with pytest.raises(ShapeMismatch):
         LoccProtocol((2, 0), (LoccRound(1, {(): [np.eye(2)]}),))
@@ -307,6 +348,81 @@ def test_as_hybrid_channels_rows_equal_per_history_lift():
             dst, src, kraus = literal_round_rows(proto, r)
             assert np.array_equal(ch.dst, dst) and np.array_equal(ch.src, src)
             assert np.array_equal(ch.kraus, kraus)
+
+
+def bench_shaped_protocol(seed, rounds=5):
+    """Two outcomes per round on 2x2, sides alternating, one random instrument per history."""
+    rng = seeded_rng(seed, "bench.locc")
+    return LoccProtocol((2, 2), tuple(
+        LoccRound(2, {h: random_kraus_set(2, 2, rng) for h in itertools.product((1, 2), repeat=r)},
+                  1 + r % 2)
+        for r in range(rounds)
+    ))
+
+
+def mixed_protocols():
+    """2x3 and 3x2 protocols with 1-3 outcomes per round and every other later history left out."""
+    rng = np.random.default_rng(23)
+    out = []
+    for dims, counts, first_side in (
+        ((2, 3), (3, 1, 2), 1),
+        ((3, 2), (2, 3, 1), 2),
+        ((2, 3), (1, 3, 2), 2),
+        ((3, 2), (3, 2, 2), 1),
+    ):
+        rounds = []
+        for r, k in enumerate(counts):
+            side = first_side if r % 2 == 0 else 3 - first_side
+            histories = list(itertools.product(*(range(1, c + 1) for c in counts[:r])))
+            kept = histories[::2] if r else histories
+            instrument = {h: random_instrument(dims[side - 1], k, rng) for h in kept}
+            rounds.append(LoccRound(k, instrument, side))
+        out.append(LoccProtocol(dims, tuple(rounds)))
+    return out
+
+
+def test_lowering_is_accepted_unchanged_by_validating_constructor():
+    protocols = [bench_shaped_protocol(seed) for seed in (7, 701, 801)] + mixed_protocols()
+    assert {p.dims for p in protocols} == {(2, 2), (2, 3), (3, 2)}
+    assert any(len(rnd.instrument) < math.prod(x.outcomes for x in p.rounds[:r])
+               for p in protocols for r, rnd in enumerate(p.rounds))
+    for proto in protocols:
+        d = proto.dims[0] * proto.dims[1]
+        for ch in as_hybrid_channels(proto):
+            checked = from_rows(ch.src_space, ch.dst_space, d, d, ch.dst, ch.src, ch.kraus,
+                                kind=ch.kind)
+            for name in ("dst", "src", "kraus"):
+                a, b = getattr(ch, name), getattr(checked, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+            assert completeness_defect(ch) <= COMPLETENESS_TOL
+
+
+@pytest.mark.parametrize("r, history", [(0, ()), (1, (2,)), (2, (2, 1))])
+def test_lowering_reports_the_cell_and_deviation_from_rows_would(monkeypatch, r, history):
+    # an instrument between the two tolerances passes construction, then fails
+    # the round channel's completeness check
+    monkeypatch.setattr(locc, "INSTRUMENT_TOL", 1e-6)
+    rng = np.random.default_rng(29)
+    rounds = [
+        LoccRound(2, {h: random_instrument(2 if s % 2 == 0 else 3, 2, rng)
+                      for h in itertools.product((1, 2), repeat=s)}, 1 + s % 2)
+        for s in range(3)
+    ]
+    instrument = dict(rounds[r].instrument)
+    instrument[history] = np.asarray(instrument[history]) * (1 + 1e-8)
+    rounds[r] = LoccRound(2, instrument, rounds[r].side)
+    proto = LoccProtocol((2, 3), tuple(rounds))
+    with pytest.raises(IncompleteChannel) as lowered:
+        as_hybrid_channels(proto)
+    dst, src, kraus = literal_round_rows(proto, r)
+    space = locc.full_record_space(proto)
+    with pytest.raises(IncompleteChannel) as checked:
+        from_rows(space, space, 6, 6, dst, src, kraus)
+    assert lowered.value.cell == checked.value.cell
+    assert space.labels[lowered.value.cell][:r + 1] == history + (0,)
+    assert COMPLETENESS_TOL < lowered.value.deviation < locc.INSTRUMENT_TOL
+    assert abs(lowered.value.deviation - checked.value.deviation) <= 1e-15
 
 
 def test_record_space_limit():
