@@ -6,8 +6,9 @@ that carries quantum content from source cell ``src[r]`` to target cell
 per-source completeness: summing L^dag L over all rows of a source cell gives
 the identity, independent of cell weights.  Whole-table operations run as
 batched matrix products followed by segment sums over sorted cell indices.
-Rows are the only stored layout; small-q channels also cache one transfer
-matrix per cell pair (see :attr:`HybridChannel.transfer`), derived from rows.
+Rows are the only stored layout; small-q channels also cache, derived from
+rows, each target cell's transfer matrices side by side in padded slices (see
+:attr:`HybridChannel.transfer`), so that ``apply`` is one batched mat-vec.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from .state import HybridState, new_state
 
 COMPLETENESS_TOL = 1e-9
 COEFF_EIGENVALUE_CUTOFF = 1e-12
-# apply() uses the transfer table when qdim_dst * qdim_src is at most this.
-# At q = 2 one 4x4 product per cell pair is several times faster than two 2x2
-# products per row.  The table grows as q^4 per pair (64 MiB for an 8-cell
-# channel at q = 16, where the table-based apply is several times slower), and
-# building it costs more than it saves on a channel applied once, as each LOCC
-# round channel is at q = 4.
+# apply() uses the padded transfer table when qdim_dst * qdim_src is at most
+# this.  At q = 2 one batched mat-vec over each target's slices of 4x4 blocks
+# is several times faster than two 2x2 products per row.  The table grows as
+# q^4 per cell pair (64 MiB for an 8-cell channel at q = 16, where the
+# table-based apply is several times slower), and building it costs more than
+# it saves on a channel applied once, as each LOCC round channel is at q = 4.
 TRANSFER_QDIM_PRODUCT_LIMIT = 4
 
 
@@ -68,21 +69,47 @@ class HybridChannel:
         )
 
     @cached_property
-    def transfer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per cell pair (pair_dst, pair_src, T), built from the rows on first use.
+    def transfer(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Padded per-target transfer table (slot_src, slice_dst, table), built on first use.
 
-        T is (P, qdim_dst^2, qdim_src^2): T[p] = sum_r L_r (x) conj(L_r) over the
-        rows of pair p, so vec(sigma'_m) gains T[p] @ vec(sigma_n) with row-major
-        vec.  At qdim 1 it is the transition probability P(m|n).  Pairs are in
-        row order, and the arrays are read-only and not serialized.
+        Each cell pair p has T_p = sum_r L_r (x) conj(L_r) over its rows, so
+        vec(sigma'_m) gains T_p @ vec(sigma_n) with row-major vec; at qdim 1 it
+        is the transition probability P(m|n).  Each target's pairs, in row
+        order, are cut into slices of W = ceil(pairs / targets with pairs)
+        slots, and ``table`` is (slices, qdim_dst^2, W * qdim_src^2): slice s
+        holds its pairs' T side by side, zero in padded slots.  ``slot_src``
+        (slices * W,) is the source cell each slot reads (cell 0 when padded)
+        and ``slice_dst`` the target cell of each slice, or None when the
+        slices are exactly the target cells in order.  Padding stays below W
+        per target, so there are fewer slots than twice the pair count.  The
+        arrays are read-only and not serialized.
         """
-        starts = pair_starts(self)
-        q_dst, q_src = self.qdim_dst, self.qdim_src
-        terms = np.einsum("rai,rbj->rabij", self.kraus, self.kraus.conj())
-        table = np.add.reduceat(terms.reshape(-1, q_dst * q_dst, q_src * q_src), starts, axis=0)
-        out = (self.dst[starts], self.src[starts], table)
+        q_dst, q_src, n_dst = self.qdim_dst, self.qdim_src, self.dst_space.size
+        pairs = pair_starts(self) if self.dst.size else np.zeros(0, dtype=np.intp)
+        pair_dst = self.dst[pairs]
+        counts = np.bincount(pair_dst, minlength=n_dst)
+        width = -(-pairs.size // max(np.count_nonzero(counts), 1)) or 1
+        per_target = (counts + width - 1) // width
+        slices = int(per_target.sum())
+        # a target's slices are consecutive, so a pair's slot is its index
+        # shifted by the padding of the targets before it
+        pad = per_target * width - counts
+        slot = np.arange(pairs.size) + (np.cumsum(pad) - pad)[pair_dst]
+        table = np.zeros((slices * width, q_dst * q_dst, q_src * q_src), dtype=complex)
+        terms = self.kraus[:, :, None, :, None] * self.kraus.conj()[:, None, :, None, :]
+        table[slot] = np.add.reduceat(
+            terms.reshape(-1, q_dst * q_dst, q_src * q_src), pairs, axis=0
+        )
+        table = table.reshape(slices, width, q_dst * q_dst, q_src * q_src).swapaxes(1, 2)
+        slot_src = np.zeros(slices * width, dtype=np.intp)
+        slot_src[slot] = self.src[pairs]
+        slice_dst = None
+        if slices != n_dst or not counts.all():
+            slice_dst = np.repeat(np.arange(n_dst), per_target)
+        out = (slot_src, slice_dst, table.reshape(slices, q_dst * q_dst, width * q_src * q_src))
         for arr in out:
-            arr.flags.writeable = False
+            if arr is not None:
+                arr.flags.writeable = False
         return out
 
 
@@ -236,30 +263,34 @@ def identity_channel(space: ClassicalSpace, qdim: int) -> HybridChannel:
 def apply(channel: HybridChannel, state: HybridState) -> HybridState:
     """Transform cell masses: sigma'_m = sum_{r: dst[r] = m} L_r sigma_{src[r]} L_r^dag.
 
-    When qdim_dst * qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT each cell pair is
-    one product with its cached transfer matrix; otherwise every row whose
-    source cell has non-zero mass is a batched L sigma L^dag.  A zero-mass
-    cell costs no Kraus product here and no eigen-solve in the output check.
+    When qdim_dst * qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT the gathered
+    source vectors go through one batched mat-vec with the cached transfer
+    slices, and slices of one target are summed only when a target spans
+    several; otherwise every row whose source cell has non-zero mass is a
+    batched L sigma L^dag, summed per target.  A zero-mass cell costs no
+    eigen-solve in the output check, and on the row path no Kraus product.
     """
     if channel.src_space != state.space or channel.qdim_src != state.qdim:
         raise SpaceMismatch(
             f"channel source ({channel.src_space.size} cells, qdim {channel.qdim_src}) "
             f"does not match state ({state.space.size} cells, qdim {state.qdim})"
         )
-    q = channel.qdim_dst
+    q, n_dst = channel.qdim_dst, channel.dst_space.size
     if q * channel.qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT:
-        dst, src, table = channel.transfer
+        slot_src, slice_dst, table = channel.transfer
         # take() gathers these rows about 3x faster than fancy indexing
-        vecs = state.masses.reshape(state.space.size, -1).take(src, axis=0)
-        terms = np.einsum("pij,pj->pi", table, vecs).reshape(-1, q, q)
+        vecs = state.masses.reshape(state.space.size, -1).take(slot_src, axis=0)
+        masses = (table @ vecs.reshape(table.shape[0], table.shape[2], 1)).reshape(-1, q, q)
+        if slice_dst is not None:
+            masses = _sum_runs(masses, slice_dst, n_dst)
     else:
         dst, src, kraus = channel.dst, channel.src, channel.kraus
         live = state.masses.any(axis=(1, 2))
         if not live.all():
             keep = live[src]
             dst, src, kraus = dst[keep], src[keep], kraus[keep]
-        terms = kraus @ state.masses[src] @ kraus.conj().swapaxes(1, 2)
-    return new_state(channel.dst_space, _sum_runs(terms, dst, channel.dst_space.size))
+        masses = _sum_runs(kraus @ state.masses[src] @ kraus.conj().swapaxes(1, 2), dst, n_dst)
+    return new_state(channel.dst_space, masses)
 
 
 def compose(second: HybridChannel, first: HybridChannel) -> HybridChannel:

@@ -79,8 +79,14 @@ class Ensemble:
 
 
 def _holevo_raw(p: np.ndarray, states: np.ndarray, eigs: np.ndarray) -> float:
-    """S(sum p rho) - sum p S(rho), given each member's spectrum ``eigs``."""
+    """S(sum p rho) - sum p S(rho), given each member's spectrum ``eigs``.
+
+    The average is divided by its trace, which the weights fix at 1 only up to
+    rounding: at qdim 1 it is then exactly 1.0, so a classical state has exactly
+    zero mutual information whatever order its masses were summed in.
+    """
     average = np.einsum("r,rij->ij", p, states)
+    average /= np.trace(average).real
     return float(entropies(np.linalg.eigvalsh(average))) - float(p @ entropies(eigs))
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridiq.channel import (
     TRANSFER_QDIM_PRODUCT_LIMIT,
     HybridChannel,
+    _unchecked_from_rows,
     apply,
     completeness_defect,
     compose,
@@ -23,6 +26,7 @@ from hybridiq.classical import (
 )
 from hybridiq.errors import (
     BadBasis,
+    HybridError,
     IncompleteChannel,
     IncompleteKraus,
     NotPSDCoefficients,
@@ -205,6 +209,88 @@ def test_apply_matches_oracle_on_ragged_rows(q_src, q_dst):
         assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
     # the table is cached exactly on the transfer side of the shape rule
     assert ("transfer" in vars(ch)) == (q_src * q_dst <= TRANSFER_QDIM_PRODUCT_LIMIT)
+
+
+def _targets(pattern: str, n: int, n_src: int, n_dst: int, rng) -> list[int]:
+    """Target cells of source n: every cell, a band, the hub 0 plus n's own
+    cell, or a random subset of the lower half (the upper targets get no pairs)."""
+    if pattern == "dense":
+        return list(range(n_dst))
+    if pattern == "banded":
+        centre = n * n_dst // n_src
+        return [m for m in range(centre - 1, centre + 2) if 0 <= m < n_dst]
+    if pattern == "hub":
+        return sorted({0, n % n_dst})
+    lower = (n_dst + 1) // 2
+    return sorted(rng.choice(lower, size=rng.integers(1, lower + 1), replace=False).tolist())
+
+
+def _patterned_channel(pattern, n_src, n_dst, q_src, q_dst, rng):
+    """Complete channel with 1-3 Kraus rows per cell pair of the pattern."""
+    dst, src, stacks = [], [], []
+    for n in range(n_src):
+        counts = {m: int(rng.integers(1, 4)) for m in _targets(pattern, n, n_src, n_dst, rng)}
+        for m, k in counts.items():
+            dst += [m] * k
+            src += [n] * k
+        stacks.append(right_normalize(random_complex(rng, (sum(counts.values()), q_dst, q_src))))
+    return from_rows(
+        counting_space(n_src), counting_space(n_dst), q_src, q_dst, dst, src, np.concatenate(stacks)
+    )
+
+
+# every (q_src, q_dst) with a product at or below the transfer limit, and two above it
+_QDIMS = [(q_src, q_dst) for q_src in range(1, 5) for q_dst in range(1, 5) if q_src * q_dst <= 4]
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(["dense", "banded", "hub", "sparse"]),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from(_QDIMS + [(2, 3), (3, 3)]),
+    st.lists(st.booleans(), min_size=7, max_size=7),
+    st.integers(0, 2**32 - 1),
+)
+def test_apply_matches_oracle_on_every_pattern(pattern, n_src, n_dst, qdims, dead, seed):
+    rng = np.random.default_rng(seed)
+    q_src, q_dst = qdims
+    ch = _patterned_channel(pattern, n_src, n_dst, q_src, q_dst, rng)
+    masses = random_state(ch.src_space, q_src, rng).masses.copy()
+    masses[np.flatnonzero(dead[:n_src])[: n_src - 1]] = 0.0  # zero-mass cells, one stays live
+    w = new_state(ch.src_space, masses / np.trace(masses.sum(axis=0)).real)
+    assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
+    assert ("transfer" in vars(ch)) == (q_src * q_dst <= TRANSFER_QDIM_PRODUCT_LIMIT)
+    if "transfer" in vars(ch):
+        pairs = len(set(zip(ch.dst.tolist(), ch.src.tolist())))
+        assert ch.transfer[0].size <= 2 * pairs
+
+
+def test_transfer_splits_a_hub_target_into_slices():
+    # 6 sources decay to cell 0 and keep their own cell: 11 pairs over 6 targets
+    rng = np.random.default_rng(19)
+    ch = _patterned_channel("hub", 6, 6, 2, 2, rng)
+    slot_src, slice_dst, table = ch.transfer
+    assert table.shape == (8, 4, 2 * 4)  # width 2: the hub's 6 pairs fill 3 slices
+    assert slice_dst.tolist() == [0, 0, 0, 1, 2, 3, 4, 5]
+    assert slot_src.size == 16 <= 2 * 11
+    w = random_state(ch.src_space, 2, rng)
+    assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
+    for arr in (slot_src, slice_dst, table):
+        assert not arr.flags.writeable
+    # a dense channel is one slice per target cell, in order: no merge
+    dense = random_channel(counting_space(3), counting_space(4), 2, 2, branching=2, seed=rng)
+    slot_src, slice_dst, table = dense.transfer
+    assert slice_dst is None and table.shape == (4, 4, 3 * 4)
+
+
+def test_rowless_channel_has_an_empty_transfer_table():
+    ch = _unchecked_from_rows(counting_space(3), counting_space(2), 2, 1, [], [], (), "blocks")
+    slot_src, slice_dst, table = ch.transfer
+    assert slot_src.size == slice_dst.size == 0 and table.shape == (0, 1, 4)
+    w = random_state(ch.src_space, 2, np.random.default_rng(20))
+    with pytest.raises(HybridError):  # all output mass is zero
+        apply(ch, w)
 
 
 def test_apply_at_qdim_1_is_the_classical_kernel():

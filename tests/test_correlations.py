@@ -158,6 +158,15 @@ def test_mutual_information_product_is_zero():
     assert mutual_information(w) <= 1e-10
 
 
+def test_mutual_information_at_qdim_1_is_exactly_zero():
+    # the masses sum to 1 - 1 ulp, and the weighted average of the
+    # renormalized cells still rounds to 0.9999999999999999
+    masses = np.array([0.01, np.nextafter(1.0, 0.0) - 0.01])
+    assert masses.sum() == np.nextafter(1.0, 0.0)
+    w = new_state(counting_space(2), masses.reshape(2, 1, 1).astype(complex))
+    assert mutual_information(w) == 0.0
+
+
 def test_mutual_information_perfectly_correlated():
     w = new_state(counting_space(2), np.stack([0.5 * KET0, 0.5 * KET1]))
     assert mutual_information(w) == pytest.approx(math.log(2), abs=1e-10)
