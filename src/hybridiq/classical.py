@@ -101,21 +101,21 @@ class KernelReport:
     message: str
 
 
-def validate_kernel(kernel, tol: float = STOCHASTIC_TOL) -> KernelReport:
+def validate_kernel(kernel) -> KernelReport:
     """Check non-negativity and unit column sums; names the first bad column."""
     m = np.asarray(kernel.matrix if isinstance(kernel, MarkovKernel) else kernel, dtype=float)
     if m.ndim != 2 or m.size == 0:
         return KernelReport(False, None, np.inf, "kernel must be a non-empty 2-d matrix")
     if not np.all(np.isfinite(m)):
         return KernelReport(False, None, np.inf, "kernel has non-finite entries")
-    neg = m < -tol
+    neg = m < -STOCHASTIC_TOL
     if neg.any():
         col = int(np.argwhere(neg)[0][1])
         dev = float(-m[neg].min())
         return KernelReport(False, col, dev, f"negative entry ({dev:.3e}) in column {col}")
     sums = m.sum(axis=0)
     dev = np.abs(sums - 1.0)
-    if dev.max() > tol:
+    if dev.max() > STOCHASTIC_TOL:
         col = int(dev.argmax())
         return KernelReport(
             False, col, float(dev[col]), f"column {col} sums to {sums[col]!r}, expected 1"

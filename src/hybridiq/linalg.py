@@ -186,13 +186,13 @@ def partial_transpose(m, dim_a: int, dim_b: int, side: str) -> np.ndarray:
     return out.reshape(arr.shape)
 
 
-def is_psd(m, tol: float = PSD_TOL) -> bool:
-    """Whether min eigenvalue >= -tol * max(1, trace norm).  Requires Hermitian input."""
+def is_psd(m) -> bool:
+    """Whether min eigenvalue >= -PSD_TOL * max(1, trace norm).  Requires Hermitian input."""
     margins = block_margins(as_cmatrix(m)[None])
     defect = float(margins.hermiticity[0])
     if defect > HERMITICITY_TOL:
         raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3e}")
-    return bool(margins.floor[0] >= -tol)
+    return bool(margins.floor[0] >= -PSD_TOL)
 
 
 def _density_spectrum(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:

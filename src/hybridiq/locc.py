@@ -7,13 +7,11 @@ protocol produces a hybrid state over complete records plus the overall
 quantum operation Lambda(rho).  ``run`` evaluates in product form: a record's
 branch operator is A_x (x) B_x, so it tracks only the two local factors and
 never forms an operator on the full system.  The same protocol can be lowered
-to one hybrid channel per round acting on the full record space.
+to one hybrid channel per round acting on the records that can carry mass.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -139,23 +137,34 @@ def _lift(dims: tuple[int, int], side: int, v: np.ndarray) -> np.ndarray:
     return np.kron(v, np.eye(d2)) if side == 1 else np.kron(np.eye(d1), v)
 
 
-def _record_space(protocol: LoccProtocol, first: int) -> ClassicalSpace:
-    """Counting-measure space of records with labels from ``first`` up to each round's outcomes."""
-    ranges = [range(first, rnd.outcomes + 1) for rnd in protocol.rounds]
-    total = math.prod(len(labels) for labels in ranges)
-    if total > RECORD_SPACE_LIMIT:
-        raise RecordSpaceTooLarge(f"record space has {total} cells (limit {RECORD_SPACE_LIMIT})")
-    return counting_space(total, labels=tuple(itertools.product(*ranges)))
+def _histories(protocol: LoccProtocol) -> list[list[tuple[int, ...]]]:
+    """Level r lists the histories (x_1, ..., x_r), every x_i >= 1, in lexicographic order.
 
-
-def complete_record_space(protocol: LoccProtocol) -> ClassicalSpace:
-    """Counting-measure space of complete records, labelled by the record tuples."""
-    return _record_space(protocol, 1)
+    Once a round leaves its label at 0 no later round acts, so these are the
+    records that can carry mass.  The RECORD_SPACE_LIMIT check on their total
+    runs before each level is built.
+    """
+    levels = [[()]]
+    total = 1
+    for rnd in protocol.rounds:
+        total += len(levels[-1]) * rnd.outcomes
+        if total > RECORD_SPACE_LIMIT:
+            raise RecordSpaceTooLarge(
+                f"protocol has at least {total} reachable records (limit {RECORD_SPACE_LIMIT})"
+            )
+        labels = range(1, rnd.outcomes + 1)
+        levels.append([history + (x,) for history in levels[-1] for x in labels])
+    return levels
 
 
 def full_record_space(protocol: LoccProtocol) -> ClassicalSpace:
-    """Counting-measure space over all records, 0 meaning "not yet measured"."""
-    return _record_space(protocol, 0)
+    """Counting-measure space over every history padded with 0 ("not yet measured").
+
+    Labels are in lexicographic order, so cell 0 is the record (0, ..., 0).
+    """
+    length = len(protocol.rounds)
+    labels = sorted(h + (0,) * (length - len(h)) for level in _histories(protocol) for h in level)
+    return counting_space(len(labels), labels=tuple(labels))
 
 
 def _record_masses(a: np.ndarray, b: np.ndarray, rho4: np.ndarray) -> np.ndarray:
@@ -186,11 +195,10 @@ def run(protocol: LoccProtocol, rho) -> tuple[HybridState, np.ndarray]:
         raise DimensionMismatch(
             f"input state has dimension {density.shape[0]}, expected {d1 * d2}"
         )
-    space = complete_record_space(protocol)
+    levels = _histories(protocol)
     rho4 = density.reshape(d1, d2, d1, d2)
-    histories = [()]
     factors = [np.eye(d1, dtype=complex)[None], np.eye(d2, dtype=complex)[None]]
-    for rnd in protocol.rounds:
+    for rnd, histories in zip(protocol.rounds, levels):
         missing = [i for i, history in enumerate(histories) if history not in rnd.instrument]
         if missing:
             lost = _record_masses(factors[0][missing], factors[1][missing], rho4)
@@ -203,9 +211,8 @@ def run(protocol: LoccProtocol, rho) -> tuple[HybridState, np.ndarray]:
         step = np.stack([rnd.instrument.get(history, pruned) for history in histories])
         factors[acting] = (step @ factors[acting][:, None]).reshape((-1,) + pruned.shape[1:])
         factors[1 - acting] = np.repeat(factors[1 - acting], rnd.outcomes, axis=0)
-        histories = [h + (label,) for h in histories for label in range(1, rnd.outcomes + 1)]
-    masses = _record_masses(*factors, rho4)
-    state = new_state(space, masses)
+    space = counting_space(len(levels[-1]), labels=tuple(levels[-1]))
+    state = new_state(space, _record_masses(*factors, rho4))
     return state, quantum_marginal(state)
 
 
@@ -215,58 +222,49 @@ def initial_record_state(protocol: LoccProtocol, rho) -> HybridState:
 
 
 def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
-    """One hybrid channel per round over the full record space.
+    """One hybrid channel per round over :func:`full_record_space`.
 
-    Round r moves mass from records with x_r = 0 to the records with the
-    measured label written in, conjugating by the lifted instrument operators.
-    Records that the round cannot act on (label already set, or history
-    without an instrument entry) pass through on one identity row, so they are
-    exactly complete.  An acting cell's rows are kron(A_a, I) for its
-    history's instrument, and sum_a kron(A_a, I)^dag kron(A_a, I) is
-    kron(sum_a A_a^dag A_a, I), so completeness is checked once per distinct
-    instrument instead of once per cell.  IncompleteChannel names the lowest
-    failing cell and its deviation, as :func:`from_rows` would.
+    Round r moves mass from each record (h, 0, ..., 0) whose history h has an
+    instrument to the records with the measured label written in, conjugating
+    by the lifted instrument operators.  Every other record passes through on
+    one identity row, so it is exactly complete.  An acting cell's rows are
+    kron(A_a, I), and sum_a kron(A_a, I)^dag kron(A_a, I) is
+    kron(sum_a A_a^dag A_a, I), so completeness is checked once per
+    instrument.  IncompleteChannel names the lowest failing cell and its
+    deviation, as :func:`from_rows` would.
     """
     d = protocol.dims[0] * protocol.dims[1]
     space = full_record_space(protocol)
-    sizes = [rnd.outcomes + 1 for rnd in protocol.rounds]
-    # cells enumerate records in mixed radix (sizes), round 0 most significant
-    cells = np.arange(space.size)
-    eye = np.eye(d, dtype=complex)
+    cell = {label: n for n, label in enumerate(space.labels)}
+    n_rounds = len(protocol.rounds)
 
     channels = []
     for r, rnd in enumerate(protocol.rounds):
-        stride = int(np.prod(sizes[r + 1:], dtype=np.int64))
-        label = (cells // stride) % sizes[r]
-        # instrument histories never hold a 0, so the table misses every
-        # partly measured history as well as the ones without an entry
-        table = np.full(int(np.prod(sizes[:r], dtype=np.int64)), -1)
-        for i, history in enumerate(rnd.instrument):
-            code = 0
-            for x, size in zip(history, sizes):
-                code = code * size + x
-            table[code] = i
-        which = table[cells // (stride * sizes[r])]
-        acting = (label == 0) & (which >= 0)
+        pad = (0,) * (n_rounds - r - 1)
+        # column 0 is the acting record (h, 0, ...), column x the record with outcome x
+        cells = np.array(
+            [[cell[h + (x,) + pad] for x in range(rnd.outcomes + 1)] for h in rnd.instrument],
+            dtype=np.intp,
+        ).reshape(-1, rnd.outcomes + 1)
+        active = cells[:, 0]
         d_side = protocol.dims[rnd.side - 1]
         # the reshape gives a round without instrument entries an empty stack
         stacked = np.array(list(rnd.instrument.values()), dtype=complex)
         stacked = stacked.reshape(-1, rnd.outcomes, d_side, d_side)
-        passive, active = cells[~acting], cells[acting]
-        defects = kraus_defect(stacked)[which[active]]
-        failing = np.flatnonzero(defects > COMPLETENESS_TOL)
-        if failing.size:
-            raise IncompleteChannel(int(active[failing[0]]), float(defects[failing[0]]))
-        lifted = _lift(protocol.dims, rnd.side, stacked)
-        targets = active[:, None] + stride * np.arange(1, rnd.outcomes + 1)
+        defects = kraus_defect(stacked)
+        bad = np.flatnonzero(defects > COMPLETENESS_TOL)
+        if bad.size:
+            i = bad[active[bad].argmin()]
+            raise IncompleteChannel(int(active[i]), float(defects[i]))
+        passive = np.setdiff1d(np.arange(space.size), active, assume_unique=True)
         channels.append(
             _unchecked_from_rows(
                 space, space, d, d,
-                np.concatenate([passive, targets.ravel()]),
+                np.concatenate([passive, cells[:, 1:].ravel()]),
                 np.concatenate([passive, np.repeat(active, rnd.outcomes)]),
                 np.concatenate([
-                    np.broadcast_to(eye, (passive.size, d, d)),
-                    lifted[which[active]].reshape(-1, d, d),
+                    np.broadcast_to(np.eye(d, dtype=complex), (passive.size, d, d)),
+                    _lift(protocol.dims, rnd.side, stacked).reshape(-1, d, d),
                 ]),
                 kind="locc_round",
             )

@@ -154,12 +154,12 @@ def test_partial_transpose_bell_min_eigenvalue():
 
 
 def test_is_psd():
-    assert is_psd(np.eye(3), 1e-9)
-    assert not is_psd(np.diag([1.0, -1e-3]), 1e-9)
+    assert is_psd(np.eye(3))
+    assert not is_psd(np.diag([1.0, -1e-3]))
     rng = np.random.default_rng(19)
     u = random_unitary(3, rng)
     m = (u * np.array([0.2, 0.0, 0.8])) @ u.conj().T
-    assert is_psd(m, 1e-9)
+    assert is_psd(m)
 
 
 def test_block_margins():

@@ -1,9 +1,12 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridiq import io, locc
 from hybridiq.channel import COMPLETENESS_TOL, apply, completeness_defect, from_rows
@@ -18,10 +21,11 @@ from hybridiq.errors import (
     ShapeMismatch,
 )
 from hybridiq.locc import (
+    RECORD_SPACE_LIMIT,
     LoccProtocol,
     LoccRound,
     as_hybrid_channels,
-    complete_record_space,
+    full_record_space,
     initial_record_state,
     is_ppt,
     run,
@@ -307,11 +311,17 @@ def test_as_hybrid_channels_reproduce_run():
         assert np.abs(quantum_marginal(state) - lam).max() <= 1e-10
 
 
+def reachable_records(proto):
+    """Records whose zeros are all trailing, in itertools.product order."""
+    return [rec for rec in itertools.product(*(range(x.outcomes + 1) for x in proto.rounds))
+            if 0 not in rec[:len(rec) - rec.count(0)]]
+
+
 def literal_round_rows(proto, r):
     """Round r's rows (dst, src, kraus) with one np.kron per history, sorted by (dst, src)."""
     d1, d2 = proto.dims
     rnd = proto.rounds[r]
-    labels = list(itertools.product(*(range(x.outcomes + 1) for x in proto.rounds)))
+    labels = reachable_records(proto)
     index = {rec: i for i, rec in enumerate(labels)}
     rows = []
     for n, rec in enumerate(labels):
@@ -427,10 +437,97 @@ def test_lowering_reports_the_cell_and_deviation_from_rows_would(monkeypatch, r,
 
 def test_record_space_limit():
     # lazy instruments make construction legal; lowering must still refuse the
-    # 10^6-cell record space
+    # 597871 reachable records
     proto = LoccProtocol((2, 2), tuple(LoccRound(9, {}, side=1) for _ in range(6)))
     with pytest.raises(RecordSpaceTooLarge):
         as_hybrid_channels(proto)
+
+
+def test_record_space_limit_is_checked_before_a_level_is_built():
+    proto = LoccProtocol((2, 2), (LoccRound(10**9, {}),))
+    start = time.perf_counter()
+    with pytest.raises(RecordSpaceTooLarge):
+        run(proto, np.eye(4) / 4)
+    with pytest.raises(RecordSpaceTooLarge):
+        as_hybrid_channels(proto)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_record_space_limit_counts_every_reachable_record():
+    # one round of k outcomes reaches k + 1 records, (0,) included
+    space = full_record_space(LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT - 1, {}),)))
+    assert space.size == RECORD_SPACE_LIMIT
+    assert space.labels[:2] == ((0,), (1,)) and space.labels[-1] == (RECORD_SPACE_LIMIT - 1,)
+    with pytest.raises(RecordSpaceTooLarge):
+        full_record_space(LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT, {}),)))
+
+
+def test_bench_shaped_eleven_rounds_lower_and_match_run():
+    proto = bench_shaped_protocol(7, rounds=11)
+    rho = random_density(4, np.random.default_rng(31))
+    state = initial_record_state(proto, rho)
+    channels = as_hybrid_channels(proto)
+    assert state.space.size == 2**12 - 1
+    for ch in channels:
+        state = apply(ch, state)
+    direct, lam = run(proto, rho)
+    by_record = dict(zip(state.space.labels, state.masses))
+    for rec, mass in zip(direct.space.labels, direct.masses):
+        assert np.abs(by_record[rec] - mass).max() <= 1e-10
+    assert np.abs(quantum_marginal(state) - lam).max() <= 1e-10
+
+
+@st.composite
+def pruned_protocols(draw):
+    """A protocol with every instrument, and a copy missing some histories behind a zero operator."""
+    dims = draw(st.sampled_from([(1, 2), (2, 2), (2, 3), (3, 2)]))
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    first_side = draw(st.sampled_from([1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rounds, kept, dead = [], [], set()  # dead: histories reached through a zero operator
+    for r, k in enumerate(counts):
+        side = first_side if r % 2 == 0 else 3 - first_side
+        d_side = dims[side - 1]
+        instrument, pruned = {}, {}
+        for h in itertools.product(*(range(1, c + 1) for c in counts[:r])):
+            ops = random_instrument(d_side, k, rng)
+            if k > 1 and draw(st.booleans()):
+                # outcome k gets a zero operator; the others stay complete
+                ops = np.concatenate([random_instrument(d_side, k - 1, rng),
+                                      np.zeros((1, d_side, d_side))])
+                dead.add(h + (k,))
+            instrument[h] = ops
+            if not (any(h[:i] in dead for i in range(1, r + 1)) and draw(st.booleans())):
+                pruned[h] = ops
+        rounds.append(LoccRound(k, instrument, side))
+        kept.append(LoccRound(k, pruned, side))
+    return LoccProtocol(dims, tuple(rounds)), LoccProtocol(dims, tuple(kept))
+
+
+@given(pruned_protocols())
+@settings(max_examples=40)
+def test_lowering_matches_run_and_oracle_on_reachable_records(protocols):
+    full, proto = protocols
+    d = proto.dims[0] * proto.dims[1]
+    channels = as_hybrid_channels(proto)
+    labels = tuple(reachable_records(proto))
+    counts = [rnd.outcomes for rnd in proto.rounds]
+    assert channels[0].src_space.labels == labels
+    assert len(labels) == sum(math.prod(counts[:k]) for k in range(len(counts) + 1))
+
+    rho = random_density(d, np.random.default_rng(len(labels)))
+    state = initial_record_state(proto, rho)
+    for ch in channels:
+        state = apply(ch, state)
+    direct, _ = run(proto, rho)
+    oracle = _locc_oracle(full, rho)
+    by_record = dict(zip(state.space.labels, state.masses))
+    assert direct.space.labels == tuple(oracle)
+    for rec, mass in zip(direct.space.labels, direct.masses):
+        assert np.abs(by_record.pop(rec) - mass).max() <= 1e-10
+        assert np.abs(oracle[rec] - mass).max() <= 1e-10
+    for mass in by_record.values():
+        assert np.abs(mass).max() <= 1e-12
 
 
 def test_separable_from_ensemble():
@@ -538,5 +635,5 @@ def test_complete_record_space_labels():
             LoccRound(1, {(1,): [np.eye(2)], (2,): [np.eye(2)]}, side=2),
         ),
     )
-    space = complete_record_space(proto)
-    assert space.labels == ((1, 1), (2, 1))
+    state, _ = run(proto, BELL)
+    assert state.space.labels == ((1, 1), (2, 1))
