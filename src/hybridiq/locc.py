@@ -140,17 +140,17 @@ def _lift(dims: tuple[int, int], side: int, v: np.ndarray) -> np.ndarray:
 def _histories(protocol: LoccProtocol) -> list[list[tuple[int, ...]]]:
     """Level r lists the histories (x_1, ..., x_r), every x_i >= 1, in lexicographic order.
 
-    Once a round leaves its label at 0 no later round acts, so these are the
-    records that can carry mass.  The RECORD_SPACE_LIMIT check on their total
-    runs before each level is built.
+    These are the records that can carry mass.  RECORD_SPACE_LIMIT bounds their
+    total, and records x rounds (padded labels, lowering rows) to what rounds that
+    each at least double the level reach under it; checked before each level is built.
     """
-    levels = [[()]]
-    total = 1
+    levels, total, n = [[()]], 1, len(protocol.rounds)
+    cap = min(RECORD_SPACE_LIMIT, RECORD_SPACE_LIMIT * RECORD_SPACE_LIMIT.bit_length() // n)
     for rnd in protocol.rounds:
         total += len(levels[-1]) * rnd.outcomes
-        if total > RECORD_SPACE_LIMIT:
+        if total > cap:
             raise RecordSpaceTooLarge(
-                f"protocol has at least {total} reachable records (limit {RECORD_SPACE_LIMIT})"
+                f"protocol has at least {total} reachable records (limit {cap} for {n} rounds)"
             )
         labels = range(1, rnd.outcomes + 1)
         levels.append([history + (x,) for history in levels[-1] for x in labels])

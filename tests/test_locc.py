@@ -1,7 +1,7 @@
 import itertools
 import json
 import math
-import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,13 +444,41 @@ def test_record_space_limit():
 
 
 def test_record_space_limit_is_checked_before_a_level_is_built():
-    proto = LoccProtocol((2, 2), (LoccRound(10**9, {}),))
-    start = time.perf_counter()
+    # building the refused level first would allocate its 10^5 tuples, several MiB
+    over = LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT, {}),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RecordSpaceTooLarge):
+            run(over, np.eye(4) / 4)
+        with pytest.raises(RecordSpaceTooLarge):
+            as_hybrid_channels(over)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    huge = LoccProtocol((2, 2), (LoccRound(10**9, {}),))
     with pytest.raises(RecordSpaceTooLarge):
-        run(proto, np.eye(4) / 4)
+        run(huge, np.eye(4) / 4)
     with pytest.raises(RecordSpaceTooLarge):
-        as_hybrid_channels(proto)
-    assert time.perf_counter() - start < 0.5
+        as_hybrid_channels(huge)
+
+
+def test_record_space_limit_bounds_records_times_rounds():
+    # one-outcome rounds do not branch: R rounds reach R + 1 records of R entries
+    # each, and records x rounds may not pass what rounds that each double the
+    # level reach under the limit (limit x bit_length)
+    budget = RECORD_SPACE_LIMIT * RECORD_SPACE_LIMIT.bit_length()
+    longest = max(r for r in range(1, math.isqrt(budget) + 1) if (r + 1) * r <= budget)
+    space = full_record_space(LoccProtocol((2, 2), (LoccRound(1, {}),) * longest))
+    assert space.size == longest + 1 and space.labels[-1] == (1,) * longest
+    for rounds in (longest + 1, 10**4):
+        proto = LoccProtocol((2, 2), (LoccRound(1, {}),) * rounds)
+        with pytest.raises(RecordSpaceTooLarge):
+            run(proto, np.eye(4) / 4)
+        with pytest.raises(RecordSpaceTooLarge):
+            full_record_space(proto)
+        with pytest.raises(RecordSpaceTooLarge):
+            as_hybrid_channels(proto)
 
 
 def test_record_space_limit_counts_every_reachable_record():
