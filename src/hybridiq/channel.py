@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     SpaceMismatch,
 )
-from .linalg import kraus_defect, kraus_grams, right_normalize
+from .linalg import identity_defect, kraus_defect, kraus_grams, right_normalize
 from .rand import random_complex
 from .state import HybridState, new_state
 
@@ -144,7 +144,7 @@ def _defects_per_source(channel: HybridChannel) -> np.ndarray:
         src = channel.src[order]
         starts = run_starts(src)
         totals = np.add.reduceat(kraus_grams(channel.kraus[order]), starts, axis=0)
-        defects[src[starts]] = np.abs(totals - np.eye(channel.qdim_src)).max(axis=(1, 2))
+        defects[src[starts]] = identity_defect(totals)
     return defects
 
 

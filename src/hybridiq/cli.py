@@ -19,18 +19,11 @@ from .channel import COMPLETENESS_TOL, apply, completeness_defect, random_channe
 from .classical import STOCHASTIC_TOL, MarkovKernel, counting_space, validate_kernel
 from .correlations import mutual_information
 from .errors import HybridError, IoError, ParseError, UnknownSuite
-from .linalg import (
-    HERMITICITY_TOL,
-    PSD_TOL,
-    TRACE_TOL,
-    block_margins,
-    kraus_defect,
-    von_neumann_entropy,
-)
+from .linalg import TRACE_TOL, block_margins, kraus_defect, von_neumann_entropy
 from .locc import INSTRUMENT_TOL, is_ppt, run
 from .properties import SUITES, run_suite
 from .rand import random_stochastic_matrix, seeded_rng
-from .state import distance, quantum_marginal, random_state
+from .state import distance, quantum_marginal, random_state, total_trace
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -41,13 +34,16 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit_text(text: str, out_path: str | None) -> None:
     print(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write("\n")
+
+
+def _emit(payload: dict, out_path: str | None) -> None:
+    _emit_text(json.dumps(payload, indent=2, sort_keys=True), out_path)
 
 
 def _check(name: str, deviation: float, tolerance: float, error: str = "") -> dict:
@@ -79,37 +75,22 @@ def _detect_kind(obj) -> str:
 
 
 def _state_checks(obj) -> list[dict]:
-    # new_state's comparisons on the parsed masses, so a failing file still
-    # shows every margin instead of only the first exception
+    # new_state's own verdict on the parsed masses, so a failing file still
+    # shows every margin instead of only the first exception, and names the
+    # cell the loader's NotPositive names
     _, masses, _ = io.state_parts_from_json(obj)
     margins = block_margins(masses)
-    total = float(np.einsum("nii->", margins.sym).real)
-    return [
-        _check(
-            "masses_finite",
-            margins.nonfinite.sum(),
-            0.0,
-            f"NotPositive: non-finite entries at cell {margins.nonfinite.argmax()}",
-        ),
-        _check(
-            "masses_hermitian",
-            margins.hermiticity.max(),
-            HERMITICITY_TOL,
-            f"NotPositive: not Hermitian at cell {margins.hermiticity.argmax()}",
-        ),
-        _check(
-            "masses_positive",
-            -margins.floor.min(),
-            PSD_TOL,
-            f"NotPositive: negative eigenvalue at cell {margins.floor.argmin()}",
-        ),
-        _check(
-            "normalization_w_X_I",
-            abs(total - 1.0),
-            TRACE_TOL,
-            f"NotNormalized: total trace {total!r}",
-        ),
+    checks = [
+        _check(name, v.deviation, v.tolerance, f"NotPositive: {what} at cell {v.block}")
+        for name, what, v in zip(
+            ("masses_finite", "masses_hermitian", "masses_positive"),
+            ("non-finite entries", "not Hermitian", "negative eigenvalue"),
+            margins.worst(),
+        )
     ]
+    total = total_trace(margins.sym)
+    error = f"NotNormalized: total trace {total!r}"
+    return checks + [_check("normalization_w_X_I", abs(total - 1.0), TRACE_TOL, error)]
 
 
 def _channel_checks(obj) -> list[dict]:
@@ -169,11 +150,17 @@ def cmd_validate(paths: list[str], out: str | None) -> int:
     return EXIT_OK if payload["ok"] else EXIT_VIOLATION
 
 
+def _trace_and_floor(state) -> dict:
+    return {
+        "total_trace": total_trace(state.masses),
+        "min_block_eigenvalue": float(state.eigenvalues.min()),
+    }
+
+
 def _metrics_row(step: int, state, previous) -> dict:
     return {
         "step": step,
-        "total_trace": float(np.einsum("nii->", state.masses).real),
-        "min_block_eigenvalue": float(state.eigenvalues.min()),
+        **_trace_and_floor(state),
         "mutual_information": mutual_information(state),
         "distance_from_previous": 0.0 if previous is None else distance(previous, state),
     }
@@ -234,7 +221,7 @@ def cmd_locc(protocol_path: str, state_path: str, out: str | None) -> int:
             ".".join(str(x) for x in rec): float(np.trace(state.masses[i]).real)
             for i, rec in enumerate(state.space.labels)
         },
-        "total_trace": float(np.einsum("nii->", state.masses).real),
+        "total_trace": total_trace(state.masses),
         "lambda_rho": io.matrix_to_json(lam),
         "ppt": ppt,
         "ppt_verdict": ("PPT" if ppt else "NPT") + ("" if conclusive else " (necessary only)"),
@@ -244,37 +231,26 @@ def cmd_locc(protocol_path: str, state_path: str, out: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_metrics(paths: list[str], fmt: str, out: str | None) -> int:
-    state = io.state_from_json(io.load_json(paths[0]))
+def cmd_metrics(state_path: str, other_path: str | None, fmt: str, out: str | None) -> int:
+    state = io.state_from_json(io.load_json(state_path))
     entropy = von_neumann_entropy(quantum_marginal(state))
     payload = {
         "cells": state.space.size,
         "qdim": state.qdim,
-        "total_trace": float(np.einsum("nii->", state.masses).real),
-        "min_block_eigenvalue": float(state.eigenvalues.min()),
+        **_trace_and_floor(state),
         "quantum_entropy": entropy,
         "mutual_information": mutual_information(state),
         "bound_2S": 2.0 * entropy,
     }
-    if len(paths) > 1:
-        other = io.state_from_json(io.load_json(paths[1]))
+    if other_path is not None:
+        other = io.state_from_json(io.load_json(other_path))
         payload["distance"] = distance(state, other)
     if fmt == "csv":
         keys = sorted(payload)
-        lines = [",".join(keys)]
-        lines.append(
-            ",".join(
-                _fmt_float(payload[k]) if isinstance(payload[k], float) else str(payload[k])
-                for k in keys
-            )
-        )
-        text = "\n".join(lines)
-        print(text)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        return EXIT_OK
-    _emit(payload, out)
+        values = (_fmt_float(v) if isinstance(v, float) else str(v) for v in map(payload.get, keys))
+        _emit_text(",".join(keys) + "\n" + ",".join(values), out)
+    else:
+        _emit(payload, out)
     return EXIT_OK
 
 
@@ -349,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     out(p)
 
     p = sub.add_parser("metrics", help="report metrics of one state (or distance of two)")
-    p.add_argument("states", nargs="+")
+    p.add_argument("state")
+    p.add_argument("other", nargs="?", default=None)
     p.add_argument(
         "--format", dest="fmt", choices=("json", "csv"), default="json", help="stdout format"
     )
@@ -392,7 +369,7 @@ def main(argv=None) -> int:
         if args.command == "locc":
             return cmd_locc(args.protocol, args.state, args.out)
         if args.command == "metrics":
-            return cmd_metrics(args.states, args.fmt, args.out)
+            return cmd_metrics(args.state, args.other, args.fmt, args.out)
         if args.command == "properties":
             return cmd_properties(args.suite, args.trials, args.seed, args.out)
         if args.command == "randgen":

@@ -16,15 +16,7 @@ import numpy as np
 
 from .channel import HybridChannel, apply
 from .errors import HybridError, NotAnEnsemble
-from .linalg import (
-    HERMITICITY_TOL,
-    PSD_TOL,
-    TRACE_TOL,
-    block_margins,
-    entropies,
-    nonnegative,
-    von_neumann_entropy,
-)
+from .linalg import TRACE_TOL, block_margins, entropies, nonnegative, von_neumann_entropy
 from .state import (
     HybridState,
     ZERO_MASS,
@@ -54,18 +46,11 @@ class Ensemble:
         if not is_probability_vector(p):
             raise NotAnEnsemble("probabilities must be non-negative and sum to 1")
         margins = block_margins(rho)
-        if margins.nonfinite.any():
-            raise NotAnEnsemble("a member has non-finite entries")
-        if margins.hermiticity.max() > HERMITICITY_TOL:
-            raise NotAnEnsemble(
-                f"a member deviates from Hermiticity by {margins.hermiticity.max():.3e}"
-            )
+        margins.require(lambda _, problem: NotAnEnsemble(f"a member {problem}"))
         sym = margins.sym
         traces = np.einsum("rii->r", sym).real
         if np.abs(traces - 1.0).max() > TRACE_TOL:
             raise NotAnEnsemble("every member must have unit trace")
-        if margins.floor.min() < -PSD_TOL:
-            raise NotAnEnsemble("a member is not positive semidefinite")
         p = np.clip(p, 0.0, None)
         for arr in (p, sym, margins.eigenvalues):
             arr.flags.writeable = False

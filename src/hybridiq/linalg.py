@@ -7,7 +7,7 @@ natural logarithm throughout.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +45,26 @@ def hermiticity_defect(m: np.ndarray) -> np.ndarray:
     return np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1))
 
 
+class Verdict(NamedTuple):
+    """One per-block invariant over a stack: the worst deviation and its tolerance.
+
+    When the worst block fails, ``block`` is the lowest-index failing block and
+    ``problem`` says what is wrong with it; otherwise they are None and "".
+    """
+
+    deviation: float
+    tolerance: float
+    block: int | None = None
+    problem: str = ""
+
+
+def _verdict(deviations: np.ndarray, worst: float, tolerance: float, problem: str) -> Verdict:
+    if worst <= tolerance:
+        return Verdict(worst, tolerance)
+    block = int((deviations > tolerance).argmax())
+    return Verdict(worst, tolerance, block, problem.format(deviations[block]))
+
+
 class BlockMargins(NamedTuple):
     """How far each block of a (n, d, d) stack is from a positive Hermitian matrix.
 
@@ -62,6 +82,27 @@ class BlockMargins(NamedTuple):
     def floor(self) -> np.ndarray:
         """lambda_min / max(1, trace norm); a block is positive when this is >= -PSD_TOL."""
         return self.eigenvalues[:, 0] / self.scales
+
+    def worst(self) -> tuple[Verdict, Verdict, Verdict]:
+        """The finite, Hermitian and positive verdicts over the stack, in that order.
+
+        Each costs one reduction; the failing block is searched for only on failure.
+        """
+        floor, herm = self.floor, self.hermiticity
+        finite = float(np.count_nonzero(self.nonfinite))
+        return (
+            _verdict(self.nonfinite, finite, 0.0, "has non-finite entries"),
+            _verdict(
+                herm, float(herm.max()), HERMITICITY_TOL, "deviates from Hermiticity by {:.3e}"
+            ),
+            _verdict(-floor, -float(floor.min()), PSD_TOL, "is not positive semidefinite"),
+        )
+
+    def require(self, error: Callable[[int, str], Exception]) -> None:
+        """Raise ``error(block, problem)`` for the first failing verdict of :meth:`worst`."""
+        for verdict in self.worst():
+            if verdict.block is not None:
+                raise error(verdict.block, verdict.problem)
 
 
 def block_margins(stack: np.ndarray) -> BlockMargins:
@@ -99,6 +140,11 @@ def kraus_grams(stack: np.ndarray) -> np.ndarray:
     return stack.conj().swapaxes(-1, -2) @ stack
 
 
+def identity_defect(gram: np.ndarray) -> np.ndarray:
+    """Max-entry deviation from the identity of each matrix of a (..., d, d) array."""
+    return np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1))
+
+
 def kraus_defect(stack: np.ndarray) -> np.ndarray:
     """Max-entry deviation of sum_a L_a^dag L_a from the identity, per Kraus set.
 
@@ -107,8 +153,7 @@ def kraus_defect(stack: np.ndarray) -> np.ndarray:
     array of defects and a single set gives a scalar.  A NaN entry gives a NaN
     defect, which passes every ``defect > tol`` test: check finiteness first.
     """
-    gram = kraus_grams(stack).sum(axis=-3)
-    return np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1))
+    return identity_defect(kraus_grams(stack).sum(axis=-3))
 
 
 def right_normalize(raw: np.ndarray) -> np.ndarray:
@@ -188,25 +233,20 @@ def partial_transpose(m, dim_a: int, dim_b: int, side: str) -> np.ndarray:
 
 def is_psd(m) -> bool:
     """Whether min eigenvalue >= -PSD_TOL * max(1, trace norm).  Requires Hermitian input."""
-    margins = block_margins(as_cmatrix(m)[None])
-    defect = float(margins.hermiticity[0])
-    if defect > HERMITICITY_TOL:
-        raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3e}")
-    return bool(margins.floor[0] >= -PSD_TOL)
+    _, hermitian, positive = block_margins(as_cmatrix(m)[None]).worst()
+    if hermitian.block is not None:
+        raise NotHermitian(f"matrix {hermitian.problem}")
+    return positive.block is None
 
 
 def _density_spectrum(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
     """Check a density matrix; return its Hermitian part and ascending eigenvalues."""
     margins = block_margins(as_cmatrix(rho, name)[None])
-    defect = float(margins.hermiticity[0])
-    if defect > HERMITICITY_TOL:
-        raise NotAState(f"{name} deviates from Hermiticity by {defect:.3e}")
+    margins.require(lambda _, problem: NotAState(f"{name} {problem}"))
     sym = margins.sym[0]
     tr = float(np.trace(sym).real)
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotAState(f"{name} has trace {tr!r}, expected 1")
-    if margins.floor[0] < -PSD_TOL:
-        raise NotAState(f"{name} is not positive semidefinite")
     return sym, margins.eigenvalues[0]
 
 

@@ -64,6 +64,7 @@ from .state import (
     quantum_marginal,
     random_state,
     tensor_with_quantum,
+    total_trace,
 )
 
 STATES_PER_CHANNEL = 10
@@ -283,7 +284,7 @@ def run_channel(trials: int, seed: int) -> SuiteReport:
         for w in states:
             out = apply(ch, w)
             outputs.append(out)
-            valid_trace.record(abs(np.einsum("nii->", out.masses).real - 1.0))
+            valid_trace.record(abs(total_trace(out.masses) - 1.0))
             valid_eig.record(-float(np.linalg.eigvalsh(out.masses).min()))
             oracle.record(float(np.abs(out.masses - _apply_oracle(ch, w)).max()))
         w1, w2 = states[0], states[1 % len(states)]

@@ -26,14 +26,7 @@ from .errors import (
     ZeroMassCell,
     ZeroProbability,
 )
-from .linalg import (
-    HERMITICITY_TOL,
-    PSD_TOL,
-    TRACE_TOL,
-    block_margins,
-    dagger,
-    _require_density,
-)
+from .linalg import PSD_TOL, TRACE_TOL, block_margins, dagger, _require_density
 from .rand import random_complex
 
 # Below ZERO_MASS a cell or conditioning probability counts as zero.
@@ -68,13 +61,8 @@ class Effect:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise BadEffect(f"effect must be a square matrix, got shape {arr.shape}")
         margins = block_margins(arr[None])
-        if margins.nonfinite[0]:
-            raise BadEffect("effect has non-finite entries")
-        if margins.hermiticity[0] > HERMITICITY_TOL:
-            raise BadEffect(f"effect deviates from Hermiticity by {margins.hermiticity[0]:.3e}")
+        margins.require(lambda _, problem: BadEffect(f"effect {problem}"))
         vals, scale = margins.eigenvalues[0], margins.scales[0]
-        if margins.floor[0] < -PSD_TOL:
-            raise BadEffect(f"effect has eigenvalue {vals[0]!r} below zero")
         if vals[-1] > 1.0 + PSD_TOL * scale:
             raise BadEffect(f"effect has eigenvalue {vals[-1]!r} above one")
         arr = arr.copy()
@@ -117,7 +105,8 @@ def new_state(
 ) -> HybridState:
     """Validate per-cell masses into a hybrid state.
 
-    Raises NotPositive for a non-PSD (or non-Hermitian, or non-finite) block and
+    Raises NotPositive, naming the lowest failing cell, for a non-finite, then a
+    non-Hermitian, then a non-PSD block (``BlockMargins.worst``), and
     NotNormalized when the total trace is off by more than the tolerance.  With
     ``renormalize`` the total is divided out, but only when it already lies
     within 0.1 of one; silently fixing grossly wrong inputs would hide bugs.
@@ -126,18 +115,10 @@ def new_state(
     if arr.shape[0] != space.size:
         raise DimensionMismatch(f"{arr.shape[0]} mass blocks for {space.size} cells")
     margins = block_margins(arr)
-    if margins.nonfinite.any():
-        cell = int(margins.nonfinite.argmax())
-        raise NotPositive(cell, f"mass block at cell {cell} has non-finite entries")
-    if margins.hermiticity.max() > HERMITICITY_TOL:
-        cell = int(margins.hermiticity.argmax())
-        raise NotPositive(cell, f"mass block at cell {cell} is not Hermitian")
-    bad = margins.floor < -PSD_TOL
-    if bad.any():
-        raise NotPositive(int(bad.argmax()))
+    margins.require(lambda cell, problem: NotPositive(cell, f"mass block at cell {cell} {problem}"))
 
     sym, eigs = margins.sym, margins.eigenvalues
-    total = float(np.einsum("nii->", sym).real)
+    total = total_trace(sym)
     if abs(total - 1.0) > TRACE_TOL:
         if renormalize and abs(total - 1.0) <= RENORMALIZE_WINDOW:
             sym, eigs = sym / total, eigs / total
@@ -147,6 +128,11 @@ def new_state(
     sym.flags.writeable = False
     eigs.flags.writeable = False
     return HybridState(space, int(arr.shape[1]), sym, eigs)
+
+
+def total_trace(masses: np.ndarray) -> float:
+    """Sum of the traces of a (cells, q, q) mass stack."""
+    return float(np.einsum("nii->", masses).real)
 
 
 def is_probability_vector(p: np.ndarray) -> bool:
@@ -257,7 +243,7 @@ def condition_on_effect(state: HybridState, effect_on_ancilla) -> Conditioned:
     lifted = np.kron(np.eye(d), sqrt_f)
 
     conjugated = np.einsum("ij,njk,kl->nil", lifted, state.masses, lifted)
-    prob = float(np.einsum("nii->", conjugated).real)
+    prob = total_trace(conjugated)
     if prob <= ZERO_MASS:
         raise ZeroProbability(f"effect has probability {prob!r}")
 
@@ -280,7 +266,7 @@ def random_state(space: ClassicalSpace, qdim: int, seed) -> HybridState:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     g = random_complex(rng, (space.size, qdim, qdim))
     blocks = np.einsum("nij,nkj->nik", g, g.conj())
-    return new_state(space, blocks / np.einsum("nii->", blocks).real)
+    return new_state(space, blocks / total_trace(blocks))
 
 
 def point_mass_state(space: ClassicalSpace, cell: int, rho) -> HybridState:

@@ -7,7 +7,8 @@ from hybridiq import io
 from hybridiq.channel import identity_channel, non_interacting
 from hybridiq.classical import counting_space, uniform_mixing_kernel
 from hybridiq.cli import main
-from hybridiq.errors import HybridError, ParseError
+from hybridiq.errors import HybridError, NotPositive, ParseError
+from hybridiq.linalg import HERMITICITY_TOL, PSD_TOL
 from hybridiq.locc import LoccProtocol, LoccRound
 from hybridiq.state import new_state, random_state
 
@@ -266,11 +267,18 @@ def test_evolve_csv_header_and_min_block_eigenvalue(tmp_path):
         ["validate", "x.json", "--tol", "1e-3"],
         ["randgen", "state", "--cells", "2"],
         ["evolve", "s.json"],
+        ["metrics", "a.json", "b.json", "c.json", "missing.json"],
     ],
 )
-def test_usage_errors_exit_1(argv, capsys):
+def test_usage_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
+    # a.json, b.json and c.json are loadable states, so only the usage is wrong
+    monkeypatch.chdir(tmp_path)
+    for name in ("a.json", "b.json", "c.json"):
+        io.dump_json(io.state_to_json(random_state(counting_space(2), 2, 1)), name)
     assert main(argv) == 1
-    assert "error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -426,11 +434,22 @@ def _spec_files():
     for entry in unnormalized["masses"]:
         entry["re"] = (0.8 * np.asarray(entry["re"])).tolist()
         entry["im"] = (0.8 * np.asarray(entry["im"])).tolist()
-    non_psd = {
-        "space": {"weights": [1.0]},
-        "qdim": 2,
-        "masses": [io.matrix_to_json(np.diag([1.01, -0.01]))],
-    }
+
+    def masses_state(*blocks):
+        return {
+            "space": {"weights": [1.0] * len(blocks)},
+            "qdim": 2,
+            "masses": [io.matrix_to_json(np.asarray(b, dtype=complex)) for b in blocks],
+        }
+
+    def skewed(defect):
+        # cell 1 deviates from Hermiticity by exactly ``defect``
+        return masses_state(np.diag([0.25, 0.25]), [[0.25, defect], [0.0, 0.25]])
+
+    def floored(eps):
+        # one cell whose floor, lambda_min / trace norm, is -eps / (1 + 2 eps)
+        return masses_state(np.diag([1.0 + eps, -eps]))
+
     incomplete_channel = io.channel_to_json(identity_channel(counting_space(2), 2))
     incomplete_channel["blocks"][0]["L"][0]["re"] = [0.5, 0.0, 0.0, 0.5]
     incomplete_instrument = _bell_protocol_obj()
@@ -443,7 +462,16 @@ def _spec_files():
     files = [
         ("good-state", io.state_from_json, _state_obj()),
         ("unnormalized-state", io.state_from_json, unnormalized),
-        ("non-psd-state", io.state_from_json, non_psd),
+        ("non-psd-state", io.state_from_json, masses_state(np.diag([1.01, -0.01]))),
+        ("good-state-hermiticity-half-tol", io.state_from_json, skewed(0.5 * HERMITICITY_TOL)),
+        ("hermiticity-twice-tol-state", io.state_from_json, skewed(2 * HERMITICITY_TOL)),
+        ("good-state-floor-just-above", io.state_from_json, floored(0.99 * PSD_TOL)),
+        ("floor-just-below-state", io.state_from_json, floored(1.01 * PSD_TOL)),
+        # cells 0 and 1 are both negative, cell 1 more so; the loader names cell 0
+        ("two-negative-cells-state", io.state_from_json,
+         masses_state(np.diag([0.3, -0.01]), np.diag([0.5, -0.1]), np.diag([0.31, 0.0]))),
+        ("two-skewed-cells-state", io.state_from_json,
+         masses_state([[0.25, 1e-3], [0.0, 0.25]], [[0.25, 1e-2], [0.0, 0.25]])),
         ("good-channel", io.channel_from_json,
          io.channel_to_json(identity_channel(counting_space(2), 2))),
         ("incomplete-channel", io.channel_from_json, incomplete_channel),
@@ -464,12 +492,18 @@ def _spec_files():
 def test_validate_agrees_with_loaders(tmp_path, name, loader, obj, capsys):
     path = tmp_path / f"{name}.json"
     io.dump_json(obj, path)
+    cell = None
     try:
         loader(io.load_json(path))
         accepted = True
+    except NotPositive as exc:
+        accepted, cell = False, exc.cell
     except HybridError:
         accepted = False
     assert accepted == name.startswith("good")
     assert main(["validate", str(path)]) == (0 if accepted else 2)
     report = json.loads(capsys.readouterr().out)["reports"][0]
     assert all(c["ok"] for c in report["checks"]) == accepted
+    if cell is not None:
+        first_failure = next(c for c in report["checks"] if not c["ok"])
+        assert first_failure["error"].endswith(f" at cell {cell}")

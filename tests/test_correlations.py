@@ -39,6 +39,13 @@ KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.full((2, 2), 0.5, dtype=complex)
 
+# one block for each per-block invariant: finite, Hermitian, positive
+BAD_BLOCKS = [
+    pytest.param(np.array([[np.nan, 0.0], [0.0, 1.0]]), id="non-finite"),
+    pytest.param(np.array([[0.5, 0.1], [0.0, 0.5]]), id="non-hermitian"),
+    pytest.param(np.diag([1.5, -0.5]), id="non-psd"),
+]
+
 
 def test_holevo_identical_members_zero():
     rng = np.random.default_rng(0)
@@ -95,6 +102,12 @@ def test_ensemble_validation():
         Ensemble(np.array([np.nan]), np.stack([KET0]))
     with pytest.raises(NotAnEnsemble):
         Ensemble(np.array([1.0]), np.stack([np.full((2, 2), np.nan)]))
+
+
+@pytest.mark.parametrize("block", BAD_BLOCKS)
+def test_ensemble_rejects_bad_member(block):
+    with pytest.raises(NotAnEnsemble, match="^a member "):
+        Ensemble(np.array([0.5, 0.5]), np.stack([KET0, block]))
 
 
 def _literal_entropy(rho):

@@ -5,6 +5,8 @@ import pytest
 
 from hybridiq.errors import DimensionMismatch, NotAState, NotHermitian, NumericalFailure
 from hybridiq.linalg import (
+    HERMITICITY_TOL,
+    PSD_TOL,
     block_margins,
     entropies,
     hermitian_eig,
@@ -194,6 +196,29 @@ def test_block_margins():
         assert np.array_equal(got[live], want)
 
 
+def test_block_verdicts_name_the_lowest_failing_block():
+    stack = np.stack(
+        [
+            np.diag([0.25, 0.75]),
+            np.diag([0.9, -0.1]),
+            np.array([[0.5, 1e-6], [0.0, 0.5]]),
+            np.full((2, 2), np.nan),
+            np.diag([1.5, -0.5]),
+            np.array([[0.5, 1e-3], [0.0, 0.5]]),
+            np.full((2, 2), np.inf),
+        ]
+    ).astype(complex)
+    finite, hermitian, positive = block_margins(stack).worst()
+    assert finite == (2.0, 0.0, 3, "has non-finite entries")
+    # the lowest failing block is named, with its own deviation, not the worst block's
+    assert hermitian == (1e-3, HERMITICITY_TOL, 2, "deviates from Hermiticity by 1.000e-06")
+    assert positive == (0.25, PSD_TOL, 1, "is not positive semidefinite")
+    passing = block_margins(stack[:1]).worst()
+    assert [tuple(v) for v in passing] == [
+        (0.0, 0.0, None, ""), (0.0, HERMITICITY_TOL, None, ""), (-0.25, PSD_TOL, None, "")
+    ]
+
+
 def test_kraus_defect_is_batched_over_leading_axes():
     rng = np.random.default_rng(8)
     sets = np.stack([
@@ -243,6 +268,24 @@ def test_von_neumann_entropy_bounds_and_errors():
         von_neumann_entropy(np.diag([0.5, 0.4]))
     with pytest.raises(NotAState):
         von_neumann_entropy(np.diag([1.5, -0.5]))
+
+
+# one block for each per-block invariant: finite, Hermitian, positive
+BAD_BLOCKS = [
+    pytest.param(np.array([[np.nan, 0.0], [0.0, 1.0]]), id="non-finite"),
+    pytest.param(np.array([[0.5, 0.1], [0.0, 0.5]]), id="non-hermitian"),
+    pytest.param(np.diag([1.5, -0.5]), id="non-psd"),
+]
+
+
+@pytest.mark.parametrize("block", BAD_BLOCKS)
+def test_density_inputs_reject_bad_blocks(block):
+    # as_cmatrix refuses non-finite input before the verdict sees it
+    error = NumericalFailure if not np.isfinite(block).all() else NotAState
+    with pytest.raises(error):
+        von_neumann_entropy(block)
+    with pytest.raises(error):
+        relative_entropy(np.eye(2) / 2, block)
 
 
 def test_relative_entropy_values():

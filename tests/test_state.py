@@ -40,6 +40,14 @@ KET0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 KET1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 
+# one block for each per-block invariant: finite, Hermitian, positive
+BAD_BLOCKS = [
+    pytest.param(np.array([[np.nan, 0.0], [0.0, 1.0]]), id="non-finite"),
+    pytest.param(np.array([[0.5, 0.1], [0.0, 0.5]]), id="non-hermitian"),
+    pytest.param(np.diag([1.5, -0.5]), id="non-psd"),
+]
+
+
 def two_cell_state():
     return new_state(counting_space(2), np.stack([0.5 * KET0, 0.5 * KET1]))
 
@@ -57,6 +65,14 @@ def test_new_state_rejects_negative_block():
     assert info.value.cell == 0
     with pytest.raises(NotPositive) as info:
         new_state(counting_space(2), np.stack([KET0, np.full((2, 2), np.nan)]))
+    assert info.value.cell == 1
+
+
+@pytest.mark.parametrize("block", BAD_BLOCKS)
+def test_new_state_names_the_lowest_failing_cell(block):
+    # cells 1 and 2 both fail, cell 2 by more
+    with pytest.raises(NotPositive, match="^mass block at cell 1 ") as info:
+        new_state(counting_space(3), np.stack([KET0, block, 2 * block]))
     assert info.value.cell == 1
 
 
@@ -109,6 +125,12 @@ def test_probability_bad_inputs():
         probability(w, [0], np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(BadEffect):
         Effect(-0.1 * np.eye(2))
+
+
+@pytest.mark.parametrize("block", BAD_BLOCKS)
+def test_effect_rejects_bad_block(block):
+    with pytest.raises(BadEffect, match="^effect "):
+        Effect(block)
 
 
 def test_effect_equality_is_identity():
