@@ -18,9 +18,11 @@ from . import io
 from .channel import COMPLETENESS_TOL, apply, completeness_defect, random_channel
 from .classical import STOCHASTIC_TOL, MarkovKernel, counting_space, validate_kernel
 from .correlations import mutual_information
-from .errors import HybridError, IoError, ParseError, UnknownSuite
-from .linalg import TRACE_TOL, block_margins, kraus_defect, von_neumann_entropy
-from .locc import INSTRUMENT_TOL, is_ppt, run
+from .errors import (
+    HybridError, IncompleteChannel, IncompleteInstrument, IoError, ParseError, UnknownSuite
+)
+from .linalg import TRACE_TOL, block_margins, von_neumann_entropy
+from .locc import is_ppt, run
 from .properties import SUITES, run_suite
 from .rand import random_stochastic_matrix, seeded_rng
 from .state import distance, quantum_marginal, random_state, total_trace
@@ -100,11 +102,7 @@ def _channel_checks(obj) -> list[dict]:
 
 def _protocol_checks(obj) -> list[dict]:
     protocol = io.protocol_from_json(obj)
-    worst = max(
-        (kraus_defect(stack) for rnd in protocol.rounds for stack in rnd.instrument.values()),
-        default=0.0,
-    )
-    return [_check("instrument_completeness", worst, INSTRUMENT_TOL)]
+    return [_check("instrument_completeness", protocol.completeness_defect, COMPLETENESS_TOL)]
 
 
 def _kernel_checks(obj) -> list[dict]:
@@ -138,8 +136,14 @@ def _validate_one(path: str) -> dict:
         raise
     except HybridError as exc:
         # a loader's invariant failure becomes a failed check, so one bad file
-        # yields a violation report instead of aborting the run
-        checks = [_check(f"{kind}_construction", np.inf, 0.0, f"{type(exc).__name__}: {exc}")]
+        # yields a violation report instead of aborting the run; an incomplete
+        # channel or instrument fails its completeness row at the measured deviation
+        error = f"{type(exc).__name__}: {exc}"
+        if isinstance(exc, (IncompleteChannel, IncompleteInstrument)):
+            name = "channel_completeness" if kind == "channel" else "instrument_completeness"
+            checks = [_check(name, exc.deviation, COMPLETENESS_TOL, error)]
+        else:
+            checks = [_check(f"{kind}_construction", np.inf, 0.0, error)]
     return {"path": path, "kind": kind, "checks": checks, "ok": all(c["ok"] for c in checks)}
 
 

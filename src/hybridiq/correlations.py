@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import HybridChannel, apply
 from .errors import HybridError, NotAnEnsemble
-from .linalg import TRACE_TOL, block_margins, entropies, nonnegative, von_neumann_entropy
+from .linalg import block_margins, entropies, nonnegative, von_neumann_entropy
 from .state import (
     HybridState,
     ZERO_MASS,
@@ -46,11 +46,10 @@ class Ensemble:
         if not is_probability_vector(p):
             raise NotAnEnsemble("probabilities must be non-negative and sum to 1")
         margins = block_margins(rho)
-        margins.require(lambda _, problem: NotAnEnsemble(f"a member {problem}"))
+        error = lambda _, problem: NotAnEnsemble(f"a member {problem}")
+        margins.require(error)
+        margins.require_unit_traces(error)
         sym = margins.sym
-        traces = np.einsum("rii->r", sym).real
-        if np.abs(traces - 1.0).max() > TRACE_TOL:
-            raise NotAnEnsemble("every member must have unit trace")
         p = np.clip(p, 0.0, None)
         for arr in (p, sym, margins.eigenvalues):
             arr.flags.writeable = False

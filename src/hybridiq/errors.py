@@ -99,9 +99,14 @@ class NotAnEnsemble(HybridError):
 
 
 class IncompleteInstrument(HybridError):
-    def __init__(self, history: tuple, message: str = ""):
+    def __init__(self, history: tuple, deviation: float | None = None):
         self.history = history
-        super().__init__(message or f"no complete instrument for history {history}")
+        self.deviation = deviation
+        super().__init__(
+            f"no complete instrument for history {history}" if deviation is None
+            else f"round {len(history)} instrument at history {history} deviates from "
+            f"completeness by {deviation:.3e}"
+        )
 
 
 class RecordSpaceTooLarge(HybridError):

@@ -21,6 +21,13 @@ from .locc import LoccProtocol, LoccRound
 from .state import HybridState, new_state
 
 
+def _integer(value: Any, what: str) -> int:
+    """Read a JSON integer field: floats, booleans and strings raise ParseError, not truncate."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r:.40}")
+    return value
+
+
 def _complex_array(re: Any, im: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
     """The re/im parsing core: one complex array from number lists of exactly ``shape``."""
     try:
@@ -58,7 +65,7 @@ def matrices_from_json(objs: Any, what: Any, shape: tuple[int, int] | None = Non
     res, ims = [], []
     for i, obj in enumerate(objs):
         try:
-            dim, re, im = int(obj["dim"]), obj["re"], obj["im"]
+            dim, re, im = _integer(obj["dim"], "matrix dim"), obj["re"], obj["im"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{name(i)}: expected keys dim/re/im, got {obj!r:.120}") from exc
         rows, cols = shape = shape or (dim, dim)
@@ -117,7 +124,7 @@ def kernel_from_json(
 
 def kernel_matrix_from_json(obj: Any) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = _integer(obj["rows"], "kernel rows"), _integer(obj["cols"], "kernel cols")
         flat = np.asarray(obj["P"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"kernel: expected keys P/rows/cols, got {obj!r:.120}") from exc
@@ -134,7 +141,8 @@ def state_to_json(state: HybridState) -> dict:
 def state_parts_from_json(obj: Any) -> tuple[ClassicalSpace, np.ndarray, int]:
     """Schema-check a state object into the arguments of new_state: (space, masses, qdim)."""
     try:
-        space_obj, qdim, masses_obj = obj["space"], int(obj["qdim"]), obj["masses"]
+        space_obj, masses_obj = obj["space"], obj["masses"]
+        qdim = _integer(obj["qdim"], "state qdim")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"state: expected keys space/qdim/masses, got {obj!r:.120}") from exc
     space = space_from_json(space_obj)
@@ -162,7 +170,7 @@ def channel_to_json(channel: HybridChannel) -> dict:
 
 def _complex_tensor_from_json(obj: Any, what: str) -> np.ndarray:
     try:
-        shape = tuple(int(s) for s in obj["shape"])
+        shape = tuple(_integer(s, f"{what}: shape") for s in obj["shape"])
         re, im = obj["re"], obj["im"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{what}: expected keys shape/re/im, got {obj!r:.120}") from exc
@@ -206,14 +214,15 @@ def channel_from_json(obj: Any) -> HybridChannel:
     try:
         src = space_from_json(obj["src_space"])
         dst = space_from_json(obj["dst_space"])
-        qdim_src, qdim_dst = int(obj["qdim_src"]), int(obj["qdim_dst"])
+        qdim_src, qdim_dst = (_integer(obj[k], f"channel {k}") for k in ("qdim_src", "qdim_dst"))
         entries = iter(obj["blocks"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("channel: expected src_space/dst_space/qdim_src/qdim_dst/blocks") from exc
     seen, owners, rows = set(), [], []  # owners: the (m, n) of each row
     for entry in entries:
         try:
-            key, ops = (int(entry["m"]), int(entry["n"])), list(entry["L"])
+            key = (_integer(entry["m"], "channel block m"), _integer(entry["n"], "channel block n"))
+            ops = list(entry["L"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"channel block entry malformed: {entry!r:.120}") from exc
         if key in seen or not ops:
@@ -250,16 +259,17 @@ def protocol_to_json(protocol: LoccProtocol) -> dict:
 
 def protocol_from_json(obj: Any) -> LoccProtocol:
     try:
-        d1, d2 = (int(d) for d in obj["dims"])
+        d1, d2 = (_integer(d, "protocol dims") for d in obj["dims"])
         rounds_obj = list(obj["rounds"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"protocol: expected keys dims/rounds, got {obj!r:.120}") from exc
     rounds = []
     for r, entry in enumerate(rounds_obj):
         try:
-            outcomes = int(entry["outcomes"])
+            outcomes = _integer(entry["outcomes"], f"protocol round {r} outcomes")
             instrument_obj = entry["instrument"].items()
             side = entry.get("side")
+            side = None if side is None else _integer(side, f"protocol round {r} side")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"protocol round {r} malformed: {entry!r:.120}") from exc
         instrument = {}

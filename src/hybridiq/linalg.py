@@ -104,6 +104,15 @@ class BlockMargins(NamedTuple):
             if verdict.block is not None:
                 raise error(verdict.block, verdict.problem)
 
+    def require_unit_traces(self, error: Callable[[int, str], Exception]) -> None:
+        """Raise ``error(block, problem)`` at the first block whose trace is off 1 by > TRACE_TOL.
+
+        One reduction: the traces are scanned as Python floats.
+        """
+        for block, tr in enumerate(np.einsum("rii->r", self.sym).real.tolist()):
+            if abs(tr - 1.0) > TRACE_TOL:
+                raise error(block, f"has trace {tr!r}, expected 1")
+
 
 def block_margins(stack: np.ndarray) -> BlockMargins:
     """Measure a (n, d, d) complex stack with one batched eigvalsh and no eigenvectors.
@@ -242,12 +251,10 @@ def is_psd(m) -> bool:
 def _density_spectrum(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
     """Check a density matrix; return its Hermitian part and ascending eigenvalues."""
     margins = block_margins(as_cmatrix(rho, name)[None])
-    margins.require(lambda _, problem: NotAState(f"{name} {problem}"))
-    sym = margins.sym[0]
-    tr = float(np.trace(sym).real)
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NotAState(f"{name} has trace {tr!r}, expected 1")
-    return sym, margins.eigenvalues[0]
+    error = lambda _, problem: NotAState(f"{name} {problem}")
+    margins.require(error)
+    margins.require_unit_traces(error)
+    return margins.sym[0], margins.eigenvalues[0]
 
 
 def _require_density(rho, name: str = "state") -> np.ndarray:

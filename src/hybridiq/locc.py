@@ -12,7 +12,7 @@ to one hybrid channel per round acting on the records that can carry mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -21,7 +21,6 @@ import numpy as np
 from .classical import ClassicalSpace, counting_space, identity_kernel
 from .errors import (
     DimensionMismatch,
-    IncompleteChannel,
     IncompleteInstrument,
     NotAState,
     NumericalFailure,
@@ -47,7 +46,6 @@ from .channel import (
     non_interacting,
 )
 
-INSTRUMENT_TOL = 1e-9
 RECORD_SPACE_LIMIT = 100_000
 PPT_TOL = 1e-9
 
@@ -73,6 +71,8 @@ class LoccRound:
 class LoccProtocol:
     dims: tuple[int, int]
     rounds: tuple[LoccRound, ...]
+    # worst kraus_defect over all instruments (0.0 if none); validate and the lowering read it
+    completeness_defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
         d1, d2 = int(self.dims[0]), int(self.dims[1])
@@ -81,7 +81,7 @@ class LoccProtocol:
         object.__setattr__(self, "dims", (d1, d2))
         if not self.rounds:
             raise ShapeMismatch("a protocol needs at least one round")
-        resolved = []
+        resolved, worst = [], 0.0
         for r, rnd in enumerate(self.rounds):
             side = rnd.side if rnd.side is not None else (1 if r % 2 == 0 else 2)
             if side not in (1, 2):
@@ -117,18 +117,15 @@ class LoccProtocol:
                     f"round {r} instrument at history {history} has non-finite entries"
                 )
             defects = kraus_defect(stacked)
-            bad = np.flatnonzero(defects > INSTRUMENT_TOL)
-            if bad.size:
-                i = bad[0]
-                raise IncompleteInstrument(
-                    histories[i],
-                    f"round {r} instrument at history {histories[i]} deviates from "
-                    f"completeness by {defects[i]:.3e}",
-                )
+            worst = max(worst, float(defects.max(initial=0.0)))
+            if worst > COMPLETENESS_TOL:
+                i = (defects > COMPLETENESS_TOL).argmax()
+                raise IncompleteInstrument(histories[i], float(defects[i]))
             stacked.flags.writeable = False
             instrument = MappingProxyType(dict(zip(histories, stacked)))
             resolved.append(LoccRound(rnd.outcomes, instrument, side))
         object.__setattr__(self, "rounds", tuple(resolved))
+        object.__setattr__(self, "completeness_defect", worst)
 
 
 def _lift(dims: tuple[int, int], side: int, v: np.ndarray) -> np.ndarray:
@@ -229,9 +226,8 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
     by the lifted instrument operators.  Every other record passes through on
     one identity row, so it is exactly complete.  An acting cell's rows are
     kron(A_a, I), and sum_a kron(A_a, I)^dag kron(A_a, I) is
-    kron(sum_a A_a^dag A_a, I), so completeness is checked once per
-    instrument.  IncompleteChannel names the lowest failing cell and its
-    deviation, as :func:`from_rows` would.
+    kron(sum_a A_a^dag A_a, I), so the instrument's completeness, measured
+    once when the protocol was built, carries over and is not measured again.
     """
     d = protocol.dims[0] * protocol.dims[1]
     space = full_record_space(protocol)
@@ -251,11 +247,6 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
         # the reshape gives a round without instrument entries an empty stack
         stacked = np.array(list(rnd.instrument.values()), dtype=complex)
         stacked = stacked.reshape(-1, rnd.outcomes, d_side, d_side)
-        defects = kraus_defect(stacked)
-        bad = np.flatnonzero(defects > COMPLETENESS_TOL)
-        if bad.size:
-            i = bad[active[bad].argmin()]
-            raise IncompleteChannel(int(active[i]), float(defects[i]))
         passive = np.setdiff1d(np.arange(space.size), active, assume_unique=True)
         channels.append(
             _unchecked_from_rows(

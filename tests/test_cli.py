@@ -1,15 +1,19 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from hybridiq import io
-from hybridiq.channel import identity_channel, non_interacting
+from hybridiq.channel import COMPLETENESS_TOL, identity_channel, non_interacting
 from hybridiq.classical import counting_space, uniform_mixing_kernel
 from hybridiq.cli import main
-from hybridiq.errors import HybridError, NotPositive, ParseError
+from hybridiq.errors import (
+    HybridError, IncompleteChannel, IncompleteInstrument, NotPositive, ParseError
+)
 from hybridiq.linalg import HERMITICITY_TOL, PSD_TOL
 from hybridiq.locc import LoccProtocol, LoccRound
+from hybridiq.rand import random_kraus_set
 from hybridiq.state import new_state, random_state
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -413,6 +417,19 @@ def _malformed_files():
         ("block-index-beyond-intp", io.channel_from_json, edit(channel, ["blocks", 0, "m"], 2**70)),
         ("qdim-beyond-intp-no-blocks", io.channel_from_json,
          dict(edit(channel, ["qdim_src"], 2**70), blocks=[])),
+        # integer fields take JSON integers only; int() used to truncate these silently
+        ("float-qdim", io.state_from_json, edit(_state_obj(), ["qdim"], 2.7)),
+        ("boolean-qdim", io.state_from_json, edit(mass, ["qdim"], True)),
+        ("float-matrix-dim", io.protocol_from_json,
+         edit(_bell_protocol_obj(), ["rounds", 0, "instrument", "", 0, "dim"], 2.9)),
+        ("float-block-index", io.channel_from_json, edit(channel, ["blocks", 0, "m"], 1.5)),
+        ("float-kernel-rows", io.kernel_from_json,
+         {"P": [0.5, 0.0, 0.5, 1.0], "rows": 2.5, "cols": 2}),
+        ("float-outcomes", io.protocol_from_json,
+         edit(_bell_protocol_obj(), ["rounds", 0, "outcomes"], 2.5)),
+        ("float-dims", io.protocol_from_json, edit(_bell_protocol_obj(), ["dims"], [2.5, 2])),
+        ("float-side", io.protocol_from_json,
+         edit(_bell_protocol_obj(), ["rounds", 0, "side"], 2.0)),
     ]
     return [pytest.param(*f, id=f[0]) for f in files]
 
@@ -423,10 +440,16 @@ def test_malformed_files_end_in_parse_error(tmp_path, name, loader, obj, capsys)
         loader(obj)
     path = tmp_path / f"{name}.json"
     io.dump_json(obj, path)
-    assert main(["validate", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("hybridiq: error: ")
+    commands = [["validate", str(path)]]
+    if loader is io.protocol_from_json:
+        rho_path = tmp_path / "bell.json"
+        io.dump_json(io.matrix_to_json(BELL), rho_path)
+        commands.append(["locc", str(path), str(rho_path)])
+    for argv in commands:
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hybridiq: error: ")
 
 
 def _spec_files():
@@ -449,6 +472,18 @@ def _spec_files():
     def floored(eps):
         # one cell whose floor, lambda_min / trace norm, is -eps / (1 + 2 eps)
         return masses_state(np.diag([1.0 + eps, -eps]))
+
+    def stretched_channel(defect):
+        # cell 0's one Kraus row is sqrt(1 + defect) I, so it deviates by about ``defect``
+        obj = io.channel_to_json(identity_channel(counting_space(2), 2))
+        obj["blocks"][0]["L"][0]["re"] = [(1 + defect) ** 0.5, 0.0, 0.0, (1 + defect) ** 0.5]
+        return obj
+
+    def stretched_instrument(defect):
+        # the second projector is scaled by sqrt(1 + defect)
+        obj = _bell_protocol_obj()
+        obj["rounds"][0]["instrument"][""][1]["re"] = [0.0, 0.0, 0.0, (1 + defect) ** 0.5]
+        return obj
 
     incomplete_channel = io.channel_to_json(identity_channel(counting_space(2), 2))
     incomplete_channel["blocks"][0]["L"][0]["re"] = [0.5, 0.0, 0.0, 0.5]
@@ -475,8 +510,16 @@ def _spec_files():
         ("good-channel", io.channel_from_json,
          io.channel_to_json(identity_channel(counting_space(2), 2))),
         ("incomplete-channel", io.channel_from_json, incomplete_channel),
+        ("good-channel-completeness-half-tol", io.channel_from_json,
+         stretched_channel(0.5 * COMPLETENESS_TOL)),
+        ("channel-completeness-twice-tol", io.channel_from_json,
+         stretched_channel(2 * COMPLETENESS_TOL)),
         ("good-protocol", io.protocol_from_json, _bell_protocol_obj()),
         ("incomplete-instrument", io.protocol_from_json, incomplete_instrument),
+        ("good-protocol-completeness-half-tol", io.protocol_from_json,
+         stretched_instrument(0.5 * COMPLETENESS_TOL)),
+        ("instrument-completeness-twice-tol", io.protocol_from_json,
+         stretched_instrument(2 * COMPLETENESS_TOL)),
         ("nan-instrument", io.protocol_from_json, nan_instrument),
         ("rowless-channel-qdim-2-30", io.channel_from_json, rowless_q30),
         ("rowless-channel-qdim-2-62", io.channel_from_json, rowless_q62),
@@ -492,12 +535,14 @@ def _spec_files():
 def test_validate_agrees_with_loaders(tmp_path, name, loader, obj, capsys):
     path = tmp_path / f"{name}.json"
     io.dump_json(obj, path)
-    cell = None
+    cell = incomplete = None
     try:
         loader(io.load_json(path))
         accepted = True
     except NotPositive as exc:
         accepted, cell = False, exc.cell
+    except (IncompleteChannel, IncompleteInstrument) as exc:
+        accepted, incomplete = False, exc
     except HybridError:
         accepted = False
     assert accepted == name.startswith("good")
@@ -507,3 +552,27 @@ def test_validate_agrees_with_loaders(tmp_path, name, loader, obj, capsys):
     if cell is not None:
         first_failure = next(c for c in report["checks"] if not c["ok"])
         assert first_failure["error"].endswith(f" at cell {cell}")
+    if incomplete is not None:
+        # the constructor's own measurement, not an infinite construction row
+        (check,) = report["checks"]
+        assert check["name"] in ("channel_completeness", "instrument_completeness")
+        assert check["deviation"] == incomplete.deviation
+        assert check["tolerance"] == COMPLETENESS_TOL
+        assert check["error"] == f"{type(incomplete).__name__}: {incomplete}"
+
+
+def test_validate_measures_each_protocol_round_once(tmp_path, kraus_defect_calls, capsys):
+    rng = np.random.default_rng(3)
+    proto = LoccProtocol((2, 3), tuple(
+        LoccRound(2, {h: random_kraus_set((2, 3)[r % 2], 2, rng)
+                      for h in itertools.product((1, 2), repeat=r)}, 1 + r % 2)
+        for r in range(3)
+    ))
+    path = tmp_path / "proto.json"
+    io.dump_json(io.protocol_to_json(proto), path)
+    kraus_defect_calls.clear()
+    assert main(["validate", str(path)]) == 0
+    assert len(kraus_defect_calls) == len(proto.rounds)
+    (check,) = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    assert check["name"] == "instrument_completeness"
+    assert check["deviation"] == proto.completeness_defect

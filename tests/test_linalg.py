@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hybridiq.errors import DimensionMismatch, NotAState, NotHermitian, NumericalFailure
+from hybridiq.correlations import Ensemble
+from hybridiq.errors import (
+    DimensionMismatch, NotAnEnsemble, NotAState, NotHermitian, NumericalFailure
+)
 from hybridiq.linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
+    TRACE_TOL,
     block_margins,
     entropies,
     hermitian_eig,
@@ -217,6 +221,28 @@ def test_block_verdicts_name_the_lowest_failing_block():
     assert [tuple(v) for v in passing] == [
         (0.0, 0.0, None, ""), (0.0, HERMITICITY_TOL, None, ""), (-0.25, PSD_TOL, None, "")
     ]
+
+
+def test_unit_trace_rule_names_the_first_block_off_by_more_than_trace_tol():
+    stack = np.stack([
+        np.eye(2) / 2,
+        np.diag([0.5, 0.5 + 0.5 * TRACE_TOL]),
+        np.diag([0.5, 0.5 + 2 * TRACE_TOL]),
+        np.diag([0.25, 0.25]),
+    ]).astype(complex)
+    block_margins(stack[:2]).require_unit_traces(pytest.fail)  # within the tolerance
+    with pytest.raises(NotAState) as info:
+        block_margins(stack).require_unit_traces(lambda block, problem: NotAState(f"{block} {problem}"))
+    trace = float(np.trace(stack[2]).real)
+    assert str(info.value) == f"2 has trace {trace!r}, expected 1"
+
+
+def test_density_and_ensemble_share_the_unit_trace_message():
+    rho = np.diag([0.5, 0.25]).astype(complex)
+    with pytest.raises(NotAState, match=r"^rho has trace 0\.75, expected 1$"):
+        relative_entropy(rho, np.eye(2) / 2)
+    with pytest.raises(NotAnEnsemble, match=r"^a member has trace 0\.75, expected 1$"):
+        Ensemble(np.array([0.5, 0.5]), np.stack([np.eye(2) / 2, rho]))
 
 
 def test_kraus_defect_is_batched_over_leading_axes():

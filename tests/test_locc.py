@@ -8,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridiq import io, locc
+from hybridiq import io
 from hybridiq.channel import COMPLETENESS_TOL, apply, completeness_defect, from_rows
 from hybridiq.classical import counting_space
 from hybridiq.errors import (
     DimensionMismatch,
-    IncompleteChannel,
     IncompleteInstrument,
     NotAState,
     NumericalFailure,
     RecordSpaceTooLarge,
     ShapeMismatch,
 )
+from hybridiq.linalg import kraus_defect
 from hybridiq.locc import (
     RECORD_SPACE_LIMIT,
     LoccProtocol,
@@ -175,8 +175,34 @@ def test_missing_history_pruned_then_raised_in_later_round():
 
 
 def test_incomplete_instrument_rejected_at_construction():
-    with pytest.raises(IncompleteInstrument):
+    with pytest.raises(IncompleteInstrument) as info:
         LoccProtocol((2, 2), (LoccRound(2, {(): [P0, 0.5 * P1]}, side=1),))
+    assert info.value.history == () and info.value.deviation == 0.75
+    assert str(info.value) == (
+        "round 0 instrument at history () deviates from completeness by 7.500e-01"
+    )
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+def test_instrument_completeness_is_measured_once_at_completeness_tol(factor):
+    # (1 + eps)^2 - 1 = 2 eps + eps^2, so the stack's defect is factor * COMPLETENESS_TOL
+    eps = math.sqrt(1 + factor * COMPLETENESS_TOL) - 1
+    later = random_instrument(2, 2, np.random.default_rng(5))
+    rounds = (
+        LoccRound(2, {(): [P0, P1]}, side=1),
+        LoccRound(2, {(1,): later, (2,): [P0, (1 + eps) * P1]}, side=2),
+    )
+    expected = float(kraus_defect(np.stack([P0, (1 + eps) * P1])))
+    assert expected == pytest.approx(factor * COMPLETENESS_TOL, rel=1e-6)
+    if factor > 1:
+        with pytest.raises(IncompleteInstrument) as info:
+            LoccProtocol((2, 2), rounds)
+        assert info.value.history == (2,)
+        assert info.value.deviation == pytest.approx(expected, abs=1e-15)
+    else:
+        proto = LoccProtocol((2, 2), rounds)
+        assert proto.completeness_defect == pytest.approx(expected, abs=1e-15)
+        assert "completeness_defect" not in repr(proto)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -391,8 +417,23 @@ def mixed_protocols():
     return out
 
 
+def near_tolerance_protocol():
+    """A bench-shaped protocol with one instrument scaled to a defect of about 0.9 tolerance."""
+    proto = bench_shaped_protocol(7, rounds=3)
+    rounds = list(proto.rounds)
+    instrument = dict(rounds[1].instrument)
+    instrument[(2,)] = instrument[(2,)] * math.sqrt(1 + 0.9 * COMPLETENESS_TOL)
+    rounds[1] = LoccRound(2, instrument, rounds[1].side)
+    return LoccProtocol(proto.dims, tuple(rounds))
+
+
 def test_lowering_is_accepted_unchanged_by_validating_constructor():
+    # the lowering measures no completeness: from_rows re-checks every round channel,
+    # including one whose instrument sits just inside the tolerance
+    near = near_tolerance_protocol()
+    assert 0.85 * COMPLETENESS_TOL < near.completeness_defect <= COMPLETENESS_TOL
     protocols = [bench_shaped_protocol(seed) for seed in (7, 701, 801)] + mixed_protocols()
+    protocols.append(near)
     assert {p.dims for p in protocols} == {(2, 2), (2, 3), (3, 2)}
     assert any(len(rnd.instrument) < math.prod(x.outcomes for x in p.rounds[:r])
                for p in protocols for r, rnd in enumerate(p.rounds))
@@ -408,31 +449,13 @@ def test_lowering_is_accepted_unchanged_by_validating_constructor():
             assert completeness_defect(ch) <= COMPLETENESS_TOL
 
 
-@pytest.mark.parametrize("r, history", [(0, ()), (1, (2,)), (2, (2, 1))])
-def test_lowering_reports_the_cell_and_deviation_from_rows_would(monkeypatch, r, history):
-    # an instrument between the two tolerances passes construction, then fails
-    # the round channel's completeness check
-    monkeypatch.setattr(locc, "INSTRUMENT_TOL", 1e-6)
-    rng = np.random.default_rng(29)
-    rounds = [
-        LoccRound(2, {h: random_instrument(2 if s % 2 == 0 else 3, 2, rng)
-                      for h in itertools.product((1, 2), repeat=s)}, 1 + s % 2)
-        for s in range(3)
-    ]
-    instrument = dict(rounds[r].instrument)
-    instrument[history] = np.asarray(instrument[history]) * (1 + 1e-8)
-    rounds[r] = LoccRound(2, instrument, rounds[r].side)
-    proto = LoccProtocol((2, 3), tuple(rounds))
-    with pytest.raises(IncompleteChannel) as lowered:
+def test_lowering_measures_no_completeness(kraus_defect_calls):
+    protocols = [bench_shaped_protocol(seed) for seed in (7, 701, 801)] + mixed_protocols()
+    protocols.append(near_tolerance_protocol())
+    kraus_defect_calls.clear()
+    for proto in protocols:
         as_hybrid_channels(proto)
-    dst, src, kraus = literal_round_rows(proto, r)
-    space = locc.full_record_space(proto)
-    with pytest.raises(IncompleteChannel) as checked:
-        from_rows(space, space, 6, 6, dst, src, kraus)
-    assert lowered.value.cell == checked.value.cell
-    assert space.labels[lowered.value.cell][:r + 1] == history + (0,)
-    assert COMPLETENESS_TOL < lowered.value.deviation < locc.INSTRUMENT_TOL
-    assert abs(lowered.value.deviation - checked.value.deviation) <= 1e-15
+    assert kraus_defect_calls == []
 
 
 def test_record_space_limit():
