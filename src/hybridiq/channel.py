@@ -6,16 +6,20 @@ that carries quantum content from source cell ``src[r]`` to target cell
 per-source completeness: summing L^dag L over all rows of a source cell gives
 the identity, independent of cell weights.  Whole-table operations run as
 batched matrix products followed by segment sums over sorted cell indices.
-Rows are the only stored layout; small-q channels also cache, derived from
-rows, each target cell's transfer matrices side by side in padded slices (see
-:attr:`HybridChannel.transfer`), so that ``apply`` is one batched mat-vec.
+Rows are the only stored layout.  Two caches are derived from them and never
+serialized: small-q channels keep each target cell's transfer matrices side
+by side in padded slices (see :attr:`HybridChannel.transfer`), so that
+``apply`` is one batched mat-vec; a larger channel applied more than once
+keeps, where it is cheaper than the rows, one operator basis per source cell
+and a coefficient Gram per cell pair (see :attr:`HybridChannel.source_basis`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from itertools import count
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +65,8 @@ class HybridChannel:
     src: np.ndarray    # (R,) source cell of each row
     kraus: np.ndarray  # (R, qdim_dst, qdim_src)
     kind: str = field(default="blocks", compare=False)
+    # row-path applies so far; apply builds source_basis from the second one on
+    _row_applies: Iterator[int] = field(default_factory=count, init=False, repr=False, compare=False)
 
     def __repr__(self) -> str:
         return (
@@ -111,6 +117,66 @@ class HybridChannel:
             if arr is not None:
                 arr.flags.writeable = False
         return out
+
+    @cached_property
+    def source_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Per-source operator basis (left, right, gram), or None where the rows cost less.
+
+        Source n's rows span operators with an orthonormal basis B_n1..B_ns,
+        zero-padded to the largest rank s over sources, and row r equals
+        sum_j c_rj B_nj.  Then sigma'_m = sum_n sum_jl G_mn[j, l] B_nj sigma_n
+        B_nl^dag with G_mn = sum c_r c_r^dag over the rows of pair (m, n): the
+        paper's k_ab(m, n) form with the fewest operators.  ``left``
+        (n_src, s * qdim_dst, qdim_src) stacks each source's B_nj, ``right`` is
+        its conjugate transpose and ``gram`` (n_dst, n_src * s * s) holds G.
+
+        None, before any factorisation, when even rank 1 at every source would
+        cost no fewer complex multiply-adds than the rows.  Otherwise each
+        source's rows are factored by one SVD with numpy.linalg.matrix_rank's
+        default rank cutoff, and the result is None when the form at that rank
+        costs no less than the rows or basis times coefficients misses a row
+        by more than that cutoff.  The arrays are read-only and not serialized.
+        """
+        n_src, n_dst, rows = self.src_space.size, self.dst_space.size, self.src.size
+        row_cost = rows * _product_cost(self, 1)
+        if _basis_cost(self, 1) >= row_cost:
+            return None
+        # each source's rows, vectorized and zero-padded to the most rows any source has
+        order = np.argsort(self.src, kind="stable")
+        src = self.src[order]
+        counts = np.bincount(src, minlength=n_src)
+        slot = np.arange(rows) - (np.cumsum(counts) - counts)[src]
+        stack = np.zeros((n_src, counts.max(), self.qdim_dst * self.qdim_src), dtype=complex)
+        stack[src, slot] = self.kraus[order].reshape(rows, -1)
+        u, sv, vh = np.linalg.svd(stack, full_matrices=False)
+        cutoff = sv[:, :1] * max(stack.shape[1:]) * np.finfo(float).eps
+        rank = int((sv > cutoff).sum(axis=1).max())
+        if _basis_cost(self, rank) >= row_cost:
+            return None
+        coeffs, basis = u[:, :, :rank] * sv[:, None, :rank], vh[:, :rank]
+        if (np.abs(coeffs @ basis - stack).max(axis=(1, 2)) > cutoff[:, 0]).any():
+            return None
+        c = np.empty((rows, rank), dtype=complex)
+        c[order] = coeffs[src, slot]
+        pairs = self.dst * n_src + self.src
+        gram = _sum_runs(c[:, :, None] * c.conj()[:, None, :], pairs, n_dst * n_src)
+        left = basis.reshape(n_src, rank * self.qdim_dst, self.qdim_src)
+        out = (left, left.conj().swapaxes(1, 2).copy(), gram.reshape(n_dst, -1))
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
+
+def _product_cost(channel: HybridChannel, rank: int) -> int:
+    """Complex multiply-adds of B sigma for ``rank`` operators B, then of every (B sigma) B'^dag."""
+    q_dst, q_src = channel.qdim_dst, channel.qdim_src
+    return rank * q_dst * q_src * (q_src + rank * q_dst)
+
+
+def _basis_cost(channel: HybridChannel, rank: int) -> int:
+    """Complex multiply-adds of a source_basis apply at padded per-source rank ``rank``."""
+    n_src, n_dst = channel.src_space.size, channel.dst_space.size
+    return n_src * _product_cost(channel, rank) + n_dst * n_src * rank**2 * channel.qdim_dst**2
 
 
 def run_starts(keys: np.ndarray) -> np.ndarray:
@@ -266,9 +332,13 @@ def apply(channel: HybridChannel, state: HybridState) -> HybridState:
     When qdim_dst * qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT the gathered
     source vectors go through one batched mat-vec with the cached transfer
     slices, and slices of one target are summed only when a target spans
-    several; otherwise every row whose source cell has non-zero mass is a
-    batched L sigma L^dag, summed per target.  A zero-mass cell costs no
-    eigen-solve in the output check, and on the row path no Kraus product.
+    several.  Otherwise, from a channel's second apply on, a cached
+    :attr:`HybridChannel.source_basis` (when it is not None) computes every
+    B_nj sigma_n B_nl^dag in two batched products and contracts them with the
+    coefficient Grams in a third; in all other cases every row whose source
+    cell has non-zero mass is a batched L sigma L^dag, summed per target.  A
+    zero-mass cell costs no eigen-solve in the output check, and on the row
+    path no Kraus product.
     """
     if channel.src_space != state.space or channel.qdim_src != state.qdim:
         raise SpaceMismatch(
@@ -283,6 +353,12 @@ def apply(channel: HybridChannel, state: HybridState) -> HybridState:
         masses = (table @ vecs.reshape(table.shape[0], table.shape[2], 1)).reshape(-1, q, q)
         if slice_dst is not None:
             masses = _sum_runs(masses, slice_dst, n_dst)
+    elif next(channel._row_applies) and (form := channel.source_basis) is not None:
+        left, right, gram = form
+        s = left.shape[1] // q
+        # (n, j q + a, l q + b) holds (B_nj sigma_n B_nl^dag)[a, b]; reorder to (n, j, l, a, b)
+        products = (left @ state.masses @ right).reshape(-1, s, q, s, q).transpose(0, 1, 3, 2, 4)
+        masses = (gram @ products.reshape(-1, q * q)).reshape(n_dst, q, q)
     else:
         dst, src, kraus = channel.dst, channel.src, channel.kraus
         live = state.masses.any(axis=(1, 2))
@@ -360,11 +436,11 @@ def non_interacting(kernel: MarkovKernel, kraus: Sequence[np.ndarray]) -> Hybrid
         raise BadKernel(report.message)
     stack = np.asarray(kraus, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.size:
-        raise IncompleteKraus(f"Kraus set must stack to (k, d, d), got shape {stack.shape}")
+        raise IncompleteKraus(message=f"Kraus set must stack to (k, d, d), got shape {stack.shape}")
     q = stack.shape[1]
     defect = kraus_defect(stack)
     if defect > COMPLETENESS_TOL:
-        raise IncompleteKraus(f"sum L^dag L deviates from identity by {defect:.3e}")
+        raise IncompleteKraus(float(defect))
 
     p = kernel.matrix
     m, n = np.nonzero(p > 0.0)

@@ -19,7 +19,8 @@ from .channel import COMPLETENESS_TOL, apply, completeness_defect, random_channe
 from .classical import STOCHASTIC_TOL, MarkovKernel, counting_space, validate_kernel
 from .correlations import mutual_information
 from .errors import (
-    HybridError, IncompleteChannel, IncompleteInstrument, IoError, ParseError, UnknownSuite
+    HybridError, IncompleteChannel, IncompleteInstrument, IncompleteKraus, IoError, ParseError,
+    UnknownSuite,
 )
 from .linalg import TRACE_TOL, block_margins, von_neumann_entropy
 from .locc import is_ppt, run
@@ -136,10 +137,11 @@ def _validate_one(path: str) -> dict:
         raise
     except HybridError as exc:
         # a loader's invariant failure becomes a failed check, so one bad file
-        # yields a violation report instead of aborting the run; an incomplete
-        # channel or instrument fails its completeness row at the measured deviation
+        # yields a violation report instead of aborting the run; an incomplete channel,
+        # Kraus set or instrument fails its completeness row at the measured deviation
         error = f"{type(exc).__name__}: {exc}"
-        if isinstance(exc, (IncompleteChannel, IncompleteInstrument)):
+        incomplete = (IncompleteChannel, IncompleteInstrument, IncompleteKraus)
+        if isinstance(exc, incomplete) and exc.deviation is not None:
             name = "channel_completeness" if kind == "channel" else "instrument_completeness"
             checks = [_check(name, exc.deviation, COMPLETENESS_TOL, error)]
         else:

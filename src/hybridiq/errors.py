@@ -5,6 +5,13 @@ class HybridError(Exception):
     """Base class for all errors raised by this package."""
 
 
+def require_integer(value, what: str, error: type[HybridError]) -> int:
+    """``value`` if it is a Python int; a float, bool, string or numpy scalar raises ``error``."""
+    if type(value) is not int:
+        raise error(f"{what} must be an integer, got {value!r:.40}")
+    return value
+
+
 class NotHermitian(HybridError):
     pass
 
@@ -80,7 +87,9 @@ class IncompleteChannel(HybridError):
 
 
 class IncompleteKraus(HybridError):
-    pass
+    def __init__(self, deviation: float | None = None, message: str = ""):
+        self.deviation = deviation
+        super().__init__(message or f"sum L^dag L deviates from identity by {deviation:.3e}")
 
 
 class NotPSDCoefficients(HybridError):

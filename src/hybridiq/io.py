@@ -16,16 +16,14 @@ import numpy as np
 
 from .channel import HybridChannel, from_coeff_kernel, from_rows, non_interacting, pair_starts
 from .classical import ClassicalSpace, MarkovKernel, counting_space
-from .errors import IoError, ParseError
+from .errors import IoError, ParseError, require_integer
 from .locc import LoccProtocol, LoccRound
 from .state import HybridState, new_state
 
 
 def _integer(value: Any, what: str) -> int:
     """Read a JSON integer field: floats, booleans and strings raise ParseError, not truncate."""
-    if type(value) is not int:
-        raise ParseError(f"{what} must be an integer, got {value!r:.40}")
-    return value
+    return require_integer(value, what, ParseError)
 
 
 def _complex_array(re: Any, im: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -274,10 +272,12 @@ def protocol_from_json(obj: Any) -> LoccProtocol:
             raise ParseError(f"protocol round {r} malformed: {entry!r:.120}") from exc
         instrument = {}
         for key, ops in instrument_obj:
-            try:
-                history = tuple(int(x) for x in key.split(".")) if key else ()
-            except ValueError as exc:
-                raise ParseError(f"protocol round {r}: bad history key {key!r}") from exc
+            # "" or dot-separated ASCII digits: int() alone also reads "+1", " 1" and "1_0"
+            if not isinstance(key, str) or (
+                key and not all(x.isascii() and x.isdigit() for x in key.split("."))
+            ):
+                raise ParseError(f"protocol round {r}: bad history key {key!r}")
+            history = tuple(int(x) for x in key.split(".")) if key else ()
             instrument[history] = matrices_from_json(ops, f"round {r} history {key!r}")
         rounds.append(LoccRound(outcomes, instrument, side))
     return LoccProtocol((d1, d2), tuple(rounds))

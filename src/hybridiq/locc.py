@@ -26,6 +26,7 @@ from .errors import (
     NumericalFailure,
     RecordSpaceTooLarge,
     ShapeMismatch,
+    require_integer,
 )
 from .linalg import _require_density, hermitian_eig, kraus_defect, partial_transpose
 from .state import (
@@ -84,9 +85,9 @@ class LoccProtocol:
         resolved, worst = [], 0.0
         for r, rnd in enumerate(self.rounds):
             side = rnd.side if rnd.side is not None else (1 if r % 2 == 0 else 2)
-            if side not in (1, 2):
+            if require_integer(side, f"round {r} side", ShapeMismatch) not in (1, 2):
                 raise ShapeMismatch(f"round {r} has side {side}, expected 1 or 2")
-            if rnd.outcomes < 1:
+            if require_integer(rnd.outcomes, f"round {r} outcomes", ShapeMismatch) < 1:
                 raise ShapeMismatch(f"round {r} needs at least one outcome")
             d_side = (d1, d2)[side - 1]
             histories, stacks = [], []

@@ -27,3 +27,17 @@ def kraus_defect_calls(monkeypatch):
         if holds and name.partition(".")[0] == "hybridiq":
             monkeypatch.setattr(module, "kraus_defect", counted)
     return calls
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Wrap numpy.linalg.svd; the list gets the shape of each matrix stack it factors."""
+    original = np.linalg.svd
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls

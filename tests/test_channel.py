@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridiq import io
 from hybridiq.channel import (
     TRANSFER_QDIM_PRODUCT_LIMIT,
     HybridChannel,
@@ -264,6 +267,97 @@ def test_apply_matches_oracle_on_every_pattern(pattern, n_src, n_dst, qdims, dea
     if "transfer" in vars(ch):
         pairs = len(set(zip(ch.dst.tolist(), ch.src.tolist())))
         assert ch.transfer[0].size <= 2 * pairs
+
+
+def _sparse_kernel(src, dst, zeros, rng) -> MarkovKernel:
+    """Random kernel with the entries flagged in ``zeros`` set to 0; each column keeps its largest."""
+    p = random_stochastic_matrix(dst.size, src.size, rng)
+    drop = np.asarray(zeros[: p.size]).reshape(p.shape) & (p < p.max(axis=0))
+    p[drop] = 0.0
+    return MarkovKernel(src, dst, p / p.sum(axis=0))
+
+
+def _reusable_channel(family, n_src, n_dst, q_src, q_dst, k, zeros, rng):
+    """A non_interacting channel (square, through JSON), a random_channel or a composition."""
+    src, dst = counting_space(n_src), counting_space(n_dst)
+    if family == "non_interacting":
+        ch = non_interacting(_sparse_kernel(src, dst, zeros, rng), random_kraus_set(q_src, k, rng))
+        return io.channel_from_json(json.loads(json.dumps(io.channel_to_json(ch))))
+
+    def draw(a, b, q_b):
+        # at least k branches, and enough for each source's rows to right-normalize
+        return random_channel(a, b, q_src, q_b, max(k, -(-q_src // (b.size * q_b))), rng)
+
+    if family == "random":
+        return draw(src, dst, q_dst)
+    mid = counting_space(int(rng.integers(1, 4)))
+    first = draw(src, mid, q_src)
+    return compose(draw(mid, dst, q_dst), first)
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(["non_interacting", "random", "compose"]),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.sampled_from([(3, 3), (4, 4), (5, 5), (2, 3), (3, 2), (1, 5), (5, 1)]),
+    st.integers(1, 3),
+    st.lists(st.booleans(), min_size=25, max_size=25),
+    st.integers(0, 2**32 - 1),
+)
+def test_reused_row_path_channel_matches_oracle_in_either_form(
+    family, n_src, n_dst, qdims, k, zeros, seed
+):
+    rng = np.random.default_rng(seed)
+    q_src, q_dst = qdims
+    if family == "non_interacting":  # square, on the row path
+        q_src = q_dst = max(qdims)
+    else:
+        k = min(k, 2)
+    ch = _reusable_channel(family, n_src, n_dst, q_src, q_dst, k, zeros, rng)
+    masses = random_state(ch.src_space, q_src, rng).masses.copy()
+    masses[np.flatnonzero(zeros[:n_src])[: n_src - 1]] = 0.0  # zero-mass cells, one stays live
+    w = new_state(ch.src_space, masses / np.trace(masses.sum(axis=0)).real)
+    expected = apply_oracle(ch, w)
+    # the first apply runs the rows, the second the form the channel selects
+    for _ in range(2):
+        assert np.abs(apply(ch, w).masses - expected).max() <= 1e-12
+    assert "source_basis" in vars(ch)
+
+
+def test_source_basis_is_built_on_the_second_apply_where_it_pays():
+    rng = np.random.default_rng(24)
+    space = counting_space(8)
+    kernel = MarkovKernel(space, space, random_stochastic_matrix(8, 8, rng))
+    ch = non_interacting(kernel, random_kraus_set(16, 2, rng))
+    w = random_state(space, 16, rng)
+    once = apply(ch, w)
+    assert "source_basis" not in vars(ch)  # a channel applied once pays no factorisation
+    for _ in range(2):
+        assert np.abs(apply(ch, w).masses - once.masses).max() <= 1e-15
+    left, right, gram = ch.source_basis
+    # rows sqrt(P(m|n)) L_a: each source spans the two Kraus operators
+    assert left.shape == (8, 2 * 16, 16) and right.shape == (8, 16, 2 * 16)
+    assert gram.shape == (8, 8 * 2 * 2)
+    assert not any(arr.flags.writeable for arr in (left, right, gram))
+    basis = left.reshape(8, 2, 256)
+    assert np.abs(basis @ basis.conj().swapaxes(1, 2) - np.eye(2)).max() <= 1e-12
+
+    # one row per cell pair, every row independent: rank 8 per source, the rows stay
+    mixing = random_channel(space, space, 16, 16, branching=1, seed=rng)
+    for _ in range(3):
+        assert np.abs(apply(mixing, w).masses - apply_oracle(mixing, w)).max() <= 1e-12
+    assert mixing.source_basis is None
+
+
+def test_source_basis_shape_rule_rejects_before_any_factorisation(svd_calls):
+    rng = np.random.default_rng(25)
+    # one row per source: a rank-1 basis per source costs as much as the rows, plus the Grams
+    ch = random_channel(counting_space(4), counting_space(1), 3, 3, branching=1, seed=rng)
+    w = random_state(ch.src_space, 3, rng)
+    for _ in range(2):
+        assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
+    assert ch.source_basis is None and not svd_calls
 
 
 def test_transfer_splits_a_hub_target_into_slices():

@@ -9,7 +9,7 @@ from hybridiq.channel import COMPLETENESS_TOL, identity_channel, non_interacting
 from hybridiq.classical import counting_space, uniform_mixing_kernel
 from hybridiq.cli import main
 from hybridiq.errors import (
-    HybridError, IncompleteChannel, IncompleteInstrument, NotPositive, ParseError
+    HybridError, IncompleteChannel, IncompleteInstrument, IncompleteKraus, NotPositive, ParseError
 )
 from hybridiq.linalg import HERMITICITY_TOL, PSD_TOL
 from hybridiq.locc import LoccProtocol, LoccRound
@@ -401,6 +401,15 @@ def _malformed_files():
         "k": io.complex_tensor_to_json(np.eye(4)[None, None] / 2),
     }
     mass = io.state_to_json(new_state(counting_space(1), [[[1.0]]], 1))
+
+    def two_round_protocol(key):
+        # the Bell round, then an identity round on side 2 whose one history key is ``key``
+        obj = _bell_protocol_obj()
+        obj["rounds"].append(
+            {"side": 2, "outcomes": 1, "instrument": {key: io.matrices_to_json(np.eye(2)[None])}}
+        )
+        return obj
+
     files = [
         ("rounds-not-a-list", io.protocol_from_json, edit(_bell_protocol_obj(), ["rounds"], 5)),
         ("instrument-not-an-object", io.protocol_from_json,
@@ -430,6 +439,10 @@ def _malformed_files():
         ("float-dims", io.protocol_from_json, edit(_bell_protocol_obj(), ["dims"], [2.5, 2])),
         ("float-side", io.protocol_from_json,
          edit(_bell_protocol_obj(), ["rounds", 0, "side"], 2.0)),
+        # history keys are dot-separated ASCII digits; int() alone would read (1,) or (10,)
+        *((f"history-key-{label}", io.protocol_from_json, two_round_protocol(key))
+          for label, key in (("plus", "+1"), ("space", " 1"), ("underscore", "1_0"),
+                             ("non-ascii-digit", "\u0661"), ("empty-part", "1."))),
     ]
     return [pytest.param(*f, id=f[0]) for f in files]
 
@@ -487,6 +500,11 @@ def _spec_files():
 
     incomplete_channel = io.channel_to_json(identity_channel(counting_space(2), 2))
     incomplete_channel["blocks"][0]["L"][0]["re"] = [0.5, 0.0, 0.0, 0.5]
+    half_identity_kraus = {
+        "type": "non_interacting",
+        "kernel": {"P": [1.0], "rows": 1, "cols": 1},
+        "kraus": io.matrices_to_json(0.5 * np.eye(2)[None]),
+    }
     incomplete_instrument = _bell_protocol_obj()
     incomplete_instrument["rounds"][0]["instrument"][""][1]["re"] = [0.0, 0.0, 0.0, 0.5]
     nan_instrument = _bell_protocol_obj()
@@ -510,6 +528,7 @@ def _spec_files():
         ("good-channel", io.channel_from_json,
          io.channel_to_json(identity_channel(counting_space(2), 2))),
         ("incomplete-channel", io.channel_from_json, incomplete_channel),
+        ("incomplete-non-interacting-channel", io.channel_from_json, half_identity_kraus),
         ("good-channel-completeness-half-tol", io.channel_from_json,
          stretched_channel(0.5 * COMPLETENESS_TOL)),
         ("channel-completeness-twice-tol", io.channel_from_json,
@@ -541,7 +560,7 @@ def test_validate_agrees_with_loaders(tmp_path, name, loader, obj, capsys):
         accepted = True
     except NotPositive as exc:
         accepted, cell = False, exc.cell
-    except (IncompleteChannel, IncompleteInstrument) as exc:
+    except (IncompleteChannel, IncompleteInstrument, IncompleteKraus) as exc:
         accepted, incomplete = False, exc
     except HybridError:
         accepted = False
@@ -559,6 +578,29 @@ def test_validate_agrees_with_loaders(tmp_path, name, loader, obj, capsys):
         assert check["deviation"] == incomplete.deviation
         assert check["tolerance"] == COMPLETENESS_TOL
         assert check["error"] == f"{type(incomplete).__name__}: {incomplete}"
+
+
+def test_validate_reports_an_incomplete_kraus_set_as_strict_json(tmp_path, capsys):
+    # sum L^dag L = 0.25 I for the one Kraus operator 0.5 I: deviation 0.75
+    path = tmp_path / "half.json"
+    io.dump_json(dict(_spec_files_by_id()["incomplete-non-interacting-channel"]), path)
+    assert main(["validate", str(path)]) == 2
+
+    def reject(constant):
+        raise AssertionError(f"report holds {constant}, which is not JSON")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)["reports"][0]
+    assert report["checks"] == [{
+        "name": "channel_completeness",
+        "deviation": 0.75,
+        "tolerance": COMPLETENESS_TOL,
+        "ok": False,
+        "error": "IncompleteKraus: sum L^dag L deviates from identity by 7.500e-01",
+    }]
+
+
+def _spec_files_by_id():
+    return {p.values[0]: p.values[2] for p in _spec_files()}
 
 
 def test_validate_measures_each_protocol_round_once(tmp_path, kraus_defect_calls, capsys):

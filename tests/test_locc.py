@@ -248,6 +248,17 @@ def test_protocol_shape_validation():
         LoccProtocol((2, 2), (LoccRound(1, {(1,): [np.eye(2)]}),))
 
 
+@pytest.mark.parametrize(
+    "outcomes, side",
+    [(2, 2.0), (2, True), (2, np.int64(1)), (2.0, 1), (True, 1)],
+    ids=["float-side", "bool-side", "numpy-side", "float-outcomes", "bool-outcomes"],
+)
+def test_protocol_rejects_non_integer_side_and_outcomes(outcomes, side):
+    # the rule io reads JSON integers with: a float, bool or numpy scalar is not an int
+    with pytest.raises(ShapeMismatch, match="must be an integer"):
+        LoccProtocol((2, 2), (LoccRound(outcomes, {(): [P0, P1]}, side=side),))
+
+
 def test_default_side_alternation():
     proto = LoccProtocol(
         (2, 3),
@@ -526,6 +537,22 @@ def test_bench_shaped_eleven_rounds_lower_and_match_run():
     for rec, mass in zip(direct.space.labels, direct.masses):
         assert np.abs(by_record[rec] - mass).max() <= 1e-10
     assert np.abs(quantum_marginal(state) - lam).max() <= 1e-10
+
+
+def test_round_channels_never_factor_a_source_basis(svd_calls):
+    protocols = [bench_shaped_protocol(seed) for seed in (7, 8, 9)] + mixed_protocols()
+    rng = np.random.default_rng(33)
+    states = [initial_record_state(p, random_density(p.dims[0] * p.dims[1], rng)) for p in protocols]
+    svd_calls.clear()
+    for proto, state in zip(protocols, states):
+        for ch in as_hybrid_channels(proto):
+            # applied twice, so only the shape rule keeps the rows: a single
+            # Kraus row per passive record leaves the form nothing to save
+            once = apply(ch, state)
+            state = apply(ch, state)
+            assert ch.source_basis is None
+            assert np.array_equal(once.masses, state.masses)
+    assert not svd_calls
 
 
 @st.composite
