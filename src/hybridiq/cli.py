@@ -20,7 +20,7 @@ from .classical import STOCHASTIC_TOL, MarkovKernel, counting_space, validate_ke
 from .correlations import mutual_information
 from .errors import (
     HybridError, IncompleteChannel, IncompleteInstrument, IncompleteKraus, IoError, ParseError,
-    UnknownSuite,
+    SpaceMismatch, UnknownSuite,
 )
 from .linalg import TRACE_TOL, block_margins, von_neumann_entropy
 from .locc import is_ppt, run
@@ -46,15 +46,18 @@ def _emit_text(text: str, out_path: str | None) -> None:
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
-    _emit_text(json.dumps(payload, indent=2, sort_keys=True), out_path)
+    # strict JSON: a non-finite figure is an error here, not an Infinity or NaN token
+    _emit_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), out_path)
 
 
-def _check(name: str, deviation: float, tolerance: float, error: str = "") -> dict:
+def _check(name: str, deviation: float | None, tolerance: float, error: str = "") -> dict:
+    # a failure that measured nothing finite has no deviation: null, and the check fails
+    measured = deviation is not None and bool(np.isfinite(deviation))
     check = {
         "name": name,
-        "deviation": float(deviation),
+        "deviation": float(deviation) if measured else None,
         "tolerance": float(tolerance),
-        "ok": bool(deviation <= tolerance),
+        "ok": measured and bool(deviation <= tolerance),
     }
     if error and not check["ok"]:
         check["error"] = error
@@ -145,7 +148,7 @@ def _validate_one(path: str) -> dict:
             name = "channel_completeness" if kind == "channel" else "instrument_completeness"
             checks = [_check(name, exc.deviation, COMPLETENESS_TOL, error)]
         else:
-            checks = [_check(f"{kind}_construction", np.inf, 0.0, error)]
+            checks = [_check(f"{kind}_construction", None, 0.0, error)]
     return {"path": path, "kind": kind, "checks": checks, "ok": all(c["ok"] for c in checks)}
 
 
@@ -164,11 +167,15 @@ def _trace_and_floor(state) -> dict:
 
 
 def _metrics_row(step: int, state, previous) -> dict:
+    try:
+        moved = 0.0 if previous is None else distance(previous, state)
+    except SpaceMismatch:
+        moved = None  # a step that changed the space has no distance: null, or an empty CSV field
     return {
         "step": step,
         **_trace_and_floor(state),
         "mutual_information": mutual_information(state),
-        "distance_from_previous": 0.0 if previous is None else distance(previous, state),
+        "distance_from_previous": moved,
     }
 
 
@@ -185,7 +192,9 @@ def _write_metrics_csv(rows: list[dict], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
-            cells = [str(row["step"])] + [_fmt_float(row[c]) for c in CSV_COLUMNS[1:]]
+            cells = [str(row["step"])] + [
+                "" if row[c] is None else _fmt_float(row[c]) for c in CSV_COLUMNS[1:]
+            ]
             fh.write(",".join(cells) + "\n")
 
 

@@ -270,7 +270,7 @@ def protocol_from_json(obj: Any) -> LoccProtocol:
             side = None if side is None else _integer(side, f"protocol round {r} side")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"protocol round {r} malformed: {entry!r:.120}") from exc
-        instrument = {}
+        instrument, keys = {}, {}
         for key, ops in instrument_obj:
             # "" or dot-separated ASCII digits: int() alone also reads "+1", " 1" and "1_0"
             if not isinstance(key, str) or (
@@ -278,6 +278,12 @@ def protocol_from_json(obj: Any) -> LoccProtocol:
             ):
                 raise ParseError(f"protocol round {r}: bad history key {key!r}")
             history = tuple(int(x) for x in key.split(".")) if key else ()
+            if history in keys:  # "1" and "01" read as one history
+                raise ParseError(
+                    f"protocol round {r}: history keys {keys[history]!r} and {key!r} "
+                    f"both name history {history}"
+                )
+            keys[history] = key
             instrument[history] = matrices_from_json(ops, f"round {r} history {key!r}")
         rounds.append(LoccRound(outcomes, instrument, side))
     return LoccProtocol((d1, d2), tuple(rounds))

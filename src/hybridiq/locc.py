@@ -1,13 +1,14 @@
 """Multi-round LOCC protocols over a discrete outcome record.
 
 A protocol measures the two quantum sides in rounds; each round's instrument
-may depend on the history of earlier outcomes.  Outcome label 0 is reserved
-for "not yet measured", so complete records have every label >= 1.  Running a
-protocol produces a hybrid state over complete records plus the overall
-quantum operation Lambda(rho).  ``run`` evaluates in product form: a record's
-branch operator is A_x (x) B_x, so it tracks only the two local factors and
-never forms an operator on the full system.  The same protocol can be lowered
-to one hybrid channel per round acting on the records that can carry mass.
+may depend on the history of earlier outcomes.  Outcome labels start at 1, and
+a record is a history: the tuple of outcomes so far.  Running a protocol
+produces a hybrid state over complete records plus the overall quantum
+operation Lambda(rho).  ``run`` evaluates in product form: a record's branch
+operator is A_x (x) B_x, so it tracks only the two local factors and never
+forms an operator on the full system.  The same protocol can be lowered to one
+hybrid channel per round, from the histories of that round's level (those with
+r outcomes) to the next level's.
 """
 
 from __future__ import annotations
@@ -82,13 +83,27 @@ class LoccProtocol:
         object.__setattr__(self, "dims", (d1, d2))
         if not self.rounds:
             raise ShapeMismatch("a protocol needs at least one round")
-        resolved, worst = [], 0.0
+        # RECORD_SPACE_LIMIT bounds the reachable records, and records x rounds (the
+        # tuple slots of _histories) to what rounds that each at least double the
+        # level reach under it; checked from the outcome counts, before any instrument
+        n = len(self.rounds)
+        cap = min(RECORD_SPACE_LIMIT, RECORD_SPACE_LIMIT * RECORD_SPACE_LIMIT.bit_length() // n)
+        sides, total, level = [], 1, 1
         for r, rnd in enumerate(self.rounds):
             side = rnd.side if rnd.side is not None else (1 if r % 2 == 0 else 2)
             if require_integer(side, f"round {r} side", ShapeMismatch) not in (1, 2):
                 raise ShapeMismatch(f"round {r} has side {side}, expected 1 or 2")
             if require_integer(rnd.outcomes, f"round {r} outcomes", ShapeMismatch) < 1:
                 raise ShapeMismatch(f"round {r} needs at least one outcome")
+            level *= rnd.outcomes
+            total += level
+            if total > cap:
+                raise RecordSpaceTooLarge(
+                    f"protocol has at least {total} reachable records (limit {cap} for {n} rounds)"
+                )
+            sides.append(side)
+        resolved, worst = [], 0.0
+        for r, (rnd, side) in enumerate(zip(self.rounds, sides)):
             d_side = (d1, d2)[side - 1]
             histories, stacks = [], []
             for history, ops in rnd.instrument.items():
@@ -131,38 +146,30 @@ class LoccProtocol:
 
 def _lift(dims: tuple[int, int], side: int, v: np.ndarray) -> np.ndarray:
     """One side's operator, or a (..., d_side, d_side) stack of them, on the full system."""
+    # one broadcast product against the identity gives np.kron's entries, bit for bit
     d1, d2 = dims
-    return np.kron(v, np.eye(d2)) if side == 1 else np.kron(np.eye(d1), v)
+    if side == 1:
+        lifted = v[..., :, None, :, None] * np.eye(d2)[:, None, :]
+    else:
+        lifted = np.eye(d1)[:, None, :, None] * v[..., None, :, None, :]
+    return lifted.reshape(v.shape[:-2] + (d1 * d2, d1 * d2))
 
 
 def _histories(protocol: LoccProtocol) -> list[list[tuple[int, ...]]]:
     """Level r lists the histories (x_1, ..., x_r), every x_i >= 1, in lexicographic order.
 
-    These are the records that can carry mass.  RECORD_SPACE_LIMIT bounds their
-    total, and records x rounds (padded labels, lowering rows) to what rounds that
-    each at least double the level reach under it; checked before each level is built.
+    These are the records that can carry mass; the protocol's construction has
+    bounded their total.  A history's children are contiguous in the next level.
     """
-    levels, total, n = [[()]], 1, len(protocol.rounds)
-    cap = min(RECORD_SPACE_LIMIT, RECORD_SPACE_LIMIT * RECORD_SPACE_LIMIT.bit_length() // n)
+    levels = [[()]]
     for rnd in protocol.rounds:
-        total += len(levels[-1]) * rnd.outcomes
-        if total > cap:
-            raise RecordSpaceTooLarge(
-                f"protocol has at least {total} reachable records (limit {cap} for {n} rounds)"
-            )
         labels = range(1, rnd.outcomes + 1)
         levels.append([history + (x,) for history in levels[-1] for x in labels])
     return levels
 
 
-def full_record_space(protocol: LoccProtocol) -> ClassicalSpace:
-    """Counting-measure space over every history padded with 0 ("not yet measured").
-
-    Labels are in lexicographic order, so cell 0 is the record (0, ..., 0).
-    """
-    length = len(protocol.rounds)
-    labels = sorted(h + (0,) * (length - len(h)) for level in _histories(protocol) for h in level)
-    return counting_space(len(labels), labels=tuple(labels))
+def _level_space(level: list[tuple[int, ...]]) -> ClassicalSpace:
+    return counting_space(len(level), labels=tuple(level))
 
 
 def _record_masses(a: np.ndarray, b: np.ndarray, rho4: np.ndarray) -> np.ndarray:
@@ -209,55 +216,43 @@ def run(protocol: LoccProtocol, rho) -> tuple[HybridState, np.ndarray]:
         step = np.stack([rnd.instrument.get(history, pruned) for history in histories])
         factors[acting] = (step @ factors[acting][:, None]).reshape((-1,) + pruned.shape[1:])
         factors[1 - acting] = np.repeat(factors[1 - acting], rnd.outcomes, axis=0)
-    space = counting_space(len(levels[-1]), labels=tuple(levels[-1]))
-    state = new_state(space, _record_masses(*factors, rho4))
+    state = new_state(_level_space(levels[-1]), _record_masses(*factors, rho4))
     return state, quantum_marginal(state)
 
 
 def initial_record_state(protocol: LoccProtocol, rho) -> HybridState:
-    """Point mass at record (0, ..., 0), the first cell, with quantum part ``rho``."""
-    return point_mass_state(full_record_space(protocol), 0, rho)
+    """``rho`` at the empty history (), the one cell of the first round channel's source."""
+    return point_mass_state(_level_space([()]), 0, rho)
 
 
 def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
-    """One hybrid channel per round over :func:`full_record_space`.
+    """One hybrid channel per round, from the level-r histories to the level-(r + 1) ones.
 
-    Round r moves mass from each record (h, 0, ..., 0) whose history h has an
-    instrument to the records with the measured label written in, conjugating
-    by the lifted instrument operators.  Every other record passes through on
-    one identity row, so it is exactly complete.  An acting cell's rows are
-    kron(A_a, I), and sum_a kron(A_a, I)^dag kron(A_a, I) is
-    kron(sum_a A_a^dag A_a, I), so the instrument's completeness, measured
-    once when the protocol was built, carries over and is not measured again.
+    Level r's cells are its histories in ``_histories`` order, so the last
+    round's target is ``run``'s space of complete records, cell for cell.
+    History i moves to its children, cells i*k ... i*k + k - 1, on the rows
+    kron(A_a, I) of its instrument.  sum_a kron(A_a, I)^dag kron(A_a, I) is
+    kron(sum_a A_a^dag A_a, I), so the instrument's completeness, measured once
+    when the protocol was built, carries over and is not measured again.  The
+    lowering never sees the input state, so it cannot prune as ``run`` does:
+    IncompleteInstrument names the first history without an instrument, round
+    by round and lexicographically within a round.
     """
     d = protocol.dims[0] * protocol.dims[1]
-    space = full_record_space(protocol)
-    cell = {label: n for n, label in enumerate(space.labels)}
-    n_rounds = len(protocol.rounds)
-
+    levels = _histories(protocol)
+    spaces = [_level_space(level) for level in levels]
     channels = []
-    for r, rnd in enumerate(protocol.rounds):
-        pad = (0,) * (n_rounds - r - 1)
-        # column 0 is the acting record (h, 0, ...), column x the record with outcome x
-        cells = np.array(
-            [[cell[h + (x,) + pad] for x in range(rnd.outcomes + 1)] for h in rnd.instrument],
-            dtype=np.intp,
-        ).reshape(-1, rnd.outcomes + 1)
-        active = cells[:, 0]
-        d_side = protocol.dims[rnd.side - 1]
-        # the reshape gives a round without instrument entries an empty stack
-        stacked = np.array(list(rnd.instrument.values()), dtype=complex)
-        stacked = stacked.reshape(-1, rnd.outcomes, d_side, d_side)
-        passive = np.setdiff1d(np.arange(space.size), active, assume_unique=True)
+    for r, (rnd, histories) in enumerate(zip(protocol.rounds, levels)):
+        try:
+            stacked = np.stack([rnd.instrument[history] for history in histories])
+        except KeyError as exc:
+            raise IncompleteInstrument(exc.args[0]) from None
+        n, k = len(histories), rnd.outcomes
         channels.append(
             _unchecked_from_rows(
-                space, space, d, d,
-                np.concatenate([passive, cells[:, 1:].ravel()]),
-                np.concatenate([passive, np.repeat(active, rnd.outcomes)]),
-                np.concatenate([
-                    np.broadcast_to(np.eye(d, dtype=complex), (passive.size, d, d)),
-                    _lift(protocol.dims, rnd.side, stacked).reshape(-1, d, d),
-                ]),
+                spaces[r], spaces[r + 1], d, d,
+                np.arange(n * k), np.repeat(np.arange(n), k),
+                _lift(protocol.dims, rnd.side, stacked).reshape(-1, d, d),
                 kind="locc_round",
             )
         )

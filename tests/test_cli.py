@@ -7,7 +7,7 @@ import pytest
 from hybridiq import io
 from hybridiq.channel import COMPLETENESS_TOL, identity_channel, non_interacting
 from hybridiq.classical import counting_space, uniform_mixing_kernel
-from hybridiq.cli import main
+from hybridiq.cli import CSV_COLUMNS, main
 from hybridiq.errors import (
     HybridError, IncompleteChannel, IncompleteInstrument, IncompleteKraus, NotPositive, ParseError
 )
@@ -132,14 +132,16 @@ def test_locc_bell_scenario(tmp_path, capsys):
 
 
 def test_evolve_bell_locc_scenario_ends_ppt(tmp_path, capsys):
-    # lower a Bell measurement protocol to record-space channels, drive the
-    # initial point-mass state through them, and check the final quantum
-    # marginal is PPT
-    from hybridiq.locc import as_hybrid_channels, initial_record_state
+    # lower a two-round Bell measurement protocol to level-to-level record
+    # channels, drive the one-cell initial state through them, and check the
+    # final quantum marginal is PPT and the records are run's
+    from hybridiq.locc import as_hybrid_channels, initial_record_state, is_ppt, run
     from hybridiq.state import quantum_marginal
-    from hybridiq.locc import is_ppt
 
-    proto = LoccProtocol((2, 2), (LoccRound(2, {(): [P0, P1]}, side=1),))
+    proto = LoccProtocol((2, 2), (
+        LoccRound(2, {(): [P0, P1]}, side=1),
+        LoccRound(1, {(1,): [np.eye(2)], (2,): [np.eye(2)]}, side=2),
+    ))
     state_path = tmp_path / "record_state.json"
     io.dump_json(io.state_to_json(initial_record_state(proto, BELL)), state_path)
     channel_paths = []
@@ -147,11 +149,38 @@ def test_evolve_bell_locc_scenario_ends_ppt(tmp_path, capsys):
         path = tmp_path / f"round{i}.json"
         io.dump_json(io.channel_to_json(ch), path)
         channel_paths.append(str(path))
-    out_path = tmp_path / "final.json"
-    assert main(["evolve", str(state_path), *channel_paths, "--out", str(out_path)]) == 0
-    capsys.readouterr()
+    out_path, csv_path = tmp_path / "final.json", tmp_path / "m.csv"
+    assert main(["evolve", str(state_path), *channel_paths, "--out", str(out_path),
+                 "--metrics-out", str(csv_path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    # the step moves the state from the one-cell space to the complete records
+    assert [row["distance_from_previous"] for row in rows] == [0.0, None]
+    assert csv_path.read_text().splitlines()[2].endswith(",")
     final = io.state_from_json(io.load_json(out_path))
+    direct, _ = run(proto, BELL)
+    assert final.space.labels == direct.space.labels == ((1, 1), (2, 1))
+    assert np.abs(final.masses - direct.masses).max() <= 1e-12
     assert is_ppt(quantum_marginal(final), 2, 2)
+
+
+def test_evolve_space_changing_channel_has_no_distance(tmp_path, capsys):
+    state, ch, csv_path = tmp_path / "s.json", tmp_path / "c.json", tmp_path / "m.csv"
+    assert main(["randgen", "state", "--cells", "3", "--out", str(state)]) == 0
+    assert main(["randgen", "channel", "--src-cells", "3", "--dst-cells", "2",
+                 "--out", str(ch)]) == 0
+    capsys.readouterr()
+    assert main(["evolve", str(state), str(ch), "--metrics-out", str(csv_path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["distance_from_previous"] for row in rows] == [0.0, None]
+    header, first, second = csv_path.read_text().splitlines()
+    assert header == ",".join(CSV_COLUMNS)
+    assert first.split(",")[-1] == "0" and second.split(",")[-1] == ""
+    assert len(second.split(",")) == len(CSV_COLUMNS)
+    # a second step feeds the 2-cell output back to the 3-cell channel
+    assert main(["evolve", str(state), str(ch), "--steps", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("evolve: step 2: SpaceMismatch")
 
 
 def test_metrics_single_and_pair(tmp_path, state_file, capsys):
@@ -597,6 +626,48 @@ def test_validate_reports_an_incomplete_kraus_set_as_strict_json(tmp_path, capsy
         "ok": False,
         "error": "IncompleteKraus: sum L^dag L deviates from identity by 7.500e-01",
     }]
+
+
+def test_validate_writes_null_for_a_construction_failure(tmp_path, capsys):
+    # four copies of I cannot span the operator space: BadBasis measures no deviation
+    path = tmp_path / "bad-basis.json"
+    io.dump_json({
+        "type": "coeff_kernel",
+        "basis": io.matrices_to_json(np.stack([np.eye(2)] * 4)),
+        "k": io.complex_tensor_to_json(np.eye(4)[None, None] / 2),
+    }, path)
+    assert main(["validate", str(path)]) == 2
+
+    def reject(constant):
+        raise AssertionError(f"report holds {constant}, which is not JSON")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)["reports"][0]
+    assert report["checks"] == [{
+        "name": "channel_construction",
+        "deviation": None,
+        "tolerance": 0.0,
+        "ok": False,
+        "error": "BadBasis: basis elements are linearly dependent",
+    }]
+
+
+def test_duplicate_history_keys_end_in_parse_error(tmp_path, capsys):
+    # "1" and "01" both read as history (1,); the later one used to replace the earlier
+    obj = _bell_protocol_obj()
+    projectors = io.matrices_to_json(np.stack([P0, P1]))
+    swapped = io.matrices_to_json(np.stack([P1, P0]))
+    obj["rounds"].append({"side": 2, "outcomes": 2,
+                          "instrument": {"1": projectors, "2": projectors, "01": swapped}})
+    with pytest.raises(ParseError, match=r"history keys '1' and '01' both name history \(1,\)"):
+        io.protocol_from_json(obj)
+    path, rho_path = tmp_path / "proto.json", tmp_path / "bell.json"
+    io.dump_json(obj, path)
+    io.dump_json(io.matrix_to_json(BELL), rho_path)
+    for argv in (["validate", str(path)], ["locc", str(path), str(rho_path)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        # dump_json sorts keys, so the file reads "01" first
+        assert captured.out == "" and "history keys '01' and '1'" in captured.err
 
 
 def _spec_files_by_id():

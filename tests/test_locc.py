@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridiq import io
-from hybridiq.channel import COMPLETENESS_TOL, apply, completeness_defect, from_rows
+from hybridiq.channel import (
+    COMPLETENESS_TOL, _basis_cost, _product_cost, apply, completeness_defect, from_rows
+)
 from hybridiq.classical import counting_space
 from hybridiq.errors import (
     DimensionMismatch,
@@ -24,8 +26,8 @@ from hybridiq.locc import (
     RECORD_SPACE_LIMIT,
     LoccProtocol,
     LoccRound,
+    _histories,
     as_hybrid_channels,
-    full_record_space,
     initial_record_state,
     is_ppt,
     run,
@@ -273,44 +275,47 @@ def test_default_side_alternation():
 
 def test_as_hybrid_channels_single_round_identity():
     proto = LoccProtocol((2, 2), (LoccRound(1, {(): [np.eye(2)]}, side=1),))
-    channels = as_hybrid_channels(proto)
-    assert len(channels) == 1
-    ch = channels[0]
-    assert ch.src_space.labels == ((0,), (1,))
-    pairs = set(zip(ch.dst.tolist(), ch.src.tolist()))
-    assert (1, 0) in pairs and (1, 1) in pairs
+    (ch,) = as_hybrid_channels(proto)
+    assert ch.src_space.labels == ((),) and ch.dst_space.labels == ((1,),)
+    assert ch.dst.tolist() == [0] and ch.src.tolist() == [0]
+    assert np.array_equal(ch.kraus[0], np.eye(4))
     assert completeness_defect(ch) <= 1e-12
 
 
 def test_as_hybrid_channels_mixed_outcomes_and_missing_history():
     # 3, 1 and 2 outcomes on a 2x3 system; outcome 3 of round 0 has a zero
-    # operator, so its history (3,) may lack an instrument and passes through
+    # operator, so run prunes its history (3,), which has no instrument, while
+    # the lowering, which never sees the state, refuses it
     rng = np.random.default_rng(5)
     zero = np.zeros((2, 2), dtype=complex)
-    proto = LoccProtocol(
-        (2, 3),
-        (
-            LoccRound(3, {(): [P0, P1, zero]}, side=1),
-            LoccRound(1, {(1,): [np.eye(3)], (2,): [np.eye(3)]}, side=2),
-            LoccRound(2, {(1, 1): [P0, P1], (2, 1): random_instrument(2, 2, rng)}, side=1),
-        ),
-    )
-    channels = as_hybrid_channels(proto)
-    space = channels[0].src_space
-    index = {rec: i for i, rec in enumerate(space.labels)}
-    passing = index[(3, 0, 0)]
-    rows = np.flatnonzero(channels[1].src == passing)
-    assert channels[1].dst[rows].tolist() == [passing]
-    assert np.array_equal(channels[1].kraus[rows[0]], np.eye(6))
+    first = LoccRound(3, {(): [P0, P1, zero]}, side=1)
+    later = {(1, 1): [P0, P1], (2, 1): random_instrument(2, 2, rng)}
+    pruned = LoccProtocol((2, 3), (
+        first,
+        LoccRound(1, {(1,): [np.eye(3)], (2,): [np.eye(3)]}, side=2),
+        LoccRound(2, later, side=1),
+    ))
+    with pytest.raises(IncompleteInstrument) as info:
+        as_hybrid_channels(pruned)
+    assert info.value.history == (3,) and info.value.deviation is None
+    full = LoccProtocol((2, 3), (
+        first,
+        LoccRound(1, {(1,): [np.eye(3)], (2,): [np.eye(3)], (3,): [np.eye(3)]}, side=2),
+        LoccRound(2, {**later, (3, 1): random_instrument(2, 2, rng)}, side=1),
+    ))
+    channels = as_hybrid_channels(full)
+    assert [(ch.src_space.size, ch.dst_space.size, ch.dst.size) for ch in channels] == [
+        (1, 3, 3), (3, 3, 3), (3, 6, 6)
+    ]
 
     rho = random_density(6, rng)
-    state = initial_record_state(proto, rho)
+    state = initial_record_state(full, rho)
     for ch in channels:
         assert completeness_defect(ch) <= 1e-9
         state = apply(ch, state)
-    direct, lam = run(proto, rho)
-    for rec, mass in zip(direct.space.labels, direct.masses):
-        assert np.abs(state.masses[index[rec]] - mass).max() <= 1e-10
+    direct, lam = run(pruned, rho)
+    assert state.space.labels == direct.space.labels
+    assert np.abs(state.masses - direct.masses).max() <= 1e-10
     assert np.abs(quantum_marginal(state) - lam).max() <= 1e-10
 
 
@@ -320,10 +325,9 @@ def test_as_hybrid_channels_bell_measurement():
     (channel,) = as_hybrid_channels(proto)
     final = apply(channel, state)
     direct, lam = run(proto, BELL)
-    by_record = dict(zip(final.space.labels, final.masses))
-    assert np.abs(by_record[(0,)]).max() <= 1e-12
-    assert np.abs(by_record[(1,)] - direct.masses[0]).max() <= 1e-12
-    assert np.abs(by_record[(2,)] - direct.masses[1]).max() <= 1e-12
+    assert state.space.labels == ((),)
+    assert final.space.labels == direct.space.labels == ((1,), (2,))
+    assert np.abs(final.masses - direct.masses).max() <= 1e-12
     assert np.abs(quantum_marginal(final) - lam).max() <= 1e-12
 
 
@@ -348,28 +352,32 @@ def test_as_hybrid_channels_reproduce_run():
         assert np.abs(quantum_marginal(state) - lam).max() <= 1e-10
 
 
-def reachable_records(proto):
-    """Records whose zeros are all trailing, in itertools.product order."""
-    return [rec for rec in itertools.product(*(range(x.outcomes + 1) for x in proto.rounds))
-            if 0 not in rec[:len(rec) - rec.count(0)]]
+def record_levels(proto):
+    """Level r: the histories of r outcomes, every label >= 1, in itertools.product order."""
+    counts = [rnd.outcomes for rnd in proto.rounds]
+    return [list(itertools.product(*(range(1, c + 1) for c in counts[:r])))
+            for r in range(len(counts) + 1)]
+
+
+def first_missing_history(proto):
+    """The first history without an instrument, round by round, or None."""
+    levels = record_levels(proto)
+    return next((h for rnd, level in zip(proto.rounds, levels) for h in level
+                 if h not in rnd.instrument), None)
 
 
 def literal_round_rows(proto, r):
     """Round r's rows (dst, src, kraus) with one np.kron per history, sorted by (dst, src)."""
     d1, d2 = proto.dims
     rnd = proto.rounds[r]
-    labels = reachable_records(proto)
-    index = {rec: i for i, rec in enumerate(labels)}
+    sources, targets = record_levels(proto)[r:r + 2]
+    index = {rec: i for i, rec in enumerate(targets)}
     rows = []
-    for n, rec in enumerate(labels):
-        history = rec[:r]
-        if rec[r] != 0 or history not in rnd.instrument:
-            rows.append((n, n, np.eye(d1 * d2, dtype=complex)))
-            continue
+    for n, history in enumerate(sources):
         ops = rnd.instrument[history]
         lifted = np.kron(ops, np.eye(d2)) if rnd.side == 1 else np.kron(np.eye(d1), ops)
         for x in range(rnd.outcomes):
-            rows.append((index[rec[:r] + (x + 1,) + rec[r + 1:]], n, lifted[x]))
+            rows.append((index[history + (x + 1,)], n, lifted[x]))
     rows.sort(key=lambda row: row[:2])
     dst, src, kraus = zip(*rows)
     return np.array(dst), np.array(src), np.stack(kraus)
@@ -384,17 +392,24 @@ def test_as_hybrid_channels_rows_equal_per_history_lift():
                 proto = random_protocol(rng, dims=dims, first_side=first_side)
                 if len({rnd.side for rnd in proto.rounds}) == 2:
                     protocols.append(proto)
-    # a history without an instrument passes through
-    last = protocols[0].rounds[-1]
-    protocols.append(LoccProtocol(protocols[0].dims, protocols[0].rounds[:-1] + (
-        LoccRound(last.outcomes, dict(list(last.instrument.items())[1:]), last.side),
-    )))
     assert len(protocols) >= 6
     for proto in protocols:
+        levels = record_levels(proto)
         for r, ch in enumerate(as_hybrid_channels(proto)):
+            assert ch.src_space.labels == tuple(levels[r])
+            assert ch.dst_space.labels == tuple(levels[r + 1])
             dst, src, kraus = literal_round_rows(proto, r)
             assert np.array_equal(ch.dst, dst) and np.array_equal(ch.src, src)
             assert np.array_equal(ch.kraus, kraus)
+    # a history without an instrument: the lowering names the first one
+    last = protocols[0].rounds[-1]
+    (dropped, _), *kept = last.instrument.items()
+    missing = LoccProtocol(protocols[0].dims, protocols[0].rounds[:-1] + (
+        LoccRound(last.outcomes, dict(kept), last.side),
+    ))
+    with pytest.raises(IncompleteInstrument) as info:
+        as_hybrid_channels(missing)
+    assert info.value.history == dropped == first_missing_history(missing)
 
 
 def bench_shaped_protocol(seed, rounds=5):
@@ -408,7 +423,7 @@ def bench_shaped_protocol(seed, rounds=5):
 
 
 def mixed_protocols():
-    """2x3 and 3x2 protocols with 1-3 outcomes per round and every other later history left out."""
+    """2x3 and 3x2 protocols with 1-3 outcomes per round and an instrument for every history."""
     rng = np.random.default_rng(23)
     out = []
     for dims, counts, first_side in (
@@ -420,9 +435,8 @@ def mixed_protocols():
         rounds = []
         for r, k in enumerate(counts):
             side = first_side if r % 2 == 0 else 3 - first_side
-            histories = list(itertools.product(*(range(1, c + 1) for c in counts[:r])))
-            kept = histories[::2] if r else histories
-            instrument = {h: random_instrument(dims[side - 1], k, rng) for h in kept}
+            histories = itertools.product(*(range(1, c + 1) for c in counts[:r]))
+            instrument = {h: random_instrument(dims[side - 1], k, rng) for h in histories}
             rounds.append(LoccRound(k, instrument, side))
         out.append(LoccProtocol(dims, tuple(rounds)))
     return out
@@ -446,11 +460,11 @@ def test_lowering_is_accepted_unchanged_by_validating_constructor():
     protocols = [bench_shaped_protocol(seed) for seed in (7, 701, 801)] + mixed_protocols()
     protocols.append(near)
     assert {p.dims for p in protocols} == {(2, 2), (2, 3), (3, 2)}
-    assert any(len(rnd.instrument) < math.prod(x.outcomes for x in p.rounds[:r])
-               for p in protocols for r, rnd in enumerate(p.rounds))
     for proto in protocols:
         d = proto.dims[0] * proto.dims[1]
-        for ch in as_hybrid_channels(proto):
+        for rnd, ch in zip(proto.rounds, as_hybrid_channels(proto)):
+            # every row acts: a level's histories times the round's outcomes
+            assert ch.dst.size == ch.src_space.size * rnd.outcomes == ch.dst_space.size
             checked = from_rows(ch.src_space, ch.dst_space, d, d, ch.dst, ch.src, ch.kraus,
                                 kind=ch.kind)
             for name in ("dst", "src", "kraus"):
@@ -470,31 +484,24 @@ def test_lowering_measures_no_completeness(kraus_defect_calls):
 
 
 def test_record_space_limit():
-    # lazy instruments make construction legal; lowering must still refuse the
-    # 597871 reachable records
-    proto = LoccProtocol((2, 2), tuple(LoccRound(9, {}, side=1) for _ in range(6)))
+    # lazy instruments do not make construction legal: the 597871 reachable
+    # records are refused from the outcome counts alone
     with pytest.raises(RecordSpaceTooLarge):
-        as_hybrid_channels(proto)
+        LoccProtocol((2, 2), tuple(LoccRound(9, {}, side=1) for _ in range(6)))
 
 
 def test_record_space_limit_is_checked_before_a_level_is_built():
     # building the refused level first would allocate its 10^5 tuples, several MiB
-    over = LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT, {}),))
     tracemalloc.start()
     try:
         with pytest.raises(RecordSpaceTooLarge):
-            run(over, np.eye(4) / 4)
-        with pytest.raises(RecordSpaceTooLarge):
-            as_hybrid_channels(over)
+            LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT, {}),))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    huge = LoccProtocol((2, 2), (LoccRound(10**9, {}),))
     with pytest.raises(RecordSpaceTooLarge):
-        run(huge, np.eye(4) / 4)
-    with pytest.raises(RecordSpaceTooLarge):
-        as_hybrid_channels(huge)
+        LoccProtocol((2, 2), (LoccRound(10**9, {}),))
 
 
 def test_record_space_limit_bounds_records_times_rounds():
@@ -503,25 +510,29 @@ def test_record_space_limit_bounds_records_times_rounds():
     # level reach under the limit (limit x bit_length)
     budget = RECORD_SPACE_LIMIT * RECORD_SPACE_LIMIT.bit_length()
     longest = max(r for r in range(1, math.isqrt(budget) + 1) if (r + 1) * r <= budget)
-    space = full_record_space(LoccProtocol((2, 2), (LoccRound(1, {}),) * longest))
-    assert space.size == longest + 1 and space.labels[-1] == (1,) * longest
+    levels = _histories(LoccProtocol((2, 2), (LoccRound(1, {}),) * longest))
+    assert sum(map(len, levels)) == longest + 1 and levels[-1] == [(1,) * longest]
     for rounds in (longest + 1, 10**4):
-        proto = LoccProtocol((2, 2), (LoccRound(1, {}),) * rounds)
         with pytest.raises(RecordSpaceTooLarge):
-            run(proto, np.eye(4) / 4)
-        with pytest.raises(RecordSpaceTooLarge):
-            full_record_space(proto)
-        with pytest.raises(RecordSpaceTooLarge):
-            as_hybrid_channels(proto)
+            LoccProtocol((2, 2), (LoccRound(1, {}),) * rounds)
+
+
+def test_record_budget_is_checked_before_any_instrument(kraus_defect_calls):
+    # 10^5 one-outcome rounds are refused from their outcome counts, before the
+    # instrument of any round is stacked and measured
+    kraus_defect_calls.clear()
+    with pytest.raises(RecordSpaceTooLarge):
+        LoccProtocol((2, 2), (LoccRound(1, {}),) * 10**5)
+    assert kraus_defect_calls == []
 
 
 def test_record_space_limit_counts_every_reachable_record():
-    # one round of k outcomes reaches k + 1 records, (0,) included
-    space = full_record_space(LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT - 1, {}),)))
-    assert space.size == RECORD_SPACE_LIMIT
-    assert space.labels[:2] == ((0,), (1,)) and space.labels[-1] == (RECORD_SPACE_LIMIT - 1,)
+    # one round of k outcomes reaches k + 1 records, () included
+    levels = _histories(LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT - 1, {}),)))
+    assert sum(map(len, levels)) == RECORD_SPACE_LIMIT
+    assert levels[0] == [()] and levels[1][0] == (1,) and levels[1][-1] == (RECORD_SPACE_LIMIT - 1,)
     with pytest.raises(RecordSpaceTooLarge):
-        full_record_space(LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT, {}),)))
+        LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT, {}),))
 
 
 def test_bench_shaped_eleven_rounds_lower_and_match_run():
@@ -529,13 +540,14 @@ def test_bench_shaped_eleven_rounds_lower_and_match_run():
     rho = random_density(4, np.random.default_rng(31))
     state = initial_record_state(proto, rho)
     channels = as_hybrid_channels(proto)
-    assert state.space.size == 2**12 - 1
+    assert state.space.size == 1
+    assert [ch.dst_space.size for ch in channels] == [2 ** (r + 1) for r in range(11)]
+    assert sum(ch.dst.size for ch in channels) == 2**12 - 2
     for ch in channels:
         state = apply(ch, state)
     direct, lam = run(proto, rho)
-    by_record = dict(zip(state.space.labels, state.masses))
-    for rec, mass in zip(direct.space.labels, direct.masses):
-        assert np.abs(by_record[rec] - mass).max() <= 1e-10
+    assert state.space.labels == direct.space.labels
+    assert np.abs(state.masses - direct.masses).max() <= 1e-10
     assert np.abs(quantum_marginal(state) - lam).max() <= 1e-10
 
 
@@ -544,15 +556,18 @@ def test_round_channels_never_factor_a_source_basis(svd_calls):
     rng = np.random.default_rng(33)
     states = [initial_record_state(p, random_density(p.dims[0] * p.dims[1], rng)) for p in protocols]
     svd_calls.clear()
+    measured = 0
     for proto, state in zip(protocols, states):
         for ch in as_hybrid_channels(proto):
-            # applied twice, so only the shape rule keeps the rows: a single
-            # Kraus row per passive record leaves the form nothing to save
+            # applied twice: a round with few histories passes the shape rule and
+            # is factored once, but each history's rows have full rank, its
+            # outcome count, so the rows stay
             once = apply(ch, state)
             state = apply(ch, state)
             assert ch.source_basis is None
             assert np.array_equal(once.masses, state.masses)
-    assert not svd_calls
+            measured += _basis_cost(ch, 1) < ch.dst.size * _product_cost(ch, 1)
+    assert measured and len(svd_calls) == measured
 
 
 @st.composite
@@ -586,26 +601,29 @@ def pruned_protocols(draw):
 @settings(max_examples=40)
 def test_lowering_matches_run_and_oracle_on_reachable_records(protocols):
     full, proto = protocols
-    d = proto.dims[0] * proto.dims[1]
-    channels = as_hybrid_channels(proto)
-    labels = tuple(reachable_records(proto))
-    counts = [rnd.outcomes for rnd in proto.rounds]
-    assert channels[0].src_space.labels == labels
-    assert len(labels) == sum(math.prod(counts[:k]) for k in range(len(counts) + 1))
+    missing = first_missing_history(proto)
+    if missing is None:
+        as_hybrid_channels(proto)
+    else:
+        with pytest.raises(IncompleteInstrument) as info:
+            as_hybrid_channels(proto)
+        assert info.value.history == missing
 
-    rho = random_density(d, np.random.default_rng(len(labels)))
-    state = initial_record_state(proto, rho)
+    channels = as_hybrid_channels(full)
+    levels = [tuple(level) for level in record_levels(full)]
+    assert [ch.src_space.labels for ch in channels] + [channels[-1].dst_space.labels] == levels
+
+    d = full.dims[0] * full.dims[1]
+    rho = random_density(d, np.random.default_rng(sum(map(len, levels))))
+    state = initial_record_state(full, rho)
     for ch in channels:
         state = apply(ch, state)
     direct, _ = run(proto, rho)
     oracle = _locc_oracle(full, rho)
-    by_record = dict(zip(state.space.labels, state.masses))
-    assert direct.space.labels == tuple(oracle)
-    for rec, mass in zip(direct.space.labels, direct.masses):
-        assert np.abs(by_record.pop(rec) - mass).max() <= 1e-10
-        assert np.abs(oracle[rec] - mass).max() <= 1e-10
-    for mass in by_record.values():
-        assert np.abs(mass).max() <= 1e-12
+    assert state.space.labels == direct.space.labels == tuple(oracle)
+    for rec, lowered, mass in zip(direct.space.labels, state.masses, direct.masses):
+        assert np.abs(lowered - mass).max() <= 1e-10
+        assert np.abs(oracle[rec] - lowered).max() <= 1e-10
 
 
 def test_separable_from_ensemble():
