@@ -23,6 +23,7 @@ from .channel import (
     from_coeff_kernel,
     from_rows,
     identity_channel,
+    interaction_defect,
     non_interacting,
     random_channel,
 )

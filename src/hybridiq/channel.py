@@ -64,14 +64,13 @@ class HybridChannel:
     dst: np.ndarray    # (R,) target cell of each row
     src: np.ndarray    # (R,) source cell of each row
     kraus: np.ndarray  # (R, qdim_dst, qdim_src)
-    kind: str = field(default="blocks", compare=False)
     # row-path applies so far; apply builds source_basis from the second one on
     _row_applies: Iterator[int] = field(default_factory=count, init=False, repr=False, compare=False)
 
     def __repr__(self) -> str:
         return (
             f"HybridChannel({self.src_space.size}x{self.qdim_src} -> "
-            f"{self.dst_space.size}x{self.qdim_dst}, kind={self.kind!r})"
+            f"{self.dst_space.size}x{self.qdim_dst})"
         )
 
     @cached_property
@@ -91,7 +90,7 @@ class HybridChannel:
         arrays are read-only and not serialized.
         """
         q_dst, q_src, n_dst = self.qdim_dst, self.qdim_src, self.dst_space.size
-        pairs = pair_starts(self) if self.dst.size else np.zeros(0, dtype=np.intp)
+        pairs, maps = _pair_transfers(self)
         pair_dst = self.dst[pairs]
         counts = np.bincount(pair_dst, minlength=n_dst)
         width = -(-pairs.size // max(np.count_nonzero(counts), 1)) or 1
@@ -102,10 +101,7 @@ class HybridChannel:
         pad = per_target * width - counts
         slot = np.arange(pairs.size) + (np.cumsum(pad) - pad)[pair_dst]
         table = np.zeros((slices * width, q_dst * q_dst, q_src * q_src), dtype=complex)
-        terms = self.kraus[:, :, None, :, None] * self.kraus.conj()[:, None, :, None, :]
-        table[slot] = np.add.reduceat(
-            terms.reshape(-1, q_dst * q_dst, q_src * q_src), pairs, axis=0
-        )
+        table[slot] = maps
         table = table.reshape(slices, width, q_dst * q_dst, q_src * q_src).swapaxes(1, 2)
         slot_src = np.zeros(slices * width, dtype=np.intp)
         slot_src[slot] = self.src[pairs]
@@ -189,6 +185,14 @@ def pair_starts(channel: HybridChannel) -> np.ndarray:
     return run_starts(channel.dst * channel.src_space.size + channel.src)
 
 
+def _pair_transfers(channel: HybridChannel) -> tuple[np.ndarray, np.ndarray]:
+    """First row of each cell pair, and each pair's T = sum_r L_r (x) conj(L_r) over its rows."""
+    q_dst, q_src, kraus = channel.qdim_dst, channel.qdim_src, channel.kraus
+    pairs = pair_starts(channel) if channel.dst.size else np.zeros(0, dtype=np.intp)
+    terms = kraus[:, :, None, :, None] * kraus.conj()[:, None, :, None, :]
+    return pairs, np.add.reduceat(terms.reshape(-1, q_dst**2, q_src**2), pairs, axis=0)
+
+
 def _sum_runs(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
     """(size, ...) array whose entry k sums the rows of ``values`` with key k; keys sorted."""
     out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
@@ -209,7 +213,8 @@ def _defects_per_source(channel: HybridChannel) -> np.ndarray:
         order = np.argsort(channel.src, kind="stable")
         src = channel.src[order]
         starts = run_starts(src)
-        totals = np.add.reduceat(kraus_grams(channel.kraus[order]), starts, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: see kraus_defect
+            totals = np.add.reduceat(kraus_grams(channel.kraus[order]), starts, axis=0)
         defects[src[starts]] = identity_defect(totals)
     return defects
 
@@ -217,6 +222,18 @@ def _defects_per_source(channel: HybridChannel) -> np.ndarray:
 def completeness_defect(channel: HybridChannel) -> float:
     """Max entrywise deviation of sum L^dag L from identity over source cells."""
     return float(_defects_per_source(channel).max())
+
+
+def interaction_defect(channel: HybridChannel) -> float:
+    """Max entrywise deviation of every cell pair's transfer map T_mn from P(m|n) T_0.
+
+    T_0 = sum_m T_m0 is source cell 0's map and P(m|n) the projection of T_mn
+    onto it; zero for non-interacting subsystems.  The transfer cache is left alone.
+    """
+    pairs, maps = _pair_transfers(channel)
+    t0 = maps[channel.src[pairs] == 0].sum(axis=0)
+    weights = maps.reshape(pairs.size, -1) @ t0.conj().ravel() / np.vdot(t0, t0).real
+    return float(np.abs(maps - weights[:, None, None] * t0).max())
 
 
 def _unchecked_from_rows(
@@ -227,7 +244,6 @@ def _unchecked_from_rows(
     dst,
     src,
     kraus,
-    kind: str,
 ) -> HybridChannel:
     """:func:`from_rows` without the completeness check.
 
@@ -265,7 +281,7 @@ def _unchecked_from_rows(
         raise NumericalFailure(f"blocks at ({dst[r]}, {src[r]}) have non-finite entries")
     for arr in (dst, src, kraus):
         arr.flags.writeable = False
-    return HybridChannel(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus, kind)
+    return HybridChannel(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus)
 
 
 def from_rows(
@@ -276,14 +292,13 @@ def from_rows(
     dst,
     src,
     kraus,
-    kind: str = "blocks",
 ) -> HybridChannel:
     """Build a channel from parallel rows (target cell, source cell, Kraus operator).
 
     Rows are stably sorted by (dst, src) and per-source completeness is
     verified; IncompleteChannel names the first source cell that fails.
     """
-    channel = _unchecked_from_rows(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus, kind)
+    channel = _unchecked_from_rows(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus)
     defects = _defects_per_source(channel)
     bad = np.flatnonzero(defects > COMPLETENESS_TOL)
     if bad.size:
@@ -297,7 +312,6 @@ def from_blocks(
     qdim_src: int,
     qdim_dst: int,
     blocks,
-    kind: str = "blocks",
 ) -> HybridChannel:
     """Build a channel from {(m, n): [L, ...]} and verify per-source completeness."""
     dst: list[int] = []
@@ -317,7 +331,7 @@ def from_blocks(
         src += [n] * stack.shape[0]
         stacks.append(stack)
     kraus = np.concatenate(stacks) if stacks else ()
-    return from_rows(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus, kind)
+    return from_rows(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus)
 
 
 def identity_channel(space: ClassicalSpace, qdim: int) -> HybridChannel:
@@ -400,8 +414,7 @@ def compose(second: HybridChannel, first: HybridChannel) -> HybridChannel:
     choi = padded.swapaxes(1, 2) @ padded.conj()
     dst, src, factors = _psd_factors(choi, pair_dst[starts], pair_src[starts])
     return from_rows(
-        first.src_space, second.dst_space, q_src, q_dst, dst, src,
-        factors.reshape(-1, q_dst, q_src), kind="composed",
+        first.src_space, second.dst_space, q_src, q_dst, dst, src, factors.reshape(-1, q_dst, q_src)
     )
 
 
@@ -446,10 +459,7 @@ def non_interacting(kernel: MarkovKernel, kraus: Sequence[np.ndarray]) -> Hybrid
     m, n = np.nonzero(p > 0.0)
     k = stack.shape[0]
     kraus = (np.sqrt(p[m, n])[:, None, None, None] * stack).reshape(-1, q, q)
-    return from_rows(
-        kernel.src, kernel.dst, q, q, np.repeat(m, k), np.repeat(n, k), kraus,
-        kind="non_interacting",
-    )
+    return from_rows(kernel.src, kernel.dst, q, q, np.repeat(m, k), np.repeat(n, k), kraus)
 
 
 def from_coeff_kernel(
@@ -483,7 +493,7 @@ def from_coeff_kernel(
     m, n = np.divmod(np.arange(dst_space.size * src_space.size), src_space.size)
     dst, src, factors = _psd_factors(k.reshape(-1, b, b), m, n)
     kraus = (factors @ mats.reshape(b, d * d)).reshape(-1, d, d)
-    return from_rows(src_space, dst_space, d, d, dst, src, kraus, kind="coeff_kernel")
+    return from_rows(src_space, dst_space, d, d, dst, src, kraus)
 
 
 def extend_with_ancilla(channel: HybridChannel, ancilla_dim: int) -> HybridChannel:
@@ -497,7 +507,7 @@ def extend_with_ancilla(channel: HybridChannel, ancilla_dim: int) -> HybridChann
     kraus = np.einsum("rij,kl->rikjl", channel.kraus, np.eye(ancilla_dim))
     return from_rows(
         channel.src_space, channel.dst_space, q_src, q_dst, channel.dst, channel.src,
-        kraus.reshape(-1, q_dst, q_src), kind=channel.kind,
+        kraus.reshape(-1, q_dst, q_src),
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import HybridChannel, apply
+from .channel import COMPLETENESS_TOL, HybridChannel, apply, interaction_defect
 from .errors import HybridError, NotAnEnsemble
 from .linalg import block_margins, entropies, nonnegative, von_neumann_entropy
 from .state import (
@@ -130,13 +130,15 @@ class MonotonicityReport:
 
 
 def monotonicity_report(state: HybridState, channel: HybridChannel) -> MonotonicityReport:
-    """Mutual information before and after a non-interacting channel.
+    """Mutual information before and after a channel of non-interacting subsystems.
 
     Non-interacting channels cannot create classical-quantum correlations, so
-    ``violation`` flags I_after exceeding I_before beyond numerical slack.
+    ``violation`` flags I_after exceeding I_before beyond numerical slack;
+    HybridError when the channel's interaction_defect exceeds COMPLETENESS_TOL.
     """
-    if getattr(channel, "kind", None) != "non_interacting":
-        raise HybridError("monotonicity_report requires a channel built by non_interacting()")
+    if not (defect := interaction_defect(channel)) <= COMPLETENESS_TOL:
+        raise HybridError(f"monotonicity_report requires non-interacting subsystems: interaction "
+                          f"defect {defect:.3e} exceeds COMPLETENESS_TOL {COMPLETENESS_TOL:.0e}")
     before = mutual_information(state)
     after = mutual_information(apply(channel, state))
     return MonotonicityReport(

@@ -150,17 +150,19 @@ def kraus_grams(stack: np.ndarray) -> np.ndarray:
 
 
 def identity_defect(gram: np.ndarray) -> np.ndarray:
-    """Max-entry deviation from the identity of each matrix of a (..., d, d) array."""
-    return np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1))
+    """Max-entry deviation from the identity of each matrix of a (..., d, d) array, NaN as inf."""
+    defect = np.abs(gram - np.eye(gram.shape[-1])).max(axis=(-2, -1))
+    return np.where(np.isnan(defect), np.inf, defect)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kraus_defect(stack: np.ndarray) -> np.ndarray:
     """Max-entry deviation of sum_a L_a^dag L_a from the identity, per Kraus set.
 
     The last three axes of ``stack`` are one set (k, d_out, d_in); any axes
     before them are batch axes, so a (..., k, d_out, d_in) stack gives a (...)
-    array of defects and a single set gives a scalar.  A NaN entry gives a NaN
-    defect, which passes every ``defect > tol`` test: check finiteness first.
+    array of defects and a single set a 0-d array.  Entries whose grams
+    overflow, or non-finite ones, give an infinite defect without a warning.
     """
     return identity_defect(kraus_grams(stack).sum(axis=-3))
 

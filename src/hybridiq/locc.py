@@ -248,14 +248,9 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
         except KeyError as exc:
             raise IncompleteInstrument(exc.args[0]) from None
         n, k = len(histories), rnd.outcomes
-        channels.append(
-            _unchecked_from_rows(
-                spaces[r], spaces[r + 1], d, d,
-                np.arange(n * k), np.repeat(np.arange(n), k),
-                _lift(protocol.dims, rnd.side, stacked).reshape(-1, d, d),
-                kind="locc_round",
-            )
-        )
+        dst, src = np.arange(n * k), np.repeat(np.arange(n), k)
+        rows = _lift(protocol.dims, rnd.side, stacked).reshape(-1, d, d)
+        channels.append(_unchecked_from_rows(spaces[r], spaces[r + 1], d, d, dst, src, rows))
     return channels
 
 
@@ -338,7 +333,7 @@ def _local_repopulation(
                 continue
             local.append(np.sqrt(vals[k]) * np.outer(eig.eigenvectors[:, k], ground.conj()))
         blocks[(n, n)] = _lift(dims, side, np.stack(local))
-    return from_blocks(space, space, d, d, blocks, kind="locc_local")
+    return from_blocks(space, space, d, d, blocks)
 
 
 def steer_to_separable(

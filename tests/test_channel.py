@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridiq import io
@@ -379,7 +379,7 @@ def test_transfer_splits_a_hub_target_into_slices():
 
 
 def test_rowless_channel_has_an_empty_transfer_table():
-    ch = _unchecked_from_rows(counting_space(3), counting_space(2), 2, 1, [], [], (), "blocks")
+    ch = _unchecked_from_rows(counting_space(3), counting_space(2), 2, 1, [], [], ())
     slot_src, slice_dst, table = ch.transfer
     assert slot_src.size == slice_dst.size == 0 and table.shape == (0, 1, 4)
     w = random_state(ch.src_space, 2, np.random.default_rng(20))
@@ -509,19 +509,53 @@ def test_compose_identity_and_permutations():
     assert np.abs(out.masses - w.masses).max() <= 1e-12  # the two cycles cancel
 
 
-def test_compose_matches_sequential_and_associativity():
-    rng = np.random.default_rng(8)
-    s1, s2, s3, s4 = (counting_space(n) for n in (2, 3, 2, 3))
-    ch1 = random_channel(s1, s2, 2, 3, branching=2, seed=rng)
-    ch2 = random_channel(s2, s3, 3, 2, branching=2, seed=rng)
-    ch3 = random_channel(s3, s4, 2, 2, branching=2, seed=rng)
-    w = random_state(s1, 2, rng)
+_PATTERNS = ("dense", "banded", "hub", "sparse")
+_FAMILIES = _PATTERNS + ("non_interacting", "random", "compose")
+
+
+def _chain_link(family, n_src, n_dst, q_src, q_dst, k, zeros, rng):
+    """A channel of one of _PATTERNS or of _reusable_channel's families.
+
+    A family that cannot make these qdims draws a random_channel instead: a
+    pattern with 1 row per pair may not right-normalize when q_src > q_dst,
+    and non_interacting is square.
+    """
+    if family in _PATTERNS and q_src <= q_dst:
+        return _patterned_channel(family, n_src, n_dst, q_src, q_dst, rng)
+    if family in _PATTERNS or (family == "non_interacting" and q_src != q_dst):
+        family = "random"
+    return _reusable_channel(family, n_src, n_dst, q_src, q_dst, k, zeros, rng)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.sampled_from(_FAMILIES), min_size=3, max_size=3),
+    st.lists(st.integers(1, 4), min_size=4, max_size=4),
+    st.lists(st.integers(1, 4), min_size=4, max_size=4),
+    st.integers(1, 2),
+    st.lists(st.booleans(), min_size=16, max_size=16),
+    st.integers(0, 2**32 - 1),
+)
+# two rank-1 non_interacting links compose to one rank-1 row per pair: source_basis pays
+@example(["non_interacting", "non_interacting", "dense"], [3, 3, 3, 2], [3, 3, 3, 3], 1,
+         [False] * 16, 0)
+def test_compose_matches_sequential_and_associativity(families, cells, qdims, k, zeros, seed):
+    # qdims up to 4 put links and compositions on both sides of the transfer rule
+    # (q_dst * q_src <= 4); on the row path source_basis is measured and, in the
+    # example, kept
+    rng = np.random.default_rng(seed)
+    ch1, ch2, ch3 = (
+        _chain_link(families[i], cells[i], cells[i + 1], qdims[i], qdims[i + 1], k, zeros, rng)
+        for i in range(3)
+    )
+    w = random_state(ch1.src_space, qdims[0], rng)
 
     composed = compose(ch2, ch1)
-    sequential = apply(ch2, apply(ch1, w))
-    assert np.abs(apply(composed, w).masses - sequential.masses).max() <= 1e-10
+    sequential = apply(ch2, apply(ch1, w)).masses
+    for _ in range(2):  # a row-path channel's second apply may run its source_basis
+        assert np.abs(apply(composed, w).masses - sequential).max() <= 1e-10
 
-    left = compose(ch3, compose(ch2, ch1))
+    left = compose(ch3, composed)
     right = compose(compose(ch3, ch2), ch1)
     assert np.abs(apply(left, w).masses - apply(right, w).masses).max() <= 1e-10
     for ch in (composed, left, right):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hybridiq import io
-from hybridiq.channel import COMPLETENESS_TOL, identity_channel, non_interacting
-from hybridiq.classical import counting_space, uniform_mixing_kernel
+from hybridiq.channel import COMPLETENESS_TOL, from_rows, identity_channel, non_interacting
+from hybridiq.classical import counting_space, identity_kernel, uniform_mixing_kernel
 from hybridiq.cli import CSV_COLUMNS, main
 from hybridiq.errors import (
     HybridError, IncompleteChannel, IncompleteInstrument, IncompleteKraus, NotPositive, ParseError
@@ -689,3 +689,45 @@ def test_validate_measures_each_protocol_round_once(tmp_path, kraus_defect_calls
     (check,) = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
     assert check["name"] == "instrument_completeness"
     assert check["deviation"] == proto.completeness_defect
+
+
+# finite entries whose L^dag L overflows: the matmul alone yields inf and NaN
+HUGE = np.array([[1e200 + 1e200j, 1e200 - 1e200j], [1e200 - 1e200j, -1e200 - 1e200j]])
+# two rows whose grams overflow to +inf and -inf in one entry, so summing them is invalid too
+OPPOSITE = np.array([[[1e200, 1e200], [0, 0]], [[1e200, -1e200], [0, 0]]], dtype=complex)
+
+
+def _overflowing_inputs():
+    one, space = counting_space(1), {"weights": [1.0]}
+    channel = lambda ops: {"src_space": space, "dst_space": space, "qdim_src": 2, "qdim_dst": 2,
+                           "blocks": [{"m": 0, "n": 0, "L": io.matrices_to_json(ops)}]}
+    kraus = io.matrices_to_json(HUGE[None])
+    cases = [
+        ("from_rows", IncompleteChannel, lambda: from_rows(one, one, 2, 2, [0], [0], [HUGE]),
+         channel(HUGE[None])),
+        ("from_rows-opposite-overflows", IncompleteChannel,
+         lambda: from_rows(one, one, 2, 2, [0, 0], [0, 0], OPPOSITE), channel(OPPOSITE)),
+        ("non_interacting", IncompleteKraus, lambda: non_interacting(identity_kernel(one), [HUGE]),
+         {"type": "non_interacting", "kernel": {"P": [1.0], "rows": 1, "cols": 1}, "kraus": kraus}),
+        ("LoccProtocol", IncompleteInstrument,
+         lambda: LoccProtocol((2, 2), (LoccRound(1, {(): [HUGE]}, side=1),)),
+         {"dims": [2, 2], "rounds": [{"side": 1, "outcomes": 1, "instrument": {"": kraus}}]}),
+    ]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("error, build, spec", _overflowing_inputs())
+def test_overflowing_kraus_entries_are_incomplete(tmp_path, error, build, spec, capsys):
+    # the defect reads inf, not NaN (which passes every "defect > tol" test), and no
+    # RuntimeWarning escapes: the pytest settings turn one into an error
+    with pytest.raises(error) as info:
+        build()
+    assert info.value.deviation == np.inf
+    path = tmp_path / "huge.json"
+    io.dump_json(spec, path)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (check,) = json.loads(captured.out)["reports"][0]["checks"]
+    assert check["deviation"] is None and not check["ok"]
+    assert check["error"].startswith(error.__name__)

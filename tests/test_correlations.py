@@ -1,9 +1,19 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hybridiq.channel import non_interacting
+from hybridiq import io
+from hybridiq.channel import (
+    apply,
+    compose,
+    extend_with_ancilla,
+    from_rows,
+    identity_channel,
+    non_interacting,
+    random_channel,
+)
 from hybridiq.classical import (
     MarkovKernel,
     counting_space,
@@ -256,13 +266,34 @@ def test_monotonicity_random_channels_never_violate():
 
 
 def test_monotonicity_requires_non_interacting():
-    from hybridiq.channel import random_channel
+    # the structure is measured from the rows, so every way of writing a
+    # non-interacting channel is accepted, and a channel that interacts is not
+    rng = np.random.default_rng(11)
+    space = counting_space(3)
+    kernel = lambda: MarkovKernel(space, space, random_stochastic_matrix(3, 3, rng))
+    ch = non_interacting(kernel(), random_kraus_set(2, 2, rng))
+    accepted = [
+        ch,
+        io.channel_from_json(json.loads(json.dumps(io.channel_to_json(ch)))),
+        from_rows(space, space, 2, 2, ch.dst, ch.src, ch.kraus),
+        compose(non_interacting(kernel(), random_kraus_set(2, 3, rng)), ch),
+        extend_with_ancilla(ch, 2),
+        identity_channel(space, 2),
+    ]
+    for accept in accepted:
+        w = random_state(space, accept.qdim_src, rng)
+        assert not monotonicity_report(w, accept).violation
 
-    space = counting_space(2)
-    ch = random_channel(space, space, 2, 2, branching=2, seed=0)
-    w = random_state(space, 2, 1)
-    with pytest.raises(HybridError):
-        monotonicity_report(w, ch)
+    # X on the qubit of cell 1 only: a product state becomes correlated
+    pair = counting_space(2)
+    controlled = from_rows(pair, pair, 2, 2, [0, 1], [0, 1], [np.eye(2), [[0, 1], [1, 0]]])
+    w = product_state(pair, np.array([0.5, 0.5]), KET0)
+    assert mutual_information(w) == 0.0
+    assert mutual_information(apply(controlled, w)) == pytest.approx(math.log(2), abs=1e-12)
+    measured = r"interaction defect \d\.\d{3}e[-+]0\d exceeds COMPLETENESS_TOL 1e-09"
+    for refuse in (random_channel(space, space, 2, 2, branching=2, seed=0), controlled):
+        with pytest.raises(HybridError, match=measured):
+            monotonicity_report(random_state(refuse.src_space, 2, rng), refuse)
 
 
 def test_report_dict_shape():

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from hybridiq import io
 from hybridiq.channel import apply, non_interacting, random_channel
 from hybridiq.classical import MarkovKernel, counting_space, discretize_interval
+from hybridiq.correlations import monotonicity_report
 from hybridiq.errors import IoError, NotNormalized, ParseError
 from hybridiq.locc import LoccProtocol, LoccRound, run
 from hybridiq.rand import random_complex, random_density, random_stochastic_matrix
@@ -126,11 +127,11 @@ def test_constructor_spec_non_interacting():
         "kraus": [io.matrix_to_json(np.eye(2))],
     }
     ch = io.channel_from_json(spec)
-    assert ch.kind == "non_interacting"
     reference = non_interacting(
         MarkovKernel(counting_space(2), counting_space(2), p), [np.eye(2)]
     )
     w = random_state(counting_space(2), 2, 17)
+    assert not monotonicity_report(w, ch).violation
     assert np.abs(apply(ch, w).masses - apply(reference, w).masses).max() <= 1e-14
 
 

@@ -465,8 +465,7 @@ def test_lowering_is_accepted_unchanged_by_validating_constructor():
         for rnd, ch in zip(proto.rounds, as_hybrid_channels(proto)):
             # every row acts: a level's histories times the round's outcomes
             assert ch.dst.size == ch.src_space.size * rnd.outcomes == ch.dst_space.size
-            checked = from_rows(ch.src_space, ch.dst_space, d, d, ch.dst, ch.src, ch.kraus,
-                                kind=ch.kind)
+            checked = from_rows(ch.src_space, ch.dst_space, d, d, ch.dst, ch.src, ch.kraus)
             for name in ("dst", "src", "kraus"):
                 a, b = getattr(ch, name), getattr(checked, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
