@@ -1,11 +1,14 @@
 """Classical-quantum correlation measures.
 
 The mutual information of a hybrid state is computed as the Holevo quantity of
-the ensemble (cell probability, conditional quantum state); cells below the
-zero-mass cutoff are excluded.  The three-term entropy formula and the
-relative-entropy identity against the quantum embedding are provided as
-independent cross-check paths (the Holevo form is the primary one because
-tr(sigma ln sigma) is ill-conditioned for near-singular blocks).
+the ensemble (cell probability, conditional quantum state); cells at or below
+the zero-mass cutoff get weight 0.  One segmented core computes the Holevo
+quantity of every segment of a member stack, so many states or ensembles of a
+common dimension are evaluated in one pass; ``holevo`` and
+``mutual_information`` are its one-segment case.  The three-term entropy
+formula and the relative-entropy identity against the quantum embedding are
+provided as independent cross-check paths (the Holevo form is the primary one
+because tr(sigma ln sigma) is ill-conditioned for near-singular blocks).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .channel import COMPLETENESS_TOL, HybridChannel, apply, interaction_defect
 from .errors import HybridError, NotAnEnsemble
-from .linalg import block_margins, entropies, nonnegative, von_neumann_entropy
+from .linalg import block_margins, entropies, von_neumann_entropy
 from .state import (
     HybridState,
     ZERO_MASS,
@@ -62,45 +65,78 @@ class Ensemble:
         return int(self.probabilities.size)
 
 
-def _holevo_raw(p: np.ndarray, states: np.ndarray, eigs: np.ndarray) -> float:
-    """S(sum p rho) - sum p S(rho), given each member's spectrum ``eigs``.
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
+_ONE_SEGMENT.flags.writeable = False
 
-    The average is divided by its trace, which the weights fix at 1 only up to
-    rounding: at qdim 1 it is then exactly 1.0, so a classical state has exactly
-    zero mutual information whatever order its masses were summed in.
+
+def _holevo_segments(
+    p: np.ndarray, weighted: np.ndarray, eigs: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """chi = S(sum p rho) - sum p S(rho) of each segment of a member stack, in nats.
+
+    Member n has weight ``p[n]``, weighted state ``weighted[n] = p[n] rho_n``
+    (zero when the weight is) and the spectrum ``eigs[n]`` of rho_n; segment s
+    holds the members from ``starts[s]`` up to the next start.  A segment's
+    weights are divided by their sum, so zero-weight members add nothing, and
+    a segment without a positive weight raises NotAnEnsemble.  Each average is
+    divided by its trace, which the weights fix at 1 only up to rounding: at
+    qdim 1 it is then exactly 1.0, so a classical state has exactly zero mutual
+    information whatever order its masses were summed in.
     """
-    average = np.einsum("r,rij->ij", p, states)
-    average /= np.trace(average).real
-    return float(entropies(np.linalg.eigvalsh(average))) - float(p @ entropies(eigs))
+    totals = np.add.reduceat(p, starts)
+    if not np.all(totals > 0.0):
+        empty = int((totals > 0.0).argmin())
+        raise NotAnEnsemble(f"segment {empty} has no member of positive weight")
+    n, d = eigs.shape
+    averages = np.add.reduceat(weighted.reshape(n, d * d), starts).reshape(-1, d, d)
+    averages /= np.einsum("sii->s", averages).real[:, None, None]
+    members = np.add.reduceat(p * entropies(eigs), starts) / totals
+    return entropies(np.linalg.eigvalsh(averages)) - members
 
 
 def holevo(ensemble: Ensemble) -> float:
     """chi = S(sum p rho) - sum p S(rho), in nats."""
-    return _holevo_raw(ensemble.probabilities, ensemble.states, ensemble.eigenvalues)
+    p = ensemble.probabilities
+    weighted = p[:, None, None] * ensemble.states
+    return float(_holevo_segments(p, weighted, ensemble.eigenvalues, _ONE_SEGMENT)[0])
 
 
-def _cell_ensemble(state: HybridState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p_n, sigma_n / p_n, its spectrum) over cells with positive mass, p renormalized."""
+def _mutual_information_segments(
+    masses: np.ndarray, eigs: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """Mutual information of each state of a concatenated cell stack, in nats.
+
+    ``masses`` (N, q, q) and their spectra ``eigs`` (N, q) hold one state's
+    cells per segment, segment s from ``starts[s]`` up to the next start.  Each
+    is the Holevo quantity of the ensemble (p_n, sigma_n / p_n), clipped at
+    +0.0 as ``linalg.nonnegative`` clips a scalar; a cell with mass at or below
+    ZERO_MASS gets weight 0, and a state without a heavier cell raises
+    NotAnEnsemble.
+    """
+    p = np.einsum("nii->n", masses).real
+    keep = p > ZERO_MASS
+    chi = _holevo_segments(
+        np.where(keep, p, 0.0),
+        masses * keep[:, None, None],
+        eigs / np.where(keep, p, 1.0)[:, None],
+        starts,
+    )
+    return np.maximum(chi, 0.0) + 0.0
+
+
+def state_ensemble(state: HybridState) -> Ensemble:
+    """Ensemble (p_n, sigma_n / p_n) over cells with positive mass."""
     p = classical_marginal(state).masses
     keep = p > ZERO_MASS
     if not keep.any():
         raise NotAnEnsemble("state has no cell with positive mass")
     kept = p[keep]
-    return (
-        kept / kept.sum(),
-        state.masses[keep] / kept[:, None, None],
-        state.eigenvalues[keep] / kept[:, None],
-    )
-
-
-def state_ensemble(state: HybridState) -> Ensemble:
-    """Ensemble (p_n, sigma_n / p_n) over cells with positive mass."""
-    return Ensemble(*_cell_ensemble(state)[:2])
+    return Ensemble(kept / kept.sum(), state.masses[keep] / kept[:, None, None])
 
 
 def mutual_information(state: HybridState) -> float:
     """Correlation between the classical and quantum subsystems, in nats."""
-    return nonnegative(_holevo_raw(*_cell_ensemble(state)))
+    return float(_mutual_information_segments(state.masses, state.eigenvalues, _ONE_SEGMENT)[0])
 
 
 def mutual_information_three_term(state: HybridState) -> float:

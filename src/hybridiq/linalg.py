@@ -105,13 +105,19 @@ class BlockMargins(NamedTuple):
                 raise error(verdict.block, verdict.problem)
 
     def require_unit_traces(self, error: Callable[[int, str], Exception]) -> None:
-        """Raise ``error(block, problem)`` at the first block whose trace is off 1 by > TRACE_TOL.
+        """Raise ``error(block, problem)`` at the first block that require_unit refuses."""
+        require_unit(np.einsum("rii->r", self.sym).real, error)
 
-        One reduction: the traces are scanned as Python floats.
-        """
-        for block, tr in enumerate(np.einsum("rii->r", self.sym).real.tolist()):
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise error(block, f"has trace {tr!r}, expected 1")
+
+def require_unit(traces: np.ndarray, error: Callable[[int, str], Exception]) -> None:
+    """Raise ``error(index, problem)`` at the first trace that is off 1 by more than TRACE_TOL.
+
+    The one unit-trace rule, per block or per stacked state; one reduction, as
+    the traces are scanned as Python floats.
+    """
+    for index, tr in enumerate(traces.tolist()):
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise error(index, f"has trace {tr!r}, expected 1")
 
 
 def block_margins(stack: np.ndarray) -> BlockMargins:

@@ -3,9 +3,12 @@
 Each suite draws seeded random instances and records, per check, the worst
 measured deviation and the number of tolerance violations.  Checks use
 independent sub-streams of the master seed (see :func:`hybridiq.rand.seeded_rng`),
-so adding a check never perturbs the draws of existing ones.  The CLI
-``properties`` command and the acceptance tests are both thin wrappers around
-:func:`run_suite`.
+so adding a check never perturbs the draws of existing ones.  The correlations
+suite draws every trial's sizes first, then per check and per qdim one stack of
+blocks, checked once and evaluated by the segmented Holevo core; the code under
+test (``non_interacting``, ``apply``) and the cross-check oracles stay per trial.
+The CLI ``properties`` command and the acceptance tests are both thin wrappers
+around :func:`run_suite`.
 """
 
 from __future__ import annotations
@@ -13,68 +16,36 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import locc as locc_mod
 from .channel import (
-    apply,
-    compose,
-    extend_with_ancilla,
-    from_coeff_kernel,
-    non_interacting,
-    random_channel,
+    apply, compose, extend_with_ancilla, from_coeff_kernel, non_interacting, random_channel,
 )
 from .classical import MarkovKernel, counting_space
 from .correlations import (
-    Ensemble,
-    holevo,
-    mutual_information,
-    mutual_information_three_term,
+    _holevo_segments, _mutual_information_segments, mutual_information_three_term,
 )
-from .errors import UnknownSuite
+from .errors import NotAnEnsemble, NotAState, UnknownSuite
 from .linalg import (
-    partial_trace,
-    partial_transpose,
-    relative_entropy,
+    block_margins, entropies, partial_trace, partial_transpose, relative_entropy, require_unit,
     trace_norm,
-    von_neumann_entropy,
 )
 from .rand import (
-    random_complex,
-    random_density,
-    random_effect,
-    random_kraus_set,
-    random_probability_vector,
-    random_psd,
-    random_stochastic_matrix,
-    random_unitary,
-    seeded_rng,
+    random_complex, random_density, random_effect, random_kraus_set, random_probability_vector,
+    random_psd, random_stochastic_matrix, random_unitary, seeded_rng,
 )
 from .state import (
-    classical_marginal,
-    condition_on_effect,
-    distance,
-    embed_quantum,
-    mix,
-    new_state,
-    probability,
-    product_state,
-    quantum_marginal,
-    random_state,
-    tensor_with_quantum,
-    total_trace,
+    HybridState, classical_marginal, condition_on_effect, distance, embed_quantum, mix, new_state,
+    probability, product_state, quantum_marginal, random_state, tensor_with_quantum, total_trace,
 )
 
 STATES_PER_CHANNEL = 10
 
-PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1j], [1j, 0.0]]),
-    np.diag([1.0, -1.0]).astype(complex),
-)
+PAULI = tuple(np.array(m, dtype=complex) for m in (
+    [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
 
 
 @dataclass
@@ -96,14 +67,7 @@ class CheckResult:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "tolerance": self.tolerance,
-            "trials": self.trials,
-            "violations": self.violations,
-            "max_deviation": self.max_deviation,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 @dataclass
@@ -123,19 +87,12 @@ class SuiteReport:
         return sum(c.violations for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "seed": self.seed,
-            "ok": self.ok,
-            "violations": self.violations,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {"suite": self.suite, "trials": self.trials, "seed": self.seed, "ok": self.ok,
+                "violations": self.violations, "checks": [c.to_dict() for c in self.checks]}
 
 
 def _random_event(rng: np.random.Generator, n_cells: int) -> list[int]:
-    mask = rng.random(n_cells) < 0.5
-    return [int(i) for i in np.nonzero(mask)[0]]
+    return np.flatnonzero(rng.random(n_cells) < 0.5).tolist()
 
 
 def _bounded_effect(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -228,9 +185,7 @@ def _apply_oracle(channel, state) -> np.ndarray:
 
 def _coeffs_from_kraus_sets(rng, n_src: int, n_dst: int) -> np.ndarray:
     """Hermitian PSD qubit coefficient tensors with per-source completeness."""
-    gram_inv = np.linalg.inv(
-        np.array([[np.trace(a.conj().T @ b) for b in PAULI] for a in PAULI])
-    )
+    gram_inv = np.linalg.inv([[np.trace(a.conj().T @ b) for b in PAULI] for a in PAULI])
     p = random_stochastic_matrix(n_dst, n_src, rng)
     coeffs = np.zeros((n_dst, n_src, 4, 4), dtype=complex)
     for n in range(n_src):
@@ -401,6 +356,42 @@ def run_vieq(trials: int, seed: int) -> SuiteReport:
     return report
 
 
+def _checked(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Hermitian parts and spectra of stacked draws, after new_state's verdict:
+    every block finite, Hermitian and positive, and each trial's blocks of total trace one."""
+    margins = block_margins(blocks)
+    margins.require(lambda block, problem: NotAState(f"drawn block {block} {problem}"))
+    traces = np.add.reduceat(np.einsum("nii->n", margins.sym).real, starts)
+    require_unit(traces, lambda trial, problem: NotAState(f"trial {trial} {problem}"))
+    margins.sym.flags.writeable = margins.eigenvalues.flags.writeable = False
+    return margins.sym, margins.eigenvalues
+
+
+def _groups(rng: np.random.Generator, qs: np.ndarray, sizes: np.ndarray):
+    """Per drawn qdim q, smallest first: q, the trials that drew it, and their
+    random_state(counting_space(n), q) draws, n from ``sizes`` and random_density(q)
+    at n = 1, as one checked stack (cells, their spectra, each trial's first cell)."""
+    for q in np.unique(qs).tolist():
+        idx = np.flatnonzero(qs == q)
+        g = random_complex(rng, (int(sizes[idx].sum()), q, q))
+        m = g @ g.conj().transpose(0, 2, 1)
+        starts = np.cumsum(sizes[idx]) - sizes[idx]
+        totals = np.repeat(np.add.reduceat(np.einsum("nii->n", m).real, starts), sizes[idx])
+        yield (q, idx, *_checked(m / totals[:, None, None], starts), starts)
+
+
+def _trial_states(masses, eigs, starts) -> list[HybridState]:
+    """One HybridState per trial of a stack that passed new_state's verdict in _checked."""
+    return [HybridState(counting_space(len(m)), m.shape[1], m, e)
+            for m, e in zip(np.split(masses, starts[1:]), np.split(eigs, starts[1:]))]
+
+
+# The members of each merge trial's five ensembles, as indices into its seven
+# densities (rho_a, rho_b, s1, s2): split, merged, (p1, s1), (p2, s2), whole.
+MERGE_MEMBERS = np.array([0, 0, 1, 0, 1, 2, 3, 4, 5, 6, 2, 3, 4, 5, 6])
+MERGE_STARTS = np.array([0, 3, 5, 7, 10])
+
+
 def run_correlations(trials: int, seed: int) -> SuiteReport:
     """Mutual information: product states, bounds, monotonicity, cross-formulas."""
     report = SuiteReport("correlations", trials, seed)
@@ -414,61 +405,70 @@ def run_correlations(trials: int, seed: int) -> SuiteReport:
     report.checks += [product_zero, araki, monotone, embed_identity, three_term, merge, concavity]
 
     slow_trials = min(trials, 300)
+    araki_dev, monotone_dev = np.empty((2, trials))
+    product_dev, embed_dev, three_dev, merge_dev, concavity_dev = np.empty((5, slow_trials))
 
     rng = seeded_rng(seed, "correlations.araki")
-    for _ in range(trials):
-        n = int(rng.integers(1, 9))
-        q = int(rng.integers(1, 7))
-        w = random_state(counting_space(n), q, rng)
-        bound = 2.0 * von_neumann_entropy(quantum_marginal(w))
-        araki.record(mutual_information(w) - bound)
+    ns, qs = rng.integers(1, 9, trials), rng.integers(1, 7, trials)
+    for q, idx, masses, eigs, starts in _groups(rng, qs, ns):
+        spectra = _checked(np.add.reduceat(masses, starts), np.arange(idx.size))[1]
+        bound = 2.0 * np.maximum(entropies(spectra), 0.0)
+        araki_dev[idx] = _mutual_information_segments(masses, eigs, starts) - bound
 
     rng = seeded_rng(seed, "correlations.monotonicity")
-    for _ in range(trials):
-        n_src, n_dst = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        q = int(rng.integers(1, 7))
-        src, dst = counting_space(n_src), counting_space(n_dst)
-        kernel = MarkovKernel(src, dst, random_stochastic_matrix(n_dst, n_src, rng))
-        ch = non_interacting(kernel, random_kraus_set(q, int(rng.integers(1, 4)), rng))
-        w = random_state(src, q, rng)
-        monotone.record(mutual_information(apply(ch, w)) - mutual_information(w))
+    n_src, n_dst, qs = (rng.integers(1, high, trials) for high in (9, 9, 7))
+    for q, idx, masses, eigs, starts in _groups(rng, qs, n_src):
+        outputs = []
+        for n, w in zip(n_dst[idx].tolist(), _trial_states(masses, eigs, starts)):
+            p = random_stochastic_matrix(n, w.space.size, rng)
+            ch = non_interacting(MarkovKernel(w.space, counting_space(n), p),
+                                 random_kraus_set(q, int(rng.integers(1, 4)), rng))
+            outputs.append(apply(ch, w))
+        after = _mutual_information_segments(np.concatenate([w.masses for w in outputs]),
+                                             np.concatenate([w.eigenvalues for w in outputs]),
+                                             np.cumsum(n_dst[idx]) - n_dst[idx])
+        monotone_dev[idx] = after - _mutual_information_segments(masses, eigs, starts)
 
     rng = seeded_rng(seed, "correlations.product")
-    for _ in range(slow_trials):
-        n = int(rng.integers(1, 9))
-        q = int(rng.integers(1, 7))
-        space = counting_space(n)
-        w = product_state(space, random_probability_vector(n, rng), random_density(q, rng))
-        product_zero.record(mutual_information(w))
+    ns, qs = rng.integers(1, 9, slow_trials), rng.integers(1, 7, slow_trials)
+    for q, idx, rho, _, _ in _groups(rng, qs, np.ones(slow_trials, dtype=int)):
+        starts = np.cumsum(ns[idx]) - ns[idx]
+        f = rng.uniform(0.1, 1.0, int(ns[idx].sum()))
+        f /= np.repeat(np.add.reduceat(f, starts), ns[idx])
+        masses, eigs = _checked(f[:, None, None] * np.repeat(rho, ns[idx], axis=0), starts)
+        product_dev[idx] = _mutual_information_segments(masses, eigs, starts)
 
     rng = seeded_rng(seed, "correlations.identity")
-    for _ in range(slow_trials):
-        n = int(rng.integers(1, 5))
-        q = int(rng.integers(2, 5))
-        w = random_state(counting_space(n), q, rng)
-        mi = mutual_information(w)
-        p = classical_marginal(w).masses
-        reference = np.kron(quantum_marginal(w), np.diag(p))
-        embed_identity.record(abs(mi - relative_entropy(embed_quantum(w), reference)))
-        three_term.record(abs(mi - mutual_information_three_term(w)))
+    ns, qs = rng.integers(1, 5, slow_trials), rng.integers(2, 5, slow_trials)
+    for q, idx, masses, eigs, starts in _groups(rng, qs, ns):
+        mi = _mutual_information_segments(masses, eigs, starts).tolist()
+        for t, w, value in zip(idx, _trial_states(masses, eigs, starts), mi):
+            reference = np.kron(quantum_marginal(w), np.diag(classical_marginal(w).masses))
+            embed_dev[t] = abs(value - relative_entropy(embed_quantum(w), reference))
+            three_dev[t] = abs(value - mutual_information_three_term(w))
 
     rng = seeded_rng(seed, "correlations.merge")
-    for _ in range(slow_trials):
-        q = int(rng.integers(2, 5))
-        rho_a, rho_b = random_density(q, rng), random_density(q, rng)
-        p = random_probability_vector(3, rng)
-        split = Ensemble(p, np.stack([rho_a, rho_a, rho_b]))
-        merged = Ensemble(np.array([p[0] + p[1], p[2]]), np.stack([rho_a, rho_b]))
-        merge.record(abs(holevo(split) - holevo(merged)))
+    qs = np.repeat(rng.integers(2, 5, slow_trials), 7)  # seven densities per trial
+    for q, idx, rho, eigs, _ in _groups(rng, qs, np.ones(qs.size, dtype=int)):
+        idx, size = idx[::7] // 7, idx.size // 7
+        p, p1, p2 = (u / u.sum(axis=1, keepdims=True)
+                     for u in np.split(rng.uniform(0.1, 1.0, (size, 8)), [3, 5], axis=1))
+        t = rng.uniform(size=(size, 1))
+        weights = np.hstack([p, p[:, :2].sum(axis=1, keepdims=True), p[:, 2:], p1, p2,
+                             t * p1, (1 - t) * p2]).ravel()
+        starts = (MERGE_STARTS + MERGE_MEMBERS.size * np.arange(size)[:, None]).ravel()
+        require_unit(np.add.reduceat(weights, starts),
+                     lambda ensemble, problem: NotAnEnsemble(f"ensemble {ensemble} {problem}"))
+        members = (MERGE_MEMBERS + 7 * np.arange(size)[:, None]).ravel()
+        chi = _holevo_segments(weights, weights[:, None, None] * rho[members], eigs[members],
+                               starts).reshape(size, 5)
+        merge_dev[idx] = np.abs(chi[:, 0] - chi[:, 1])
+        concavity_dev[idx] = t[:, 0] * chi[:, 2] + (1 - t[:, 0]) * chi[:, 3] - chi[:, 4]
 
-        p1 = random_probability_vector(2, rng)
-        p2 = random_probability_vector(3, rng)
-        s1 = np.stack([random_density(q, rng) for _ in range(2)])
-        s2 = np.stack([random_density(q, rng) for _ in range(3)])
-        t = float(rng.uniform())
-        whole = Ensemble(np.concatenate([t * p1, (1 - t) * p2]), np.concatenate([s1, s2]))
-        parts = t * holevo(Ensemble(p1, s1)) + (1 - t) * holevo(Ensemble(p2, s2))
-        concavity.record(parts - holevo(whole))
+    for check, devs in zip(report.checks, (product_dev, araki_dev, monotone_dev, embed_dev,
+                                           three_dev, merge_dev, concavity_dev)):
+        for deviation in devs.tolist():
+            check.record(deviation)
     return report
 
 

@@ -229,10 +229,18 @@ def _targets(pattern: str, n: int, n_src: int, n_dst: int, rng) -> list[int]:
 
 
 def _patterned_channel(pattern, n_src, n_dst, q_src, q_dst, rng):
-    """Complete channel with 1-3 Kraus rows per cell pair of the pattern."""
+    """Complete channel with 1-3 Kraus rows per cell pair of the pattern.
+
+    A source whose rows are fewer than ceil(q_src / q_dst) gets the missing ones
+    on its first target, so its stacked rows have full column rank and
+    right_normalize can make them complete.
+    """
     dst, src, stacks = [], [], []
     for n in range(n_src):
         counts = {m: int(rng.integers(1, 4)) for m in _targets(pattern, n, n_src, n_dst, rng)}
+        short = -(-q_src // q_dst) - sum(counts.values())
+        if short > 0:
+            counts[next(iter(counts))] += short
         for m, k in counts.items():
             dst += [m] * k
             src += [n] * k
@@ -240,6 +248,16 @@ def _patterned_channel(pattern, n_src, n_dst, q_src, q_dst, rng):
     return from_rows(
         counting_space(n_src), counting_space(n_dst), q_src, q_dst, dst, src, np.concatenate(stacks)
     )
+
+
+def test_patterned_channel_tops_up_rows_that_cannot_be_complete():
+    # one hub pair drawing 1-3 rows of a 1x4 operator: four rows are needed for
+    # sum L^dag L to be invertible, so the helper raised NumericalFailure before
+    rng = np.random.default_rng(0)
+    ch = _patterned_channel("hub", 1, 1, 4, 1, rng)
+    assert len(ch.kraus) == 4
+    w = random_state(ch.src_space, 4, rng)
+    assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
 
 
 # every (q_src, q_dst) with a product at or below the transfer limit, and two above it

@@ -22,6 +22,8 @@ from hybridiq.classical import (
 )
 from hybridiq.correlations import (
     Ensemble,
+    _holevo_segments,
+    _mutual_information_segments,
     holevo,
     monotonicity_report,
     mutual_information,
@@ -37,6 +39,7 @@ from hybridiq.rand import (
     random_stochastic_matrix,
 )
 from hybridiq.state import (
+    ZERO_MASS,
     classical_marginal,
     embed_quantum,
     new_state,
@@ -162,6 +165,66 @@ def test_stored_spectra_match_a_per_cell_loop(name):
     expected = max(_literal_mutual_information(w), 0.0)
     assert abs(mutual_information(w) - expected) <= 1e-12
     assert abs(holevo(state_ensemble(w)) - _literal_mutual_information(w)) <= 1e-12
+
+
+def _concatenated(items, stacks):
+    """The stacks of ``items`` joined into one, and where each item starts."""
+    sizes = np.array([len(getattr(item, stacks[0])) for item in items])
+    joined = (np.concatenate([getattr(item, name) for item in items]) for name in stacks)
+    return (*joined, np.cumsum(sizes) - sizes)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_segmented_core_matches_one_state_and_one_ensemble_at_a_time(q):
+    rng = np.random.default_rng(40 + q)
+    states = [random_state(counting_space(n), q, rng) for n in (1, 3, 6, 2, 5)]
+    with_zero = random_state(counting_space(5), q, rng).masses.copy()
+    with_zero[[0, 3]] = 0.0  # zero-mass cells inside a segment
+    states.append(new_state(counting_space(5), with_zero / np.einsum("nii->", with_zero).real))
+    mi = _mutual_information_segments(*_concatenated(states, ("masses", "eigenvalues")))
+    assert mi.shape == (len(states),)
+    for value, w in zip(mi.tolist(), states):
+        assert abs(value - mutual_information(w)) <= 1e-12
+        assert abs(value - max(_literal_mutual_information(w), 0.0)) <= 1e-12
+
+    members = [np.stack([random_density(q, rng) for _ in range(k)]) for k in (1, 4, 2, 3)]
+    if q == 1:  # random_density(1) can miss trace one by an ulp; a qdim-1 state is [[1]]
+        members = [np.ones_like(rho) for rho in members]
+    ensembles = [Ensemble(random_probability_vector(len(rho), rng), rho) for rho in members]
+    p, rho, eigs, starts = _concatenated(ensembles, ("probabilities", "states", "eigenvalues"))
+    chi = _holevo_segments(p, p[:, None, None] * rho, eigs, starts)
+    for value, ens in zip(chi.tolist(), ensembles):
+        assert abs(value - holevo(ens)) <= 1e-12
+    if q == 1:  # no quantum side, so no correlation, exactly
+        assert mi.tolist() == [0.0] * len(states)
+        assert chi.tolist() == [0.0] * len(ensembles)
+
+
+def test_segmented_core_ignores_zero_mass_cells():
+    rng = np.random.default_rng(45)
+    w = random_state(counting_space(3), 2, rng)
+    padded = np.zeros((6, 2, 2), dtype=complex)
+    padded[[1, 2, 4]] = w.masses
+    padded[5] = 0.5 * ZERO_MASS * np.eye(2)  # positive, but at the zero-mass cutoff
+    padded /= np.einsum("nii->", padded).real
+    lighter = new_state(counting_space(6), padded)
+    both = [w, lighter]
+    value, padded_value = _mutual_information_segments(
+        *_concatenated(both, ("masses", "eigenvalues"))
+    )
+    assert abs(value - padded_value) <= 1e-12
+    assert abs(mutual_information(lighter) - mutual_information(w)) <= 1e-12
+
+
+def test_segmented_core_refuses_a_segment_without_mass():
+    rng = np.random.default_rng(46)
+    masses = np.concatenate([random_state(counting_space(2), 2, rng).masses, np.zeros((2, 2, 2))])
+    eigs = np.linalg.eigvalsh(masses)
+    with pytest.raises(NotAnEnsemble, match="^segment 1 has no member of positive weight$"):
+        _mutual_information_segments(masses, eigs, np.array([0, 2]))
+    p = np.array([0.4, 0.6, 0.0])
+    with pytest.raises(NotAnEnsemble, match="^segment 1 "):
+        _holevo_segments(p, p[:, None, None] * masses[:3], eigs[:3], np.array([0, 2]))
 
 
 def test_ensemble_eigenvalues_are_read_only_member_spectra():

@@ -1,5 +1,6 @@
 import pytest
 
+from hybridiq import correlations
 from hybridiq.errors import UnknownSuite
 from hybridiq.properties import SUITES, run_suite
 
@@ -30,3 +31,32 @@ def test_suite_report_shape():
     assert {"name", "tolerance", "trials", "violations", "max_deviation", "ok"} <= set(
         d["checks"][0]
     )
+
+
+def test_correlations_reports_are_deterministic():
+    assert run_suite("correlations", 40, 9).to_dict() == run_suite("correlations", 40, 9).to_dict()
+
+
+@pytest.mark.parametrize("trials", [7, 305])
+def test_correlations_trial_counts(trials):
+    counts = {c.name: c.trials for c in run_suite("correlations", trials, 4).checks}
+    slow = min(trials, 300)
+    assert counts == {
+        "product_state_zero_information": slow,
+        "araki_lieb_bound": trials,
+        "monotonic_under_non_interacting": trials,
+        "equals_relative_entropy_identity": slow,
+        "equals_three_term_formula": slow,
+        "holevo_merge_invariance": slow,
+        "holevo_concavity": slow,
+    }
+
+
+def test_correlations_suite_sees_a_shifted_holevo_core(monkeypatch):
+    # every batched mutual information goes through the segmented core, so a
+    # core that is off by 1e-6 must show as violations, not pass unnoticed
+    core = correlations._holevo_segments
+    monkeypatch.setattr(correlations, "_holevo_segments", lambda *args: core(*args) + 1e-6)
+    checks = {c.name: c for c in run_suite("correlations", 25, 123).checks}
+    assert checks["araki_lieb_bound"].violations > 0
+    assert checks["product_state_zero_information"].violations == 25
