@@ -19,8 +19,9 @@ import numpy as np
 
 from .channel import COMPLETENESS_TOL, HybridChannel, apply, interaction_defect
 from .errors import HybridError, NotAnEnsemble
-from .linalg import block_margins, entropies, von_neumann_entropy
+from .linalg import block_margins, entropies, nonnegative, von_neumann_entropy
 from .state import (
+    _ONE_SEGMENT,
     HybridState,
     ZERO_MASS,
     classical_marginal,
@@ -65,10 +66,6 @@ class Ensemble:
         return int(self.probabilities.size)
 
 
-_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
-_ONE_SEGMENT.flags.writeable = False
-
-
 def _holevo_segments(
     p: np.ndarray, weighted: np.ndarray, eigs: np.ndarray, starts: np.ndarray
 ) -> np.ndarray:
@@ -95,10 +92,10 @@ def _holevo_segments(
 
 
 def holevo(ensemble: Ensemble) -> float:
-    """chi = S(sum p rho) - sum p S(rho), in nats."""
+    """chi = S(sum p rho) - sum p S(rho), in nats, clipped at +0.0."""
     p = ensemble.probabilities
     weighted = p[:, None, None] * ensemble.states
-    return float(_holevo_segments(p, weighted, ensemble.eigenvalues, _ONE_SEGMENT)[0])
+    return nonnegative(float(_holevo_segments(p, weighted, ensemble.eigenvalues, _ONE_SEGMENT)[0]))
 
 
 def _mutual_information_segments(

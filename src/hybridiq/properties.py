@@ -3,12 +3,11 @@
 Each suite draws seeded random instances and records, per check, the worst
 measured deviation and the number of tolerance violations.  Checks use
 independent sub-streams of the master seed (see :func:`hybridiq.rand.seeded_rng`),
-so adding a check never perturbs the draws of existing ones.  The correlations
-suite draws every trial's sizes first, then per check and per qdim one stack of
-blocks, checked once and evaluated by the segmented Holevo core; the code under
-test (``non_interacting``, ``apply``) and the cross-check oracles stay per trial.
-The CLI ``properties`` command and the acceptance tests are both thin wrappers
-around :func:`run_suite`.
+so adding a check never perturbs the draws of existing ones.  The axioms and
+correlations suites draw every trial's sizes first, then per qdim one checked
+stack, evaluated by the segmented probability and Holevo cores; ``non_interacting``,
+``apply`` and the cross-check oracles stay per trial.  The CLI ``properties``
+command and the acceptance tests both wrap :func:`run_suite`.
 """
 
 from __future__ import annotations
@@ -28,18 +27,19 @@ from .classical import MarkovKernel, counting_space
 from .correlations import (
     _holevo_segments, _mutual_information_segments, mutual_information_three_term,
 )
-from .errors import NotAnEnsemble, NotAState, UnknownSuite
+from .errors import BadEffect, NotAnEnsemble, NotAState, UnknownSuite
 from .linalg import (
     block_margins, entropies, partial_trace, partial_transpose, relative_entropy, require_unit,
     trace_norm,
 )
 from .rand import (
-    random_complex, random_density, random_effect, random_kraus_set, random_probability_vector,
-    random_psd, random_stochastic_matrix, random_unitary, seeded_rng,
+    random_complex, random_density, random_effect, random_effects, random_kraus_set,
+    random_probability_vector, random_stochastic_matrix, random_unitary, seeded_rng,
 )
 from .state import (
-    HybridState, classical_marginal, condition_on_effect, distance, embed_quantum, mix, new_state,
-    probability, product_state, quantum_marginal, random_state, tensor_with_quantum, total_trace,
+    HybridState, _probability_segments, classical_marginal, condition_on_effect, distance,
+    embed_quantum, mix, new_state, probability, product_state, quantum_marginal, random_state,
+    require_effects, tensor_with_quantum, total_trace,
 )
 
 STATES_PER_CHANNEL = 10
@@ -57,9 +57,11 @@ class CheckResult:
     max_deviation: float = -math.inf
 
     def record(self, deviation: float) -> None:
+        """Count one trial; a NaN deviation is a violation and sticks as the maximum."""
         self.trials += 1
-        self.max_deviation = max(self.max_deviation, float(deviation))
-        if deviation > self.tolerance:
+        if math.isnan(deviation) or deviation > self.max_deviation:
+            self.max_deviation = float(deviation)
+        if not deviation <= self.tolerance:
             self.violations += 1
 
     @property
@@ -67,7 +69,9 @@ class CheckResult:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        # a maximum that is not finite is written as null, as validate writes its deviations
+        worst = self.max_deviation if math.isfinite(self.max_deviation) else None
+        return {**asdict(self), "max_deviation": worst, "ok": self.ok}
 
 
 @dataclass
@@ -91,8 +95,11 @@ class SuiteReport:
                 "violations": self.violations, "checks": [c.to_dict() for c in self.checks]}
 
 
-def _random_event(rng: np.random.Generator, n_cells: int) -> list[int]:
-    return np.flatnonzero(rng.random(n_cells) < 0.5).tolist()
+def _record(checks: list[CheckResult], deviations) -> None:
+    """Record each check's per-trial deviations, in trial order."""
+    for check, devs in zip(checks, deviations):
+        for deviation in devs.tolist():
+            check.record(deviation)
 
 
 def _bounded_effect(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -109,39 +116,39 @@ def _sized_random_channel(rng, src, dst, q_src: int, q_dst: int):
 
 def run_axioms(trials: int, seed: int) -> SuiteReport:
     """Conditions (i)-(iv) on random states, events, and effect decompositions."""
-    report = SuiteReport("axioms", trials, seed)
-    nonneg = CheckResult("probability_non_negative", 0.0)
-    add_events = CheckResult("additivity_disjoint_events", 1e-12)
-    add_effects = CheckResult("additivity_effect_decomposition", 1e-10)
-    normalization = CheckResult("normalization_w_X_I", 1e-9)
-    report.checks += [nonneg, add_events, add_effects, normalization]
+    report = SuiteReport("axioms", trials, seed, [CheckResult(n, tol) for n, tol in (
+        ("probability_non_negative", 0.0), ("additivity_disjoint_events", 1e-12),
+        ("additivity_effect_decomposition", 1e-10), ("normalization_w_X_I", 1e-9))])
+    devs = np.empty((4, trials))
 
     rng = seeded_rng(seed, "axioms.instances")
-    for _ in range(trials):
-        n = int(rng.integers(1, 17))
-        q = int(rng.integers(1, 7))
-        w = random_state(counting_space(n), q, rng)
-        e = random_effect(q, rng)
+    ns, qs, ks = (rng.integers(low, high, trials) for low, high in ((1, 17), (1, 7), (2, 5)))
+    for q, idx, masses, _, starts in _groups(rng, qs, ns):
+        n, k, trial = ns[idx], ks[idx], np.repeat(np.arange(idx.size), ns[idx])
+        w = lambda effects, events: _probability_segments(masses, effects, events, starts)
+        effects = random_effects(idx.size, q, rng)
+        event = rng.random(trial.size) < 0.5
+        # the permutation split a = perm[:cut1], b = perm[cut1:cut2], as ranks within each trial
+        ranks = np.empty(trial.size, dtype=int)
+        ranks[np.lexsort((rng.random(trial.size), trial))] = np.arange(trial.size) - starts[trial]
+        cuts = np.sort(rng.integers(0, n[:, None] + 1, (idx.size, 2)), axis=1)[trial]
+        a, b = ranks < cuts[:, 0], (cuts[:, 0] <= ranks) & (ranks < cuts[:, 1])
+        g = random_complex(rng, (int(k.sum()), q, q))
+        parts = np.zeros((idx.size, int(k.max()), q, q), dtype=complex)
+        parts[np.arange(parts.shape[1]) < k[:, None]] = g @ g.conj().transpose(0, 2, 1)
+        total = parts.sum(axis=1)
+        scale = rng.uniform(0.2, 1.0, k.size) / np.maximum(np.linalg.eigvalsh(total)[:, -1], 1e-12)
+        parts *= scale[:, None, None, None]
+        total *= scale[:, None, None]
+        require_effects(np.concatenate([effects, total, parts.reshape(-1, q, q)]),
+                        lambda block, problem: BadEffect(f"drawn effect {block} {problem}"))
+        split = rng.random(trial.size) < 0.5
 
-        nonneg.record(-probability(w, _random_event(rng, n), e))
-
-        perm = rng.permutation(n)
-        cut1, cut2 = sorted(rng.integers(0, n + 1, size=2))
-        a, b = perm[:cut1].tolist(), perm[cut1:cut2].tolist()
-        lhs = probability(w, a + b, e)
-        add_events.record(abs(lhs - probability(w, a, e) - probability(w, b, e)))
-
-        k = int(rng.integers(2, 5))
-        parts = [random_psd(q, rng) for _ in range(k)]
-        total = sum(parts)
-        scale = rng.uniform(0.2, 1.0) / max(float(np.linalg.eigvalsh(total)[-1]), 1e-12)
-        parts = [scale * p for p in parts]
-        event = _random_event(rng, n)
-        lhs = probability(w, event, scale * total)
-        rhs = sum(probability(w, event, p) for p in parts)
-        add_effects.record(abs(lhs - rhs))
-
-        normalization.record(abs(probability(w, range(n), np.eye(q)) - 1.0))
+        devs[0, idx] = -w(effects, event)
+        devs[1, idx] = np.abs(w(effects, a | b) - w(effects, a) - w(effects, b))
+        devs[2, idx] = np.abs(w(total, split) - sum(w(p, split) for p in parts.swapaxes(0, 1)))
+        devs[3, idx] = np.abs(w(np.broadcast_to(np.eye(q), effects.shape), trial >= 0) - 1.0)
+    _record(report.checks, devs)
     return report
 
 
@@ -329,7 +336,7 @@ def run_vieq(trials: int, seed: int) -> SuiteReport:
         big = random_state(src, d_src * d_q, rng)
         f = _bounded_effect(d_q, rng)
         e = random_effect(d_dst, rng)
-        event = _random_event(rng, n_dst)
+        event = np.flatnonzero(rng.random(n_dst) < 0.5).tolist()
 
         prob_f = probability(big, range(n_src), np.kron(np.eye(d_src), f))
         cond = condition_on_effect(big, f)
@@ -465,10 +472,8 @@ def run_correlations(trials: int, seed: int) -> SuiteReport:
         merge_dev[idx] = np.abs(chi[:, 0] - chi[:, 1])
         concavity_dev[idx] = t[:, 0] * chi[:, 2] + (1 - t[:, 0]) * chi[:, 3] - chi[:, 4]
 
-    for check, devs in zip(report.checks, (product_dev, araki_dev, monotone_dev, embed_dev,
-                                           three_dev, merge_dev, concavity_dev)):
-        for deviation in devs.tolist():
-            check.record(deviation)
+    _record(report.checks, (product_dev, araki_dev, monotone_dev, embed_dev, three_dev, merge_dev,
+                            concavity_dev))
     return report
 
 
@@ -530,14 +535,9 @@ def run_locc(trials: int, seed: int) -> SuiteReport:
         evolved = locc_mod.initial_record_state(proto, rho)
         for ch in locc_mod.as_hybrid_channels(proto):
             evolved = apply(ch, evolved)
-        by_record = dict(zip(evolved.space.labels, evolved.masses))
-        worst = 0.0
-        for rec, mass in zip(state.space.labels, state.masses):
-            worst = max(worst, float(np.abs(by_record[rec] - mass).max()))
-        for rec, mass in by_record.items():
-            if any(x == 0 for x in rec):
-                worst = max(worst, float(np.abs(mass).max()))
-        channels_match.record(worst)
+        # the last round's target is run's space of complete records, cell for cell
+        same = evolved.space.labels == state.space.labels
+        channels_match.record(np.abs(evolved.masses - state.masses).max() if same else math.inf)
 
     rng = seeded_rng(seed, "locc.ppt")
     for _ in range(trials):

@@ -28,12 +28,16 @@ def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def random_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, dim, dim) Haar-like unitaries from one batched QR of a Ginibre stack."""
+    q, r = np.linalg.qr(random_complex(rng, (count, dim, dim)))
+    phases = np.diagonal(r, axis1=1, axis2=2)
+    return q * (phases / np.abs(phases))[:, None, :]
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-like unitary from the QR decomposition of a Ginibre matrix."""
-    q, r = np.linalg.qr(random_complex(rng, (dim, dim)))
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return random_unitaries(1, dim, rng)[0]
 
 
 def random_psd(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
@@ -46,10 +50,15 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     return m / np.trace(m).real
 
 
+def random_effects(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """(count, dim, dim) effects U diag(lambda) U^dag, lambda uniform in [0, 1)."""
+    u = random_unitaries(count, dim, rng)
+    return (u * rng.uniform(0.0, 1.0, (count, 1, dim))) @ u.conj().transpose(0, 2, 1)
+
+
 def random_effect(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Effect with eigenvalues drawn uniformly from [0, 1]."""
-    u = random_unitary(dim, rng)
-    return (u * rng.uniform(0.0, 1.0, dim)) @ u.conj().T
+    """Effect with eigenvalues drawn uniformly from [0, 1)."""
+    return random_effects(1, dim, rng)[0]
 
 
 def random_probability_vector(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,7 @@ cell weights only re-enter when converting masses to densities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -60,11 +60,7 @@ class Effect:
             raise BadEffect(str(exc)) from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise BadEffect(f"effect must be a square matrix, got shape {arr.shape}")
-        margins = block_margins(arr[None])
-        margins.require(lambda _, problem: BadEffect(f"effect {problem}"))
-        vals, scale = margins.eigenvalues[0], margins.scales[0]
-        if vals[-1] > 1.0 + PSD_TOL * scale:
-            raise BadEffect(f"effect has eigenvalue {vals[-1]!r} above one")
+        require_effects(arr[None], lambda _, problem: BadEffect(f"effect {problem}"))
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "matrix", arr)
@@ -72,6 +68,21 @@ class Effect:
     @property
     def dim(self) -> int:
         return int(self.matrix.shape[0])
+
+
+def require_effects(stack: np.ndarray, error: Callable[[int, str], Exception]) -> None:
+    """Raise ``error(block, problem)`` at the lowest failing block of a (n, d, d) effect stack.
+
+    The one effect rule: every block finite, Hermitian and positive
+    (``BlockMargins.require``), then lambda_max <= 1 + PSD_TOL * max(1, trace norm).
+    """
+    margins = block_margins(stack)
+    margins.require(error)
+    top = margins.eigenvalues[:, -1]
+    above = top > 1.0 + PSD_TOL * margins.scales
+    if above.any():
+        block = int(above.argmax())
+        raise error(block, f"has eigenvalue {top[block]!r} above one")
 
 
 def as_effect(e) -> Effect:
@@ -147,15 +158,33 @@ def _event_indices(state: HybridState, event: Iterable[int]) -> np.ndarray:
     return idx
 
 
+_ONE_SEGMENT = np.zeros(1, dtype=np.intp)
+_ONE_SEGMENT.flags.writeable = False
+
+
+def _probability_segments(
+    masses: np.ndarray, effects: np.ndarray, events: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """w(A_s, E_s) = sum over cells n in A_s of tr(sigma_n E_s), per segment.
+
+    ``masses`` (N, q, q) hold one state's cells per segment, segment s from
+    ``starts[s]`` up to the next start (each segment non-empty); ``effects``
+    (S, q, q) hold one effect per segment and the boolean ``events`` (N,) mark
+    the cells of each segment's event.  Inputs are taken as already checked.
+    """
+    sizes = np.append(starts[1:], masses.shape[0]) - starts
+    traces = np.einsum("nij,nji->n", masses, np.repeat(effects, sizes, axis=0))
+    return np.add.reduceat(np.where(events, traces.real, 0.0), starts)
+
+
 def probability(state: HybridState, event: Iterable[int], effect) -> float:
     """w(A, E) = sum over cells in A of tr(sigma_n E)."""
     eff = as_effect(effect)
     if eff.dim != state.qdim:
         raise BadEffect(f"effect dimension {eff.dim} does not match qdim {state.qdim}")
-    idx = _event_indices(state, event)
-    if idx.size == 0:
-        return 0.0
-    return float(np.einsum("nij,ji->", state.masses[idx], eff.matrix).real)
+    events = np.zeros(state.space.size, dtype=bool)
+    events[_event_indices(state, event)] = True
+    return float(_probability_segments(state.masses, eff.matrix[None], events, _ONE_SEGMENT)[0])
 
 
 def classical_marginal(state: HybridState) -> ClassicalMarginal:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hybridiq import io
+from hybridiq import io, properties
 from hybridiq.channel import COMPLETENESS_TOL, from_rows, identity_channel, non_interacting
 from hybridiq.classical import counting_space, identity_kernel, uniform_mixing_kernel
 from hybridiq.cli import CSV_COLUMNS, main
@@ -13,6 +13,7 @@ from hybridiq.errors import (
 )
 from hybridiq.linalg import HERMITICITY_TOL, PSD_TOL
 from hybridiq.locc import LoccProtocol, LoccRound
+from hybridiq.properties import SUITES
 from hybridiq.rand import random_kraus_set
 from hybridiq.state import new_state, random_state
 
@@ -202,12 +203,24 @@ def test_properties_exit_codes(capsys):
     assert main(["properties", "not-a-suite"]) == 1
 
 
-def test_properties_report_determinism(tmp_path):
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_properties_report_determinism(tmp_path, suite):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     for out in (out1, out2):
-        assert main(["properties", "metric", "--trials", "20", "--seed", "5",
+        assert main(["properties", suite, "--trials", "20", "--seed", "5",
                      "--out", str(out)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_properties_exits_2_on_a_nan_deviation(tmp_path, monkeypatch):
+    # a check that measures NaN fails and is written as null, not a ValueError from the JSON writer
+    monkeypatch.setattr(properties, "_probability_segments",
+                        lambda masses, effects, events, starts: np.full(len(starts), np.nan))
+    out = tmp_path / "r.json"
+    assert main(["properties", "axioms", "--trials", "3", "--seed", "5", "--out", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert not report["ok"] and report["violations"] == 12
+    assert [c["max_deviation"] for c in report["checks"]] == [None] * 4
 
 
 def test_randgen_determinism_and_validity(tmp_path):

@@ -67,6 +67,14 @@ def test_holevo_identical_members_zero():
     assert holevo(ens) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_holevo_of_classical_members_is_plus_zero():
+    # random_density(1) leaves entries an ulp below one, whose entropies are +1e-16
+    rng = np.random.default_rng(41)
+    ens = Ensemble(np.full(4, 0.25), np.stack([random_density(1, rng) for _ in range(4)]))
+    chi = holevo(ens)
+    assert chi == 0.0 and math.copysign(1.0, chi) == 1.0
+
+
 def test_holevo_orthogonal_pure_states():
     ens = Ensemble(np.array([0.5, 0.5]), np.stack([KET0, KET1]))
     assert holevo(ens) == pytest.approx(math.log(2), abs=1e-12)

@@ -1,8 +1,10 @@
+import math
+
 import pytest
 
-from hybridiq import correlations
+from hybridiq import correlations, properties
 from hybridiq.errors import UnknownSuite
-from hybridiq.properties import SUITES, run_suite
+from hybridiq.properties import SUITES, CheckResult, run_suite
 
 
 def test_unknown_suite():
@@ -60,3 +62,31 @@ def test_correlations_suite_sees_a_shifted_holevo_core(monkeypatch):
     checks = {c.name: c for c in run_suite("correlations", 25, 123).checks}
     assert checks["araki_lieb_bound"].violations > 0
     assert checks["product_state_zero_information"].violations == 25
+
+
+@pytest.mark.parametrize("trials", [1, 7, 305])
+def test_axioms_trial_counts(trials):
+    # trials = 1 puts one trial in the only qdim group
+    report = run_suite("axioms", trials, 4)
+    assert [c.trials for c in report.checks] == [trials] * 4
+    assert report.ok, [c.to_dict() for c in report.checks if not c.ok]
+
+
+def test_axioms_suite_sees_a_shifted_probability_core(monkeypatch):
+    # every axiom check is evaluated by the segmented probability core, so a
+    # core that is off by 1e-9 must show as violations, not pass unnoticed
+    core = properties._probability_segments
+    monkeypatch.setattr(properties, "_probability_segments", lambda *args: core(*args) + 1e-9)
+    checks = {c.name: c for c in run_suite("axioms", 25, 123).checks}
+    assert checks["additivity_disjoint_events"].violations == 25
+    assert checks["additivity_effect_decomposition"].violations == 25
+
+
+def test_a_nan_deviation_is_a_violation():
+    check = CheckResult("x", 1e-9)
+    check.record(float("nan"))
+    check.record(0.5)
+    check.record(0.0)
+    assert (check.trials, check.violations, check.ok) == (3, 2, False)
+    assert math.isnan(check.max_deviation)
+    assert check.to_dict()["max_deviation"] is None

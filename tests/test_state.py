@@ -22,6 +22,7 @@ from hybridiq.linalg import partial_trace, trace_norm
 from hybridiq.rand import random_density, random_effect, random_probability_vector
 from hybridiq.state import (
     Effect,
+    _probability_segments,
     classical_marginal,
     condition_on_effect,
     conditional_quantum,
@@ -33,6 +34,7 @@ from hybridiq.state import (
     product_state,
     quantum_marginal,
     random_state,
+    require_effects,
     tensor_with_quantum,
 )
 
@@ -131,6 +133,39 @@ def test_probability_bad_inputs():
 def test_effect_rejects_bad_block(block):
     with pytest.raises(BadEffect, match="^effect "):
         Effect(block)
+
+
+def test_effect_stack_rule_names_the_lowest_failing_block():
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(BadEffect, match="^effect has eigenvalue .* above one$"):
+        Effect(2.0 * eye)  # the one-block case keeps Effect's own message
+    error = lambda block, problem: BadEffect(f"block {block} {problem}")
+    require_effects(np.stack([0.0 * eye, 0.5 * eye, eye]), error)
+    with pytest.raises(BadEffect, match="^block 1 has eigenvalue .* above one$"):
+        require_effects(np.stack([0.5 * eye, 2.0 * eye, 0.2 * eye, 3.0 * eye]), error)
+    # the finite, Hermitian and positive verdicts come before the upper bound
+    with pytest.raises(BadEffect, match="^block 2 is not positive semidefinite$"):
+        require_effects(np.stack([2.0 * eye, 0.5 * eye, -eye]), error)
+
+
+def test_probability_segments_match_one_state_at_a_time():
+    rng = np.random.default_rng(5)
+    states = [random_state(counting_space(n), 3, rng) for n in (1, 4, 2, 6)]
+    effects = np.stack([random_effect(3, rng) for _ in states])
+    events = [rng.random(w.space.size) < 0.5 for w in states]
+    events[1][:] = False  # an empty event
+    sizes = np.array([w.space.size for w in states])
+    values = _probability_segments(
+        np.concatenate([w.masses for w in states]), effects, np.concatenate(events),
+        np.cumsum(sizes) - sizes,
+    )
+    assert values.shape == (len(states),)
+    assert values[1] == 0.0
+    for value, w, eff, event in zip(values.tolist(), states, effects, events):
+        cells = np.flatnonzero(event).tolist()
+        oracle = sum(np.trace(w.masses[n] @ eff).real for n in cells)
+        assert abs(value - oracle) <= 1e-12
+        assert value == probability(w, cells, eff)
 
 
 def test_effect_equality_is_identity():
