@@ -23,10 +23,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .classical import ClassicalSpace, MarkovKernel, validate_kernel
+from .classical import ClassicalSpace, MarkovKernel
 from .errors import (
     BadBasis,
-    BadKernel,
     IncompleteChannel,
     IncompleteKraus,
     NotPSDCoefficients,
@@ -349,10 +348,8 @@ def apply(channel: HybridChannel, state: HybridState) -> HybridState:
     several.  Otherwise, from a channel's second apply on, a cached
     :attr:`HybridChannel.source_basis` (when it is not None) computes every
     B_nj sigma_n B_nl^dag in two batched products and contracts them with the
-    coefficient Grams in a third; in all other cases every row whose source
-    cell has non-zero mass is a batched L sigma L^dag, summed per target.  A
-    zero-mass cell costs no eigen-solve in the output check, and on the row
-    path no Kraus product.
+    coefficient Grams in a third; in all other cases every row is a batched
+    L sigma L^dag, summed per target.
     """
     if channel.src_space != state.space or channel.qdim_src != state.qdim:
         raise SpaceMismatch(
@@ -375,10 +372,6 @@ def apply(channel: HybridChannel, state: HybridState) -> HybridState:
         masses = (gram @ products.reshape(-1, q * q)).reshape(n_dst, q, q)
     else:
         dst, src, kraus = channel.dst, channel.src, channel.kraus
-        live = state.masses.any(axis=(1, 2))
-        if not live.all():
-            keep = live[src]
-            dst, src, kraus = dst[keep], src[keep], kraus[keep]
         masses = _sum_runs(kraus @ state.masses[src] @ kraus.conj().swapaxes(1, 2), dst, n_dst)
     return new_state(channel.dst_space, masses)
 
@@ -444,9 +437,6 @@ def non_interacting(kernel: MarkovKernel, kraus: Sequence[np.ndarray]) -> Hybrid
     The classical marginal evolves by the kernel alone, the quantum marginal by
     the Kraus set alone, and product states stay product states.
     """
-    report = validate_kernel(kernel)
-    if not report.ok:
-        raise BadKernel(report.message)
     stack = np.asarray(kraus, dtype=complex)
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.size:
         raise IncompleteKraus(message=f"Kraus set must stack to (k, d, d), got shape {stack.shape}")

@@ -84,7 +84,7 @@ def _state_checks(obj) -> list[dict]:
     # new_state's own verdict on the parsed masses, so a failing file still
     # shows every margin instead of only the first exception, and names the
     # cell the loader's NotPositive names
-    _, masses, _ = io.state_parts_from_json(obj)
+    _, masses = io.state_parts_from_json(obj)
     margins = block_margins(masses)
     checks = [
         _check(name, v.deviation, v.tolerance, f"NotPositive: {what} at cell {v.block}")

@@ -82,11 +82,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return matrices_to_json(np.asarray(m)[None])[0]
 
 
-def matrix_from_json(
-    obj: Any, what: str = "matrix", shape: tuple[int, int] | None = None
-) -> np.ndarray:
-    """Decode one matrix: the k = 1 case of :func:`matrices_from_json`."""
-    return matrices_from_json([obj], lambda i: what, shape)[0]
+def matrix_from_json(obj: Any, what: str = "matrix") -> np.ndarray:
+    """Decode one square matrix: the k = 1 case of :func:`matrices_from_json`."""
+    return matrices_from_json([obj], lambda i: what)[0]
 
 
 def space_to_json(space: ClassicalSpace) -> dict:
@@ -136,8 +134,8 @@ def state_to_json(state: HybridState) -> dict:
     return {"space": space_to_json(state.space), "qdim": state.qdim, "masses": masses}
 
 
-def state_parts_from_json(obj: Any) -> tuple[ClassicalSpace, np.ndarray, int]:
-    """Schema-check a state object into the arguments of new_state: (space, masses, qdim)."""
+def state_parts_from_json(obj: Any) -> tuple[ClassicalSpace, np.ndarray]:
+    """Schema-check a state object into the arguments of new_state: (space, masses)."""
     try:
         space_obj, masses_obj = obj["space"], obj["masses"]
         qdim = _integer(obj["qdim"], "state qdim")
@@ -146,7 +144,7 @@ def state_parts_from_json(obj: Any) -> tuple[ClassicalSpace, np.ndarray, int]:
     space = space_from_json(space_obj)
     if not isinstance(masses_obj, list) or len(masses_obj) != space.size:
         raise ParseError(f"state: need one mass matrix per cell ({space.size})")
-    return space, matrices_from_json(masses_obj, "mass", (qdim, qdim)), qdim
+    return space, matrices_from_json(masses_obj, "mass", (qdim, qdim))
 
 
 def state_from_json(obj: Any) -> HybridState:

@@ -121,23 +121,13 @@ def require_unit(traces: np.ndarray, error: Callable[[int, str], Exception]) -> 
 
 
 def block_margins(stack: np.ndarray) -> BlockMargins:
-    """Measure a (n, d, d) complex stack with one batched eigvalsh and no eigenvectors.
-
-    Only blocks whose Hermitian part has a non-zero entry are eigen-solved; a
-    zero block, such as a zero-mass cell, reads eigenvalues 0, scale 1 and
-    Hermiticity defect 0 without one.
-    """
+    """Measure a (n, d, d) complex stack with one batched eigvalsh and no eigenvectors."""
     nonfinite = ~np.isfinite(stack).all(axis=(1, 2))
     if nonfinite.any():
         stack = np.where(nonfinite[:, None, None], 0.0, stack)
     sym = (stack + stack.conj().transpose(0, 2, 1)) / 2
-    live = sym.any(axis=(1, 2))
     try:
-        if live.all():
-            eigs = np.linalg.eigvalsh(sym)
-        else:
-            eigs = np.zeros(sym.shape[:2])
-            eigs[live] = np.linalg.eigvalsh(sym[live])
+        eigs = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
     scales = np.maximum(1.0, np.abs(eigs).sum(axis=1))

@@ -336,13 +336,7 @@ def _local_repopulation(
     return from_blocks(space, space, d, d, blocks)
 
 
-def steer_to_separable(
-    space: ClassicalSpace,
-    f,
-    states_1,
-    states_2,
-    dims: tuple[int, int] | None = None,
-) -> SteeringScript:
+def steer_to_separable(space: ClassicalSpace, f, states_1, states_2) -> SteeringScript:
     """Script turning any input state into the given separable target.
 
     Step one collapses both sides onto |0>(x)|0> with the product Kraus family
@@ -351,10 +345,7 @@ def steer_to_separable(
     """
     eta1 = _cell_states(space, states_1, "first-side")
     eta2 = _cell_states(space, states_2, "second-side")
-    inferred = (eta1[0].shape[0], eta2[0].shape[0])
-    if dims is not None and tuple(dims) != inferred:
-        raise DimensionMismatch(f"dims {tuple(dims)} do not match target states {inferred}")
-    d1, d2 = inferred
+    d1, d2 = eta1[0].shape[0], eta2[0].shape[0]
     target = separable_from_ensemble(space, f, eta1, eta2)
 
     ket0_1 = np.zeros(d1, dtype=complex)

@@ -247,7 +247,7 @@ def run_channel(trials: int, seed: int) -> SuiteReport:
             out = apply(ch, w)
             outputs.append(out)
             valid_trace.record(abs(total_trace(out.masses) - 1.0))
-            valid_eig.record(-float(np.linalg.eigvalsh(out.masses).min()))
+            valid_eig.record(-float(out.eigenvalues.min()))
             oracle.record(float(np.abs(out.masses - _apply_oracle(ch, w)).max()))
         w1, w2 = states[0], states[1 % len(states)]
         contraction.record(distance(outputs[0], outputs[1 % len(states)]) - distance(w1, w2))
@@ -477,9 +477,9 @@ def run_correlations(trials: int, seed: int) -> SuiteReport:
     return report
 
 
-def _random_protocol(rng: np.random.Generator, dims=(2, 2), max_rounds: int = 3, max_outcomes: int = 2):
-    n_rounds = int(rng.integers(1, max_rounds + 1))
-    outcome_counts = [int(rng.integers(1, max_outcomes + 1)) for _ in range(n_rounds)]
+def _random_protocol(rng: np.random.Generator, dims=(2, 2)):
+    n_rounds = int(rng.integers(1, 4))
+    outcome_counts = [int(rng.integers(1, 3)) for _ in range(n_rounds)]
     rounds = []
     for r in range(n_rounds):
         side = 1 if r % 2 == 0 else 2

@@ -40,13 +40,10 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return random_unitaries(1, dim, rng)[0]
 
 
-def random_psd(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    g = random_complex(rng, (dim, rank or dim))
-    return g @ g.conj().T
-
-
-def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    m = random_psd(dim, rng, rank)
+def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank density matrix G G^dag / tr(G G^dag) from a Ginibre matrix G."""
+    g = random_complex(rng, (dim, dim))
+    m = g @ g.conj().T
     return m / np.trace(m).real
 
 

@@ -31,7 +31,6 @@ from .rand import random_complex
 
 # Below ZERO_MASS a cell or conditioning probability counts as zero.
 ZERO_MASS = 1e-12
-RENORMALIZE_WINDOW = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,30 +98,16 @@ class Conditioned(NamedTuple):
     state: HybridState
 
 
-def _stack_masses(masses, qdim: int | None) -> np.ndarray:
-    arr = np.asarray(masses, dtype=complex)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
-        raise DimensionMismatch(f"masses must stack to (cells, q, q), got shape {arr.shape}")
-    if qdim is not None and arr.shape[1] != qdim:
-        raise DimensionMismatch(f"mass blocks are {arr.shape[1]}-dimensional, expected {qdim}")
-    return arr
-
-
-def new_state(
-    space: ClassicalSpace,
-    masses,
-    qdim: int | None = None,
-    renormalize: bool = False,
-) -> HybridState:
+def new_state(space: ClassicalSpace, masses) -> HybridState:
     """Validate per-cell masses into a hybrid state.
 
     Raises NotPositive, naming the lowest failing cell, for a non-finite, then a
     non-Hermitian, then a non-PSD block (``BlockMargins.worst``), and
-    NotNormalized when the total trace is off by more than the tolerance.  With
-    ``renormalize`` the total is divided out, but only when it already lies
-    within 0.1 of one; silently fixing grossly wrong inputs would hide bugs.
+    NotNormalized when the total trace is off by more than the tolerance.
     """
-    arr = _stack_masses(masses, qdim)
+    arr = np.asarray(masses, dtype=complex)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
+        raise DimensionMismatch(f"masses must stack to (cells, q, q), got shape {arr.shape}")
     if arr.shape[0] != space.size:
         raise DimensionMismatch(f"{arr.shape[0]} mass blocks for {space.size} cells")
     margins = block_margins(arr)
@@ -131,10 +116,7 @@ def new_state(
     sym, eigs = margins.sym, margins.eigenvalues
     total = total_trace(sym)
     if abs(total - 1.0) > TRACE_TOL:
-        if renormalize and abs(total - 1.0) <= RENORMALIZE_WINDOW:
-            sym, eigs = sym / total, eigs / total
-        else:
-            raise NotNormalized(total)
+        raise NotNormalized(total)
 
     sym.flags.writeable = False
     eigs.flags.writeable = False
@@ -152,10 +134,16 @@ def is_probability_vector(p: np.ndarray) -> bool:
 
 
 def _event_indices(state: HybridState, event: Iterable[int]) -> np.ndarray:
-    idx = np.unique(np.fromiter((int(i) for i in event), dtype=np.intp))
-    if idx.size and (idx[0] < 0 or idx[-1] >= state.space.size):
+    """Sorted distinct cells of an event; each entry a Python or numpy integer, not a bool."""
+    try:
+        cells = list(event)
+    except TypeError as exc:
+        raise BadEvent(f"event must be a collection of cells, got {event!r:.120}") from exc
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in cells):
+        raise BadEvent(f"event entries must be integer cell indices, got {cells!r:.120}")
+    if cells and (min(cells) < 0 or max(cells) >= state.space.size):
         raise BadEvent(f"event contains cells outside 0..{state.space.size - 1}")
-    return idx
+    return np.unique(np.array(cells, dtype=np.intp))
 
 
 _ONE_SEGMENT = np.zeros(1, dtype=np.intp)

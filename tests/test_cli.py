@@ -197,6 +197,28 @@ def test_metrics_single_and_pair(tmp_path, state_file, capsys):
     assert 0.0 < payload["distance"] <= 2.0
 
 
+def test_metrics_csv_is_the_sorted_json_payload(tmp_path, state_file, capsys):
+    other = tmp_path / "other.json"
+    io.dump_json(io.state_to_json(random_state(counting_space(3), 2, 12)), other)
+    for files in ([state_file], [state_file, other]):
+        paths = [str(f) for f in files]
+        assert main(["metrics", *paths]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        written = []
+        for run in ("a", "b"):
+            out = tmp_path / f"{len(files)}-{run}.csv"
+            assert main(["metrics", *paths, "--format", "csv", "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+            assert capsys.readouterr().out.encode() == written[-1]  # stdout carries the same text
+        assert written[0] == written[1]
+        header, values = written[0].decode().splitlines()
+        assert header.split(",") == sorted(payload)
+        assert ("distance" in header.split(",")) == (len(files) == 2)
+        expected = [format(v, ".17g") if isinstance(v, float) else str(v)
+                    for v in map(payload.get, sorted(payload))]
+        assert values.split(",") == expected
+
+
 def test_properties_exit_codes(capsys):
     assert main(["properties", "axioms", "--trials", "30", "--seed", "7"]) == 0
     capsys.readouterr()
@@ -442,7 +464,7 @@ def _malformed_files():
         "basis": io.matrices_to_json(np.eye(4).reshape(4, 2, 2)),  # matrix units
         "k": io.complex_tensor_to_json(np.eye(4)[None, None] / 2),
     }
-    mass = io.state_to_json(new_state(counting_space(1), [[[1.0]]], 1))
+    mass = io.state_to_json(new_state(counting_space(1), [[[1.0]]]))
 
     def two_round_protocol(key):
         # the Bell round, then an identity round on side 2 whose one history key is ``key``

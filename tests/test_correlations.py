@@ -155,13 +155,11 @@ def _spectrum_reuse_cases():
     pure = vecs @ vecs.conj().transpose(0, 2, 1)
     rank2 = np.stack([random_density(2, rng) for _ in range(4)])
     rank2 = np.stack([np.kron(r, KET0) for r in rank2])  # rank <= 2 in dimension 4
-    unnormalized = random_state(counting_space(5), 2, rng).masses * 1.02
     return {
         "zero-mass-cells": new_state(counting_space(6), zero_cells),
         "qdim-1": new_state(counting_space(4), random_probability_vector(4, rng)[:, None, None]),
         "pure": new_state(counting_space(5), pure / np.einsum("nii->", pure).real),
         "rank-deficient": new_state(counting_space(4), rank2 / 4),
-        "renormalized": new_state(counting_space(5), unnormalized, renormalize=True),
         "one-cell": new_state(counting_space(1), random_density(3, rng)[None]),
         "one-cell-pure": new_state(counting_space(1), KET1[None]),
     }

@@ -188,12 +188,12 @@ def test_block_margins():
     assert np.array_equal(m.sym[4], np.zeros((2, 2)))
     for sym, vals in zip(m.sym, m.eigenvalues):
         assert np.linalg.eigvalsh(sym) == pytest.approx(vals, abs=1e-15)
-    # blocks with a zero Hermitian part skip the eigen-solve and read exact values
+    # blocks with a zero Hermitian part read exact zero eigenvalues, scale 1 and floor 0
     dead = [1, 4, 5, 6]
     assert np.array_equal(m.eigenvalues[dead], np.zeros((4, 2)))
     assert np.array_equal(m.scales[dead], np.ones(4))
     assert np.array_equal(m.floor[dead], np.zeros(4))
-    # the live blocks measure bit for bit as they do on their own
+    # the other blocks measure bit for bit as they do on their own
     live = [0, 2, 3]
     alone = block_margins(stack[live])
     for got, want in zip(m, alone):

@@ -83,15 +83,12 @@ def test_new_state_rejects_empty_blocks():
         new_state(counting_space(1), np.zeros((1, 0, 0)))
 
 
-def test_new_state_rejects_bad_trace_and_renormalizes():
-    masses = np.stack([0.95 * KET0])
+def test_new_state_rejects_bad_trace():
     with pytest.raises(NotNormalized):
-        new_state(counting_space(1), masses)
-    w = new_state(counting_space(1), masses, renormalize=True)
-    assert np.trace(w.masses[0]).real == pytest.approx(1.0)
+        new_state(counting_space(1), np.stack([0.95 * KET0]))
     with pytest.raises(NotNormalized):
-        new_state(counting_space(1), np.stack([0.5 * KET0]), renormalize=True)
-    # an all-zero stack has no eigen-solved block and still fails the trace
+        new_state(counting_space(1), np.stack([0.5 * KET0]))
+    # an all-zero stack passes the positivity verdict and still fails the trace
     with pytest.raises(NotNormalized):
         new_state(counting_space(3), np.zeros((3, 2, 2)))
 
@@ -127,6 +124,17 @@ def test_probability_bad_inputs():
         probability(w, [0], np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(BadEffect):
         Effect(-0.1 * np.eye(2))
+
+
+def test_probability_refuses_bool_and_float_events():
+    w = random_state(counting_space(3), 2, 1)
+    cell_2 = float(np.trace(w.masses[2]).real)
+    # a boolean mask, a float index, a string or a bare cell is not a collection of cells
+    for event in (np.array([False, False, True]), [True], [1.7], [np.float64(2.0)], "2", 2):
+        with pytest.raises(BadEvent):
+            probability(w, event, np.eye(2))
+    for event in ([2], np.array([2], dtype=np.int64), [np.int64(2)], (np.uint8(2),)):
+        assert probability(w, event, np.eye(2)) == pytest.approx(cell_2, abs=1e-15)
 
 
 @pytest.mark.parametrize("block", BAD_BLOCKS)
@@ -283,9 +291,6 @@ def test_eigenvalues_are_the_stored_read_only_mass_spectrum():
         w.eigenvalues = np.zeros((5, 3))
     assert "eigenvalues" not in repr(w)
     assert "eigenvalues" not in json.dumps(io.state_to_json(w))
-    scaled = new_state(counting_space(5), 1.05 * w.masses, renormalize=True)
-    assert np.allclose(scaled.eigenvalues, np.linalg.eigvalsh(scaled.masses), rtol=0, atol=1e-15)
-    assert not scaled.eigenvalues.flags.writeable
 
 
 def test_product_state_point_mass():
