@@ -75,7 +75,6 @@ from .state import (
     product_state,
     quantum_marginal,
     random_state,
-    single_cell_state,
     tensor_with_quantum,
 )
 

@@ -9,9 +9,10 @@ batched matrix products followed by segment sums over sorted cell indices.
 Rows are the only stored layout.  Two caches are derived from them and never
 serialized: small-q channels keep each target cell's transfer matrices side
 by side in padded slices (see :attr:`HybridChannel.transfer`), so that
-``apply`` is one batched mat-vec; a larger channel applied more than once
-keeps, where it is cheaper than the rows, one operator basis per source cell
-and a coefficient Gram per cell pair (see :attr:`HybridChannel.source_basis`).
+``apply`` is one batched mat-vec; a larger channel applied more than once, or
+to a stack of states, keeps, where it is cheaper than the rows, one operator
+basis per source cell and a coefficient Gram per cell pair (see
+:attr:`HybridChannel.source_basis`).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class HybridChannel:
     dst: np.ndarray    # (R,) target cell of each row
     src: np.ndarray    # (R,) source cell of each row
     kraus: np.ndarray  # (R, qdim_dst, qdim_src)
-    # row-path applies so far; apply builds source_basis from the second one on
+    # row-path applies so far; source_basis is built from the second one on, or for a stack
     _row_applies: Iterator[int] = field(default_factory=count, init=False, repr=False, compare=False)
 
     def __repr__(self) -> str:
@@ -342,38 +343,48 @@ def identity_channel(space: ClassicalSpace, qdim: int) -> HybridChannel:
 def apply(channel: HybridChannel, state: HybridState) -> HybridState:
     """Transform cell masses: sigma'_m = sum_{r: dst[r] = m} L_r sigma_{src[r]} L_r^dag.
 
-    When qdim_dst * qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT the gathered
-    source vectors go through one batched mat-vec with the cached transfer
-    slices, and slices of one target are summed only when a target spans
-    several.  Otherwise, from a channel's second apply on, a cached
-    :attr:`HybridChannel.source_basis` (when it is not None) computes every
-    B_nj sigma_n B_nl^dag in two batched products and contracts them with the
-    coefficient Grams in a third; in all other cases every row is a batched
-    L sigma L^dag, summed per target.
+    The one-state case of :func:`_apply_stack`, validated by ``new_state``.
     """
     if channel.src_space != state.space or channel.qdim_src != state.qdim:
         raise SpaceMismatch(
             f"channel source ({channel.src_space.size} cells, qdim {channel.qdim_src}) "
             f"does not match state ({state.space.size} cells, qdim {state.qdim})"
         )
-    q, n_dst = channel.qdim_dst, channel.dst_space.size
+    return new_state(channel.dst_space, _apply_stack(channel, state.masses[None])[0])
+
+
+def _apply_stack(channel: HybridChannel, masses: np.ndarray) -> np.ndarray:
+    """Unvalidated output masses (B, n_dst, q_dst, q_dst) of a (B, n_src, q_src, q_src) mass stack.
+
+    When qdim_dst * qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT the gathered
+    source vectors go through one batched mat-vec with the cached transfer
+    slices, and slices of one target are summed only when a target spans
+    several.  Otherwise, from a channel's second apply on, or for a stack of
+    two or more states, a cached :attr:`HybridChannel.source_basis` (when it
+    is not None) computes every B_nj sigma_n B_nl^dag in two batched products
+    and contracts them with the coefficient Grams in a third; in all other
+    cases every row is a batched L sigma L^dag, summed per target.  Each form
+    broadcasts the channel over the stack, so a state's output does not
+    depend on the other states in it.
+    """
+    q, n_dst, b = channel.qdim_dst, channel.dst_space.size, masses.shape[0]
     if q * channel.qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT:
         slot_src, slice_dst, table = channel.transfer
         # take() gathers these rows about 3x faster than fancy indexing
-        vecs = state.masses.reshape(state.space.size, -1).take(slot_src, axis=0)
-        masses = (table @ vecs.reshape(table.shape[0], table.shape[2], 1)).reshape(-1, q, q)
-        if slice_dst is not None:
-            masses = _sum_runs(masses, slice_dst, n_dst)
-    elif next(channel._row_applies) and (form := channel.source_basis) is not None:
+        vecs = masses.reshape(b, channel.src_space.size, -1).take(slot_src, axis=1)
+        out = (table @ vecs.reshape(b, *table.shape[::2], 1)).reshape(b, -1, q, q)
+        if slice_dst is None:
+            return out
+        return _sum_runs(out.swapaxes(0, 1), slice_dst, n_dst).swapaxes(0, 1)
+    if (next(channel._row_applies) or b > 1) and (form := channel.source_basis) is not None:
         left, right, gram = form
         s = left.shape[1] // q
         # (n, j q + a, l q + b) holds (B_nj sigma_n B_nl^dag)[a, b]; reorder to (n, j, l, a, b)
-        products = (left @ state.masses @ right).reshape(-1, s, q, s, q).transpose(0, 1, 3, 2, 4)
-        masses = (gram @ products.reshape(-1, q * q)).reshape(n_dst, q, q)
-    else:
-        dst, src, kraus = channel.dst, channel.src, channel.kraus
-        masses = _sum_runs(kraus @ state.masses[src] @ kraus.conj().swapaxes(1, 2), dst, n_dst)
-    return new_state(channel.dst_space, masses)
+        products = (left @ masses @ right).reshape(b, -1, s, q, s, q).transpose(0, 1, 2, 4, 3, 5)
+        return (gram @ products.reshape(b, -1, q * q)).reshape(b, n_dst, q, q)
+    dst, src, kraus = channel.dst, channel.src, channel.kraus
+    rows = kraus @ masses[:, src] @ kraus.conj().swapaxes(1, 2)
+    return _sum_runs(rows.swapaxes(0, 1), dst, n_dst).swapaxes(0, 1)
 
 
 def compose(second: HybridChannel, first: HybridChannel) -> HybridChannel:
@@ -514,19 +525,12 @@ def random_channel(
         raise ShapeMismatch("branching must be at least 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n_src, n_dst = src_space.size, dst_space.size
-    stacks = []
-    for n in range(n_src):
-        for attempt in range(3):
-            try:
-                stack = right_normalize(random_complex(rng, (n_dst, branching, qdim_dst, qdim_src)))
-                break
-            except NumericalFailure:
-                continue
-        else:
-            raise NumericalFailure(f"normalizer for source cell {n} is singular")
-        stacks.append(stack)
+    raw = np.stack([random_complex(rng, (n_dst * branching, qdim_dst, qdim_src))
+                    for _ in range(n_src)])
+    error = lambda n, problem: NumericalFailure(f"normalizer for source cell {n} {problem}")
     # (n, m, a, i, j) -> rows ordered by (m, n, a)
-    kraus = np.stack(stacks).swapaxes(0, 1).reshape(-1, qdim_dst, qdim_src)
+    kraus = right_normalize(raw, error).reshape(n_src, n_dst, branching, qdim_dst, qdim_src)
+    kraus = kraus.swapaxes(0, 1).reshape(-1, qdim_dst, qdim_src)
     dst = np.repeat(np.arange(n_dst), n_src * branching)
     src = np.tile(np.repeat(np.arange(n_src), branching), n_dst)
     return from_rows(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus)

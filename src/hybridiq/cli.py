@@ -326,6 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check spec files against their invariants")
     p.add_argument("paths", nargs="+")
     out(p)
+    p.set_defaults(run=lambda a: cmd_validate(a.paths, a.out))
 
     p = sub.add_parser("evolve", help="drive a state through a channel pipeline")
     p.add_argument("state")
@@ -333,11 +334,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_at_least(0), default=1)
     p.add_argument("--metrics-out", default=None, help="per-step metrics CSV")
     out(p)
+    p.set_defaults(run=lambda a: cmd_evolve(a.state, a.channels, a.steps, a.metrics_out, a.out))
 
     p = sub.add_parser("locc", help="run a LOCC protocol on a density matrix")
     p.add_argument("protocol")
     p.add_argument("state")
     out(p)
+    p.set_defaults(run=lambda a: cmd_locc(a.protocol, a.state, a.out))
 
     p = sub.add_parser("metrics", help="report metrics of one state (or distance of two)")
     p.add_argument("state")
@@ -346,14 +349,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", dest="fmt", choices=("json", "csv"), default="json", help="stdout format"
     )
     out(p)
+    p.set_defaults(run=lambda a: cmd_metrics(a.state, a.other, a.fmt, a.out))
 
     p = sub.add_parser("properties", help="run a randomized property suite")
     p.add_argument("suite", help=f"one of {sorted(SUITES)}")
     p.add_argument("--trials", type=_at_least(1), default=1000)
     seed(p)
     out(p)
+    p.set_defaults(run=lambda a: cmd_properties(a.suite, a.trials, a.seed, a.out))
 
     p = sub.add_parser("randgen", help="generate a seeded random instance")
+    p.set_defaults(run=cmd_randgen)
     gen = p.add_subparsers(dest="kind", required=True)
     g = gen.add_parser("state")
     g.add_argument("--cells", type=_at_least(1), default=4)
@@ -377,18 +383,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "validate":
-            return cmd_validate(args.paths, args.out)
-        if args.command == "evolve":
-            return cmd_evolve(args.state, args.channels, args.steps, args.metrics_out, args.out)
-        if args.command == "locc":
-            return cmd_locc(args.protocol, args.state, args.out)
-        if args.command == "metrics":
-            return cmd_metrics(args.state, args.other, args.fmt, args.out)
-        if args.command == "properties":
-            return cmd_properties(args.suite, args.trials, args.seed, args.out)
-        if args.command == "randgen":
-            return cmd_randgen(args)
+        return args.run(args)  # a subcommand is required, and each one sets run
     except (ParseError, IoError, UnknownSuite) as exc:
         print(f"hybridiq: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -398,7 +393,6 @@ def main(argv=None) -> int:
     except HybridError as exc:
         print(f"hybridiq: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -135,9 +135,12 @@ def block_margins(stack: np.ndarray) -> BlockMargins:
 
 
 def kraus_gram(stack: np.ndarray) -> np.ndarray:
-    """sum_a L_a^dag L_a over every leading axis of a (..., d_out, d_in) Kraus stack."""
-    flat = stack.reshape(-1, *stack.shape[-2:])
-    return np.einsum("aji,ajk->ik", flat.conj(), flat)
+    """sum_a L_a^dag L_a per Kraus set of a (..., k, d_out, d_in) stack.
+
+    The last three axes are one set and any axes before them are batch axes,
+    as in :func:`kraus_defect`.
+    """
+    return np.einsum("...aji,...ajk->...ik", stack.conj(), stack)
 
 
 def kraus_grams(stack: np.ndarray) -> np.ndarray:
@@ -163,12 +166,19 @@ def kraus_defect(stack: np.ndarray) -> np.ndarray:
     return identity_defect(kraus_grams(stack).sum(axis=-3))
 
 
-def right_normalize(raw: np.ndarray) -> np.ndarray:
-    """raw @ (sum L^dag L)^(-1/2), which makes the stack complete."""
+def right_normalize(raw: np.ndarray, error: Callable[[int, str], Exception]) -> np.ndarray:
+    """raw @ (sum L^dag L)^(-1/2) per Kraus set, which makes every set complete.
+
+    Sets are laid out as in :func:`kraus_gram` and normalized by one batched
+    eigh.  Raises ``error(set, problem)`` for the first set, in row-major order
+    over the batch axes, whose sum is singular.
+    """
     vals, vecs = np.linalg.eigh(kraus_gram(raw))
-    if not vals[0] > 1e-12 * vals[-1]:
-        raise NumericalFailure("sum L^dag L is singular")
-    return raw @ ((vecs / np.sqrt(vals)) @ vecs.conj().T)
+    singular = ~(vals[..., 0] > 1e-12 * vals[..., -1])
+    if singular.any():
+        raise error(int(singular.argmax()), "is singular")
+    inverse_root = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return raw @ inverse_root[..., None, :, :]
 
 
 class HermEig(NamedTuple):

@@ -3,11 +3,12 @@
 Each suite draws seeded random instances and records, per check, the worst
 measured deviation and the number of tolerance violations.  Checks use
 independent sub-streams of the master seed (see :func:`hybridiq.rand.seeded_rng`),
-so adding a check never perturbs the draws of existing ones.  The axioms and
-correlations suites draw every trial's sizes first, then per qdim one checked
-stack, evaluated by the segmented probability and Holevo cores; ``non_interacting``,
-``apply`` and the cross-check oracles stay per trial.  The CLI ``properties``
-command and the acceptance tests both wrap :func:`run_suite`.
+so adding a check never perturbs the draws of existing ones.  The batched suites
+draw every trial's sizes first, then per qdim one checked stack of states: axioms
+and correlations for the segmented probability and Holevo cores, channel in blocks
+of TRIAL_BLOCK trials for the stacked apply core.  Channel constructors and the
+cross-check oracles stay per trial.  The CLI ``properties`` command and the
+acceptance tests both wrap :func:`run_suite`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import locc as locc_mod
 from .channel import (
-    apply, compose, extend_with_ancilla, from_coeff_kernel, non_interacting, random_channel,
+    _apply_stack, apply, compose, extend_with_ancilla, from_coeff_kernel, non_interacting,
+    random_channel,
 )
 from .classical import MarkovKernel, counting_space
 from .correlations import (
@@ -37,12 +39,15 @@ from .rand import (
     random_probability_vector, random_stochastic_matrix, random_unitary, seeded_rng,
 )
 from .state import (
-    HybridState, _probability_segments, classical_marginal, condition_on_effect, distance,
-    embed_quantum, mix, new_state, probability, product_state, quantum_marginal, random_state,
-    require_effects, tensor_with_quantum, total_trace,
+    HybridState, _distance, _probability_segments, classical_marginal, condition_on_effect,
+    distance, embed_quantum, new_state, probability, quantum_marginal, random_state,
+    require_effects, tensor_with_quantum,
 )
 
 STATES_PER_CHANNEL = 10
+# run_channel draws, applies and records its trials in blocks of this many, so
+# its memory stays flat in the trial count; a block holds about 50 KiB a trial
+TRIAL_BLOCK = 25
 
 PAULI = tuple(np.array(m, dtype=complex) for m in (
     [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
@@ -154,18 +159,14 @@ def run_axioms(trials: int, seed: int) -> SuiteReport:
 
 def run_metric(trials: int, seed: int) -> SuiteReport:
     """Metric axioms of d plus the trace-norm isometry of the quantum embedding."""
-    report = SuiteReport("metric", trials, seed)
-    symmetry = CheckResult("symmetry_exact", 0.0)
-    triangle = CheckResult("triangle_inequality", 1e-10)
-    bounds = CheckResult("bounds_zero_two", 1e-12)
-    self_dist = CheckResult("identity_of_indiscernibles", 1e-12)
-    isometry = CheckResult("embedding_isometry", 1e-10)
-    report.checks += [symmetry, triangle, bounds, self_dist, isometry]
+    report = SuiteReport("metric", trials, seed, [CheckResult(n, tol) for n, tol in (
+        ("symmetry_exact", 0.0), ("triangle_inequality", 1e-10), ("bounds_zero_two", 1e-12),
+        ("identity_of_indiscernibles", 1e-12), ("embedding_isometry", 1e-10))])
+    symmetry, triangle, bounds, self_dist, isometry = report.checks
 
     rng = seeded_rng(seed, "metric.instances")
     for _ in range(trials):
-        n = int(rng.integers(1, 7))
-        q = int(rng.integers(1, 5))
+        n, q = int(rng.integers(1, 7)), int(rng.integers(1, 5))
         space = counting_space(n)
         w1, w2, w3 = (random_state(space, q, rng) for _ in range(3))
 
@@ -183,154 +184,161 @@ def run_metric(trials: int, seed: int) -> SuiteReport:
     return report
 
 
-def _apply_oracle(channel, state) -> np.ndarray:
+def _apply_oracle(channel, masses: np.ndarray) -> np.ndarray:
     out = np.zeros((channel.dst_space.size, channel.qdim_dst, channel.qdim_dst), dtype=complex)
     for m, n, mat in zip(channel.dst, channel.src, channel.kraus):
-        out[m] += mat @ state.masses[n] @ mat.conj().T
+        out[m] += mat @ masses[n] @ mat.conj().T
     return out
 
 
 def _coeffs_from_kraus_sets(rng, n_src: int, n_dst: int) -> np.ndarray:
-    """Hermitian PSD qubit coefficient tensors with per-source completeness."""
-    gram_inv = np.linalg.inv([[np.trace(a.conj().T @ b) for b in PAULI] for a in PAULI])
+    """Hermitian PSD qubit coefficients with per-source completeness; PAULI's Gram matrix is 2 I."""
     p = random_stochastic_matrix(n_dst, n_src, rng)
     coeffs = np.zeros((n_dst, n_src, 4, 4), dtype=complex)
     for n in range(n_src):
         kraus = random_kraus_set(2, int(rng.integers(1, 4)), rng)
-        proj = np.array([[np.trace(b.conj().T @ k) for b in PAULI] for k in kraus])
-        expand = proj @ gram_inv.T
-        s = expand.T @ expand.conj()
-        coeffs[:, n] = p[:, n, None, None] * s
+        expand = np.array([[np.trace(b.conj().T @ k) / 2 for b in PAULI] for k in kraus])
+        coeffs[:, n] = p[:, n, None, None] * (expand.T @ expand.conj())
     return coeffs
 
 
-def _fhs_oracle(basis, coeffs, state, n_dst: int) -> np.ndarray:
-    q = basis[0].shape[0]
-    out = np.zeros((n_dst, q, q), dtype=complex)
-    for m in range(n_dst):
-        for n in range(state.space.size):
-            for a, la in enumerate(basis):
-                for b, lb in enumerate(basis):
-                    out[m] += coeffs[m, n, a, b] * (la @ state.masses[n] @ lb.conj().T)
+def _fhs_oracle(basis, coeffs, masses: np.ndarray) -> np.ndarray:
+    """sum_n sum_ab k_ab(m, n) L_a sigma_n L_b^dag for every target m, term by term."""
+    return sum(coeffs[:, n, a, b, None, None] * (la @ masses[n] @ lb.conj().T)
+               for n in range(masses.shape[0])
+               for a, la in enumerate(basis) for b, lb in enumerate(basis))
+
+
+def _blocks(seed: int, stream: str, trials: int):
+    """The stream's generator and the size of each block: TRIAL_BLOCK trials, or the rest."""
+    rng = seeded_rng(seed, stream)
+    for start in range(0, trials, TRIAL_BLOCK):
+        yield rng, min(TRIAL_BLOCK, trials - start)
+
+
+def _drawn_states(rng: np.random.Generator, qs: np.ndarray, sizes: np.ndarray) -> list:
+    """Each trial's checked random_state masses, in trial order, drawn by _groups."""
+    states = {}
+    for _, idx, masses, _, starts in _groups(rng, qs, sizes):
+        states.update(zip(idx.tolist(), np.split(masses, starts[1:])))
+    return [states[t] for t in range(qs.size)]
+
+
+def _checked_stacks(stacks: list) -> list:
+    """Hermitian parts of (B, n, q, q) mass stacks, in order, after new_state's verdict
+    on each of their states: one _checked per q over every stack of that q."""
+    out = [None] * len(stacks)
+    for q in sorted({x.shape[-1] for x in stacks}):
+        idx = [i for i, x in enumerate(stacks) if x.shape[-1] == q]
+        cells = np.concatenate([np.full(stacks[i].shape[0], stacks[i].shape[1]) for i in idx])
+        masses = _checked(np.concatenate([stacks[i].reshape(-1, q, q) for i in idx]),
+                          np.cumsum(cells) - cells)[0]
+        bounds = np.cumsum([stacks[i].size // (q * q) for i in idx])[:-1]
+        for i, m in zip(idx, np.split(masses, bounds)):
+            out[i] = m.reshape(stacks[i].shape)
     return out
 
 
 def run_channel(trials: int, seed: int) -> SuiteReport:
     """Channel validity, the apply oracle, contraction, linearity, composition,
     and the two constructor cross-checks."""
-    report = SuiteReport("channel", trials, seed)
-    valid_trace = CheckResult("output_total_trace", 1e-9)
-    valid_eig = CheckResult("output_min_eigenvalue", 1e-9)
-    oracle = CheckResult("apply_matches_triple_loop_oracle", 1e-11)
-    contraction = CheckResult("distance_contraction", 1e-9)
-    convexity = CheckResult("convex_linearity", 1e-11)
-    sequential = CheckResult("compose_matches_sequential", 1e-10)
-    associativity = CheckResult("composition_associative", 1e-10)
-    indop = CheckResult("non_interacting_matches_direct_form", 1e-10)
-    product_evol = CheckResult("non_interacting_product_marginals", 1e-11)
-    fhs = CheckResult("coeff_kernel_matches_double_sum", 1e-10)
-    pauli_case = CheckResult("pauli_coeff_kernel_equals_non_interacting", 1e-11)
-    report.checks += [
-        valid_trace, valid_eig, oracle, contraction, convexity,
-        sequential, associativity, indop, product_evol, fhs, pauli_case,
-    ]
+    report = SuiteReport("channel", trials, seed, [CheckResult(n, tol) for n, tol in (
+        ("output_total_trace", 1e-9), ("output_min_eigenvalue", 1e-9),
+        ("apply_matches_triple_loop_oracle", 1e-11), ("distance_contraction", 1e-9),
+        ("convex_linearity", 1e-11), ("compose_matches_sequential", 1e-10),
+        ("composition_associative", 1e-10), ("non_interacting_matches_direct_form", 1e-10),
+        ("non_interacting_product_marginals", 1e-11), ("coeff_kernel_matches_double_sum", 1e-10),
+        ("pauli_coeff_kernel_equals_non_interacting", 1e-11))])
+    (valid_trace, valid_eig, oracle, contraction, convexity, sequential, associativity, indop,
+     product_evol, fhs, pauli_case) = report.checks
+    k, spaces = STATES_PER_CHANNEL, [None] + [counting_space(n) for n in range(1, 6)]
 
-    rng = seeded_rng(seed, "channel.apply")
-    for _ in range(trials):
-        n_src, n_dst = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        q_src, q_dst = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        src, dst = counting_space(n_src), counting_space(n_dst)
-        ch = _sized_random_channel(rng, src, dst, q_src, q_dst)
-        states = [random_state(src, q_src, rng) for _ in range(STATES_PER_CHANNEL)]
+    for rng, size in _blocks(seed, "channel.apply", trials):
+        n_src, n_dst, q_src, q_dst = rng.integers(1, (6, 6, 5, 5), (size, 4)).T.tolist()
+        channels = [_sized_random_channel(rng, spaces[a], spaces[b], c, d)
+                    for a, b, c, d in zip(n_src, n_dst, q_src, q_dst)]
+        states = _drawn_states(rng, np.repeat(q_src, k), np.repeat(n_src, k))
+        mixes = rng.uniform(size=size).tolist()
+        # each channel's k states and the mixture of its first two, as one stack
+        inputs = [np.stack(states[i:i + k] + [t * states[i] + (1.0 - t) * states[i + 1]])
+                  for t, i in zip(mixes, range(0, k * size, k))]
+        outputs = _checked_stacks([_apply_stack(ch, x) for ch, x in zip(channels, inputs)])
+        for ch, t, x, out in zip(channels, mixes, inputs, outputs):
+            _record((valid_trace, valid_eig, oracle), (
+                np.abs(np.einsum("bnii->b", out[:k]).real - 1.0),
+                -np.linalg.eigvalsh(out[:k]).min(axis=(1, 2)),
+                np.array([np.abs(y - _apply_oracle(ch, w)).max() for w, y in zip(x, out[:k])])))
+            contraction.record(_distance(out[0], out[1]) - _distance(x[0], x[1]))
+            convexity.record(float(np.abs(out[k] - (t * out[0] + (1.0 - t) * out[1])).max()))
+
+    for rng, size in _blocks(seed, "channel.compose", trials):
+        ns, qs = rng.integers(1, 4, (2, size, 4))
+        chains = [[_sized_random_channel(rng, spaces[n[i]], spaces[n[i + 1]], q[i], q[i + 1])
+                   for i in range(3)] for n, q in zip(ns.tolist(), qs.tolist())]
         outputs = []
-        for w in states:
-            out = apply(ch, w)
-            outputs.append(out)
-            valid_trace.record(abs(total_trace(out.masses) - 1.0))
-            valid_eig.record(-float(out.eigenvalues.min()))
-            oracle.record(float(np.abs(out.masses - _apply_oracle(ch, w)).max()))
-        w1, w2 = states[0], states[1 % len(states)]
-        contraction.record(distance(outputs[0], outputs[1 % len(states)]) - distance(w1, w2))
-        t = float(rng.uniform())
-        mixed_out = apply(ch, mix(w1, w2, t))
-        straight = t * outputs[0].masses + (1.0 - t) * outputs[1 % len(states)].masses
-        convexity.record(float(np.abs(mixed_out.masses - straight).max()))
+        for (ch1, ch2, ch3), w in zip(chains, _drawn_states(rng, qs[:, 0], ns[:, 0])):
+            first, mid = compose(ch2, ch1), _apply_stack(ch1, w[None])
+            outputs += [_apply_stack(first, w[None]), mid, _apply_stack(ch2, mid),
+                        _apply_stack(compose(ch3, first), w[None]),
+                        _apply_stack(compose(compose(ch3, ch2), ch1), w[None])]
+        for two, _, seq, left, right in zip(*[iter(_checked_stacks(outputs))] * 5):
+            sequential.record(float(np.abs(two - seq).max()))
+            associativity.record(float(np.abs(left - right).max()))
 
-    rng = seeded_rng(seed, "channel.compose")
-    for _ in range(trials):
-        n1, n2, n3, n4 = (int(rng.integers(1, 4)) for _ in range(4))
-        q1, q2, q3, q4 = (int(rng.integers(1, 4)) for _ in range(4))
-        spaces = [counting_space(n) for n in (n1, n2, n3, n4)]
-        ch1 = _sized_random_channel(rng, spaces[0], spaces[1], q1, q2)
-        ch2 = _sized_random_channel(rng, spaces[1], spaces[2], q2, q3)
-        ch3 = _sized_random_channel(rng, spaces[2], spaces[3], q3, q4)
-        w = random_state(spaces[0], q1, rng)
-        two = apply(compose(ch2, ch1), w)
-        sequential.record(float(np.abs(two.masses - apply(ch2, apply(ch1, w)).masses).max()))
-        left = apply(compose(ch3, compose(ch2, ch1)), w)
-        right = apply(compose(compose(ch3, ch2), ch1), w)
-        associativity.record(float(np.abs(left.masses - right.masses).max()))
+    for rng, size in _blocks(seed, "channel.indop", trials):
+        n_src, n_dst, qs, counts = rng.integers(1, (6, 6, 5, 4), (size, 4)).T
+        kernels = [MarkovKernel(spaces[n], spaces[m], random_stochastic_matrix(m, n, rng))
+                   for n, m in zip(n_src.tolist(), n_dst.tolist())]
+        kraus_sets = [random_kraus_set(q, c, rng) for q, c in zip(qs.tolist(), counts.tolist())]
+        fs = [random_probability_vector(n, rng) for n in n_src.tolist()]
+        rhos = [rho[0] for rho in _drawn_states(rng, qs, np.ones(size, dtype=int))]
+        # the direct-form state and the product state f (x) rho as one stack of two
+        inputs = [np.stack([w, f[:, None, None] * rho])
+                  for w, f, rho in zip(_drawn_states(rng, qs, n_src), fs, rhos)]
+        outputs = _checked_stacks([_apply_stack(non_interacting(kernel, kraus), x)
+                                   for kernel, kraus, x in zip(kernels, kraus_sets, inputs)])
+        for kernel, kraus, f, rho, x, out in zip(kernels, kraus_sets, fs, rhos, inputs, outputs):
+            direct = sum(kernel.matrix[:, n, None, None] * (mat @ x[0, n] @ mat.conj().T)
+                         for n in range(kernel.src.size) for mat in kraus)
+            indop.record(float(np.abs(out[0] - direct).max()))
+            product = np.multiply.outer(kernel.matrix @ f, sum(a @ rho @ a.conj().T for a in kraus))
+            product_evol.record(float(np.abs(out[1] - product).max()))
 
-    rng = seeded_rng(seed, "channel.indop")
-    for _ in range(trials):
-        n_src, n_dst = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        q = int(rng.integers(1, 5))
-        src, dst = counting_space(n_src), counting_space(n_dst)
-        kernel = MarkovKernel(src, dst, random_stochastic_matrix(n_dst, n_src, rng))
-        kraus = random_kraus_set(q, int(rng.integers(1, 4)), rng)
-        ch = non_interacting(kernel, kraus)
+    for rng, size in _blocks(seed, "channel.fhs", trials):
+        sizes = rng.integers(1, 4, (2, size))
+        coeffs = [_coeffs_from_kraus_sets(rng, n, m) for n, m in sizes.T.tolist()]
+        states = _drawn_states(rng, np.full(size, 2), sizes[0])
+        outputs = _checked_stacks([_apply_stack(from_coeff_kernel(
+            spaces[len(w)], spaces[len(c)], PAULI, c), w[None]) for c, w in zip(coeffs, states)])
+        for c, w, out in zip(coeffs, states, outputs):
+            fhs.record(float(np.abs(out[0] - _fhs_oracle(PAULI, c, w)).max()))
 
-        w = random_state(src, q, rng)
-        direct = np.zeros((n_dst, q, q), dtype=complex)
-        for m in range(n_dst):
-            for n2 in range(n_src):
-                for mat in kraus:
-                    direct[m] += kernel.matrix[m, n2] * (mat @ w.masses[n2] @ mat.conj().T)
-        indop.record(float(np.abs(apply(ch, w).masses - direct).max()))
-
-        f = random_probability_vector(n_src, rng)
-        rho = random_density(q, rng)
-        out = apply(ch, product_state(src, f, rho))
-        f_exp = kernel.matrix @ f
-        rho_exp = sum(L @ rho @ L.conj().T for L in kraus)
-        product_evol.record(float(np.abs(out.masses - f_exp[:, None, None] * rho_exp).max()))
-
-    rng = seeded_rng(seed, "channel.fhs")
-    for _ in range(trials):
-        n_src, n_dst = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        src, dst = counting_space(n_src), counting_space(n_dst)
-        coeffs = _coeffs_from_kraus_sets(rng, n_src, n_dst)
-        ch = from_coeff_kernel(src, dst, PAULI, coeffs)
-        w = random_state(src, 2, rng)
-        fhs.record(float(np.abs(apply(ch, w).masses - _fhs_oracle(PAULI, coeffs, w, n_dst)).max()))
-
-    rng = seeded_rng(seed, "channel.pauli")
-    for _ in range(trials):
-        n = int(rng.integers(1, 5))
-        space = counting_space(n)
-        p = random_stochastic_matrix(n, n, rng)
-        coeffs = np.zeros((n, n, 4, 4), dtype=complex)
-        coeffs[:, :, 0, 0] = p
-        ch = from_coeff_kernel(space, space, PAULI, coeffs)
-        ref = non_interacting(MarkovKernel(space, space, p), [np.eye(2)])
-        w = random_state(space, 2, rng)
-        pauli_case.record(float(np.abs(apply(ch, w).masses - apply(ref, w).masses).max()))
+    for rng, size in _blocks(seed, "channel.pauli", trials):
+        ns = rng.integers(1, 5, size)
+        kernels = [random_stochastic_matrix(n, n, rng) for n in ns.tolist()]
+        outputs = []
+        for p, w in zip(kernels, _drawn_states(rng, np.full(size, 2), ns)):
+            space = spaces[p.shape[0]]
+            coeffs = np.multiply.outer(p, np.diag([1.0, 0.0, 0.0, 0.0]))  # k_00(m, n) = P(m|n)
+            ref = non_interacting(MarkovKernel(space, space, p), [np.eye(2)])
+            outputs.append(np.concatenate([_apply_stack(ch, w[None]) for ch in (
+                from_coeff_kernel(space, space, PAULI, coeffs), ref)]))
+        for out in _checked_stacks(outputs):
+            pauli_case.record(float(np.abs(out[0] - out[1]).max()))
     return report
 
 
 def run_vieq(trials: int, seed: int) -> SuiteReport:
     """Ancilla commuting diagram: condition-then-apply equals extend-then-condition."""
-    report = SuiteReport("vieq", trials, seed)
-    diagram = CheckResult("probability_identity", 1e-9)
-    marginal = CheckResult("ancilla_marginal_unchanged", 1e-10)
-    roundtrip = CheckResult("conditioning_roundtrip_identity", 1e-12)
-    report.checks += [diagram, marginal, roundtrip]
+    report = SuiteReport("vieq", trials, seed, [CheckResult(n, tol) for n, tol in (
+        ("probability_identity", 1e-9), ("ancilla_marginal_unchanged", 1e-10),
+        ("conditioning_roundtrip_identity", 1e-12))])
+    diagram, marginal, roundtrip = report.checks
 
     rng = seeded_rng(seed, "vieq.diagram")
     for _ in range(trials):
         n_src, n_dst = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        d_src, d_dst = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        d_q = int(rng.integers(1, 4))
+        d_src, d_dst, d_q = (int(rng.integers(1, 4)) for _ in range(3))
         src, dst = counting_space(n_src), counting_space(n_dst)
         ch = _sized_random_channel(rng, src, dst, d_src, d_dst)
         big = random_state(src, d_src * d_q, rng)
@@ -352,9 +360,7 @@ def run_vieq(trials: int, seed: int) -> SuiteReport:
 
     rng = seeded_rng(seed, "vieq.roundtrip")
     for _ in range(trials):
-        n = int(rng.integers(1, 5))
-        q = int(rng.integers(1, 4))
-        d_q = int(rng.integers(1, 4))
+        n, q, d_q = (int(rng.integers(1, high)) for high in (5, 4, 4))
         w = random_state(counting_space(n), q, rng)
         lifted = tensor_with_quantum(w, random_density(d_q, rng))
         cond = condition_on_effect(lifted, np.eye(d_q))
@@ -367,9 +373,9 @@ def _checked(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.nda
     """Read-only Hermitian parts and spectra of stacked draws, after new_state's verdict:
     every block finite, Hermitian and positive, and each trial's blocks of total trace one."""
     margins = block_margins(blocks)
-    margins.require(lambda block, problem: NotAState(f"drawn block {block} {problem}"))
+    margins.require(lambda block, problem: NotAState(f"block {block} {problem}"))
     traces = np.add.reduceat(np.einsum("nii->n", margins.sym).real, starts)
-    require_unit(traces, lambda trial, problem: NotAState(f"trial {trial} {problem}"))
+    require_unit(traces, lambda state, problem: NotAState(f"state {state} {problem}"))
     margins.sym.flags.writeable = margins.eigenvalues.flags.writeable = False
     return margins.sym, margins.eigenvalues
 
@@ -401,15 +407,11 @@ MERGE_STARTS = np.array([0, 3, 5, 7, 10])
 
 def run_correlations(trials: int, seed: int) -> SuiteReport:
     """Mutual information: product states, bounds, monotonicity, cross-formulas."""
-    report = SuiteReport("correlations", trials, seed)
-    product_zero = CheckResult("product_state_zero_information", 1e-10)
-    araki = CheckResult("araki_lieb_bound", 1e-9)
-    monotone = CheckResult("monotonic_under_non_interacting", 1e-8)
-    embed_identity = CheckResult("equals_relative_entropy_identity", 1e-8)
-    three_term = CheckResult("equals_three_term_formula", 1e-9)
-    merge = CheckResult("holevo_merge_invariance", 1e-10)
-    concavity = CheckResult("holevo_concavity", 1e-9)
-    report.checks += [product_zero, araki, monotone, embed_identity, three_term, merge, concavity]
+    report = SuiteReport("correlations", trials, seed, [CheckResult(n, tol) for n, tol in (
+        ("product_state_zero_information", 1e-10), ("araki_lieb_bound", 1e-9),
+        ("monotonic_under_non_interacting", 1e-8), ("equals_relative_entropy_identity", 1e-8),
+        ("equals_three_term_formula", 1e-9), ("holevo_merge_invariance", 1e-10),
+        ("holevo_concavity", 1e-9))])
 
     slow_trials = min(trials, 300)
     araki_dev, monotone_dev = np.empty((2, trials))
@@ -509,14 +511,11 @@ def _locc_oracle(protocol, rho) -> dict:
 
 def run_locc(trials: int, seed: int) -> SuiteReport:
     """Protocol execution laws, the per-round channel lowering, PPT, steering."""
-    report = SuiteReport("locc", trials, seed)
-    run_trace = CheckResult("run_total_trace", 1e-9)
-    run_eig = CheckResult("run_min_eigenvalue", 1e-9)
-    w_structure = CheckResult("w_operators_factor", 1e-12)
-    channels_match = CheckResult("round_channels_match_run", 1e-10)
-    ppt_preserved = CheckResult("ppt_preserved_on_separable", 1e-9)
-    steer_target = CheckResult("steering_reaches_target", 1e-9)
-    report.checks += [run_trace, run_eig, w_structure, channels_match, ppt_preserved, steer_target]
+    report = SuiteReport("locc", trials, seed, [CheckResult(n, tol) for n, tol in (
+        ("run_total_trace", 1e-9), ("run_min_eigenvalue", 1e-9), ("w_operators_factor", 1e-12),
+        ("round_channels_match_run", 1e-10), ("ppt_preserved_on_separable", 1e-9),
+        ("steering_reaches_target", 1e-9))])
+    run_trace, run_eig, w_structure, channels_match, ppt_preserved, steer_target = report.checks
 
     few_trials = max(1, trials // 10)
 

@@ -12,6 +12,7 @@ import zlib
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .linalg import right_normalize
 
 
@@ -71,4 +72,5 @@ def random_stochastic_matrix(rows: int, cols: int, rng: np.random.Generator) -> 
 
 def random_kraus_set(dim: int, count: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Kraus operators of a CPTP map, right-normalized so sum L^dag L = I."""
-    return list(right_normalize(random_complex(rng, (count, dim, dim))))
+    raw = random_complex(rng, (count, dim, dim))
+    return list(right_normalize(raw, lambda _, problem: NumericalFailure(f"sum L^dag L {problem}")))

@@ -13,7 +13,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .classical import ClassicalSpace, counting_space
+from .classical import ClassicalSpace
 from .errors import (
     BadEffect,
     BadEvent,
@@ -209,7 +209,12 @@ def distance(w1: HybridState, w2: HybridState) -> float:
     """Integrated trace-norm metric (|eigvalsh| summed over cells); in [0, 2], exactly symmetric."""
     if w1.space != w2.space or w1.qdim != w2.qdim:
         raise SpaceMismatch("states live on different spaces")
-    diffs = w1.masses - w2.masses
+    return _distance(w1.masses, w2.masses)
+
+
+def _distance(masses1: np.ndarray, masses2: np.ndarray) -> float:
+    """:func:`distance` of two mass stacks of one shape, taken as already checked."""
+    diffs = masses1 - masses2
     signed = _canonical_signs(diffs)[:, None, None] * diffs
     return float(np.abs(np.linalg.eigvalsh(signed)).sum())
 
@@ -294,8 +299,3 @@ def point_mass_state(space: ClassicalSpace, cell: int, rho) -> HybridState:
     masses = np.zeros((space.size,) + density.shape, dtype=complex)
     masses[cell] = density
     return new_state(space, masses)
-
-
-def single_cell_state(rho) -> HybridState:
-    """Purely quantum state viewed as a one-cell hybrid state."""
-    return point_mass_state(counting_space(1), 0, rho)

@@ -9,6 +9,7 @@ from hybridiq import io
 from hybridiq.channel import (
     TRANSFER_QDIM_PRODUCT_LIMIT,
     HybridChannel,
+    _apply_stack,
     _unchecked_from_rows,
     apply,
     completeness_defect,
@@ -33,6 +34,7 @@ from hybridiq.errors import (
     IncompleteChannel,
     IncompleteKraus,
     NotPSDCoefficients,
+    NumericalFailure,
     ShapeMismatch,
     SpaceMismatch,
 )
@@ -65,6 +67,11 @@ PAULI = [
     np.array([[0.0, -1j], [1j, 0.0]]),
     np.diag([1.0, -1.0]).astype(complex),
 ]
+
+
+def complete(raw):
+    """The Kraus stack raw right-normalized into one complete set."""
+    return right_normalize(raw, lambda _, problem: NumericalFailure(f"raw stack {problem}"))
 
 
 def apply_oracle(channel, state):
@@ -190,7 +197,7 @@ def test_apply_matches_oracle_on_ragged_rows(q_src, q_dst):
     layout = {0: {(2, 0): 1, (0, 0): 3}, 1: {(1, 1): 2, (0, 1): 0, (2, 1): 4}}
     blocks = {}
     for n, counts in layout.items():
-        stack = right_normalize(random_complex(rng, (sum(counts.values()), q_dst, q_src)))
+        stack = complete(random_complex(rng, (sum(counts.values()), q_dst, q_src)))
         bounds = np.cumsum([0] + list(counts.values()))
         for (key, _), a, z in zip(counts.items(), bounds[:-1], bounds[1:]):
             blocks[key] = stack[a:z]
@@ -244,7 +251,7 @@ def _patterned_channel(pattern, n_src, n_dst, q_src, q_dst, rng):
         for m, k in counts.items():
             dst += [m] * k
             src += [n] * k
-        stacks.append(right_normalize(random_complex(rng, (sum(counts.values()), q_dst, q_src))))
+        stacks.append(complete(random_complex(rng, (sum(counts.values()), q_dst, q_src))))
     return from_rows(
         counting_space(n_src), counting_space(n_dst), q_src, q_dst, dst, src, np.concatenate(stacks)
     )
@@ -428,7 +435,7 @@ def test_apply_matches_oracle_at_scale(cells, qdim, branching):
 def test_from_rows_sorts_copies_and_freezes():
     rng = np.random.default_rng(17)
     one, two = counting_space(1), counting_space(2)
-    kraus = right_normalize(random_complex(rng, (3, 2, 2)))
+    kraus = complete(random_complex(rng, (3, 2, 2)))
     ch = from_rows(one, two, 2, 2, [1, 0, 1], [0, 0, 0], kraus)
     assert ch.dst.tolist() == [0, 1, 1] and ch.src.tolist() == [0, 0, 0]
     assert np.array_equal(ch.kraus, kraus[[1, 0, 2]])  # stable within the (1, 0) pair
@@ -738,3 +745,54 @@ def test_random_channel_determinism():
     for key in blocks1:
         assert np.array_equal(blocks1[key], blocks2[key])
     assert completeness_defect(ch1) <= 1e-12
+
+
+class _ZerosAfter(np.random.Generator):
+    """Generator whose standard normal draws are zeros after the first ``live`` calls."""
+
+    def __init__(self, live):
+        super().__init__(np.random.PCG64(0))
+        self.live = live
+
+    def standard_normal(self, size=None):
+        self.live -= 1
+        return super().standard_normal(size) if self.live >= 0 else np.zeros(size)
+
+
+@pytest.mark.parametrize("live, cell", [(0, 0), (2, 1)])
+def test_random_channel_names_the_first_singular_source_cell(live, cell):
+    # random_complex makes two draws per source cell: with live = 2 only cell 0 is non-zero
+    with pytest.raises(NumericalFailure, match=rf"^normalizer for source cell {cell} is singular$"):
+        random_channel(counting_space(3), counting_space(2), 2, 2, 1, _ZerosAfter(live))
+
+
+def _form_channel(form, rng):
+    space = counting_space(4)
+    if form == "rows":
+        return random_channel(space, counting_space(3), 3, 3, 1, rng)
+    if form == "transfer":
+        return random_channel(space, counting_space(3), 2, 2, 2, rng)
+    p = random_stochastic_matrix(4, 4, rng)
+    if form == "hub transfer":  # every source feeds target 0, so it spans several slices
+        p[1:, 1:] = 0.0
+        p /= p.sum(axis=0)
+    q = 2 if form == "hub transfer" else 3
+    return non_interacting(MarkovKernel(space, space, p), random_kraus_set(q, 2, rng))
+
+
+@pytest.mark.parametrize("form", ["transfer", "hub transfer", "rows", "basis"])
+def test_stacked_apply_is_per_state_apply_in_each_form(form):
+    rng = np.random.default_rng(26)
+    ch = _form_channel(form, rng)
+    states = [random_state(ch.src_space, ch.qdim_src, rng) for _ in range(3)]
+    out = _apply_stack(ch, np.stack([w.masses for w in states]))
+    assert out.shape == (3, ch.dst_space.size, ch.qdim_dst, ch.qdim_dst)
+    if "transfer" in form:
+        assert ch.qdim_src * ch.qdim_dst <= TRANSFER_QDIM_PRODUCT_LIMIT
+        assert (ch.transfer[1] is not None) == (form == "hub transfer")
+    else:  # a stack of three counts as a repeat apply: source_basis is measured
+        assert (ch.source_basis is not None) == (form == "basis")
+    # each later apply is a repeat, so it runs the same form as the stack
+    for w, stacked in zip(states, out):
+        assert np.array_equal(apply(ch, w).masses, new_state(ch.dst_space, stacked).masses)
+        assert np.abs(stacked - apply_oracle(ch, w)).max() <= 1e-11

@@ -349,6 +349,15 @@ def test_usage_errors_exit_1(argv, tmp_path, monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_unwritable_out_path_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "report.json"  # a path under a regular file cannot be opened
+    assert main(["properties", "axioms", "--trials", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("hybridiq: error:")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "kind, flag",
     [

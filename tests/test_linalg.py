@@ -19,6 +19,7 @@ from hybridiq.linalg import (
     partial_trace,
     partial_transpose,
     relative_entropy,
+    right_normalize,
     trace_norm,
     von_neumann_entropy,
 )
@@ -259,6 +260,19 @@ def test_kraus_defect_is_batched_over_leading_axes():
         assert abs(single - np.abs(gram - np.eye(3)).max()) <= 1e-15
     assert batched[0, 0] <= 1e-12 and batched[0, 1] == pytest.approx(0.0201, abs=1e-12)
     assert kraus_defect(np.zeros((0, 2, 3, 3), dtype=complex)).shape == (0,)
+
+
+def test_right_normalize_is_batched_over_leading_axes():
+    rng = np.random.default_rng(9)
+    raw = rng.standard_normal((2, 3, 4, 2, 3)) + 1j * rng.standard_normal((2, 3, 4, 2, 3))
+    error = lambda index, problem: NumericalFailure(f"set {index} {problem}")
+    batched = right_normalize(raw, error)
+    assert batched.shape == raw.shape and (kraus_defect(batched) <= 1e-12).all()
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(batched[i, j], right_normalize(raw[i, j], error))
+    raw[1, 1] = 0.0
+    with pytest.raises(NumericalFailure, match=r"^set 4 is singular$"):
+        right_normalize(raw, error)
 
 
 def test_entropies_are_batched_and_skip_sub_cutoff_eigenvalues_exactly():
