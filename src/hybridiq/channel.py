@@ -74,7 +74,7 @@ class HybridChannel:
         )
 
     @cached_property
-    def transfer(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    def transfer(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
         """Padded per-target transfer table (slot_src, slice_dst, table), built on first use.
 
         Each cell pair p has T_p = sum_r L_r (x) conj(L_r) over its rows, so
@@ -83,10 +83,12 @@ class HybridChannel:
         order, are cut into slices of W = ceil(pairs / targets with pairs)
         slots, and ``table`` is (slices, qdim_dst^2, W * qdim_src^2): slice s
         holds its pairs' T side by side, zero in padded slots.  ``slot_src``
-        (slices * W,) is the source cell each slot reads (cell 0 when padded)
-        and ``slice_dst`` the target cell of each slice, or None when the
-        slices are exactly the target cells in order.  Padding stays below W
-        per target, so there are fewer slots than twice the pair count.  The
+        (slices * W,) is the source cell each slot reads (cell 0 when padded),
+        or None when every target reads every source in order with no padding
+        (a dense channel, whose table is then one matrix over all source
+        vectors); ``slice_dst`` is the target cell of each slice, or None when
+        the slices are exactly the target cells in order.  Padding stays below
+        W per target, so there are fewer slots than twice the pair count.  The
         arrays are read-only and not serialized.
         """
         q_dst, q_src, n_dst = self.qdim_dst, self.qdim_src, self.dst_space.size
@@ -103,9 +105,10 @@ class HybridChannel:
         table = np.zeros((slices * width, q_dst * q_dst, q_src * q_src), dtype=complex)
         table[slot] = maps
         table = table.reshape(slices, width, q_dst * q_dst, q_src * q_src).swapaxes(1, 2)
-        slot_src = np.zeros(slices * width, dtype=np.intp)
-        slot_src[slot] = self.src[pairs]
-        slice_dst = None
+        slot_src = slice_dst = None
+        if pairs.size != n_dst * self.src_space.size:
+            slot_src = np.zeros(slices * width, dtype=np.intp)
+            slot_src[slot] = self.src[pairs]
         if slices != n_dst or not counts.all():
             slice_dst = np.repeat(np.arange(n_dst), per_target)
         out = (slot_src, slice_dst, table.reshape(slices, q_dst * q_dst, width * q_src * q_src))
@@ -359,17 +362,22 @@ def _apply_stack(channel: HybridChannel, masses: np.ndarray) -> np.ndarray:
     When qdim_dst * qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT the gathered
     source vectors go through one batched mat-vec with the cached transfer
     slices, and slices of one target are summed only when a target spans
-    several.  Otherwise, from a channel's second apply on, or for a stack of
-    two or more states, a cached :attr:`HybridChannel.source_basis` (when it
-    is not None) computes every B_nj sigma_n B_nl^dag in two batched products
-    and contracts them with the coefficient Grams in a third; in all other
-    cases every row is a batched L sigma L^dag, summed per target.  Each form
-    broadcasts the channel over the stack, so a state's output does not
-    depend on the other states in it.
+    several; a dense channel's table (``slot_src`` None) needs no gather and
+    is one mat-vec per state.  Otherwise, from a channel's second apply on, or
+    for a stack of two or more states, a cached
+    :attr:`HybridChannel.source_basis` (when it is not None) computes every
+    B_nj sigma_n B_nl^dag in two batched products and contracts them with the
+    coefficient Grams in a third; in all other cases every row is a batched
+    L sigma L^dag, summed per target.  Each form broadcasts the channel over
+    the stack, so a state's output does not depend on the other states in it.
     """
     q, n_dst, b = channel.qdim_dst, channel.dst_space.size, masses.shape[0]
     if q * channel.qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT:
         slot_src, slice_dst, table = channel.transfer
+        if slot_src is None:
+            # one gemv per state: a single gemm over the stack rounds differently
+            vecs = masses.reshape(b, -1, 1)
+            return (table.reshape(-1, vecs.shape[1]) @ vecs).reshape(b, n_dst, q, q)
         # take() gathers these rows about 3x faster than fancy indexing
         vecs = masses.reshape(b, channel.src_space.size, -1).take(slot_src, axis=1)
         out = (table @ vecs.reshape(b, *table.shape[::2], 1)).reshape(b, -1, q, q)

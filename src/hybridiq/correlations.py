@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import COMPLETENESS_TOL, HybridChannel, apply, interaction_defect
 from .errors import HybridError, NotAnEnsemble
-from .linalg import block_margins, entropies, nonnegative, von_neumann_entropy
+from .linalg import block_margins, entropies, nonnegative, spectra, von_neumann_entropy
 from .state import (
     _ONE_SEGMENT,
     HybridState,
@@ -88,7 +88,7 @@ def _holevo_segments(
     averages = np.add.reduceat(weighted.reshape(n, d * d), starts).reshape(-1, d, d)
     averages /= np.einsum("sii->s", averages).real[:, None, None]
     members = np.add.reduceat(p * entropies(eigs), starts) / totals
-    return entropies(np.linalg.eigvalsh(averages)) - members
+    return entropies(spectra(averages)) - members
 
 
 def holevo(ensemble: Ensemble) -> float:

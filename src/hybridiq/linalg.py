@@ -120,16 +120,36 @@ def require_unit(traces: np.ndarray, error: Callable[[int, str], Exception]) -> 
             raise error(index, f"has trace {tr!r}, expected 1")
 
 
+def spectra(sym: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (n, d, d) Hermitian stack, as a fresh (n, d) float array.
+
+    At d = 2 it is the closed form a/2 + c/2 -+ hypot(a/2 - c/2, |b|) from the
+    upper triangle, halved before adding so diagonals near the float maximum do
+    not overflow; each eigenvalue is within a few eps times the spectral radius
+    of LAPACK's, far below PSD_TOL.  Other sizes go through one batched eigvalsh.
+    """
+    n, d = sym.shape[:2]
+    if d != 2:
+        try:
+            return np.linalg.eigvalsh(sym)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+            raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
+    a, c = sym[:, 0, 0].real / 2, sym[:, 1, 1].real / 2
+    radius = np.hypot(a - c, np.abs(sym[:, 0, 1]))
+    out = np.empty((n, 2))
+    mid = np.add(a, c, out=out[:, 1])
+    np.subtract(mid, radius, out=out[:, 0])
+    mid += radius
+    return out
+
+
 def block_margins(stack: np.ndarray) -> BlockMargins:
-    """Measure a (n, d, d) complex stack with one batched eigvalsh and no eigenvectors."""
+    """Measure a (n, d, d) complex stack with one :func:`spectra` and no eigenvectors."""
     nonfinite = ~np.isfinite(stack).all(axis=(1, 2))
     if nonfinite.any():
         stack = np.where(nonfinite[:, None, None], 0.0, stack)
     sym = (stack + stack.conj().transpose(0, 2, 1)) / 2
-    try:
-        eigs = np.linalg.eigvalsh(sym)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalFailure(f"eigenvalue computation failed: {exc}") from exc
+    eigs = spectra(sym)
     scales = np.maximum(1.0, np.abs(eigs).sum(axis=1))
     return BlockMargins(nonfinite, hermiticity_defect(stack), eigs, scales, sym)
 

@@ -26,7 +26,7 @@ from .errors import (
     ZeroMassCell,
     ZeroProbability,
 )
-from .linalg import PSD_TOL, TRACE_TOL, block_margins, dagger, _require_density
+from .linalg import PSD_TOL, TRACE_TOL, block_margins, dagger, spectra, _require_density
 from .rand import random_complex
 
 # Below ZERO_MASS a cell or conditioning probability counts as zero.
@@ -206,7 +206,7 @@ def _canonical_signs(diffs: np.ndarray) -> np.ndarray:
 
 
 def distance(w1: HybridState, w2: HybridState) -> float:
-    """Integrated trace-norm metric (|eigvalsh| summed over cells); in [0, 2], exactly symmetric."""
+    """Integrated trace-norm metric (|eigenvalues| summed over cells); in [0, 2], exactly symmetric."""
     if w1.space != w2.space or w1.qdim != w2.qdim:
         raise SpaceMismatch("states live on different spaces")
     return _distance(w1.masses, w2.masses)
@@ -216,7 +216,7 @@ def _distance(masses1: np.ndarray, masses2: np.ndarray) -> float:
     """:func:`distance` of two mass stacks of one shape, taken as already checked."""
     diffs = masses1 - masses2
     signed = _canonical_signs(diffs)[:, None, None] * diffs
-    return float(np.abs(np.linalg.eigvalsh(signed)).sum())
+    return float(np.abs(spectra(signed)).sum())
 
 
 def mix(w1: HybridState, w2: HybridState, t: float) -> HybridState:

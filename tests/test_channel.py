@@ -291,7 +291,11 @@ def test_apply_matches_oracle_on_every_pattern(pattern, n_src, n_dst, qdims, dea
     assert ("transfer" in vars(ch)) == (q_src * q_dst <= TRANSFER_QDIM_PRODUCT_LIMIT)
     if "transfer" in vars(ch):
         pairs = len(set(zip(ch.dst.tolist(), ch.src.tolist())))
-        assert ch.transfer[0].size <= 2 * pairs
+        slot_src = ch.transfer[0]
+        # a dense table reads every source once per target, with no slot array
+        slots = n_src * n_dst if slot_src is None else slot_src.size
+        assert slots <= 2 * pairs
+        assert (slot_src is None) == (pairs == n_src * n_dst)
 
 
 def _sparse_kernel(src, dst, zeros, rng) -> MarkovKernel:
@@ -770,8 +774,11 @@ def _form_channel(form, rng):
     space = counting_space(4)
     if form == "rows":
         return random_channel(space, counting_space(3), 3, 3, 1, rng)
-    if form == "transfer":
+    if form == "transfer":  # dense: every target reads every source, with no gather
         return random_channel(space, counting_space(3), 2, 2, 2, rng)
+    if form == "sparse transfer":  # each target reads two sources: one padded slice per target
+        p = (np.eye(4) + np.roll(np.eye(4), 1, axis=0)) / 2
+        return non_interacting(MarkovKernel(space, space, p), random_kraus_set(2, 2, rng))
     p = random_stochastic_matrix(4, 4, rng)
     if form == "hub transfer":  # every source feeds target 0, so it spans several slices
         p[1:, 1:] = 0.0
@@ -780,7 +787,7 @@ def _form_channel(form, rng):
     return non_interacting(MarkovKernel(space, space, p), random_kraus_set(q, 2, rng))
 
 
-@pytest.mark.parametrize("form", ["transfer", "hub transfer", "rows", "basis"])
+@pytest.mark.parametrize("form", ["transfer", "sparse transfer", "hub transfer", "rows", "basis"])
 def test_stacked_apply_is_per_state_apply_in_each_form(form):
     rng = np.random.default_rng(26)
     ch = _form_channel(form, rng)
@@ -789,7 +796,9 @@ def test_stacked_apply_is_per_state_apply_in_each_form(form):
     assert out.shape == (3, ch.dst_space.size, ch.qdim_dst, ch.qdim_dst)
     if "transfer" in form:
         assert ch.qdim_src * ch.qdim_dst <= TRANSFER_QDIM_PRODUCT_LIMIT
-        assert (ch.transfer[1] is not None) == (form == "hub transfer")
+        slot_src, slice_dst, _ = ch.transfer
+        assert (slot_src is None) == (form == "transfer")
+        assert (slice_dst is not None) == (form == "hub transfer")
     else:  # a stack of three counts as a repeat apply: source_basis is measured
         assert (ch.source_basis is not None) == (form == "basis")
     # each later apply is a repeat, so it runs the same form as the stack

@@ -20,6 +20,7 @@ from hybridiq.linalg import (
     partial_transpose,
     relative_entropy,
     right_normalize,
+    spectra,
     trace_norm,
     von_neumann_entropy,
 )
@@ -140,6 +141,26 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(np.eye(5), 2, 3, "B")
 
 
+@pytest.mark.parametrize("op", [partial_trace, partial_transpose])
+def test_partial_ops_refuse_a_bad_side_and_a_non_factoring_dimension(op):
+    with pytest.raises(DimensionMismatch, match=r"^side must be 'A' or 'B', got 'C'$"):
+        op(np.eye(6), 2, 3, "C")
+    with pytest.raises(DimensionMismatch, match=r"^matrix of dimension 5 does not factor as 2 x 3$"):
+        op(np.eye(5), 2, 3, "A")
+
+
+def test_trace_norm_refuses_non_square_and_empty_matrices():
+    with pytest.raises(DimensionMismatch, match=r"^matrix must be square, got shape \(2, 3\)$"):
+        trace_norm(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch, match=r"^matrix must have positive dimension$"):
+        trace_norm(np.zeros((0, 0)))
+
+
+def test_relative_entropy_refuses_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 2 vs 3$"):
+        relative_entropy(np.eye(2) / 2, np.eye(3) / 3)
+
+
 def test_partial_transpose_product_and_involution():
     rng = np.random.default_rng(17)
     rho = random_density(2, rng)
@@ -199,6 +220,65 @@ def test_block_margins():
     alone = block_margins(stack[live])
     for got, want in zip(m, alone):
         assert np.array_equal(got[live], want)
+
+
+# spectra's 2x2 closed form stays within this many eps times the spectral radius of
+# LAPACK's eigvalsh; 2*10^6 random, rank-1 and near-degenerate blocks stayed below 7
+SPECTRA_EPS_BOUND = 16
+
+
+def _hermitian_pairs(a, c, b):
+    """(n, 2, 2) Hermitian stack with diagonals a, c and upper off-diagonal b."""
+    stack = np.zeros((len(a), 2, 2), dtype=complex)
+    stack[:, 0, 0], stack[:, 1, 1], stack[:, 0, 1] = a, c, b
+    stack[:, 1, 0] = np.conj(stack[:, 0, 1])
+    return stack
+
+
+def test_spectra_is_lapack_bit_for_bit_at_d1_and_above_d2():
+    rng = np.random.default_rng(41)
+    for d in (1, 3, 4):
+        g = random_complex(rng, (9, d, d))
+        sym = (g + g.conj().swapaxes(1, 2)) / 2
+        out = spectra(sym)
+        assert out.shape == (9, d) and out.dtype == np.float64
+        assert np.array_equal(out, np.linalg.eigvalsh(sym))
+
+
+def test_spectra_at_d2_is_within_eps_of_the_spectral_radius_of_eigvalsh():
+    rng, n = np.random.default_rng(43), 200
+    g = random_complex(rng, (n, 2, 2))
+    v = random_complex(rng, (n, 2))
+    x, y, z = rng.standard_normal((3, n))
+    stacks = {
+        "random": (g + g.conj().swapaxes(1, 2)) / 2,
+        "positive": g @ g.conj().swapaxes(1, 2),
+        "diagonal": _hermitian_pairs(x, y, 0.0),
+        "zero": np.zeros((n, 2, 2), dtype=complex),
+        "rank-1": v[:, :, None] * v.conj()[:, None, :],
+        "near-degenerate": _hermitian_pairs(x, x, 1e-300 * (1 + 1j) * y),
+        "near-singular": _hermitian_pairs(x * x, y * y, x * y * (1 - 1e-12)),
+        "imaginary off-diagonal": _hermitian_pairs(x, y, 1j * z),
+    }
+    for scale in (1e150, 1e-150):
+        stacks[f"scaled {scale:.0e}"] = scale * stacks["positive"]
+    for name, stack in stacks.items():
+        out, ref = spectra(stack), np.linalg.eigvalsh(stack)
+        radius = np.abs(ref).max(axis=1, keepdims=True)
+        assert out.shape == (n, 2) and np.isfinite(out).all(), name
+        assert (out[:, 0] <= out[:, 1]).all(), name
+        assert (np.abs(out - ref) <= SPECTRA_EPS_BOUND * np.finfo(float).eps * radius).all(), name
+    assert np.array_equal(spectra(stacks["zero"]), np.zeros((n, 2)))
+    # a = c with |b| far below eps * a: both eigenvalues are a to the last bit
+    degenerate = spectra(stacks["near-degenerate"])
+    assert np.array_equal(degenerate, np.stack([x, x], axis=1))
+
+
+def test_spectra_returns_a_fresh_writable_array():
+    sym = np.stack([np.diag([0.25, 0.75]), np.eye(2)]).astype(complex)
+    out = spectra(sym)
+    out[:] = -1.0
+    assert np.array_equal(spectra(sym), [[0.25, 0.75], [1.0, 1.0]])
 
 
 def test_block_verdicts_name_the_lowest_failing_block():

@@ -18,8 +18,8 @@ from hybridiq.errors import (
     ZeroMassCell,
     ZeroProbability,
 )
-from hybridiq.linalg import partial_trace, trace_norm
-from hybridiq.rand import random_density, random_effect, random_probability_vector
+from hybridiq.linalg import PSD_TOL, partial_trace, trace_norm
+from hybridiq.rand import random_density, random_effect, random_probability_vector, random_unitary
 from hybridiq.state import (
     Effect,
     _probability_segments,
@@ -67,6 +67,18 @@ def test_new_state_rejects_negative_block():
     assert info.value.cell == 0
     with pytest.raises(NotPositive) as info:
         new_state(counting_space(2), np.stack([KET0, np.full((2, 2), np.nan)]))
+    assert info.value.cell == 1
+
+
+def test_new_state_positivity_verdict_at_qdim_2_sits_at_psd_tol():
+    # cell 1 is a rotated block with eigenvalues (low, 0.5 - low), so its
+    # off-diagonals carry the negative eigenvalue into the closed-form spectrum
+    u = random_unitary(2, np.random.default_rng(37))
+    masses = lambda low: np.stack([0.5 * KET0, (u * np.array([low, 0.5 - low])) @ u.conj().T])
+    low = -0.5 * PSD_TOL
+    assert new_state(counting_space(2), masses(low)).eigenvalues[1, 0] == pytest.approx(low, abs=1e-15)
+    with pytest.raises(NotPositive, match="^mass block at cell 1 is not positive semidefinite$") as info:
+        new_state(counting_space(2), masses(-2 * PSD_TOL))
     assert info.value.cell == 1
 
 
@@ -241,7 +253,9 @@ def test_distance_metric():
     rng = np.random.default_rng(5)
     space = counting_space(3)
     w1, w2, w3 = (random_state(space, 2, rng) for _ in range(3))
+    near = new_state(space, w1.masses * (1 - 1e-15) + w2.masses * 1e-15)
     assert distance(w1, w2) == distance(w2, w1)  # exact
+    assert distance(w1, near) == distance(near, w1)
     assert distance(w1, w3) <= distance(w1, w2) + distance(w2, w3) + 1e-10
     assert 0.0 <= distance(w1, w2) <= 2.0 + 1e-12
     with pytest.raises(SpaceMismatch):
