@@ -144,7 +144,10 @@ def spectra(sym: np.ndarray) -> np.ndarray:
 
 
 def block_margins(stack: np.ndarray) -> BlockMargins:
-    """Measure a (n, d, d) complex stack with one :func:`spectra` and no eigenvectors."""
+    """Measure a (n, d, d) complex stack with one :func:`spectra` and no eigenvectors.
+
+    Above d = 2, :func:`positive_parts` runs it only for a stack its certificate fails.
+    """
     nonfinite = ~np.isfinite(stack).all(axis=(1, 2))
     if nonfinite.any():
         stack = np.where(nonfinite[:, None, None], 0.0, stack)
@@ -152,6 +155,39 @@ def block_margins(stack: np.ndarray) -> BlockMargins:
     eigs = spectra(sym)
     scales = np.maximum(1.0, np.abs(eigs).sum(axis=1))
     return BlockMargins(nonfinite, hermiticity_defect(stack), eigs, scales, sym)
+
+
+def positive_parts(
+    stack: np.ndarray, error: Callable[[int, str], Exception]
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Hermitian parts and, when solved, spectra of a (n, d, d) stack that
+    ``block_margins(stack).require(error)`` accepts; raises as it does otherwise.
+
+    Above d = 2 one batched Cholesky of each Hermitian part shifted by
+    (PSD_TOL - 2 d^2 eps) * max(1, tr) certifies the stack without a spectrum
+    (None).  A factorization that completes is exact for a matrix within
+    about d(d+1)/2 eps ||A|| of the shifted part (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 10); the 2 d^2 eps margin covers
+    that and the spectrum rule's own rounding, and max(1, tr) is at most the
+    rule's max(1, trace norm), so the certificate accepts only what the rule
+    accepts.  A non-finite entry fails the Hermiticity test and an overflowed
+    part gives a non-finite factor; neither is certified.  At d <= 2, where
+    the closed-form spectrum costs less than a Cholesky, and whenever the
+    certificate fails, block_margins decides.
+    """
+    d = stack.shape[-1]
+    if d > 2 and hermiticity_defect(stack).max() <= HERMITICITY_TOL:
+        sym = (stack + stack.conj().transpose(0, 2, 1)) / 2
+        tol = PSD_TOL - 2 * d * d * np.finfo(float).eps
+        shift = tol * np.maximum(1.0, np.einsum("nii->n", sym).real)
+        try:
+            if np.isfinite(np.linalg.cholesky(sym + np.multiply.outer(shift, np.eye(d)))).all():
+                return sym, None
+        except np.linalg.LinAlgError:
+            pass
+    margins = block_margins(stack)
+    margins.require(error)
+    return margins.sym, margins.eigenvalues
 
 
 def kraus_gram(stack: np.ndarray) -> np.ndarray:
@@ -286,7 +322,11 @@ def _density_spectrum(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]
 
 
 def _require_density(rho, name: str = "state") -> np.ndarray:
-    return _density_spectrum(rho, name)[0]
+    """:func:`_density_spectrum`'s check, through :func:`positive_parts`; the Hermitian part."""
+    error = lambda _, problem: NotAState(f"{name} {problem}")
+    sym = positive_parts(as_cmatrix(rho, name)[None], error)[0]
+    require_unit(np.einsum("rii->r", sym).real, error)
+    return sym[0]
 
 
 def nonnegative(x: float) -> float:

@@ -282,7 +282,11 @@ def separable_from_ensemble(space: ClassicalSpace, f, states_1, states_2) -> np.
 
 
 def is_ppt(rho, dim_1: int, dim_2: int) -> bool:
-    """Partial transpose test: conclusive for separability on 2x2 and 2x3."""
+    """Partial transpose test: conclusive for separability on 2x2 and 2x3.
+
+    The density check above dimension 2 is the shifted-Cholesky certificate
+    of ``linalg.positive_parts``; the partial transpose's spectrum is solved.
+    """
     density = _require_density(rho)
     if density.shape[0] != dim_1 * dim_2:
         raise DimensionMismatch(

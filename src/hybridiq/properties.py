@@ -428,14 +428,14 @@ def run_correlations(trials: int, seed: int) -> SuiteReport:
     n_src, n_dst, qs = (rng.integers(1, high, trials) for high in (9, 9, 7))
     for q, idx, masses, eigs, starts in _groups(rng, qs, n_src):
         outputs = []
-        for n, w in zip(n_dst[idx].tolist(), _trial_states(masses, eigs, starts)):
-            p = random_stochastic_matrix(n, w.space.size, rng)
-            ch = non_interacting(MarkovKernel(w.space, counting_space(n), p),
+        for n, m in zip(n_dst[idx].tolist(), np.split(masses, starts[1:])):
+            p = random_stochastic_matrix(n, len(m), rng)
+            ch = non_interacting(MarkovKernel(counting_space(len(m)), counting_space(n), p),
                                  random_kraus_set(q, int(rng.integers(1, 4)), rng))
-            outputs.append(apply(ch, w))
-        after = _mutual_information_segments(np.concatenate([w.masses for w in outputs]),
-                                             np.concatenate([w.eigenvalues for w in outputs]),
-                                             np.cumsum(n_dst[idx]) - n_dst[idx])
+            outputs.append(_apply_stack(ch, m[None])[0])
+        dst_starts = np.cumsum(n_dst[idx]) - n_dst[idx]
+        after = _mutual_information_segments(*_checked(np.concatenate(outputs), dst_starts),
+                                             dst_starts)
         monotone_dev[idx] = after - _mutual_information_segments(masses, eigs, starts)
 
     rng = seeded_rng(seed, "correlations.product")

@@ -26,7 +26,9 @@ from .errors import (
     ZeroMassCell,
     ZeroProbability,
 )
-from .linalg import PSD_TOL, TRACE_TOL, block_margins, dagger, spectra, _require_density
+from .linalg import (
+    PSD_TOL, TRACE_TOL, block_margins, dagger, positive_parts, spectra, _require_density,
+)
 from .rand import random_complex
 
 # Below ZERO_MASS a cell or conditioning probability counts as zero.
@@ -35,12 +37,27 @@ ZERO_MASS = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HybridState:
-    """Validated hybrid state; construct through :func:`new_state`."""
+    """Validated hybrid state; construct through :func:`new_state`.
+
+    ``_eigenvalues`` holds the masses' spectra when validation solved them (at
+    qdim <= 2, or when the Cholesky certificate did not settle a block);
+    otherwise :attr:`eigenvalues` solves them on first read.
+    """
 
     space: ClassicalSpace
     qdim: int
     masses: np.ndarray  # shape (cells, qdim, qdim)
-    eigenvalues: np.ndarray = field(repr=False)  # (cells, qdim) ascending, of each mass
+    _eigenvalues: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """(cells, qdim) ascending eigenvalues of each mass, read-only; one :func:`spectra`
+        on first read, cached after."""
+        if self._eigenvalues is None:
+            eigs = spectra(self.masses)
+            eigs.flags.writeable = False
+            object.__setattr__(self, "_eigenvalues", eigs)
+        return self._eigenvalues
 
     def __repr__(self) -> str:
         return f"HybridState(cells={self.space.size}, qdim={self.qdim})"
@@ -104,22 +121,24 @@ def new_state(space: ClassicalSpace, masses) -> HybridState:
     Raises NotPositive, naming the lowest failing cell, for a non-finite, then a
     non-Hermitian, then a non-PSD block (``BlockMargins.worst``), and
     NotNormalized when the total trace is off by more than the tolerance.
+    Above qdim 2 a shifted Cholesky certifies positivity (``linalg.positive_parts``)
+    and the spectrum is left to be solved on first read of ``eigenvalues``.
     """
     arr = np.asarray(masses, dtype=complex)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
         raise DimensionMismatch(f"masses must stack to (cells, q, q), got shape {arr.shape}")
     if arr.shape[0] != space.size:
         raise DimensionMismatch(f"{arr.shape[0]} mass blocks for {space.size} cells")
-    margins = block_margins(arr)
-    margins.require(lambda cell, problem: NotPositive(cell, f"mass block at cell {cell} {problem}"))
-
-    sym, eigs = margins.sym, margins.eigenvalues
+    sym, eigs = positive_parts(
+        arr, lambda cell, problem: NotPositive(cell, f"mass block at cell {cell} {problem}")
+    )
     total = total_trace(sym)
     if abs(total - 1.0) > TRACE_TOL:
         raise NotNormalized(total)
 
     sym.flags.writeable = False
-    eigs.flags.writeable = False
+    if eigs is not None:
+        eigs.flags.writeable = False
     return HybridState(space, int(arr.shape[1]), sym, eigs)
 
 

@@ -29,15 +29,32 @@ def kraus_defect_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture
-def svd_calls(monkeypatch):
-    """Wrap numpy.linalg.svd; the list gets the shape of each matrix stack it factors."""
-    original = np.linalg.svd
+def _numpy_linalg_calls(monkeypatch, name: str) -> list:
+    """Wrap numpy.linalg.<name>; the list gets the shape of each matrix stack it is given."""
+    original = getattr(np.linalg, name)
     calls = []
 
     def counted(a, *args, **kwargs):
         calls.append(np.shape(a))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Wrap numpy.linalg.svd; the list gets the shape of each matrix stack it factors."""
+    return _numpy_linalg_calls(monkeypatch, "svd")
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Wrap numpy.linalg.eigvalsh, which linalg.spectra calls above d = 2."""
+    return _numpy_linalg_calls(monkeypatch, "eigvalsh")
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    """Wrap numpy.linalg.cholesky, which linalg.positive_parts calls above d = 2."""
+    return _numpy_linalg_calls(monkeypatch, "cholesky")

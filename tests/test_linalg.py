@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hybridiq.classical import counting_space
 from hybridiq.correlations import Ensemble
 from hybridiq.errors import (
-    DimensionMismatch, NotAnEnsemble, NotAState, NotHermitian, NumericalFailure
+    DimensionMismatch, HybridError, NotAnEnsemble, NotAState, NotHermitian, NotNormalized,
+    NotPositive, NumericalFailure,
 )
 from hybridiq.linalg import (
     HERMITICITY_TOL,
     PSD_TOL,
     TRACE_TOL,
+    _density_spectrum,
+    _require_density,
     block_margins,
     entropies,
     hermitian_eig,
@@ -24,7 +30,9 @@ from hybridiq.linalg import (
     trace_norm,
     von_neumann_entropy,
 )
+from hybridiq.locc import PPT_TOL, is_ppt
 from hybridiq.rand import random_complex, random_density, random_kraus_set, random_unitary
+from hybridiq.state import HybridState, new_state
 
 
 def char_poly_coeffs(m):
@@ -424,3 +432,96 @@ def test_relative_entropy_pinsker_floor():
         rho = random_density(3, rng)
         tau = random_density(3, rng)
         assert relative_entropy(rho, tau) >= trace_norm(rho - tau) ** 2 / 2 - 1e-9
+
+
+# lambda_min of each kind of drawn density, in units of PSD_TOL; "low-edge" is within
+# rounding of the spectrum rule's boundary, where the rule accepts about half the draws
+# and a Cholesky shifted by the whole tolerance would accept some that it refuses
+PLACED_LOWS = {"low-pass": -0.5, "low-fail": -2.0, "low-edge": -(1 + 1e-8)}
+DEFECTS = {"nan": np.nan, "inf": np.inf, "hermiticity": 2j * HERMITICITY_TOL}
+
+
+def _placed_density(kind: str, d: int, rng) -> np.ndarray:
+    """A d x d unit-trace block: random, rank-1, zero or with lambda_min placed per
+    PLACED_LOWS; exactly Hermitian, so a scaled copy stays exactly Hermitian."""
+    if kind == "zero":
+        return np.zeros((d, d), dtype=complex)
+    low = PLACED_LOWS.get(kind, 0.0) * PSD_TOL
+    vals = np.eye(d)[-1] if kind == "rank-1" else rng.uniform(0.1, 1.0, d)
+    if kind in PLACED_LOWS:
+        vals[0] = 0.0
+    vals *= (1.0 - low) / vals.sum()
+    vals[0] += low
+    u = random_unitary(d, rng)
+    m = (u * vals) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+# The spectrum rule, as new_state, the density checks and is_ppt applied it to every
+# stack before the Cholesky certificate: block_margins decides each block.
+def _new_state_by_spectrum(space, masses):
+    margins = block_margins(masses)
+    margins.require(lambda cell, problem: NotPositive(cell, f"mass block at cell {cell} {problem}"))
+    total = float(np.einsum("nii->", margins.sym).real)
+    if abs(total - 1.0) > TRACE_TOL:
+        raise NotNormalized(total)
+    return margins.sym, margins.eigenvalues
+
+
+def _is_ppt_by_spectrum(rho, dim_1, dim_2):
+    transposed = partial_transpose(_density_spectrum(rho)[0], dim_1, dim_2, "B")
+    return bool(np.linalg.eigvalsh(transposed)[0] >= -PPT_TOL)
+
+
+def _outcome(f, *args):
+    """A call's error as (class, message, cell), or its value with arrays as their bytes."""
+    try:
+        value = f(*args)
+    except HybridError as exc:
+        return type(exc), str(exc), getattr(exc, "cell", None)
+    if isinstance(value, HybridState):
+        value = (value.masses, value.eigenvalues)
+    if isinstance(value, tuple):
+        return tuple(v.tobytes() for v in value)
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.sampled_from([3, 4, 6]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["random", "rank-1", "zero", *PLACED_LOWS]),
+            st.sampled_from([1.0, 1e150, 1e-150, 1e300, np.finfo(float).max]),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from([None, *DEFECTS]),
+    st.integers(0, 2**32 - 1),
+)
+def test_cholesky_certificate_decides_as_the_spectrum_rule(d, blocks, defect, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([scale * _placed_density(kind, d, rng) for kind, scale in blocks])
+    if defect is not None:
+        stack[int(rng.integers(len(blocks))), -1, 0] += DEFECTS[defect]
+    space = counting_space(len(blocks))
+    rho, dims = stack[0], (2, d // 2) if d % 2 == 0 else (1, d)
+    # blocks scaled to the float maximum overflow to inf in their Hermitian parts
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _outcome(new_state, space, stack) == _outcome(_new_state_by_spectrum, space, stack)
+        assert _outcome(_require_density, rho) == _outcome(lambda r: _density_spectrum(r)[0], rho)
+        assert _outcome(is_ppt, rho, *dims) == _outcome(_is_ppt_by_spectrum, rho, *dims)
+
+
+def test_cholesky_certificate_accepts_nothing_the_spectrum_rule_refuses_at_its_edge():
+    rng = np.random.default_rng(24)
+    space = counting_space(1)
+    verdicts = set()
+    for d in (3, 6):
+        for _ in range(200):
+            masses = _placed_density("low-edge", d, rng)[None]
+            outcome = _outcome(new_state, space, masses)
+            assert outcome == _outcome(_new_state_by_spectrum, space, masses)
+            verdicts.add(outcome[0] is NotPositive)
+    assert verdicts == {True, False}

@@ -666,6 +666,12 @@ def test_separable_states_are_always_ppt():
         assert is_ppt(rho, d1, d2)
 
 
+def test_run_refuses_an_input_state_of_the_wrong_dimension():
+    protocol = LoccProtocol((2, 2), (LoccRound(1, {(): [np.eye(2)]}),))
+    with pytest.raises(DimensionMismatch, match=r"^input state has dimension 3, expected 4$"):
+        run(protocol, np.eye(3) / 3)
+
+
 def test_is_ppt_validation():
     with pytest.raises(DimensionMismatch):
         is_ppt(np.eye(4) / 4, 3, 2)

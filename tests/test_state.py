@@ -7,11 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hybridiq import io
+from hybridiq.channel import apply, random_channel
 from hybridiq.classical import counting_space, discretize_interval
 from hybridiq.errors import (
     BadEffect,
     BadEvent,
     DimensionMismatch,
+    HybridError,
+    NotAState,
     NotNormalized,
     NotPositive,
     SpaceMismatch,
@@ -30,6 +33,7 @@ from hybridiq.state import (
     embed_quantum,
     mix,
     new_state,
+    point_mass_state,
     probability,
     product_state,
     quantum_marginal,
@@ -305,6 +309,66 @@ def test_eigenvalues_are_the_stored_read_only_mass_spectrum():
         w.eigenvalues = np.zeros((5, 3))
     assert "eigenvalues" not in repr(w)
     assert "eigenvalues" not in json.dumps(io.state_to_json(w))
+
+
+def test_apply_above_qdim_2_solves_no_spectrum_until_eigenvalues_is_read(
+    eigvalsh_calls, cholesky_calls
+):
+    rng = np.random.default_rng(24)
+    space = counting_space(3)
+    w = random_state(space, 4, rng)
+    ch = random_channel(space, space, 4, 4, 2, rng)
+    eigvalsh_calls.clear()
+    cholesky_calls.clear()
+    out = apply(ch, w)
+    assert (eigvalsh_calls, cholesky_calls) == ([], [(3, 4, 4)])
+    eigs = out.eigenvalues
+    assert eigvalsh_calls == [(3, 4, 4)]
+    assert out.eigenvalues is eigs and len(eigvalsh_calls) == 1
+    assert eigs.tobytes() == np.linalg.eigvalsh(out.masses).tobytes()
+    with pytest.raises(ValueError):
+        eigs[0, 0] = 1.0
+    assert "eigenvalues" not in repr(out)
+    assert "eigenvalues" not in json.dumps(io.state_to_json(out))
+
+
+def _two_cell_qdim_3():
+    return new_state(counting_space(2), np.stack([np.eye(3), np.eye(3)]) / 6)
+
+
+# each public entry point's own refusal of a malformed argument: call, class, message
+BAD_ARGUMENTS = [
+    pytest.param(lambda: Effect([["a", "b"], ["c", "d"]]), BadEffect,
+                 "complex() arg is a malformed string", id="effect-non-numeric"),
+    pytest.param(lambda: Effect(np.ones((2, 3))), BadEffect,
+                 "effect must be a square matrix, got shape (2, 3)", id="effect-non-square"),
+    pytest.param(lambda: new_state(counting_space(2), np.stack([KET0, KET1, KET0]) / 3),
+                 DimensionMismatch, "3 mass blocks for 2 cells", id="new-state-cell-count"),
+    pytest.param(lambda: probability(two_cell_state(), [0], np.eye(3)), BadEffect,
+                 "effect dimension 3 does not match qdim 2", id="probability-effect-dimension"),
+    pytest.param(lambda: conditional_quantum(two_cell_state(), 2), BadEvent,
+                 "cell 2 outside 0..1", id="conditional-quantum-cell"),
+    pytest.param(lambda: point_mass_state(counting_space(2), -1, KET0), BadEvent,
+                 "cell -1 outside 0..1", id="point-mass-cell"),
+    pytest.param(lambda: mix(two_cell_state(), _two_cell_qdim_3(), 0.5), SpaceMismatch,
+                 "states live on different spaces", id="mix-spaces"),
+    pytest.param(lambda: mix(two_cell_state(), two_cell_state(), 1.5), HybridError,
+                 "mixing weight 1.5 outside [0, 1]", id="mix-weight"),
+    pytest.param(lambda: product_state(counting_space(2), [1.0], KET0), NotAState,
+                 "classical masses have shape (1,), expected (2,)", id="product-state-shape"),
+    pytest.param(lambda: product_state(counting_space(2), [0.7, 0.7], KET0), NotAState,
+                 "classical masses must be non-negative and sum to 1", id="product-state-masses"),
+    pytest.param(lambda: condition_on_effect(_two_cell_qdim_3(), np.eye(2) / 2), DimensionMismatch,
+                 "qdim 3 does not factor with ancilla dim 2", id="condition-on-effect-dimension"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", BAD_ARGUMENTS)
+def test_state_entry_points_refuse_bad_arguments(call, error, message):
+    with pytest.raises(HybridError) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_product_state_point_mass():
