@@ -4,15 +4,11 @@ A channel is a table of Kraus rows: row r is a ``qdim_dst x qdim_src`` operator
 that carries quantum content from source cell ``src[r]`` to target cell
 ``dst[r]``.  Operators act on cell masses, so the single validity condition is
 per-source completeness: summing L^dag L over all rows of a source cell gives
-the identity, independent of cell weights.  Whole-table operations run as
-batched matrix products followed by segment sums over sorted cell indices.
-Rows are the only stored layout.  Two caches are derived from them and never
-serialized: small-q channels keep each target cell's transfer matrices side
-by side in padded slices (see :attr:`HybridChannel.transfer`), so that
-``apply`` is one batched mat-vec; a larger channel applied more than once, or
-to a stack of states, keeps, where it is cheaper than the rows, one operator
-basis per source cell and a coefficient Gram per cell pair (see
-:attr:`HybridChannel.source_basis`).
+the identity, independent of cell weights.  Each cell pair's map is one Choi
+matrix (:func:`_run_chois`), which :func:`compose`, the transfer table and
+:func:`interaction_defect` all read.  Rows are the only stored layout; the
+:attr:`HybridChannel.transfer` and :attr:`HybridChannel.source_basis` caches
+are derived from them and never serialized.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from .errors import (
     ShapeMismatch,
     SpaceMismatch,
 )
-from .linalg import identity_defect, kraus_defect, kraus_grams, right_normalize
+from .linalg import hermitian_part, identity_defect, kraus_defect, kraus_grams, right_normalize
 from .rand import random_complex
 from .state import HybridState, new_state
 
@@ -77,9 +73,9 @@ class HybridChannel:
     def transfer(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
         """Padded per-target transfer table (slot_src, slice_dst, table), built on first use.
 
-        Each cell pair p has T_p = sum_r L_r (x) conj(L_r) over its rows, so
-        vec(sigma'_m) gains T_p @ vec(sigma_n) with row-major vec; at qdim 1 it
-        is the transition probability P(m|n).  Each target's pairs, in row
+        Each cell pair p has T_p = sum_r L_r (x) conj(L_r) over its rows, its
+        Choi matrix realigned, so vec(sigma'_m) gains T_p @ vec(sigma_n) with
+        row-major vec; at qdim 1 it is the transition probability P(m|n).  Each target's pairs, in row
         order, are cut into slices of W = ceil(pairs / targets with pairs)
         slots, and ``table`` is (slices, qdim_dst^2, W * qdim_src^2): slice s
         holds its pairs' T side by side, zero in padded slots.  ``slot_src``
@@ -92,7 +88,7 @@ class HybridChannel:
         arrays are read-only and not serialized.
         """
         q_dst, q_src, n_dst = self.qdim_dst, self.qdim_src, self.dst_space.size
-        pairs, maps = _pair_transfers(self)
+        pairs, choi = _run_chois(self.kraus, self.dst * self.src_space.size + self.src)
         pair_dst = self.dst[pairs]
         counts = np.bincount(pair_dst, minlength=n_dst)
         width = -(-pairs.size // max(np.count_nonzero(counts), 1)) or 1
@@ -103,7 +99,9 @@ class HybridChannel:
         pad = per_target * width - counts
         slot = np.arange(pairs.size) + (np.cumsum(pad) - pad)[pair_dst]
         table = np.zeros((slices * width, q_dst * q_dst, q_src * q_src), dtype=complex)
-        table[slot] = maps
+        # T[(i, k), (j, l)] = C[(i, j), (k, l)]
+        maps = choi.reshape(-1, q_dst, q_src, q_dst, q_src).swapaxes(2, 3)
+        table[slot] = maps.reshape(-1, q_dst * q_dst, q_src * q_src)
         table = table.reshape(slices, width, q_dst * q_dst, q_src * q_src).swapaxes(1, 2)
         slot_src = slice_dst = None
         if pairs.size != n_dst * self.src_space.size:
@@ -140,13 +138,10 @@ class HybridChannel:
         row_cost = rows * _product_cost(self, 1)
         if _basis_cost(self, 1) >= row_cost:
             return None
-        # each source's rows, vectorized and zero-padded to the most rows any source has
+        # each source's rows, vectorized and zero-padded to the most rows any source has;
+        # a complete channel has rows at every source cell, so run n is source cell n
         order = np.argsort(self.src, kind="stable")
-        src = self.src[order]
-        counts = np.bincount(src, minlength=n_src)
-        slot = np.arange(rows) - (np.cumsum(counts) - counts)[src]
-        stack = np.zeros((n_src, counts.max(), self.qdim_dst * self.qdim_src), dtype=complex)
-        stack[src, slot] = self.kraus[order].reshape(rows, -1)
+        _, src, slot, stack = _padded_runs(self.kraus[order].reshape(rows, -1), self.src[order])
         u, sv, vh = np.linalg.svd(stack, full_matrices=False)
         cutoff = sv[:, :1] * max(stack.shape[1:]) * np.finfo(float).eps
         rank = int((sv > cutoff).sum(axis=1).max())
@@ -179,8 +174,8 @@ def _basis_cost(channel: HybridChannel, rank: int) -> int:
 
 
 def run_starts(keys: np.ndarray) -> np.ndarray:
-    """Indices where a sorted, non-empty key array starts a new run of equal keys."""
-    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    """Indices where a sorted key array starts a new run of equal keys; none when it is empty."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1]))[: keys.size])
 
 
 def pair_starts(channel: HybridChannel) -> np.ndarray:
@@ -188,20 +183,38 @@ def pair_starts(channel: HybridChannel) -> np.ndarray:
     return run_starts(channel.dst * channel.src_space.size + channel.src)
 
 
-def _pair_transfers(channel: HybridChannel) -> tuple[np.ndarray, np.ndarray]:
-    """First row of each cell pair, and each pair's T = sum_r L_r (x) conj(L_r) over its rows."""
-    q_dst, q_src, kraus = channel.qdim_dst, channel.qdim_src, channel.kraus
-    pairs = pair_starts(channel) if channel.dst.size else np.zeros(0, dtype=np.intp)
-    terms = kraus[:, :, None, :, None] * kraus.conj()[:, None, :, None, :]
-    return pairs, np.add.reduceat(terms.reshape(-1, q_dst**2, q_src**2), pairs, axis=0)
+def _padded_runs(values: np.ndarray, keys: np.ndarray):
+    """Runs of equal sorted keys as one stack: (starts, run, slot, padded).
+
+    ``starts`` is each run's first index, ``run`` and ``slot`` place value r
+    at padded[run[r], slot[r]], and ``padded`` (runs, longest run, ...) is
+    zero in the slots past a run's end.
+    """
+    starts = run_starts(keys)
+    sizes = np.concatenate((starts[1:], [keys.size])) - starts
+    run = np.repeat(np.arange(starts.size), sizes)
+    slot = np.arange(keys.size) - starts[run]
+    padded = np.zeros((starts.size, sizes.max(initial=0), *values.shape[1:]), dtype=values.dtype)
+    padded[run, slot] = values
+    return starts, run, slot, padded
+
+
+def _run_chois(kraus: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First row of each run of equal sorted keys, and the run's Choi matrix V^T V*.
+
+    V stacks the run's rows L_r vectorized row-major, zero-padded to the
+    longest run (padding adds nothing), so C[(i, j), (k, l)] = sum_r L_r[i, j]
+    conj(L_r[k, l]): the per-pair map of the paper's Kraus theorem.
+    """
+    starts, _, _, padded = _padded_runs(kraus.reshape(-1, kraus.shape[1] * kraus.shape[2]), keys)
+    return starts, padded.swapaxes(1, 2) @ padded.conj()
 
 
 def _sum_runs(values: np.ndarray, keys: np.ndarray, size: int) -> np.ndarray:
     """(size, ...) array whose entry k sums the rows of ``values`` with key k; keys sorted."""
     out = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
-    if keys.size:
-        starts = run_starts(keys)
-        out[keys[starts]] = np.add.reduceat(values, starts, axis=0)
+    starts = run_starts(keys)
+    out[keys[starts]] = np.add.reduceat(values, starts, axis=0)
     return out
 
 
@@ -228,15 +241,17 @@ def completeness_defect(channel: HybridChannel) -> float:
 
 
 def interaction_defect(channel: HybridChannel) -> float:
-    """Max entrywise deviation of every cell pair's transfer map T_mn from P(m|n) T_0.
+    """Max entrywise deviation of every cell pair's Choi matrix C_mn from P(m|n) C_0.
 
-    T_0 = sum_m T_m0 is source cell 0's map and P(m|n) the projection of T_mn
-    onto it; zero for non-interacting subsystems.  The transfer cache is left alone.
+    C_0 = sum_m C_m0 is source cell 0's map and P(m|n) the projection of C_mn
+    onto it; zero for non-interacting subsystems.  The transfer map T_mn is a
+    fixed permutation of C_mn, so measuring either gives the same value.  The
+    transfer cache is left alone.
     """
-    pairs, maps = _pair_transfers(channel)
-    t0 = maps[channel.src[pairs] == 0].sum(axis=0)
-    weights = maps.reshape(pairs.size, -1) @ t0.conj().ravel() / np.vdot(t0, t0).real
-    return float(np.abs(maps - weights[:, None, None] * t0).max())
+    pairs, chois = _run_chois(channel.kraus, channel.dst * channel.src_space.size + channel.src)
+    c0 = chois[channel.src[pairs] == 0].sum(axis=0)
+    weights = chois.reshape(pairs.size, -1) @ c0.conj().ravel() / np.vdot(c0, c0).real
+    return float(np.abs(chois - weights[:, None, None] * c0).max())
 
 
 def _unchecked_from_rows(
@@ -413,17 +428,11 @@ def compose(second: HybridChannel, first: HybridChannel) -> HybridChannel:
     i = np.repeat(np.arange(second.src.size), reps)
     offset = np.arange(i.size) - np.repeat(np.cumsum(reps) - reps, reps)
     j = (np.cumsum(count) - count)[second.src[i]] + offset
-    products = (second.kraus[i] @ first.kraus[j]).reshape(-1, q_dst * q_src)
+    products = second.kraus[i] @ first.kraus[j]
 
     order = np.lexsort((first.src[j], second.dst[i]))
     pair_dst, pair_src = second.dst[i][order], first.src[j][order]
-    starts = run_starts(pair_dst * first.src_space.size + pair_src)
-    sizes = np.diff(np.r_[starts, order.size])
-    run = np.repeat(np.arange(starts.size), sizes)
-    # per-pair stacks V, zero-padded to a common height: padding adds nothing to V^T V*
-    padded = np.zeros((starts.size, sizes.max(), q_dst * q_src), dtype=complex)
-    padded[run, np.arange(order.size) - starts[run]] = products[order]
-    choi = padded.swapaxes(1, 2) @ padded.conj()
+    starts, choi = _run_chois(products[order], pair_dst * first.src_space.size + pair_src)
     dst, src, factors = _psd_factors(choi, pair_dst[starts], pair_src[starts])
     return from_rows(
         first.src_space, second.dst_space, q_src, q_dst, dst, src, factors.reshape(-1, q_dst, q_src)
@@ -440,7 +449,7 @@ def _psd_factors(mats: np.ndarray, dst: np.ndarray, src: np.ndarray):
     An eigenvalue below -COMPLETENESS_TOL of the trace norm raises
     NotPSDCoefficients for the first such cell pair (dst[i], src[i]).
     """
-    vals, vecs = np.linalg.eigh((mats + mats.conj().swapaxes(-1, -2)) / 2)
+    vals, vecs = np.linalg.eigh(hermitian_part(mats))
     negative = vals[:, 0] < -COMPLETENESS_TOL * np.maximum(1.0, np.abs(vals).sum(axis=1))
     if negative.any():
         i = int(negative.argmax())

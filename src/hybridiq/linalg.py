@@ -23,9 +23,10 @@ SPECTRAL_CUTOFF = 1e-14
 SUPPORT_TOL = 1e-12
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """m/2 + m^dag/2 over the last two axes; halved first, so entries near float max stay finite."""
+    half = m / 2
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
@@ -151,9 +152,11 @@ def block_margins(stack: np.ndarray) -> BlockMargins:
     nonfinite = ~np.isfinite(stack).all(axis=(1, 2))
     if nonfinite.any():
         stack = np.where(nonfinite[:, None, None], 0.0, stack)
-    sym = (stack + stack.conj().transpose(0, 2, 1)) / 2
+    sym = hermitian_part(stack)
     eigs = spectra(sym)
-    scales = np.maximum(1.0, np.abs(eigs).sum(axis=1))
+    # a trace norm beyond the float maximum sums to inf, which is still max(1, trace norm)
+    with np.errstate(over="ignore"):
+        scales = np.maximum(1.0, np.abs(eigs).sum(axis=1))
     return BlockMargins(nonfinite, hermiticity_defect(stack), eigs, scales, sym)
 
 
@@ -177,7 +180,7 @@ def positive_parts(
     """
     d = stack.shape[-1]
     if d > 2 and hermiticity_defect(stack).max() <= HERMITICITY_TOL:
-        sym = (stack + stack.conj().transpose(0, 2, 1)) / 2
+        sym = hermitian_part(stack)
         tol = PSD_TOL - 2 * d * d * np.finfo(float).eps
         shift = tol * np.maximum(1.0, np.einsum("nii->n", sym).real)
         try:
@@ -255,7 +258,7 @@ def hermitian_eig(m) -> HermEig:
     defect = float(hermiticity_defect(arr))
     if defect > HERMITICITY_TOL:
         raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3e}")
-    sym = (arr + dagger(arr)) / 2
+    sym = hermitian_part(arr)
     try:
         vals, vecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

@@ -31,8 +31,8 @@ from .correlations import (
 )
 from .errors import BadEffect, NotAnEnsemble, NotAState, UnknownSuite
 from .linalg import (
-    block_margins, entropies, partial_trace, partial_transpose, relative_entropy, require_unit,
-    trace_norm,
+    block_margins, entropies, hermitian_part, partial_trace, partial_transpose, relative_entropy,
+    require_unit, trace_norm,
 )
 from .rand import (
     random_complex, random_density, random_effect, random_effects, random_kraus_set,
@@ -528,7 +528,7 @@ def run_locc(trials: int, seed: int) -> SuiteReport:
         state, lam = locc_mod.run(proto, rho)
         oracle = _locc_oracle(proto, rho)
         run_trace.record(abs(np.trace(lam).real - 1.0))
-        run_eig.record(-float(np.linalg.eigvalsh((lam + lam.conj().T) / 2)[0]))
+        run_eig.record(-float(np.linalg.eigvalsh(hermitian_part(lam))[0]))
         for rec, mass in zip(state.space.labels, state.masses):
             w_structure.record(float(np.abs(mass - oracle[rec]).max()))
         evolved = locc_mod.initial_record_state(proto, rho)
@@ -550,7 +550,7 @@ def run_locc(trials: int, seed: int) -> SuiteReport:
         )
         proto = _random_protocol(rng)
         _, lam = locc_mod.run(proto, rho)
-        pt = partial_transpose((lam + lam.conj().T) / 2, 2, 2, "B")
+        pt = partial_transpose(hermitian_part(lam), 2, 2, "B")
         ppt_preserved.record(-float(np.linalg.eigvalsh(pt)[0]))
 
     rng = seeded_rng(seed, "locc.steer")

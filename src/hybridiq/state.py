@@ -27,7 +27,7 @@ from .errors import (
     ZeroProbability,
 )
 from .linalg import (
-    PSD_TOL, TRACE_TOL, block_margins, dagger, positive_parts, spectra, _require_density,
+    PSD_TOL, TRACE_TOL, block_margins, hermitian_part, positive_parts, spectra, _require_density,
 )
 from .rand import random_complex
 
@@ -279,7 +279,7 @@ def condition_on_effect(state: HybridState, effect_on_ancilla) -> Conditioned:
         raise DimensionMismatch(f"qdim {state.qdim} does not factor with ancilla dim {d_q}")
     d = state.qdim // d_q
 
-    vals, vecs = np.linalg.eigh((eff.matrix + dagger(eff.matrix)) / 2)
+    vals, vecs = np.linalg.eigh(hermitian_part(eff.matrix))
     sqrt_f = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     lifted = np.kron(np.eye(d), sqrt_f)
 

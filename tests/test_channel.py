@@ -19,6 +19,7 @@ from hybridiq.channel import (
     from_coeff_kernel,
     from_rows,
     identity_channel,
+    interaction_defect,
     non_interacting,
     random_channel,
 )
@@ -414,6 +415,64 @@ def test_rowless_channel_has_an_empty_transfer_table():
     w = random_state(ch.src_space, 2, np.random.default_rng(20))
     with pytest.raises(HybridError):  # all output mass is zero
         apply(ch, w)
+
+
+def _pair_map_oracle(channel):
+    """{(m, n): sum_r kron(L_r, conj(L_r))} over each cell pair's rows, by a literal loop."""
+    maps = {}
+    for m, n, L in zip(channel.dst.tolist(), channel.src.tolist(), channel.kraus):
+        maps[m, n] = maps.get((m, n), 0) + np.kron(L, L.conj())
+    return maps
+
+
+def _transfer_table_maps(channel):
+    """{(m, n): T} read back from the transfer table, each pair's slots summed."""
+    slot_src, slice_dst, table = channel.transfer
+    blocks = table.reshape(table.shape[0], table.shape[1], -1, channel.qdim_src**2)
+    maps = {}
+    for s in range(blocks.shape[0]):
+        m = s if slice_dst is None else int(slice_dst[s])
+        for w in range(blocks.shape[2]):  # a padded slot reads cell 0 and adds zero
+            n = w if slot_src is None else int(slot_src[s * blocks.shape[2] + w])
+            maps[m, n] = maps.get((m, n), 0) + blocks[s, :, w]
+    return maps
+
+
+def _interaction_defect_oracle(channel):
+    """max |T_mn - P(m|n) T_0| with T_0 = sum_m T_m0 and P(m|n) = <T_0, T_mn> / <T_0, T_0>."""
+    maps = _pair_map_oracle(channel)
+    t0 = sum(t for (_, n), t in maps.items() if n == 0)
+    return max(np.abs(t - np.vdot(t0, t) / np.vdot(t0, t0).real * t0).max() for t in maps.values())
+
+
+def _per_pair_channel(family, rng):
+    """Patterned channels of rectangular rows, or a channel with non-interacting subsystems."""
+    space = counting_space(4)
+    if family in ("dense", "sparse", "hub"):
+        q_src, q_dst = {"dense": (2, 2), "sparse": (2, 1), "hub": (1, 3)}[family]
+        return _patterned_channel(family, 4, 3, q_src, q_dst, rng)
+    if family == "random":
+        return random_channel(space, counting_space(3), 2, 2, 2, rng)
+    kernel = lambda: MarkovKernel(space, space, random_stochastic_matrix(4, 4, rng))
+    ch = non_interacting(kernel(), random_kraus_set(2, 2, rng))
+    if family == "composed":
+        return compose(non_interacting(kernel(), random_kraus_set(2, 3, rng)), ch)
+    return extend_with_ancilla(ch, 2) if family == "ancilla" else ch
+
+
+@pytest.mark.parametrize(
+    "family", ["dense", "sparse", "hub", "random", "non_interacting", "composed", "ancilla"]
+)
+def test_transfer_table_and_interaction_defect_match_a_per_pair_loop(family):
+    ch = _per_pair_channel(family, np.random.default_rng(27))
+    oracle, table = _pair_map_oracle(ch), _transfer_table_maps(ch)
+    zero = np.zeros((ch.qdim_dst**2, ch.qdim_src**2))
+    for pair in oracle.keys() | table.keys():
+        assert np.abs(table.get(pair, zero) - oracle.get(pair, zero)).max() <= 1e-14
+    defect = interaction_defect(ch)
+    assert abs(defect - _interaction_defect_oracle(ch)) <= 1e-14
+    # only the families built from non_interacting measure zero
+    assert (defect <= 1e-14) == (family in ("non_interacting", "composed", "ancilla"))
 
 
 def test_apply_at_qdim_1_is_the_classical_kernel():

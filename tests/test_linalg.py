@@ -198,6 +198,14 @@ def test_is_psd():
     assert is_psd(m)
 
 
+def test_is_psd_near_the_float_maximum():
+    # the Hermitian part is halved before it is summed, so these entries stay finite
+    big = np.finfo(float).max
+    assert is_psd(np.diag([0.0, 0.0, big]))
+    assert is_psd(1e308 * np.eye(3))
+    assert is_psd(1e308 * np.eye(2))
+
+
 def test_block_margins():
     zero = np.zeros((2, 2))
     stack = np.stack(
@@ -507,7 +515,8 @@ def test_cholesky_certificate_decides_as_the_spectrum_rule(d, blocks, defect, se
         stack[int(rng.integers(len(blocks))), -1, 0] += DEFECTS[defect]
     space = counting_space(len(blocks))
     rho, dims = stack[0], (2, d // 2) if d % 2 == 0 else (1, d)
-    # blocks scaled to the float maximum overflow to inf in their Hermitian parts
+    # Hermitian parts stay finite, but the trace of a block scaled to the float maximum
+    # overflows, and its certificate shift (inf) times the identity's zeros is NaN
     with np.errstate(over="ignore", invalid="ignore"):
         assert _outcome(new_state, space, stack) == _outcome(_new_state_by_spectrum, space, stack)
         assert _outcome(_require_density, rho) == _outcome(lambda r: _density_spectrum(r)[0], rho)
