@@ -5,8 +5,8 @@ that carries quantum content from source cell ``src[r]`` to target cell
 ``dst[r]``.  Operators act on cell masses, so the single validity condition is
 per-source completeness: summing L^dag L over all rows of a source cell gives
 the identity, independent of cell weights.  Each cell pair's map is one Choi
-matrix (:func:`_run_chois`), which :func:`compose`, the transfer table and
-:func:`interaction_defect` all read.  Rows are the only stored layout; the
+matrix (:func:`_run_chois`), which :func:`compose`, the dense transfer matrix
+and :func:`interaction_defect` all read.  Rows are the only stored layout; the
 :attr:`HybridChannel.transfer` and :attr:`HybridChannel.source_basis` caches
 are derived from them and never serialized.
 """
@@ -36,12 +36,13 @@ from .state import HybridState, new_state
 
 COMPLETENESS_TOL = 1e-9
 COEFF_EIGENVALUE_CUTOFF = 1e-12
-# apply() uses the padded transfer table when qdim_dst * qdim_src is at most
-# this.  At q = 2 one batched mat-vec over each target's slices of 4x4 blocks
-# is several times faster than two 2x2 products per row.  The table grows as
-# q^4 per cell pair (64 MiB for an 8-cell channel at q = 16, where the
-# table-based apply is several times slower), and building it costs more than
-# it saves on a channel applied once, as each LOCC round channel is at q = 4.
+# apply() uses the dense transfer matrix when qdim_dst * qdim_src is at most
+# this and every target cell reads every source cell.  At q = 2 one mat-vec
+# with a matrix of 4x4 blocks is several times faster than two 2x2 products per
+# row.  The matrix grows as q^4 per cell pair (64 MiB for an 8-cell channel at
+# q = 16, where the mat-vec is several times slower), and building it costs
+# more than it saves on a channel applied once, as each LOCC round channel is
+# at q = 4.  A channel with a rowless cell pair takes the row path instead.
 TRANSFER_QDIM_PRODUCT_LIMIT = 4
 
 
@@ -70,50 +71,26 @@ class HybridChannel:
         )
 
     @cached_property
-    def transfer(self) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
-        """Padded per-target transfer table (slot_src, slice_dst, table), built on first use.
+    def transfer(self) -> np.ndarray | None:
+        """Dense transfer matrix over all cell pairs, built on first use; None if a pair has no rows.
 
-        Each cell pair p has T_p = sum_r L_r (x) conj(L_r) over its rows, its
-        Choi matrix realigned, so vec(sigma'_m) gains T_p @ vec(sigma_n) with
-        row-major vec; at qdim 1 it is the transition probability P(m|n).  Each target's pairs, in row
-        order, are cut into slices of W = ceil(pairs / targets with pairs)
-        slots, and ``table`` is (slices, qdim_dst^2, W * qdim_src^2): slice s
-        holds its pairs' T side by side, zero in padded slots.  ``slot_src``
-        (slices * W,) is the source cell each slot reads (cell 0 when padded),
-        or None when every target reads every source in order with no padding
-        (a dense channel, whose table is then one matrix over all source
-        vectors); ``slice_dst`` is the target cell of each slice, or None when
-        the slices are exactly the target cells in order.  Padding stays below
-        W per target, so there are fewer slots than twice the pair count.  The
-        arrays are read-only and not serialized.
+        Cell pair (m, n) has T_mn = sum_r L_r (x) conj(L_r) over its rows, its
+        Choi matrix realigned, so vec(sigma'_m) gains T_mn @ vec(sigma_n) with
+        row-major vec; at qdim 1 it is the transition probability P(m|n).  The
+        matrix is (n_dst * qdim_dst^2, n_src * qdim_src^2) with T_mn at block
+        (m, n), so one mat-vec over all source vectors applies the channel.  It
+        is read-only and not serialized.
         """
-        q_dst, q_src, n_dst = self.qdim_dst, self.qdim_src, self.dst_space.size
-        pairs, choi = _run_chois(self.kraus, self.dst * self.src_space.size + self.src)
-        pair_dst = self.dst[pairs]
-        counts = np.bincount(pair_dst, minlength=n_dst)
-        width = -(-pairs.size // max(np.count_nonzero(counts), 1)) or 1
-        per_target = (counts + width - 1) // width
-        slices = int(per_target.sum())
-        # a target's slices are consecutive, so a pair's slot is its index
-        # shifted by the padding of the targets before it
-        pad = per_target * width - counts
-        slot = np.arange(pairs.size) + (np.cumsum(pad) - pad)[pair_dst]
-        table = np.zeros((slices * width, q_dst * q_dst, q_src * q_src), dtype=complex)
-        # T[(i, k), (j, l)] = C[(i, j), (k, l)]
-        maps = choi.reshape(-1, q_dst, q_src, q_dst, q_src).swapaxes(2, 3)
-        table[slot] = maps.reshape(-1, q_dst * q_dst, q_src * q_src)
-        table = table.reshape(slices, width, q_dst * q_dst, q_src * q_src).swapaxes(1, 2)
-        slot_src = slice_dst = None
-        if pairs.size != n_dst * self.src_space.size:
-            slot_src = np.zeros(slices * width, dtype=np.intp)
-            slot_src[slot] = self.src[pairs]
-        if slices != n_dst or not counts.all():
-            slice_dst = np.repeat(np.arange(n_dst), per_target)
-        out = (slot_src, slice_dst, table.reshape(slices, q_dst * q_dst, width * q_src * q_src))
-        for arr in out:
-            if arr is not None:
-                arr.flags.writeable = False
-        return out
+        q_dst, q_src = self.qdim_dst, self.qdim_src
+        n_dst, n_src = self.dst_space.size, self.src_space.size
+        pairs, choi = _run_chois(self.kraus, self.dst * n_src + self.src)
+        if pairs.size != n_dst * n_src:
+            return None
+        # T[(m, i, k), (n, j, l)] = C_mn[(i, j), (k, l)]
+        table = choi.reshape(n_dst, n_src, q_dst, q_src, q_dst, q_src).transpose(0, 2, 4, 1, 3, 5)
+        table = table.reshape(n_dst * q_dst * q_dst, n_src * q_src * q_src)
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def source_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -374,12 +351,10 @@ def apply(channel: HybridChannel, state: HybridState) -> HybridState:
 def _apply_stack(channel: HybridChannel, masses: np.ndarray) -> np.ndarray:
     """Unvalidated output masses (B, n_dst, q_dst, q_dst) of a (B, n_src, q_src, q_src) mass stack.
 
-    When qdim_dst * qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT the gathered
-    source vectors go through one batched mat-vec with the cached transfer
-    slices, and slices of one target are summed only when a target spans
-    several; a dense channel's table (``slot_src`` None) needs no gather and
-    is one mat-vec per state.  Otherwise, from a channel's second apply on, or
-    for a stack of two or more states, a cached
+    When qdim_dst * qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT and every
+    target reads every source, the cached :attr:`HybridChannel.transfer`
+    matrix is one mat-vec per state.  Otherwise, from a channel's second apply
+    on, or for a stack of two or more states, a cached
     :attr:`HybridChannel.source_basis` (when it is not None) computes every
     B_nj sigma_n B_nl^dag in two batched products and contracts them with the
     coefficient Grams in a third; in all other cases every row is a batched
@@ -387,18 +362,10 @@ def _apply_stack(channel: HybridChannel, masses: np.ndarray) -> np.ndarray:
     the stack, so a state's output does not depend on the other states in it.
     """
     q, n_dst, b = channel.qdim_dst, channel.dst_space.size, masses.shape[0]
-    if q * channel.qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT:
-        slot_src, slice_dst, table = channel.transfer
-        if slot_src is None:
-            # one gemv per state: a single gemm over the stack rounds differently
-            vecs = masses.reshape(b, -1, 1)
-            return (table.reshape(-1, vecs.shape[1]) @ vecs).reshape(b, n_dst, q, q)
-        # take() gathers these rows about 3x faster than fancy indexing
-        vecs = masses.reshape(b, channel.src_space.size, -1).take(slot_src, axis=1)
-        out = (table @ vecs.reshape(b, *table.shape[::2], 1)).reshape(b, -1, q, q)
-        if slice_dst is None:
-            return out
-        return _sum_runs(out.swapaxes(0, 1), slice_dst, n_dst).swapaxes(0, 1)
+    small = q * channel.qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT
+    if small and (table := channel.transfer) is not None:
+        # one gemv per state: a single gemm over the stack rounds differently
+        return (table @ masses.reshape(b, -1, 1)).reshape(b, n_dst, q, q)
     if (next(channel._row_applies) or b > 1) and (form := channel.source_basis) is not None:
         left, right, gram = form
         s = left.shape[1] // q

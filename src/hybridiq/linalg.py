@@ -183,11 +183,13 @@ def positive_parts(
         sym = hermitian_part(stack)
         tol = PSD_TOL - 2 * d * d * np.finfo(float).eps
         shift = tol * np.maximum(1.0, np.einsum("nii->n", sym).real)
-        try:
-            if np.isfinite(np.linalg.cholesky(sym + np.multiply.outer(shift, np.eye(d)))).all():
-                return sym, None
-        except np.linalg.LinAlgError:
-            pass
+        # a part near the float maximum overflows here; its factor is then not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                if np.isfinite(np.linalg.cholesky(sym + np.multiply.outer(shift, np.eye(d)))).all():
+                    return sym, None
+            except np.linalg.LinAlgError:
+                pass
     margins = block_margins(stack)
     margins.require(error)
     return margins.sym, margins.eigenvalues

@@ -169,6 +169,38 @@ def test_rowless_channel_is_incomplete_without_allocating_per_cell_sums():
         from_rows(space, space, 2**62, 1, [], [], ())
 
 
+_ONE, _TWO = counting_space(1), counting_space(2)
+
+
+# each constructor's own refusal of a malformed argument, through its public entry point
+@pytest.mark.parametrize("error, match, call", [
+    pytest.param(ShapeMismatch, "quantum dimensions must be positive",
+                 lambda: from_rows(_ONE, _ONE, 0, 1, [0], [0], np.ones((1, 1, 0))), id="qdim-0"),
+    pytest.param(ShapeMismatch, r"do not form \(R,\), \(R,\), \(R, 2, 2\)",
+                 lambda: from_rows(_ONE, _ONE, 2, 2, [0, 0], [0], np.eye(2)[None]), id="rows"),
+    pytest.param(ShapeMismatch, r"blocks at \(0, 0\) have shape \(1, 2, 3\)",
+                 lambda: from_blocks(_ONE, _ONE, 2, 2, {(0, 0): np.ones((2, 3))}), id="block"),
+    pytest.param(IncompleteKraus, r"must stack to \(k, d, d\), got shape \(1, 2, 3\)",
+                 lambda: non_interacting(identity_kernel(_TWO), [np.ones((2, 3))]), id="kraus"),
+    pytest.param(BadBasis, r"must stack to \(b, d, d\), got shape \(4, 2, 3\)",
+                 lambda: from_coeff_kernel(_ONE, _ONE, np.ones((4, 2, 3)), np.zeros((1, 1, 4, 4))),
+                 id="basis"),
+    pytest.param(ShapeMismatch, r"coefficients have shape \(1, 2, 4, 4\), expected \(1, 1, 4, 4\)",
+                 lambda: from_coeff_kernel(_ONE, _ONE, PAULI, np.zeros((1, 2, 4, 4))), id="coeffs"),
+    pytest.param(SpaceMismatch, "destination of the first channel",
+                 lambda: compose(identity_channel(_TWO, 2), identity_channel(_ONE, 2)), id="cells"),
+    pytest.param(SpaceMismatch, "destination of the first channel",
+                 lambda: compose(identity_channel(_TWO, 3), identity_channel(_TWO, 2)), id="qdims"),
+    pytest.param(ShapeMismatch, "ancilla dimension must be positive",
+                 lambda: extend_with_ancilla(identity_channel(_TWO, 2), 0), id="ancilla"),
+    pytest.param(ShapeMismatch, "branching must be at least 1",
+                 lambda: random_channel(_TWO, _TWO, 2, 2, branching=0, seed=0), id="branching"),
+])
+def test_constructors_refuse_malformed_arguments(error, match, call):
+    with pytest.raises(error, match=match):
+        call()
+
+
 def test_identity_channel_is_identity():
     rng = np.random.default_rng(1)
     space = counting_space(3)
@@ -292,11 +324,8 @@ def test_apply_matches_oracle_on_every_pattern(pattern, n_src, n_dst, qdims, dea
     assert ("transfer" in vars(ch)) == (q_src * q_dst <= TRANSFER_QDIM_PRODUCT_LIMIT)
     if "transfer" in vars(ch):
         pairs = len(set(zip(ch.dst.tolist(), ch.src.tolist())))
-        slot_src = ch.transfer[0]
-        # a dense table reads every source once per target, with no slot array
-        slots = n_src * n_dst if slot_src is None else slot_src.size
-        assert slots <= 2 * pairs
-        assert (slot_src is None) == (pairs == n_src * n_dst)
+        # only a channel whose every target reads every source has a transfer matrix
+        assert (ch.transfer is None) == (pairs < n_src * n_dst)
 
 
 def _sparse_kernel(src, dst, zeros, rng) -> MarkovKernel:
@@ -391,27 +420,25 @@ def test_source_basis_shape_rule_rejects_before_any_factorisation(svd_calls):
 
 
 def test_transfer_splits_a_hub_target_into_slices():
-    # 6 sources decay to cell 0 and keep their own cell: 11 pairs over 6 targets
+    # the transfer is one dense matrix or None: a hub or sparse channel, with empty cell
+    # pairs, has no matrix and applies through the row path instead of per-target slices
     rng = np.random.default_rng(19)
-    ch = _patterned_channel("hub", 6, 6, 2, 2, rng)
-    slot_src, slice_dst, table = ch.transfer
-    assert table.shape == (8, 4, 2 * 4)  # width 2: the hub's 6 pairs fill 3 slices
-    assert slice_dst.tolist() == [0, 0, 0, 1, 2, 3, 4, 5]
-    assert slot_src.size == 16 <= 2 * 11
-    w = random_state(ch.src_space, 2, rng)
-    assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
-    for arr in (slot_src, slice_dst, table):
-        assert not arr.flags.writeable
-    # a dense channel is one slice per target cell, in order: no merge
+    # 6 sources decay to cell 0 and keep their own cell: 11 of 36 pairs
+    hub = _patterned_channel("hub", 6, 6, 2, 2, rng)
+    # the upper half of the targets gets no pairs
+    sparse = _patterned_channel("sparse", 4, 4, 2, 2, rng)
     dense = random_channel(counting_space(3), counting_space(4), 2, 2, branching=2, seed=rng)
-    slot_src, slice_dst, table = dense.transfer
-    assert slice_dst is None and table.shape == (4, 4, 3 * 4)
+    assert hub.transfer is None and sparse.transfer is None
+    assert dense.transfer.shape == (4 * 4, 3 * 4) and not dense.transfer.flags.writeable
+    for ch in (hub, sparse, dense):
+        w = random_state(ch.src_space, 2, rng)
+        assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
 
 
 def test_rowless_channel_has_an_empty_transfer_table():
+    # no cell pair has rows, so there is no transfer matrix at all
     ch = _unchecked_from_rows(counting_space(3), counting_space(2), 2, 1, [], [], ())
-    slot_src, slice_dst, table = ch.transfer
-    assert slot_src.size == slice_dst.size == 0 and table.shape == (0, 1, 4)
+    assert ch.transfer is None
     w = random_state(ch.src_space, 2, np.random.default_rng(20))
     with pytest.raises(HybridError):  # all output mass is zero
         apply(ch, w)
@@ -426,16 +453,10 @@ def _pair_map_oracle(channel):
 
 
 def _transfer_table_maps(channel):
-    """{(m, n): T} read back from the transfer table, each pair's slots summed."""
-    slot_src, slice_dst, table = channel.transfer
-    blocks = table.reshape(table.shape[0], table.shape[1], -1, channel.qdim_src**2)
-    maps = {}
-    for s in range(blocks.shape[0]):
-        m = s if slice_dst is None else int(slice_dst[s])
-        for w in range(blocks.shape[2]):  # a padded slot reads cell 0 and adds zero
-            n = w if slot_src is None else int(slot_src[s * blocks.shape[2] + w])
-            maps[m, n] = maps.get((m, n), 0) + blocks[s, :, w]
-    return maps
+    """{(m, n): T_mn} read back from block (m, n) of the dense transfer matrix."""
+    n_dst, n_src = channel.dst_space.size, channel.src_space.size
+    blocks = channel.transfer.reshape(n_dst, channel.qdim_dst**2, n_src, channel.qdim_src**2)
+    return {(m, n): blocks[m, :, n] for m in range(n_dst) for n in range(n_src)}
 
 
 def _interaction_defect_oracle(channel):
@@ -465,10 +486,13 @@ def _per_pair_channel(family, rng):
 )
 def test_transfer_table_and_interaction_defect_match_a_per_pair_loop(family):
     ch = _per_pair_channel(family, np.random.default_rng(27))
-    oracle, table = _pair_map_oracle(ch), _transfer_table_maps(ch)
-    zero = np.zeros((ch.qdim_dst**2, ch.qdim_src**2))
-    for pair in oracle.keys() | table.keys():
-        assert np.abs(table.get(pair, zero) - oracle.get(pair, zero)).max() <= 1e-14
+    oracle = _pair_map_oracle(ch)
+    # the sparse and hub patterns leave some cell pair without rows, and so without a matrix
+    assert (ch.transfer is None) == (family in ("sparse", "hub"))
+    assert (len(oracle) < ch.dst_space.size * ch.src_space.size) == (ch.transfer is None)
+    if ch.transfer is not None:
+        for pair, t in _transfer_table_maps(ch).items():
+            assert np.abs(t - oracle[pair]).max() <= 1e-14
     defect = interaction_defect(ch)
     assert abs(defect - _interaction_defect_oracle(ch)) <= 1e-14
     # only the families built from non_interacting measure zero
@@ -833,13 +857,15 @@ def _form_channel(form, rng):
     space = counting_space(4)
     if form == "rows":
         return random_channel(space, counting_space(3), 3, 3, 1, rng)
-    if form == "transfer":  # dense: every target reads every source, with no gather
+    if form == "transfer":  # dense: every target reads every source
         return random_channel(space, counting_space(3), 2, 2, 2, rng)
-    if form == "sparse transfer":  # each target reads two sources: one padded slice per target
+    # the sparse and hub forms are small enough for the transfer matrix but have rowless
+    # cell pairs, so they fall through to the basis or row form
+    if form == "sparse transfer":  # each target reads two sources
         p = (np.eye(4) + np.roll(np.eye(4), 1, axis=0)) / 2
         return non_interacting(MarkovKernel(space, space, p), random_kraus_set(2, 2, rng))
     p = random_stochastic_matrix(4, 4, rng)
-    if form == "hub transfer":  # every source feeds target 0, so it spans several slices
+    if form == "hub transfer":  # every source feeds target 0, and sources 1-3 feed only it
         p[1:, 1:] = 0.0
         p /= p.sum(axis=0)
     q = 2 if form == "hub transfer" else 3
@@ -855,9 +881,7 @@ def test_stacked_apply_is_per_state_apply_in_each_form(form):
     assert out.shape == (3, ch.dst_space.size, ch.qdim_dst, ch.qdim_dst)
     if "transfer" in form:
         assert ch.qdim_src * ch.qdim_dst <= TRANSFER_QDIM_PRODUCT_LIMIT
-        slot_src, slice_dst, _ = ch.transfer
-        assert (slot_src is None) == (form == "transfer")
-        assert (slice_dst is not None) == (form == "hub transfer")
+        assert (ch.transfer is None) == (form != "transfer")
     else:  # a stack of three counts as a repeat apply: source_basis is measured
         assert (ch.source_basis is not None) == (form == "basis")
     # each later apply is a repeat, so it runs the same form as the stack

@@ -700,6 +700,30 @@ def test_validate_writes_null_for_a_construction_failure(tmp_path, capsys):
     }]
 
 
+@pytest.mark.parametrize("edit, error", [
+    pytest.param(lambda block: block.update(m=5),
+                 "ShapeMismatch: block key (5, 1) outside the cell grid", id="grid"),
+    pytest.param(lambda block: block["L"][0]["re"].__setitem__(0, float("nan")),
+                 "NumericalFailure: blocks at (1, 1) have non-finite entries", id="nan"),
+])
+def test_channel_file_with_a_bad_row_exits_2(tmp_path, capsys, edit, error):
+    # JSON reads the NaN literal, so the row reaches from_rows' own checks
+    obj = io.channel_to_json(identity_channel(counting_space(2), 2))
+    edit(obj["blocks"][1])
+    path, state = tmp_path / "channel.json", tmp_path / "state.json"
+    io.dump_json(obj, path)
+    io.dump_json(io.state_to_json(random_state(counting_space(2), 2, 3)), state)
+    assert main(["validate", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["checks"] == [{
+        "name": "channel_construction", "deviation": None, "tolerance": 0.0, "ok": False,
+        "error": error,
+    }]
+    assert main(["evolve", str(state), str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"hybridiq: {error}\n"
+
+
 def test_duplicate_history_keys_end_in_parse_error(tmp_path, capsys):
     # "1" and "01" both read as history (1,); the later one used to replace the earlier
     obj = _bell_protocol_obj()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ def test_is_psd_near_the_float_maximum():
     assert is_psd(np.diag([0.0, 0.0, big]))
     assert is_psd(1e308 * np.eye(3))
     assert is_psd(1e308 * np.eye(2))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_density_checks_refuse_a_block_at_the_float_maximum_without_a_warning(d):
+    # the certificate's shifted part overflows; the refusal comes from the trace rule
+    rho = np.zeros((d, d), dtype=complex)
+    rho[-1, -1] = np.finfo(float).max
+    dims = (2, d // 2) if d % 2 == 0 else (1, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotNormalized):
+            new_state(counting_space(1), rho[None])
+        with pytest.raises(NotAState):
+            _require_density(rho)
+        with pytest.raises(NotAState):
+            is_ppt(rho, *dims)
 
 
 def test_block_margins():
@@ -515,12 +532,9 @@ def test_cholesky_certificate_decides_as_the_spectrum_rule(d, blocks, defect, se
         stack[int(rng.integers(len(blocks))), -1, 0] += DEFECTS[defect]
     space = counting_space(len(blocks))
     rho, dims = stack[0], (2, d // 2) if d % 2 == 0 else (1, d)
-    # Hermitian parts stay finite, but the trace of a block scaled to the float maximum
-    # overflows, and its certificate shift (inf) times the identity's zeros is NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert _outcome(new_state, space, stack) == _outcome(_new_state_by_spectrum, space, stack)
-        assert _outcome(_require_density, rho) == _outcome(lambda r: _density_spectrum(r)[0], rho)
-        assert _outcome(is_ppt, rho, *dims) == _outcome(_is_ppt_by_spectrum, rho, *dims)
+    assert _outcome(new_state, space, stack) == _outcome(_new_state_by_spectrum, space, stack)
+    assert _outcome(_require_density, rho) == _outcome(lambda r: _density_spectrum(r)[0], rho)
+    assert _outcome(is_ppt, rho, *dims) == _outcome(_is_ppt_by_spectrum, rho, *dims)
 
 
 def test_cholesky_certificate_accepts_nothing_the_spectrum_rule_refuses_at_its_edge():
