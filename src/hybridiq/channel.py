@@ -7,8 +7,12 @@ per-source completeness: summing L^dag L over all rows of a source cell gives
 the identity, independent of cell weights.  Each cell pair's map is one Choi
 matrix (:func:`_run_chois`), which :func:`compose`, the dense transfer matrix
 and :func:`interaction_defect` all read.  Rows are the only stored layout; the
-:attr:`HybridChannel.transfer` and :attr:`HybridChannel.source_basis` caches
-are derived from them and never serialized.
+:attr:`HybridChannel.transfer`, :attr:`HybridChannel.source_basis` and
+:attr:`HybridChannel.target_groups` caches are derived from them and never
+serialized.  ``apply`` reads one of them: the transfer matrix for a small dense
+channel, the source basis for a reused low-rank one, and otherwise the target
+groups, in which each target cell's output sum_r L_r sigma L_r^dag over its
+rows is one matrix product.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ COMPLETENESS_TOL = 1e-9
 COEFF_EIGENVALUE_CUTOFF = 1e-12
 # apply() uses the dense transfer matrix when qdim_dst * qdim_src is at most
 # this and every target cell reads every source cell.  At q = 2 one mat-vec
-# with a matrix of 4x4 blocks is several times faster than two 2x2 products per
-# row.  The matrix grows as q^4 per cell pair (64 MiB for an 8-cell channel at
-# q = 16, where the mat-vec is several times slower), and building it costs
-# more than it saves on a channel applied once, as each LOCC round channel is
-# at q = 4.  A channel with a rowless cell pair takes the row path instead.
+# with a matrix of 4x4 blocks is several times faster than the row form's two
+# batched products of 2x2 blocks, each of which costs far more in per-matrix
+# overhead than in arithmetic.  The matrix grows as q^4 per cell pair (64 MiB
+# for an 8-cell channel at q = 16, where the mat-vec is several times slower),
+# and building it costs more than it saves on a channel applied once, as each
+# LOCC round channel is at q = 4.  A channel with a rowless cell pair takes the
+# row path instead.
 TRANSFER_QDIM_PRODUCT_LIMIT = 4
 
 
@@ -79,16 +85,18 @@ class HybridChannel:
         row-major vec; at qdim 1 it is the transition probability P(m|n).  The
         matrix is (n_dst * qdim_dst^2, n_src * qdim_src^2) with T_mn at block
         (m, n), so one mat-vec over all source vectors applies the channel.  It
-        is read-only and not serialized.
+        is read-only, starts at a 32-byte boundary and is not serialized.
         """
         q_dst, q_src = self.qdim_dst, self.qdim_src
         n_dst, n_src = self.dst_space.size, self.src_space.size
         pairs, choi = _run_chois(self.kraus, self.dst * n_src + self.src)
         if pairs.size != n_dst * n_src:
             return None
+        table = _aligned_empty((n_dst * q_dst * q_dst, n_src * q_src * q_src))
         # T[(m, i, k), (n, j, l)] = C_mn[(i, j), (k, l)]
-        table = choi.reshape(n_dst, n_src, q_dst, q_src, q_dst, q_src).transpose(0, 2, 4, 1, 3, 5)
-        table = table.reshape(n_dst * q_dst * q_dst, n_src * q_src * q_src)
+        table.reshape(n_dst, q_dst, q_dst, n_src, q_src, q_src)[...] = choi.reshape(
+            n_dst, n_src, q_dst, q_src, q_dst, q_src
+        ).transpose(0, 2, 4, 1, 3, 5)
         table.flags.writeable = False
         return table
 
@@ -136,6 +144,54 @@ class HybridChannel:
         for arr in out:
             arr.flags.writeable = False
         return out
+
+    @cached_property
+    def target_groups(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Target cells grouped by how many rows they hold: (cells, src, left, adjoint) per count k.
+
+        The t target ``cells`` of a group hold k rows each, and ``src`` (t, k)
+        is their rows' source cells.  ``left`` (t, qdim_dst, k * qdim_src)
+        puts each target's rows side by side and ``adjoint`` (t, k, qdim_src,
+        qdim_dst) holds their conjugate transposes, so with Y_r = sigma_src[r]
+        L_r^dag stacked over the k rows, sigma'_m = left_m @ Y sums the rows in
+        one product.  A channel whose every target holds the same k rows, as
+        random_channel, a full-kernel non_interacting channel and every
+        lowered LOCC round do, is one group made by reshapes; a target without
+        rows is in no group.  The arrays are read-only and not serialized.
+        """
+        q_dst, q_src = self.qdim_dst, self.qdim_src
+        rows, n_dst = self.dst.size, self.dst_space.size
+        k = rows // n_dst
+        if k and (self.dst == np.arange(rows) // k).all():
+            kraus = self.kraus.reshape(n_dst, k, q_dst, q_src)
+            runs = [(np.arange(n_dst), self.src.reshape(n_dst, k), kraus)]
+        else:
+            counts = np.bincount(self.dst, minlength=n_dst)
+            first = np.cumsum(counts) - counts
+            runs = []
+            for k in np.unique(counts[counts > 0]):
+                cells = np.flatnonzero(counts == k)
+                index = first[cells, None] + np.arange(k)
+                runs.append((cells, self.src[index], self.kraus[index]))
+        groups = []
+        for cells, src, kraus in runs:
+            left = kraus.transpose(0, 2, 1, 3).reshape(cells.size, q_dst, -1)
+            groups.append((cells, src, left, kraus.conj().swapaxes(2, 3)))
+            for arr in groups[-1]:
+                arr.flags.writeable = False
+        return tuple(groups)
+
+
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """Uninitialized complex array whose data starts at a 32-byte boundary.
+
+    A mat-vec with a 256 x 256 complex matrix that starts 16 bytes past such
+    a boundary took about 20% longer (OpenBLAS, one thread, x86-64).
+    """
+    size = int(np.prod(shape)) * 16
+    raw = np.empty(size + 32, dtype=np.uint8)
+    start = -raw.ctypes.data % 32
+    return raw[start : start + size].view(complex).reshape(shape)
 
 
 def _product_cost(channel: HybridChannel, rank: int) -> int:
@@ -357,9 +413,13 @@ def _apply_stack(channel: HybridChannel, masses: np.ndarray) -> np.ndarray:
     on, or for a stack of two or more states, a cached
     :attr:`HybridChannel.source_basis` (when it is not None) computes every
     B_nj sigma_n B_nl^dag in two batched products and contracts them with the
-    coefficient Grams in a third; in all other cases every row is a batched
-    L sigma L^dag, summed per target.  Each form broadcasts the channel over
-    the stack, so a state's output does not depend on the other states in it.
+    coefficient Grams in a third.  In all other cases the rows run in
+    :attr:`HybridChannel.target_groups`: one batched product forms every
+    sigma_src[r] L_r^dag, and a second multiplies each target's rows, side by
+    side, into that stack, so the sum over a target's rows happens inside the
+    product and a target without rows stays exactly zero.  Each form
+    broadcasts the channel over the stack, so a state's output does not depend
+    on the other states in it.
     """
     q, n_dst, b = channel.qdim_dst, channel.dst_space.size, masses.shape[0]
     small = q * channel.qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT
@@ -372,9 +432,14 @@ def _apply_stack(channel: HybridChannel, masses: np.ndarray) -> np.ndarray:
         # (n, j q + a, l q + b) holds (B_nj sigma_n B_nl^dag)[a, b]; reorder to (n, j, l, a, b)
         products = (left @ masses @ right).reshape(b, -1, s, q, s, q).transpose(0, 1, 2, 4, 3, 5)
         return (gram @ products.reshape(b, -1, q * q)).reshape(b, n_dst, q, q)
-    dst, src, kraus = channel.dst, channel.src, channel.kraus
-    rows = kraus @ masses[:, src] @ kraus.conj().swapaxes(1, 2)
-    return _sum_runs(rows.swapaxes(0, 1), dst, n_dst).swapaxes(0, 1)
+    out = np.zeros((b, n_dst, q, q), dtype=complex)
+    for cells, src, left, adjoint in channel.target_groups:
+        t, k = src.shape
+        stacked = (masses[:, src] @ adjoint).reshape(b, t, k * channel.qdim_src, q)
+        if t == n_dst:  # every target holds k rows: this is the only group
+            return left @ stacked
+        out[:, cells] = left @ stacked
+    return out
 
 
 def compose(second: HybridChannel, first: HybridChannel) -> HybridChannel:

@@ -9,6 +9,7 @@ cell weights only re-enter when converting masses to densities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -152,13 +153,27 @@ def is_probability_vector(p: np.ndarray) -> bool:
     return bool(np.all(p >= -ZERO_MASS) and abs(p.sum() - 1.0) <= TRACE_TOL)
 
 
+def _is_cell(i) -> bool:
+    """Whether ``i`` can name a cell: a Python or numpy integer, not a bool."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
+def _cell_index(space: ClassicalSpace, cell: int) -> int:
+    """``cell`` as an int; BadEvent unless it is an integer (not a bool) in 0..size-1."""
+    if not _is_cell(cell):
+        raise BadEvent(f"cell must be an integer index, got {cell!r:.40}")
+    if not 0 <= cell < space.size:
+        raise BadEvent(f"cell {cell} outside 0..{space.size - 1}")
+    return int(cell)
+
+
 def _event_indices(state: HybridState, event: Iterable[int]) -> np.ndarray:
     """Sorted distinct cells of an event; each entry a Python or numpy integer, not a bool."""
     try:
         cells = list(event)
     except TypeError as exc:
         raise BadEvent(f"event must be a collection of cells, got {event!r:.120}") from exc
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in cells):
+    if not all(_is_cell(i) for i in cells):
         raise BadEvent(f"event entries must be integer cell indices, got {cells!r:.120}")
     if cells and (min(cells) < 0 or max(cells) >= state.space.size):
         raise BadEvent(f"event contains cells outside 0..{state.space.size - 1}")
@@ -205,8 +220,7 @@ def quantum_marginal(state: HybridState) -> np.ndarray:
 
 def conditional_quantum(state: HybridState, cell: int) -> np.ndarray:
     """Density matrix of the quantum side given classical cell ``cell``."""
-    if not 0 <= cell < state.space.size:
-        raise BadEvent(f"cell {cell} outside 0..{state.space.size - 1}")
+    cell = _cell_index(state.space, cell)
     p = float(np.trace(state.masses[cell]).real)
     if p <= ZERO_MASS:
         raise ZeroMassCell(f"cell {cell} carries mass {p!r}")
@@ -242,6 +256,8 @@ def mix(w1: HybridState, w2: HybridState, t: float) -> HybridState:
     """Convex mixture t*w1 + (1-t)*w2, mixing cell masses blockwise."""
     if w1.space != w2.space or w1.qdim != w2.qdim:
         raise SpaceMismatch("states live on different spaces")
+    if not isinstance(t, Real):
+        raise HybridError(f"mixing weight must be a real number, got {t!r:.40}")
     if not 0.0 <= t <= 1.0:
         raise HybridError(f"mixing weight {t!r} outside [0, 1]")
     return new_state(w1.space, t * w1.masses + (1.0 - t) * w2.masses)
@@ -312,8 +328,7 @@ def random_state(space: ClassicalSpace, qdim: int, seed) -> HybridState:
 
 def point_mass_state(space: ClassicalSpace, cell: int, rho) -> HybridState:
     """All classical mass on one cell, quantum part ``rho``."""
-    if not 0 <= cell < space.size:
-        raise BadEvent(f"cell {cell} outside 0..{space.size - 1}")
+    cell = _cell_index(space, cell)
     density = _require_density(rho)
     masses = np.zeros((space.size,) + density.shape, dtype=complex)
     masses[cell] = density

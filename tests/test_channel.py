@@ -40,6 +40,8 @@ from hybridiq.errors import (
     SpaceMismatch,
 )
 from hybridiq.linalg import right_normalize
+from hybridiq.locc import as_hybrid_channels
+from hybridiq.properties import _random_protocol
 from hybridiq.rand import (
     random_complex,
     random_density,
@@ -442,6 +444,69 @@ def test_rowless_channel_has_an_empty_transfer_table():
     w = random_state(ch.src_space, 2, np.random.default_rng(20))
     with pytest.raises(HybridError):  # all output mass is zero
         apply(ch, w)
+
+
+def test_transfer_matrix_starts_at_a_32_byte_boundary():
+    rng = np.random.default_rng(27)
+    shapes = [(1, 1, 1, 1), (3, 4, 2, 2), (5, 2, 1, 4), (2, 3, 4, 1), (9, 7, 2, 2)]
+    for n_src, n_dst, q_src, q_dst in shapes:
+        ch = random_channel(counting_space(n_src), counting_space(n_dst), q_src, q_dst, 2, rng)
+        table = ch.transfer
+        assert table.shape == (n_dst * q_dst**2, n_src * q_src**2)
+        assert table.ctypes.data % 32 == 0
+        assert table.flags.c_contiguous and not table.flags.writeable
+        w = random_state(ch.src_space, q_src, rng)
+        assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
+
+
+def _check_target_groups(ch):
+    """Each group's arrays against the rows of its targets, read-only; returns each group's k."""
+    counts = np.bincount(ch.dst, minlength=ch.dst_space.size)
+    q_dst, q_src = ch.qdim_dst, ch.qdim_src
+    for cells, src, left, adjoint in ch.target_groups:
+        t, k = src.shape
+        assert np.array_equal(cells, np.flatnonzero(counts == k))
+        rows = np.isin(ch.dst, cells)
+        kraus = ch.kraus[rows].reshape(t, k, q_dst, q_src)
+        assert np.array_equal(src, ch.src[rows].reshape(t, k))
+        assert np.array_equal(left, kraus.transpose(0, 2, 1, 3).reshape(t, q_dst, k * q_src))
+        assert np.array_equal(adjoint, kraus.conj().swapaxes(2, 3))
+        assert not any(arr.flags.writeable for arr in (cells, src, left, adjoint))
+    return [src.shape[1] for _, src, _, _ in ch.target_groups]
+
+
+def test_target_groups_are_one_group_where_every_target_holds_the_same_rows():
+    rng = np.random.default_rng(28)
+    space = counting_space(4)
+    kernel = MarkovKernel(space, space, random_stochastic_matrix(4, 4, rng))
+    assert (kernel.matrix > 0).all()  # a full kernel: every cell pair holds the two rows
+    rounds = as_hybrid_channels(_random_protocol(rng))
+    channels = [
+        random_channel(space, counting_space(3), 3, 2, 2, rng),
+        non_interacting(kernel, random_kraus_set(3, 2, rng)),
+        *rounds,
+    ]
+    assert len(rounds) > 1
+    for ch in channels:
+        (k,) = _check_target_groups(ch)
+        assert k * ch.dst_space.size == ch.src.size
+        w = random_state(ch.src_space, ch.qdim_src, rng)
+        assert np.abs(_apply_stack(ch, w.masses[None])[0] - apply_oracle(ch, w)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("pattern", ["hub", "sparse"])
+def test_target_groups_hold_one_group_per_row_count(pattern):
+    rng = np.random.default_rng(29)
+    ch = _patterned_channel(pattern, 6, 6, 3, 3, rng)
+    counts = np.bincount(ch.dst, minlength=6)
+    assert _check_target_groups(ch) == sorted(set(counts[counts > 0].tolist()))
+    assert len(ch.target_groups) > 1
+    w = random_state(ch.src_space, 3, rng)
+    out = _apply_stack(ch, w.masses[None])[0]
+    assert np.abs(out - apply_oracle(ch, w)).max() <= 1e-12
+    # the sparse pattern leaves the upper targets without rows: their output is exactly zero
+    assert (pattern == "sparse") == (counts == 0).any()
+    assert not out[counts == 0].any()
 
 
 def _pair_map_oracle(channel):
@@ -864,6 +929,10 @@ def _form_channel(form, rng):
     if form == "sparse transfer":  # each target reads two sources
         p = (np.eye(4) + np.roll(np.eye(4), 1, axis=0)) / 2
         return non_interacting(MarkovKernel(space, space, p), random_kraus_set(2, 2, rng))
+    if form == "ragged rows":  # target 0 reads every source, targets 1-3 only their own cell
+        p = np.eye(4) / 2
+        p[0] += 0.5
+        return non_interacting(MarkovKernel(space, space, p), random_kraus_set(3, 2, rng))
     p = random_stochastic_matrix(4, 4, rng)
     if form == "hub transfer":  # every source feeds target 0, and sources 1-3 feed only it
         p[1:, 1:] = 0.0
@@ -872,7 +941,9 @@ def _form_channel(form, rng):
     return non_interacting(MarkovKernel(space, space, p), random_kraus_set(q, 2, rng))
 
 
-@pytest.mark.parametrize("form", ["transfer", "sparse transfer", "hub transfer", "rows", "basis"])
+@pytest.mark.parametrize(
+    "form", ["transfer", "sparse transfer", "hub transfer", "rows", "ragged rows", "basis"]
+)
 def test_stacked_apply_is_per_state_apply_in_each_form(form):
     rng = np.random.default_rng(26)
     ch = _form_channel(form, rng)
@@ -884,6 +955,8 @@ def test_stacked_apply_is_per_state_apply_in_each_form(form):
         assert (ch.transfer is None) == (form != "transfer")
     else:  # a stack of three counts as a repeat apply: source_basis is measured
         assert (ch.source_basis is not None) == (form == "basis")
+        # the ragged channel's 8-row and 2-row targets run as two groups
+        assert len(ch.target_groups) == (2 if form == "ragged rows" else 1)
     # each later apply is a repeat, so it runs the same form as the stack
     for w, stacked in zip(states, out):
         assert np.array_equal(apply(ch, w).masses, new_state(ch.dst_space, stacked).masses)

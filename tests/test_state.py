@@ -350,6 +350,16 @@ BAD_ARGUMENTS = [
                  "cell 2 outside 0..1", id="conditional-quantum-cell"),
     pytest.param(lambda: point_mass_state(counting_space(2), -1, KET0), BadEvent,
                  "cell -1 outside 0..1", id="point-mass-cell"),
+    pytest.param(lambda: conditional_quantum(two_cell_state(), 1.5), BadEvent,
+                 "cell must be an integer index, got 1.5", id="conditional-quantum-float-cell"),
+    pytest.param(lambda: conditional_quantum(two_cell_state(), True), BadEvent,
+                 "cell must be an integer index, got True", id="conditional-quantum-bool-cell"),
+    pytest.param(lambda: point_mass_state(counting_space(2), 1.5, KET0), BadEvent,
+                 "cell must be an integer index, got 1.5", id="point-mass-float-cell"),
+    pytest.param(lambda: mix(two_cell_state(), two_cell_state(), "a"), HybridError,
+                 "mixing weight must be a real number, got 'a'", id="mix-string-weight"),
+    pytest.param(lambda: mix(two_cell_state(), two_cell_state(), 0.5j), HybridError,
+                 "mixing weight must be a real number, got 0.5j", id="mix-complex-weight"),
     pytest.param(lambda: mix(two_cell_state(), _two_cell_qdim_3(), 0.5), SpaceMismatch,
                  "states live on different spaces", id="mix-spaces"),
     pytest.param(lambda: mix(two_cell_state(), two_cell_state(), 1.5), HybridError,
@@ -369,6 +379,18 @@ def test_state_entry_points_refuse_bad_arguments(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_cells_and_weights_accept_numpy_scalars():
+    # numpy integers name cells and numpy floats weight mixtures, as Python ones do;
+    # a numpy bool is not a cell, as a Python one is not
+    with pytest.raises(BadEvent, match="^cell must be an integer index"):
+        point_mass_state(counting_space(2), np.True_, KET0)
+    w = point_mass_state(counting_space(2), np.int64(1), KET0)
+    assert np.array_equal(w.masses[1], KET0) and not w.masses[0].any()
+    assert np.array_equal(conditional_quantum(w, np.int32(1)), KET0)
+    half = mix(w, point_mass_state(counting_space(2), 0, KET0), np.float32(0.5))
+    assert np.allclose(np.einsum("nii->n", half.masses).real, [0.5, 0.5], atol=0)
 
 
 def test_product_state_point_mass():
