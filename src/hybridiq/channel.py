@@ -58,6 +58,16 @@ class HybridChannel:
 
     Rows are sorted by (dst, src), the rows of one cell pair keep the order they
     were given in, and the three row arrays are read-only.
+
+    The derived caches are built on first use: :attr:`transfer` and
+    :attr:`target_groups` by the first apply that reads them, and
+    :attr:`source_basis` on the second row-path apply, or on the first apply
+    of a stack of two or more states.  A channel is safe to share across
+    threads.  Two threads that race on a cache compute the same read-only
+    arrays (or the same None).  A thread that races the release of
+    :attr:`target_groups` may cache that layout again, which costs memory and
+    changes no result.  The row-apply counter is one ``itertools.count``,
+    which a thread advances atomically.
     """
 
     src_space: ClassicalSpace
@@ -118,6 +128,8 @@ class HybridChannel:
         default rank cutoff, and the result is None when the form at that rank
         costs no less than the rows or basis times coefficients misses a row
         by more than that cutoff.  The arrays are read-only and not serialized.
+        A basis that is built frees any cached :attr:`target_groups`: every later
+        apply reads the basis, so the first apply was that layout's last reader.
         """
         n_src, n_dst, rows = self.src_space.size, self.dst_space.size, self.src.size
         row_cost = rows * _product_cost(self, 1)
@@ -143,6 +155,7 @@ class HybridChannel:
         out = (left, left.conj().swapaxes(1, 2).copy(), gram.reshape(n_dst, -1))
         for arr in out:
             arr.flags.writeable = False
+        self.__dict__.pop("target_groups", None)
         return out
 
     @cached_property
@@ -347,7 +360,9 @@ def from_rows(
     """Build a channel from parallel rows (target cell, source cell, Kraus operator).
 
     Rows are stably sorted by (dst, src) and per-source completeness is
-    verified; IncompleteChannel names the first source cell that fails.
+    verified; IncompleteChannel names the first source cell that fails.  An
+    entry so large that sum L^dag L overflows gives an infinite deviation, so
+    it is refused too, without a numpy warning.
     """
     channel = _unchecked_from_rows(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus)
     defects = _defects_per_source(channel)

@@ -160,6 +160,8 @@ def cmd_validate(paths: list[str], out: str | None) -> int:
 
 
 def _trace_and_floor(state) -> dict:
+    # the floor is the lowest of state.eigenvalues: new_state solved them at qdim <= 2
+    # (or where its Cholesky certificate failed); above, this first read solves them
     return {
         "total_trace": total_trace(state.masses),
         "min_block_eigenvalue": float(state.eigenvalues.min()),

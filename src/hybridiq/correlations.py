@@ -137,7 +137,10 @@ def mutual_information(state: HybridState) -> float:
 
 
 def mutual_information_three_term(state: HybridState) -> float:
-    """sum tr(sigma_n ln sigma_n) - sum p_n ln p_n - tr(rho ln rho) (cross-check path)."""
+    """sum tr(sigma_n ln sigma_n) - sum p_n ln p_n - tr(rho ln rho) (cross-check path).
+
+    Solves its own spectra with numpy.linalg.eigvalsh, independently of linalg.spectra.
+    """
     p = classical_marginal(state).masses
     keep = p > ZERO_MASS
     mass_term = -float(entropies(np.linalg.eigvalsh(state.masses[keep])).sum())

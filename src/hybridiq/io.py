@@ -95,13 +95,16 @@ def space_to_json(space: ClassicalSpace) -> dict:
 
 
 def space_from_json(obj: Any) -> ClassicalSpace:
+    """Load a space; "labels", when given, must be a JSON list (a string or object is refused)."""
     try:
         weights = np.asarray(obj["weights"], dtype=float)
         labels = obj.get("labels")
-        if labels is not None:
-            labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"space: expected weights and optional labels, got {obj!r:.120}") from exc
+    if labels is not None:
+        if not isinstance(labels, list):
+            raise ParseError(f"space: labels must be a list, got {labels!r:.120}")
+        labels = tuple(tuple(l) if isinstance(l, list) else l for l in labels)
     return ClassicalSpace(weights, labels)
 
 

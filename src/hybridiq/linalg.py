@@ -87,7 +87,9 @@ class BlockMargins(NamedTuple):
     def worst(self) -> tuple[Verdict, Verdict, Verdict]:
         """The finite, Hermitian and positive verdicts over the stack, in that order.
 
-        Each costs one reduction; the failing block is searched for only on failure.
+        The one per-block verdict: states, effects, ensembles, density inputs,
+        is_psd and ``hybridiq validate`` share it.  Each costs one reduction;
+        the failing block is searched for only on failure.
         """
         floor, herm = self.floor, self.hermiticity
         finite = float(np.count_nonzero(self.nonfinite))
@@ -113,8 +115,10 @@ class BlockMargins(NamedTuple):
 def require_unit(traces: np.ndarray, error: Callable[[int, str], Exception]) -> None:
     """Raise ``error(index, problem)`` at the first trace that is off 1 by more than TRACE_TOL.
 
-    The one unit-trace rule, per block or per stacked state; one reduction, as
-    the traces are scanned as Python floats.
+    The one unit-trace rule, per block or per stacked state: density inputs
+    (through _require_density or require_unit_traces), ensemble members and
+    the property suites' stacked draws all call it.  One reduction, as the
+    traces are scanned as Python floats.
     """
     for index, tr in enumerate(traces.tolist()):
         if abs(tr - 1.0) > TRACE_TOL:
@@ -126,8 +130,9 @@ def spectra(sym: np.ndarray) -> np.ndarray:
 
     At d = 2 it is the closed form a/2 + c/2 -+ hypot(a/2 - c/2, |b|) from the
     upper triangle, halved before adding so diagonals near the float maximum do
-    not overflow; each eigenvalue is within a few eps times the spectral radius
-    of LAPACK's, far below PSD_TOL.  Other sizes go through one batched eigvalsh.
+    not overflow; each eigenvalue is within 16 eps times the spectral radius
+    of LAPACK's, far below PSD_TOL.  Other sizes go through one batched eigvalsh,
+    so at d = 1 the result is LAPACK's bit for bit.
     """
     n, d = sym.shape[:2]
     if d != 2:

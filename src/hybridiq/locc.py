@@ -71,6 +71,28 @@ class LoccRound:
 
 @dataclass(frozen=True, eq=False)
 class LoccProtocol:
+    """Local dimensions and rounds, checked once at construction.
+
+    First, from the outcome counts alone and before any instrument is read,
+    it needs positive dims and at least one round, and each round's ``side``
+    (1 or 2, when not None) and ``outcomes`` (at least 1) must be Python ints,
+    by the rule io reads JSON integers with; else ShapeMismatch.  The
+    reachable records (see :func:`_histories`) may number at most
+    RECORD_SPACE_LIMIT, and records x rounds, about the tuple slots the
+    enumeration keeps, at most RECORD_SPACE_LIMIT * RECORD_SPACE_LIMIT.bit_length()
+    (1 700 000): what rounds that each at least double the record count reach
+    under the limit.
+    So a long run of one-outcome rounds is refused too, and 10^5 rounds are
+    refused in bounded time, with RecordSpaceTooLarge.  Then each instrument
+    is checked for its history and shape (ShapeMismatch), finite entries
+    (NumericalFailure naming the round and history) and completeness at
+    COMPLETENESS_TOL, in one batched kraus_defect pass per round
+    (IncompleteInstrument with the history and its deviation).  This is the
+    only place an instrument's completeness is measured: the worst defect is
+    kept as ``completeness_defect``, which ``hybridiq validate`` reports and
+    the lowering relies on.
+    """
+
     dims: tuple[int, int]
     rounds: tuple[LoccRound, ...]
     # worst kraus_defect over all instruments (0.0 if none); validate and the lowering read it
@@ -83,9 +105,7 @@ class LoccProtocol:
         object.__setattr__(self, "dims", (d1, d2))
         if not self.rounds:
             raise ShapeMismatch("a protocol needs at least one round")
-        # RECORD_SPACE_LIMIT bounds the reachable records, and records x rounds (the
-        # tuple slots of _histories) to what rounds that each at least double the
-        # level reach under it; checked from the outcome counts, before any instrument
+        # the record budget of the class docstring, from the outcome counts alone
         n = len(self.rounds)
         cap = min(RECORD_SPACE_LIMIT, RECORD_SPACE_LIMIT * RECORD_SPACE_LIMIT.bit_length() // n)
         sides, total, level = [], 1, 1
@@ -158,8 +178,11 @@ def _lift(dims: tuple[int, int], side: int, v: np.ndarray) -> np.ndarray:
 def _histories(protocol: LoccProtocol) -> list[list[tuple[int, ...]]]:
     """Level r lists the histories (x_1, ..., x_r), every x_i >= 1, in lexicographic order.
 
-    These are the records that can carry mass; the protocol's construction has
-    bounded their total.  A history's children are contiguous in the next level.
+    These are the records that can carry mass: sum over k of the product of the
+    first k rounds' outcome counts, 2^(R+1) - 1 for two outcomes in each of R
+    rounds.  The protocol's construction has bounded their total.  A history's
+    children are contiguous in the next level.  The levels label both ``run``'s
+    complete records and the lowering's spaces.
     """
     levels = [[()]]
     for rnd in protocol.rounds:

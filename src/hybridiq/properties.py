@@ -120,7 +120,15 @@ def _sized_random_channel(rng, src, dst, q_src: int, q_dst: int):
 
 
 def run_axioms(trials: int, seed: int) -> SuiteReport:
-    """Conditions (i)-(iv) on random states, events, and effect decompositions."""
+    """Conditions (i)-(iv) on random states, events, and effect decompositions.
+
+    Every trial's sizes are drawn first.  Then, per qdim: one checked state
+    stack, one effect stack (a batched QR of a Ginibre stack), the event
+    masks, each trial's permutation split as ranks within the trial, and the
+    effect decompositions' PSD parts, scaled by one batched eigvalsh of the
+    per-trial totals and checked by the effect rule.  All four axioms are
+    evaluated through the segmented probability core.
+    """
     report = SuiteReport("axioms", trials, seed, [CheckResult(n, tol) for n, tol in (
         ("probability_non_negative", 0.0), ("additivity_disjoint_events", 1e-12),
         ("additivity_effect_decomposition", 1e-10), ("normalization_w_X_I", 1e-9))])
@@ -241,7 +249,17 @@ def _checked_stacks(stacks: list) -> list:
 
 def run_channel(trials: int, seed: int) -> SuiteReport:
     """Channel validity, the apply oracle, contraction, linearity, composition,
-    and the two constructor cross-checks."""
+    and the two constructor cross-checks.
+
+    Each check runs in blocks of TRIAL_BLOCK trials from its own stream.  Per
+    block it draws the sizes, builds each trial's channels, draws the states
+    as one checked stack per qdim, applies each channel's states in one
+    stacked _apply_stack call (a channel's STATES_PER_CHANNEL states and the
+    mixture of its first two; the non-interacting check's state and product
+    state as a stack of two) and checks the outputs once per qdim.  The
+    channel constructors and the triple-loop, double-sum and direct
+    non-interacting oracles run per trial.
+    """
     report = SuiteReport("channel", trials, seed, [CheckResult(n, tol) for n, tol in (
         ("output_total_trace", 1e-9), ("output_min_eigenvalue", 1e-9),
         ("apply_matches_triple_loop_oracle", 1e-11), ("distance_contraction", 1e-9),
@@ -406,7 +424,14 @@ MERGE_STARTS = np.array([0, 3, 5, 7, 10])
 
 
 def run_correlations(trials: int, seed: int) -> SuiteReport:
-    """Mutual information: product states, bounds, monotonicity, cross-formulas."""
+    """Mutual information: product states, bounds, monotonicity, cross-formulas.
+
+    Every trial's sizes are drawn first, then one checked state stack per
+    qdim, evaluated through the segmented Holevo and mutual-information cores.
+    ``non_interacting`` and the cross-check oracles run per trial; the
+    monotonicity check applies each trial's channel with _apply_stack and
+    checks each qdim's outputs once.
+    """
     report = SuiteReport("correlations", trials, seed, [CheckResult(n, tol) for n, tol in (
         ("product_state_zero_information", 1e-10), ("araki_lieb_bound", 1e-9),
         ("monotonic_under_non_interacting", 1e-8), ("equals_relative_entropy_identity", 1e-8),

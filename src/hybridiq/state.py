@@ -200,7 +200,11 @@ def _probability_segments(
 
 
 def probability(state: HybridState, event: Iterable[int], effect) -> float:
-    """w(A, E) = sum over cells in A of tr(sigma_n E)."""
+    """w(A, E) = sum over cells in A of tr(sigma_n E).
+
+    The event is a collection of Python or numpy integer cells, so a boolean
+    mask or a float index raises BadEvent; the effect's dimension must be qdim.
+    """
     eff = as_effect(effect)
     if eff.dim != state.qdim:
         raise BadEffect(f"effect dimension {eff.dim} does not match qdim {state.qdim}")

@@ -411,6 +411,20 @@ def test_source_basis_is_built_on_the_second_apply_where_it_pays():
     assert mixing.source_basis is None
 
 
+def test_source_basis_frees_the_target_groups_the_first_apply_built():
+    rng = np.random.default_rng(30)
+    space = counting_space(8)
+    kernel = MarkovKernel(space, space, random_stochastic_matrix(8, 8, rng))
+    ch = non_interacting(kernel, random_kraus_set(16, 2, rng))
+    w = random_state(space, 16, rng)
+    expected = apply_oracle(ch, w)
+    assert np.abs(apply(ch, w).masses - expected).max() <= 1e-12
+    assert "target_groups" in vars(ch)  # the first apply runs the rows
+    for _ in range(2):
+        assert np.abs(apply(ch, w).masses - expected).max() <= 1e-12
+    assert ch.source_basis is not None and "target_groups" not in vars(ch)
+
+
 def test_source_basis_shape_rule_rejects_before_any_factorisation(svd_calls):
     rng = np.random.default_rng(25)
     # one row per source: a rank-1 basis per source costs as much as the rows, plus the Grams

@@ -45,6 +45,10 @@ def test_space_requires_positive_weights():
         ClassicalSpace(np.array([1.0, 0.0]))
     with pytest.raises(BadRange):
         ClassicalSpace(np.array([]))
+    with pytest.raises(BadRange, match="1 labels for 2 cells"):
+        ClassicalSpace(np.ones(2), ("a",))
+    with pytest.raises(BadRange, match="at least one cell"):
+        counting_space(0)
 
 
 def test_space_equality_ignores_labels():
@@ -84,6 +88,12 @@ def test_validate_kernel_reports():
     assert not bad_sum.ok and bad_sum.column == 0
     bad_neg = validate_kernel(np.array([[-0.1, 0.0], [1.1, 1.0]]))
     assert not bad_neg.ok and bad_neg.column == 0
+    for matrix in (np.ones(2), np.zeros((0, 2)), np.array([[np.nan, 0.0], [1.0, 1.0]])):
+        report = validate_kernel(matrix)
+        assert not report.ok and report.column is None and report.deviation == np.inf
+    space = counting_space(2)
+    with pytest.raises(BadKernel, match="non-finite"):
+        MarkovKernel(space, space, np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 def test_kernel_constructor_rejects_bad_matrix():

@@ -297,20 +297,55 @@ def test_qdim_1_metrics_print_no_negative_zero(tmp_path, capsys):
     assert [row[3] for row in rows] == ["0", "0", "0"]
 
 
-def test_evolve_is_byte_deterministic(tmp_path, capsys):
-    state, ch = tmp_path / "s.json", tmp_path / "c.json"
-    assert main(["randgen", "state", "--cells", "4", "--qdim", "2", "--seed", "8",
+# amplitude-damping pairs: sum L^dag L = I
+DAMPING_Q2 = np.array([np.diag([1.0, 0.8]), 0.6 * np.eye(2, k=1)])
+DAMPING_Q3 = np.array([np.diag([1.0, 0.8, 0.8]), 0.6 * np.eye(3, k=1)])
+
+# (randgen state sizes, channel, Kraus pair): without a Kraus pair the channel is a
+# randgen channel; with one, a non_interacting spec whose kernel is drawn by randgen
+# (an argument list) or given
+EVOLVE_SPECS = {
+    # 64 cells at q = 2: the closed-form 2x2 spectra and the dense transfer apply
+    "q2 transfer": ("64 2", "channel --src-cells 64 --dst-cells 64 --qdim-src 2 --qdim-dst 2 "
+                            "--branching 1".split(), None),
+    # every cell pair holds two rows, so each pair's transfer map sums over more than one row
+    "q2 two-Kraus": ("16 2", "kernel --rows 16 --cols 16".split(), DAMPING_Q2),
+    # a banded kernel leaves half the cell pairs without rows: no transfer matrix, the rows run
+    "q2 sparse": ("4 2", {"rows": 4, "cols": 4, "P": [0.5, 0, 0, 0.5, 0.5, 0.5, 0, 0,
+                                                      0, 0.5, 0.5, 0, 0, 0, 0.5, 0.5]}, DAMPING_Q2),
+    # a hub kernel: target cells hold 10, 2 or 0 rows, two row groups and a rowless target
+    "q3 ragged": ("5 3", {"rows": 5, "cols": 5, "P": [1, 0.5, 0.5, 0.5, 1, 0, 0.5, 0, 0, 0,
+                                                      0, 0, 0.5, 0, 0, 0, 0, 0, 0.5, 0,
+                                                      0, 0, 0, 0, 0]}, DAMPING_Q3),
+    # 8 cells at q = 4: the shifted-Cholesky certificate, spectra solved on first read
+    "q4 Cholesky": ("8 4", "channel --src-cells 8 --dst-cells 8 --qdim-src 4 --qdim-dst 4 "
+                           "--branching 1".split(), None),
+}
+
+
+@pytest.mark.parametrize("spec", EVOLVE_SPECS.values(), ids=EVOLVE_SPECS.keys())
+def test_evolve_is_byte_deterministic(tmp_path, capsys, spec):
+    # README: identical command lines give byte-identical reports, final states and CSVs
+    sizes, channel, kraus = spec
+    state, ch = tmp_path / "state.json", tmp_path / "channel.json"
+    cells, qdim = sizes.split()
+    assert main(["randgen", "state", "--cells", cells, "--qdim", qdim, "--seed", "2026",
                  "--out", str(state)]) == 0
-    assert main(["randgen", "channel", "--src-cells", "4", "--dst-cells", "4",
-                 "--seed", "9", "--out", str(ch)]) == 0
+    if isinstance(channel, list):
+        assert main(["randgen", *channel, "--seed", "2026", "--out", str(ch)]) == 0
+        channel = io.load_json(ch)
+    if kraus is not None:
+        kraus = io.matrices_to_json(kraus)
+        io.dump_json({"type": "non_interacting", "kernel": channel, "kraus": kraus}, ch)
+    capsys.readouterr()
     outputs = []
     for run in ("a", "b"):
         csv_path, out = tmp_path / f"{run}.csv", tmp_path / f"{run}.json"
-        assert main(["evolve", str(state), str(ch), "--steps", "3",
+        assert main(["evolve", str(state), str(ch), "--steps", "20",
                      "--metrics-out", str(csv_path), "--out", str(out)]) == 0
-        outputs.append((csv_path.read_bytes(), out.read_bytes()))
+        outputs.append((capsys.readouterr().out, csv_path.read_bytes(), out.read_bytes()))
     assert outputs[0] == outputs[1]
-    assert len(outputs[0][0].splitlines()) == 5  # header + initial row + 3 steps
+    assert len(outputs[0][1].splitlines()) == 22  # header + initial row + 20 steps
 
 
 def test_evolve_csv_header_and_min_block_eigenvalue(tmp_path):
@@ -405,8 +440,11 @@ def _bell_protocol_obj():
         {k: v for k, v in _state_obj().items() if k != "space"},
         _state_obj(qdim="x"),
         _state_obj(space={"weights": [1.0, 1.0], "labels": 5}),
+        # two characters or two keys are not two labels
+        _state_obj(space={"weights": [1.0, 1.0], "labels": "ab"}),
+        _state_obj(space={"weights": [1.0, 1.0], "labels": {"a": 1, "b": 2}}),
     ],
-    ids=["missing-space", "bad-qdim", "bad-labels"],
+    ids=["missing-space", "bad-qdim", "bad-labels", "string-labels", "object-labels"],
 )
 def test_validate_malformed_state_exits_1(tmp_path, obj, capsys):
     path = tmp_path / "state.json"
@@ -414,6 +452,30 @@ def test_validate_malformed_state_exits_1(tmp_path, obj, capsys):
     assert main(["validate", str(path)]) == 1
     assert main(["metrics", str(path)]) == 1
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("labels, code", [
+    ("ab", 1), ({"a": 1, "b": 2}, 1),  # parse errors: labels must be a JSON list
+    (["a"], 2),  # a list of the wrong length: ClassicalSpace's BadRange, a failed construction
+    (["a", "b"], 0),
+], ids=["string", "object", "one-label", "two-labels"])
+def test_validate_space_labels(tmp_path, labels, code, capsys):
+    path = tmp_path / "space.json"
+    io.dump_json({"weights": [1, 1], "labels": labels}, path)
+    assert main(["validate", str(path)]) == code
+    assert ("labels must be a list" in capsys.readouterr().err) == (code == 1)
+
+
+@pytest.mark.parametrize("obj, match", [
+    ([{"weights": [1.0]}], "must be an object"),
+    ({"dim": 1, "re": [1.0], "im": [0.0]}, "cannot determine file kind"),
+], ids=["array", "unknown-kind"])
+def test_validate_refuses_a_file_of_no_known_kind(tmp_path, obj, match, capsys):
+    path = tmp_path / "file.json"
+    io.dump_json(obj, path)
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and match in captured.err
 
 
 def test_validate_nan_mass_reports_every_margin(tmp_path, capsys):

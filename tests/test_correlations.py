@@ -123,6 +123,10 @@ def test_ensemble_validation():
         Ensemble(np.array([np.nan]), np.stack([KET0]))
     with pytest.raises(NotAnEnsemble):
         Ensemble(np.array([1.0]), np.stack([np.full((2, 2), np.nan)]))
+    with pytest.raises(NotAnEnsemble, match="at least one member"):
+        Ensemble(np.array([]), np.zeros((0, 2, 2)))
+    with pytest.raises(NotAnEnsemble, match="do not match 2 probabilities"):
+        Ensemble(np.array([0.5, 0.5]), np.stack([KET0, KET1, KET0]))
 
 
 @pytest.mark.parametrize("block", BAD_BLOCKS)

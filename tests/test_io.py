@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from hybridiq import io
 from hybridiq.channel import apply, non_interacting, random_channel
 from hybridiq.classical import MarkovKernel, counting_space, discretize_interval
+from hybridiq.cli import main
 from hybridiq.correlations import monotonicity_report
 from hybridiq.errors import IoError, NotNormalized, ParseError
 from hybridiq.locc import LoccProtocol, LoccRound, run
@@ -77,6 +78,57 @@ def test_matrix_from_json_rejects_malformed():
     protocol["rounds"][1]["instrument"]["2"][0]["im"] = [0.0]
     with pytest.raises(ParseError, match=r"round 1 history '2'"):
         io.protocol_from_json(protocol)
+
+
+_EYE = io.matrix_to_json(np.eye(2))
+_PAULI_BASIS = io.matrices_to_json(np.stack([np.eye(2), np.diag([1.0, -1.0]),
+                                             [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]]]))
+_STATE = io.state_to_json(random_state(counting_space(2), 2, 3))
+
+
+def _coeff_spec(k):
+    return {"type": "coeff_kernel", "basis": _PAULI_BASIS, "k": k}
+
+
+def _channel(blocks):
+    space = {"weights": [1.0]}
+    return {"src_space": space, "dst_space": space, "qdim_src": 2, "qdim_dst": 2, "blocks": blocks}
+
+
+@pytest.mark.parametrize("loader, obj, match", [
+    pytest.param(io.state_from_json, {**_STATE, "masses": [{"dim": 2, "re": ["a", 0, 0, 1],
+                                                            "im": [0, 0, 0, 0]}] * 2},
+                 "numbers only", id="non-numeric-re"),
+    pytest.param(io.channel_from_json, {"type": "non_interacting", "kernel": {"rows": 1, "cols": 1},
+                                        "kraus": [_EYE]}, "expected keys P", id="kernel-without-P"),
+    pytest.param(io.kernel_from_json, {"P": [1.0, 0.0], "rows": 1, "cols": 1}, "needs 1 entries",
+                 id="kernel-entry-count"),
+    pytest.param(io.state_from_json, {**_STATE, "masses": _STATE["masses"][:1]},
+                 "one mass matrix per cell", id="fewer-masses-than-cells"),
+    pytest.param(io.state_from_json, {**_STATE, "space": {"labels": []}}, "expected weights",
+                 id="space-without-weights"),
+    pytest.param(io.channel_from_json, _coeff_spec({"re": [], "im": []}), "expected keys shape",
+                 id="k-without-shape"),
+    pytest.param(io.channel_from_json, _coeff_spec({"shape": [1, -1, 4, 4], "re": [], "im": []}),
+                 "negative extent", id="k-negative-extent"),
+    pytest.param(io.channel_from_json, _coeff_spec({"shape": [1], "re": [0], "im": [0]}),
+                 "rank-4", id="k-not-rank-4"),
+    pytest.param(io.channel_from_json, [_channel([])], "expected an object",
+                 id="channel-not-object"),
+    pytest.param(io.channel_from_json, {"type": "non_interacting", "kraus": [_EYE]},
+                 "needs 'kernel' and 'kraus'", id="non-interacting-without-kernel"),
+    pytest.param(io.channel_from_json, {"type": "coeff_kernel", "basis": _PAULI_BASIS},
+                 "needs 'basis' and 'k'", id="coeff-kernel-without-k"),
+    pytest.param(io.channel_from_json, _channel([{"m": 0, "L": [_EYE]}]), "entry malformed",
+                 id="block-without-n"),
+])
+def test_loaders_refuse_malformed_files_with_parse_error(tmp_path, loader, obj, match, capsys):
+    with pytest.raises(ParseError, match=match):
+        loader(obj)
+    path = tmp_path / "file.json"
+    io.dump_json(obj, path)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_space_round_trip_with_labels():

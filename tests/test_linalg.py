@@ -197,6 +197,8 @@ def test_is_psd():
     u = random_unitary(3, rng)
     m = (u * np.array([0.2, 0.0, 0.8])) @ u.conj().T
     assert is_psd(m)
+    with pytest.raises(NotHermitian, match="deviates from Hermiticity"):
+        is_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 def test_is_psd_near_the_float_maximum():

@@ -13,6 +13,7 @@ from hybridiq.channel import (
     COMPLETENESS_TOL, _basis_cost, _product_cost, apply, completeness_defect, from_rows
 )
 from hybridiq.classical import counting_space
+from hybridiq.cli import main
 from hybridiq.errors import (
     DimensionMismatch,
     IncompleteInstrument,
@@ -248,6 +249,29 @@ def test_protocol_shape_validation():
         LoccProtocol((2, 0), (LoccRound(1, {(): [np.eye(2)]}),))
     with pytest.raises(ShapeMismatch):
         LoccProtocol((2, 2), (LoccRound(1, {(1,): [np.eye(2)]}),))
+
+
+@pytest.mark.parametrize("rounds, match", [
+    pytest.param((), "at least one round", id="no-rounds"),
+    pytest.param((LoccRound(2, {(): [P0, P1]}, side=3),), "side 3, expected 1 or 2", id="side-3"),
+    pytest.param((LoccRound(0, {}),), "at least one outcome", id="zero-outcomes"),
+    pytest.param((LoccRound(2, {(): [P0, P1]}), LoccRound(1, {(3,): [np.eye(2)]})),
+                 "out-of-range outcome labels", id="label-above-outcomes"),
+])
+def test_protocol_refuses_malformed_rounds(tmp_path, rounds, match, capsys):
+    with pytest.raises(ShapeMismatch, match=match):
+        LoccProtocol((2, 2), rounds)
+    path, rho = tmp_path / "protocol.json", tmp_path / "bell.json"
+    instruments = [{".".join(map(str, h)): io.matrices_to_json(np.asarray(ops))
+                    for h, ops in rnd.instrument.items()} for rnd in rounds]
+    io.dump_json({"dims": [2, 2], "rounds": [
+        {"side": rnd.side, "outcomes": rnd.outcomes, "instrument": instrument}
+        for rnd, instrument in zip(rounds, instruments)]}, path)
+    io.dump_json(io.matrix_to_json(BELL), rho)
+    assert main(["validate", str(path)]) == 2
+    (check,) = json.loads(capsys.readouterr().out)["reports"][0]["checks"]
+    assert check["name"] == "protocol_construction" and match in check["error"]
+    assert main(["locc", str(path), str(rho)]) == 2
 
 
 @pytest.mark.parametrize(
@@ -651,6 +675,8 @@ def test_separable_inputs_reject_mixed_dimensions_and_missing_cells():
         steer_to_separable(space, [0.5, 0.5], [P0, P1], [a, b])
     with pytest.raises(NotAState):
         steer_to_separable(space, [0.5, 0.5], [], [])
+    with pytest.raises(NotAState, match="cell masses have shape"):
+        separable_from_ensemble(space, [1.0], [P0, P1], [P0, P1])
 
 
 def test_separable_states_are_always_ppt():
