@@ -12,7 +12,9 @@ and :func:`interaction_defect` all read.  Rows are the only stored layout; the
 serialized.  ``apply`` reads one of them: the transfer matrix for a small dense
 channel, the source basis for a reused low-rank one, and otherwise the target
 groups, in which each target cell's output sum_r L_r sigma L_r^dag over its
-rows is one matrix product.
+rows is one matrix product.  A channel maps Hermitian masses to Hermitian
+masses, so it is real-linear on their real coordinates, and the transfer
+matrix is real.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ COEFF_EIGENVALUE_CUTOFF = 1e-12
 # this and every target cell reads every source cell.  At q = 2 one mat-vec
 # with a matrix of 4x4 blocks is several times faster than the row form's two
 # batched products of 2x2 blocks, each of which costs far more in per-matrix
-# overhead than in arithmetic.  The matrix grows as q^4 per cell pair (64 MiB
+# overhead than in arithmetic.  The matrix grows as q^4 per cell pair (32 MiB
 # for an 8-cell channel at q = 16, where the mat-vec is several times slower),
 # and building it costs more than it saves on a channel applied once, as each
 # LOCC round channel is at q = 4.  A channel with a rowless cell pair takes the
@@ -88,25 +90,32 @@ class HybridChannel:
 
     @cached_property
     def transfer(self) -> np.ndarray | None:
-        """Dense transfer matrix over all cell pairs, built on first use; None if a pair has no rows.
+        """Real dense transfer matrix, built on first use; None if some cell pair has no rows.
 
-        Cell pair (m, n) has T_mn = sum_r L_r (x) conj(L_r) over its rows, its
-        Choi matrix realigned, so vec(sigma'_m) gains T_mn @ vec(sigma_n) with
-        row-major vec; at qdim 1 it is the transition probability P(m|n).  The
-        matrix is (n_dst * qdim_dst^2, n_src * qdim_src^2) with T_mn at block
-        (m, n), so one mat-vec over all source vectors applies the channel.  It
-        is read-only, starts at a 32-byte boundary and is not serialized.
+        Cell pair (m, n) maps sigma_n by T_mn = sum_r L_r (x) conj(L_r) over its
+        rows, its Choi matrix realigned: vec(sigma'_m) gains T_mn @ vec(sigma_n)
+        with row-major vec.  The channel maps Hermitian masses to Hermitian
+        masses, so on them it is real-linear in R = Re sigma + Im sigma, which
+        holds all of sigma: sigma = (R + R^T) / 2 + i (R - R^T) / 2.  Block (m, n)
+        is the real M_mn[(i, k), (j, l)] = (Re T_mn[(i, k), (j, l)] + Im T_mn[(i, k),
+        (l, j)]) / 2, so r = sum_n M_mn vec(R_n) is half of R'_m and sigma'_m =
+        r + r^T + i (r - r^T) is Hermitian bit for bit; at qdim 1 the block is
+        P(m|n) / 2.  The float64 matrix is (n_dst * qdim_dst^2, n_src * qdim_src^2),
+        half the bytes of T, so one real mat-vec over all source vectors applies
+        the channel.  It is read-only, starts at a 32-byte boundary and is not
+        serialized.
         """
         q_dst, q_src = self.qdim_dst, self.qdim_src
         n_dst, n_src = self.dst_space.size, self.src_space.size
         pairs, choi = _run_chois(self.kraus, self.dst * n_src + self.src)
         if pairs.size != n_dst * n_src:
             return None
-        table = _aligned_empty((n_dst * q_dst * q_dst, n_src * q_src * q_src))
+        table = _aligned_empty((n_dst * q_dst * q_dst, n_src * q_src * q_src), float)
         # T[(m, i, k), (n, j, l)] = C_mn[(i, j), (k, l)]
-        table.reshape(n_dst, q_dst, q_dst, n_src, q_src, q_src)[...] = choi.reshape(
-            n_dst, n_src, q_dst, q_src, q_dst, q_src
-        ).transpose(0, 2, 4, 1, 3, 5)
+        t = choi.reshape(n_dst, n_src, q_dst, q_src, q_dst, q_src).transpose(0, 2, 4, 1, 3, 5)
+        blocks = table.reshape(n_dst, q_dst, q_dst, n_src, q_src, q_src)
+        np.add(t.real, t.imag.swapaxes(4, 5), out=blocks)
+        table *= 0.5  # exact: a power of two
         table.flags.writeable = False
         return table
 
@@ -195,16 +204,18 @@ class HybridChannel:
         return tuple(groups)
 
 
-def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """Uninitialized complex array whose data starts at a 32-byte boundary.
+def _aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Uninitialized array of ``dtype`` whose data starts at a 32-byte boundary.
 
-    A mat-vec with a 256 x 256 complex matrix that starts 16 bytes past such
-    a boundary took about 20% longer (OpenBLAS, one thread, x86-64).
+    A mat-vec with a 256 x 256 complex matrix that started 16 bytes past such
+    a boundary took about 20% longer (OpenBLAS, one thread, x86-64); the real
+    transfer matrix keeps the same start.
     """
-    size = int(np.prod(shape)) * 16
+    dtype = np.dtype(dtype)
+    size = int(np.prod(shape)) * dtype.itemsize
     raw = np.empty(size + 32, dtype=np.uint8)
     start = -raw.ctypes.data % 32
-    return raw[start : start + size].view(complex).reshape(shape)
+    return raw[start : start + size].view(dtype).reshape(shape)
 
 
 def _product_cost(channel: HybridChannel, rank: int) -> int:
@@ -290,9 +301,10 @@ def interaction_defect(channel: HybridChannel) -> float:
     """Max entrywise deviation of every cell pair's Choi matrix C_mn from P(m|n) C_0.
 
     C_0 = sum_m C_m0 is source cell 0's map and P(m|n) the projection of C_mn
-    onto it; zero for non-interacting subsystems.  The transfer map T_mn is a
-    fixed permutation of C_mn, so measuring either gives the same value.  The
-    transfer cache is left alone.
+    onto it; zero for non-interacting subsystems.  The per-pair map T_mn is a
+    fixed permutation of C_mn, so measuring either gives the same value; the
+    real transfer matrix, which mixes T_mn's real and imaginary parts, is
+    neither read nor built.
     """
     pairs, chois = _run_chois(channel.kraus, channel.dst * channel.src_space.size + channel.src)
     c0 = chois[channel.src[pairs] == 0].sum(axis=0)
@@ -422,10 +434,13 @@ def apply(channel: HybridChannel, state: HybridState) -> HybridState:
 def _apply_stack(channel: HybridChannel, masses: np.ndarray) -> np.ndarray:
     """Unvalidated output masses (B, n_dst, q_dst, q_dst) of a (B, n_src, q_src, q_src) mass stack.
 
-    When qdim_dst * qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT and every
-    target reads every source, the cached :attr:`HybridChannel.transfer`
-    matrix is one mat-vec per state.  Otherwise, from a channel's second apply
-    on, or for a stack of two or more states, a cached
+    The masses must be Hermitian; masses from ``new_state`` or ``_checked``,
+    real mixtures of those and earlier outputs are.  When qdim_dst * qdim_src
+    <= TRANSFER_QDIM_PRODUCT_LIMIT and every target reads every source, the
+    cached real :attr:`HybridChannel.transfer` matrix is one mat-vec per state
+    on Re sigma + Im sigma, so an anti-Hermitian residue of size d moves the
+    output by O(d), and the output is Hermitian bit for bit.  Otherwise, from
+    a channel's second apply on, or for a stack of two or more states, a cached
     :attr:`HybridChannel.source_basis` (when it is not None) computes every
     B_nj sigma_n B_nl^dag in two batched products and contracts them with the
     coefficient Grams in a third.  In all other cases the rows run in
@@ -439,8 +454,13 @@ def _apply_stack(channel: HybridChannel, masses: np.ndarray) -> np.ndarray:
     q, n_dst, b = channel.qdim_dst, channel.dst_space.size, masses.shape[0]
     small = q * channel.qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT
     if small and (table := channel.transfer) is not None:
-        # one gemv per state: a single gemm over the stack rounds differently
-        return (table @ masses.reshape(b, -1, 1)).reshape(b, n_dst, q, q)
+        # one real gemv per state on R = Re sigma + Im sigma (a single gemm over the
+        # stack rounds differently); half of R' is r, so sigma' = r + r^T + i (r - r^T)
+        r = (table @ (masses.real + masses.imag).reshape(b, -1, 1)).reshape(b, n_dst, q, q)
+        r_t, out = r.swapaxes(2, 3), np.empty((b, n_dst, q, q), dtype=complex)
+        np.add(r, r_t, out=out.real)
+        np.subtract(r, r_t, out=out.imag)
+        return out
     if (next(channel._row_applies) or b > 1) and (form := channel.source_basis) is not None:
         left, right, gram = form
         s = left.shape[1] // q

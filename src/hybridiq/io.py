@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -21,21 +22,43 @@ from .locc import LoccProtocol, LoccRound
 from .state import HybridState, new_state
 
 
+_NOT_NUMBERS = "must hold numbers only: no booleans, strings, nulls or lists"
+
+
 def _integer(value: Any, what: str) -> int:
     """Read a JSON integer field: floats, booleans and strings raise ParseError, not truncate."""
     return require_integer(value, what, ParseError)
 
 
-def _complex_array(re: Any, im: Any, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """The re/im parsing core: one complex array from number lists of exactly ``shape``."""
+def _number_rows(rows: list, size: int, what: str) -> np.ndarray:
+    """(len(rows), size) float array from ``rows``, lists of ``size`` entries each.
+
+    Every entry must be a JSON number, int or float but not bool: anything else
+    raises ParseError, where np.asarray would read true and "1" as 1.0 and null
+    as nan.  Collecting the entries' types (``set(map(type, ...))``) and
+    converting them (``np.fromiter``) are loops in C.
+    """
+    if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
+        raise ParseError(f"{what} {_NOT_NUMBERS}")
     try:
-        re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: re and im must hold numbers only") from exc
-    if re.shape != shape or im.shape != shape:
-        raise ParseError(f"{what}: every re and im must be a flat list of {shape[-1]} numbers")
-    out = re.astype(complex)
-    out.imag = im  # set, not added: re + 1j * im loses the sign of zero entries
+        return np.fromiter(chain.from_iterable(rows), float, len(rows) * size).reshape(len(rows), size)
+    except OverflowError as exc:
+        raise ParseError(f"{what}: an integer is beyond the float range") from exc
+
+
+def _number_list(values: Any, what: str) -> np.ndarray:
+    """A flat JSON list of numbers as a float array; ParseError for anything else."""
+    if type(values) is not list:
+        raise ParseError(f"{what} {_NOT_NUMBERS}")
+    return _number_rows([values], len(values), what)[0]
+
+
+def _complex_array(re: list, im: list, size: int, what: str) -> np.ndarray:
+    """The re/im parsing core: a (k, size) complex array from k ``re`` and k ``im`` lists,
+    each already checked to hold ``size`` entries."""
+    both = _number_rows(re + im, size, f"{what}: re and im")
+    out = both[: len(re)].astype(complex)
+    out.imag = both[len(re) :]  # set, not added: re + 1j * im loses the sign of zero entries
     return out
 
 
@@ -75,7 +98,7 @@ def matrices_from_json(objs: Any, what: Any, shape: tuple[int, int] | None = Non
             )
         res.append(re)
         ims.append(im)
-    return _complex_array(res, ims, (len(res), size), name(None)).reshape(-1, rows, cols)
+    return _complex_array(res, ims, size, name(None)).reshape(-1, rows, cols)
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
@@ -97,10 +120,10 @@ def space_to_json(space: ClassicalSpace) -> dict:
 def space_from_json(obj: Any) -> ClassicalSpace:
     """Load a space; "labels", when given, must be a JSON list (a string or object is refused)."""
     try:
-        weights = np.asarray(obj["weights"], dtype=float)
-        labels = obj.get("labels")
-    except (KeyError, TypeError, ValueError) as exc:
+        weights, labels = obj["weights"], obj.get("labels")
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"space: expected weights and optional labels, got {obj!r:.120}") from exc
+    weights = _number_list(weights, "space: weights")
     if labels is not None:
         if not isinstance(labels, list):
             raise ParseError(f"space: labels must be a list, got {labels!r:.120}")
@@ -124,9 +147,10 @@ def kernel_from_json(
 def kernel_matrix_from_json(obj: Any) -> np.ndarray:
     try:
         rows, cols = _integer(obj["rows"], "kernel rows"), _integer(obj["cols"], "kernel cols")
-        flat = np.asarray(obj["P"], dtype=float)
+        flat = obj["P"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"kernel: expected keys P/rows/cols, got {obj!r:.120}") from exc
+    flat = _number_list(flat, "kernel: P")
     if rows < 1 or cols < 1 or flat.shape != (rows * cols,):
         raise ParseError(f"kernel: {rows}x{cols} matrix needs {rows * cols} entries")
     return flat.reshape(rows, cols)
@@ -175,7 +199,10 @@ def _complex_tensor_from_json(obj: Any, what: str) -> np.ndarray:
         raise ParseError(f"{what}: expected keys shape/re/im, got {obj!r:.120}") from exc
     if any(s < 0 for s in shape):
         raise ParseError(f"{what}: shape {shape} has a negative extent")
-    return _complex_array(re, im, (math.prod(shape),), what).reshape(shape)
+    size = math.prod(shape)
+    if not (type(re) is type(im) is list and len(re) == len(im) == size):
+        raise ParseError(f"{what}: re and im must be flat lists of {size} numbers")
+    return _complex_array([re], [im], size, what).reshape(shape)
 
 
 def complex_tensor_to_json(arr: np.ndarray) -> dict:

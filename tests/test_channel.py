@@ -473,6 +473,30 @@ def test_transfer_matrix_starts_at_a_32_byte_boundary():
         assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_QDIMS),
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.sampled_from([1, 3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_real_transfer_apply_is_hermitian_and_per_state(qdims, n_src, n_dst, b, seed):
+    rng = np.random.default_rng(seed)
+    q_src, q_dst = qdims
+    ch = _patterned_channel("dense", n_src, n_dst, q_src, q_dst, rng)
+    states = [random_state(ch.src_space, q_src, rng) for _ in range(b)]
+    out = _apply_stack(ch, np.stack([w.masses for w in states]))
+    # every target reads every source at a product within the limit: the transfer branch ran
+    table = ch.transfer
+    assert table.dtype == np.float64
+    assert table.nbytes == 8 * n_dst * q_dst**2 * n_src * q_src**2
+    assert np.array_equal(out, out.conj().swapaxes(-1, -2))
+    for w, stacked in zip(states, out):
+        assert np.abs(stacked - apply_oracle(ch, w)).max() <= 1e-12
+        assert np.array_equal(_apply_stack(ch, w.masses[None])[0], stacked)
+
+
 def _check_target_groups(ch):
     """Each group's arrays against the rows of its targets, read-only; returns each group's k."""
     counts = np.bincount(ch.dst, minlength=ch.dst_space.size)
@@ -531,8 +555,20 @@ def _pair_map_oracle(channel):
     return maps
 
 
+def _real_transfer_oracle(channel):
+    """{(m, n): M_mn} from the literal kron loop's T_mn: the map of R = Re sigma + Im sigma
+    to half of R', M_mn[(i, k), (j, l)] = (Re T_mn[(i, k), (j, l)] + Im T_mn[(i, k), (l, j)]) / 2.
+    """
+    maps = {}
+    for pair, t in _pair_map_oracle(channel).items():
+        q = channel.qdim_src
+        swapped = t.reshape(-1, q, q).swapaxes(1, 2).reshape(t.shape)  # input (j, l) -> (l, j)
+        maps[pair] = (t.real + swapped.imag) / 2
+    return maps
+
+
 def _transfer_table_maps(channel):
-    """{(m, n): T_mn} read back from block (m, n) of the dense transfer matrix."""
+    """{(m, n): M_mn} read back from block (m, n) of the dense transfer matrix."""
     n_dst, n_src = channel.dst_space.size, channel.src_space.size
     blocks = channel.transfer.reshape(n_dst, channel.qdim_dst**2, n_src, channel.qdim_src**2)
     return {(m, n): blocks[m, :, n] for m in range(n_dst) for n in range(n_src)}
@@ -565,7 +601,7 @@ def _per_pair_channel(family, rng):
 )
 def test_transfer_table_and_interaction_defect_match_a_per_pair_loop(family):
     ch = _per_pair_channel(family, np.random.default_rng(27))
-    oracle = _pair_map_oracle(ch)
+    oracle = _real_transfer_oracle(ch)
     # the sparse and hub patterns leave some cell pair without rows, and so without a matrix
     assert (ch.transfer is None) == (family in ("sparse", "hub"))
     assert (len(oracle) < ch.dst_space.size * ch.src_space.size) == (ch.transfer is None)

@@ -466,6 +466,43 @@ def test_validate_space_labels(tmp_path, labels, code, capsys):
     assert ("labels must be a list" in capsys.readouterr().err) == (code == 1)
 
 
+def _one_cell_state(re):
+    obj = io.state_to_json(new_state(counting_space(1), [[[1.0]]]))
+    obj["masses"][0]["re"] = re
+    return obj
+
+
+def _one_row_channel(re):
+    obj = io.channel_to_json(identity_channel(counting_space(1), 1))
+    obj["blocks"][0]["L"][0]["re"] = re
+    return obj
+
+
+# number fields take JSON numbers only: np.asarray read true and "1" as 1.0 and null as nan
+_NOT_NUMBERS = "must hold numbers only: no booleans, strings, nulls or lists"
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"weights": [1, True]}, f"space: weights {_NOT_NUMBERS}"),
+    ({"P": [1, False, 0, True], "rows": 2, "cols": 2}, f"kernel: P {_NOT_NUMBERS}"),
+    (_one_cell_state([True]), f"mass: re and im {_NOT_NUMBERS}"),
+    (_one_cell_state(["1"]), f"mass: re and im {_NOT_NUMBERS}"),
+    (_one_row_channel([True]), f"channel: re and im {_NOT_NUMBERS}"),
+    ({"weights": "12"}, f"space: weights {_NOT_NUMBERS}"),
+    ({"weights": [1, None]}, f"space: weights {_NOT_NUMBERS}"),
+    ({"weights": [[1], [2]]}, f"space: weights {_NOT_NUMBERS}"),
+    ({"weights": [1, 10**400]}, "space: weights: an integer is beyond the float range"),
+], ids=["space-bool", "kernel-bool", "state-bool", "state-string", "channel-bool",
+        "space-string", "space-null", "space-nested", "space-huge-int"])
+def test_validate_refuses_non_numbers_in_number_fields(tmp_path, obj, message, capsys):
+    path = tmp_path / "file.json"
+    io.dump_json(obj, path)
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"hybridiq: error: {message}\n"
+
+
 @pytest.mark.parametrize("obj, match", [
     ([{"weights": [1.0]}], "must be an object"),
     ({"dim": 1, "re": [1.0], "im": [0.0]}, "cannot determine file kind"),

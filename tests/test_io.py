@@ -113,6 +113,8 @@ def _channel(blocks):
                  "negative extent", id="k-negative-extent"),
     pytest.param(io.channel_from_json, _coeff_spec({"shape": [1], "re": [0], "im": [0]}),
                  "rank-4", id="k-not-rank-4"),
+    pytest.param(io.channel_from_json, _coeff_spec({"shape": [2], "re": [0, 0], "im": [0]}),
+                 "k: re and im must be flat lists of 2 numbers", id="k-ragged-re-im"),
     pytest.param(io.channel_from_json, [_channel([])], "expected an object",
                  id="channel-not-object"),
     pytest.param(io.channel_from_json, {"type": "non_interacting", "kraus": [_EYE]},
