@@ -9,12 +9,12 @@ matrix (:func:`_run_chois`), which :func:`compose`, the dense transfer matrix
 and :func:`interaction_defect` all read.  Rows are the only stored layout; the
 :attr:`HybridChannel.transfer`, :attr:`HybridChannel.source_basis` and
 :attr:`HybridChannel.target_groups` caches are derived from them and never
-serialized.  ``apply`` reads one of them: the transfer matrix for a small dense
-channel, the source basis for a reused low-rank one, and otherwise the target
-groups, in which each target cell's output sum_r L_r sigma L_r^dag over its
-rows is one matrix product.  A channel maps Hermitian masses to Hermitian
-masses, so it is real-linear on their real coordinates, and the transfer
-matrix is real.
+serialized.  A channel's first single-state apply runs the target groups, in
+which each target's output sum_r L_r sigma L_r^dag is one matrix product; every
+later apply, and any apply to a stack, reads the transfer matrix of a small
+dense channel, else the source basis of a low-rank one, else the rows again.  A
+channel maps Hermitian masses to Hermitian masses, so it is real-linear on
+their real coordinates, and the transfer matrix is real.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ COEFF_EIGENVALUE_CUTOFF = 1e-12
 # batched products of 2x2 blocks, each of which costs far more in per-matrix
 # overhead than in arithmetic.  The matrix grows as q^4 per cell pair (32 MiB
 # for an 8-cell channel at q = 16, where the mat-vec is several times slower),
-# and building it costs more than it saves on a channel applied once, as each
-# LOCC round channel is at q = 4.  A channel with a rowless cell pair takes the
-# row path instead.
+# and building it, like any derived layout, costs more than it saves on a
+# channel applied once, so a channel's first single-state apply runs its rows.
+# A channel with a rowless cell pair takes the source basis or the rows instead.
 TRANSFER_QDIM_PRODUCT_LIMIT = 4
 
 
@@ -61,15 +61,12 @@ class HybridChannel:
     Rows are sorted by (dst, src), the rows of one cell pair keep the order they
     were given in, and the three row arrays are read-only.
 
-    The derived caches are built on first use: :attr:`transfer` and
-    :attr:`target_groups` by the first apply that reads them, and
-    :attr:`source_basis` on the second row-path apply, or on the first apply
-    of a stack of two or more states.  A channel is safe to share across
-    threads.  Two threads that race on a cache compute the same read-only
-    arrays (or the same None).  A thread that races the release of
-    :attr:`target_groups` may cache that layout again, which costs memory and
-    changes no result.  The row-apply counter is one ``itertools.count``,
-    which a thread advances atomically.
+    The derived caches are built on first use and kept: :attr:`target_groups`
+    by the first single-state apply, :attr:`transfer` or :attr:`source_basis`
+    by the second apply or the first to a stack of two or more states.  A
+    channel is safe to share across threads: two threads that race on a cache
+    compute the same read-only arrays (or the same None), and the apply
+    counter is one ``itertools.count``, which a thread advances atomically.
     """
 
     src_space: ClassicalSpace
@@ -79,8 +76,8 @@ class HybridChannel:
     dst: np.ndarray    # (R,) target cell of each row
     src: np.ndarray    # (R,) source cell of each row
     kraus: np.ndarray  # (R, qdim_dst, qdim_src)
-    # row-path applies so far; source_basis is built from the second one on, or for a stack
-    _row_applies: Iterator[int] = field(default_factory=count, init=False, repr=False, compare=False)
+    # applies so far; a derived layout is read from the second one on, or for a stack
+    _applies: Iterator[int] = field(default_factory=count, init=False, repr=False, compare=False)
 
     def __repr__(self) -> str:
         return (
@@ -137,8 +134,8 @@ class HybridChannel:
         default rank cutoff, and the result is None when the form at that rank
         costs no less than the rows or basis times coefficients misses a row
         by more than that cutoff.  The arrays are read-only and not serialized.
-        A basis that is built frees any cached :attr:`target_groups`: every later
-        apply reads the basis, so the first apply was that layout's last reader.
+        Like :attr:`transfer`, it is read from a channel's second apply on, or
+        by an apply to a stack of two or more states.
         """
         n_src, n_dst, rows = self.src_space.size, self.dst_space.size, self.src.size
         row_cost = rows * _product_cost(self, 1)
@@ -164,7 +161,6 @@ class HybridChannel:
         out = (left, left.conj().swapaxes(1, 2).copy(), gram.reshape(n_dst, -1))
         for arr in out:
             arr.flags.writeable = False
-        self.__dict__.pop("target_groups", None)
         return out
 
     @cached_property
@@ -435,38 +431,38 @@ def _apply_stack(channel: HybridChannel, masses: np.ndarray) -> np.ndarray:
     """Unvalidated output masses (B, n_dst, q_dst, q_dst) of a (B, n_src, q_src, q_src) mass stack.
 
     The masses must be Hermitian; masses from ``new_state`` or ``_checked``,
-    real mixtures of those and earlier outputs are.  When qdim_dst * qdim_src
-    <= TRANSFER_QDIM_PRODUCT_LIMIT and every target reads every source, the
-    cached real :attr:`HybridChannel.transfer` matrix is one mat-vec per state
-    on Re sigma + Im sigma, so an anti-Hermitian residue of size d moves the
-    output by O(d), and the output is Hermitian bit for bit.  Otherwise, from
-    a channel's second apply on, or for a stack of two or more states, a cached
-    :attr:`HybridChannel.source_basis` (when it is not None) computes every
-    B_nj sigma_n B_nl^dag in two batched products and contracts them with the
-    coefficient Grams in a third.  In all other cases the rows run in
-    :attr:`HybridChannel.target_groups`: one batched product forms every
-    sigma_src[r] L_r^dag, and a second multiplies each target's rows, side by
-    side, into that stack, so the sum over a target's rows happens inside the
-    product and a target without rows stays exactly zero.  Each form
-    broadcasts the channel over the stack, so a state's output does not depend
-    on the other states in it.
+    real mixtures of those and earlier outputs are.  A channel's first
+    single-state apply runs the rows in :attr:`HybridChannel.target_groups`:
+    one batched product forms every sigma_src[r] L_r^dag and a second
+    multiplies each target's rows, side by side, into that stack, so a target
+    without rows stays exactly zero.  Every later apply, and any apply to a
+    stack of two or more states, reads the cached real
+    :attr:`HybridChannel.transfer` matrix when qdim_dst * qdim_src <=
+    TRANSFER_QDIM_PRODUCT_LIMIT and every target reads every source: one
+    mat-vec per state on Re sigma + Im sigma, so an anti-Hermitian residue of
+    size d moves the output by O(d), and the output is Hermitian bit for bit.
+    Otherwise it reads :attr:`HybridChannel.source_basis`, two batched
+    products for every B_nj sigma_n B_nl^dag and a third with the coefficient
+    Grams, or, where that is None, the rows.  Each form broadcasts the channel
+    over the stack, so a state's output does not depend on the others in it.
     """
     q, n_dst, b = channel.qdim_dst, channel.dst_space.size, masses.shape[0]
-    small = q * channel.qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT
-    if small and (table := channel.transfer) is not None:
-        # one real gemv per state on R = Re sigma + Im sigma (a single gemm over the
-        # stack rounds differently); half of R' is r, so sigma' = r + r^T + i (r - r^T)
-        r = (table @ (masses.real + masses.imag).reshape(b, -1, 1)).reshape(b, n_dst, q, q)
-        r_t, out = r.swapaxes(2, 3), np.empty((b, n_dst, q, q), dtype=complex)
-        np.add(r, r_t, out=out.real)
-        np.subtract(r, r_t, out=out.imag)
-        return out
-    if (next(channel._row_applies) or b > 1) and (form := channel.source_basis) is not None:
-        left, right, gram = form
-        s = left.shape[1] // q
-        # (n, j q + a, l q + b) holds (B_nj sigma_n B_nl^dag)[a, b]; reorder to (n, j, l, a, b)
-        products = (left @ masses @ right).reshape(b, -1, s, q, s, q).transpose(0, 1, 2, 4, 3, 5)
-        return (gram @ products.reshape(b, -1, q * q)).reshape(b, n_dst, q, q)
+    if next(channel._applies) or b > 1:
+        small = q * channel.qdim_src <= TRANSFER_QDIM_PRODUCT_LIMIT
+        if small and (table := channel.transfer) is not None:
+            # one real gemv per state on R = Re sigma + Im sigma (a single gemm over the
+            # stack rounds differently); half of R' is r, so sigma' = r + r^T + i (r - r^T)
+            r = (table @ (masses.real + masses.imag).reshape(b, -1, 1)).reshape(b, n_dst, q, q)
+            r_t, out = r.swapaxes(2, 3), np.empty((b, n_dst, q, q), dtype=complex)
+            np.add(r, r_t, out=out.real)
+            np.subtract(r, r_t, out=out.imag)
+            return out
+        if (form := channel.source_basis) is not None:
+            left, right, gram = form
+            s = left.shape[1] // q
+            # (n, j q + a, l q + b) holds (B_nj sigma_n B_nl^dag)[a, b]; reorder to (n, j, l, a, b)
+            products = (left @ masses @ right).reshape(b, -1, s, q, s, q).transpose(0, 1, 2, 4, 3, 5)
+            return (gram @ products.reshape(b, -1, q * q)).reshape(b, n_dst, q, q)
     out = np.zeros((b, n_dst, q, q), dtype=complex)
     for cells, src, left, adjoint in channel.target_groups:
         t, k = src.shape

@@ -9,6 +9,7 @@ so column sums equal one regardless of the cell weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,19 +53,24 @@ class ClassicalSpace:
         return f"ClassicalSpace(size={self.size})"
 
 
+def _is_cell(i) -> bool:
+    """Whether ``i`` can name or count cells: a Python or numpy integer, not a bool."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
 def counting_space(n_cells: int, labels: tuple | None = None) -> ClassicalSpace:
     """Counting-measure space: ``n_cells`` cells of weight one."""
-    if n_cells < 1:
-        raise BadRange("need at least one cell")
+    if not _is_cell(n_cells) or n_cells < 1:
+        raise BadRange(f"need an integer count of at least one cell, got {n_cells!r:.40}")
     return ClassicalSpace(np.ones(n_cells), labels)
 
 
 def discretize_interval(a: float, b: float, n_cells: int) -> ClassicalSpace:
     """Uniform partition of [a, b] into cells of Lebesgue weight (b - a) / n."""
-    if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
-        raise BadRange(f"invalid interval [{a}, {b}]")
-    if n_cells < 1:
-        raise BadRange("need at least one cell")
+    if not all(isinstance(x, Real) and np.isfinite(x) for x in (a, b)) or a >= b:
+        raise BadRange(f"invalid interval [{a!r:.40}, {b!r:.40}]")
+    if not _is_cell(n_cells) or n_cells < 1:
+        raise BadRange(f"need an integer count of at least one cell, got {n_cells!r:.40}")
     edges = np.linspace(a, b, n_cells + 1)
     labels = tuple((float(edges[i]), float(edges[i + 1])) for i in range(n_cells))
     return ClassicalSpace(np.full(n_cells, (b - a) / n_cells), labels)
@@ -124,13 +130,15 @@ def validate_kernel(kernel) -> KernelReport:
 
 
 def kernel_from_map(space: ClassicalSpace, phi: Callable[[int], int] | Sequence[int]) -> MarkovKernel:
-    """Deterministic kernel sending all mass of cell n to cell phi(n)."""
+    """Deterministic kernel sending all mass of cell n to cell phi(n), an integer (not a bool)."""
     n = space.size
-    targets = [phi(i) for i in range(n)] if callable(phi) else [int(phi[i]) for i in range(n)]
+    if not callable(phi) and len(phi) != n:
+        raise BadMap(f"map has {len(phi)} targets for {n} cells")
+    targets = [phi(i) for i in range(n)] if callable(phi) else list(phi)
     matrix = np.zeros((n, n))
     for src, dst in enumerate(targets):
-        if not 0 <= dst < n:
-            raise BadMap(f"cell {src} maps to {dst}, outside 0..{n - 1}")
+        if not (_is_cell(dst) and 0 <= dst < n):
+            raise BadMap(f"cell {src} maps to {dst!r:.40}, not an integer in 0..{n - 1}")
         matrix[dst, src] = 1.0
     return MarkovKernel(space, space, matrix)
 

@@ -125,8 +125,6 @@ def state_ensemble(state: HybridState) -> Ensemble:
     """Ensemble (p_n, sigma_n / p_n) over cells with positive mass."""
     p = classical_marginal(state).masses
     keep = p > ZERO_MASS
-    if not keep.any():
-        raise NotAnEnsemble("state has no cell with positive mass")
     kept = p[keep]
     return Ensemble(kept / kept.sum(), state.masses[keep] / kept[:, None, None])
 

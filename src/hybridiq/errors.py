@@ -45,15 +45,15 @@ class SpaceMismatch(HybridError):
 
 
 class NotPositive(HybridError):
-    def __init__(self, cell: int, message: str = ""):
+    def __init__(self, cell: int, message: str):
         self.cell = cell
-        super().__init__(message or f"mass block at cell {cell} is not positive semidefinite")
+        super().__init__(message)
 
 
 class NotNormalized(HybridError):
-    def __init__(self, total: float, message: str = ""):
+    def __init__(self, total: float):
         self.total = total
-        super().__init__(message or f"total trace {total!r} is not 1")
+        super().__init__(f"total trace {total!r} is not 1")
 
 
 class BadEffect(HybridError):
@@ -93,10 +93,10 @@ class IncompleteKraus(HybridError):
 
 
 class NotPSDCoefficients(HybridError):
-    def __init__(self, m: int, n: int, message: str = ""):
+    def __init__(self, m: int, n: int):
         self.m = m
         self.n = n
-        super().__init__(message or f"coefficient matrix at cell pair ({m}, {n}) is not PSD")
+        super().__init__(f"coefficient matrix at cell pair ({m}, {n}) is not PSD")
 
 
 class BadBasis(HybridError):

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .classical import ClassicalSpace
+from .classical import ClassicalSpace, _is_cell
 from .errors import (
     BadEffect,
     BadEvent,
@@ -151,11 +151,6 @@ def total_trace(masses: np.ndarray) -> float:
 def is_probability_vector(p: np.ndarray) -> bool:
     """Whether p >= -ZERO_MASS entrywise and sums to one within TRACE_TOL; NaN fails."""
     return bool(np.all(p >= -ZERO_MASS) and abs(p.sum() - 1.0) <= TRACE_TOL)
-
-
-def _is_cell(i) -> bool:
-    """Whether ``i`` can name a cell: a Python or numpy integer, not a bool."""
-    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
 
 
 def _cell_index(space: ClassicalSpace, cell: int) -> int:

@@ -322,7 +322,10 @@ def test_apply_matches_oracle_on_every_pattern(pattern, n_src, n_dst, qdims, dea
     masses = random_state(ch.src_space, q_src, rng).masses.copy()
     masses[np.flatnonzero(dead[:n_src])[: n_src - 1]] = 0.0  # zero-mass cells, one stays live
     w = new_state(ch.src_space, masses / np.trace(masses.sum(axis=0)).real)
-    assert np.abs(apply(ch, w).masses - apply_oracle(ch, w)).max() <= 1e-12
+    expected = apply_oracle(ch, w)
+    assert np.abs(apply(ch, w).masses - expected).max() <= 1e-12
+    assert "transfer" not in vars(ch)  # a channel's first single-state apply runs its rows
+    assert np.abs(apply(ch, w).masses - expected).max() <= 1e-12
     assert ("transfer" in vars(ch)) == (q_src * q_dst <= TRANSFER_QDIM_PRODUCT_LIMIT)
     if "transfer" in vars(ch):
         pairs = len(set(zip(ch.dst.tolist(), ch.src.tolist())))
@@ -411,18 +414,54 @@ def test_source_basis_is_built_on_the_second_apply_where_it_pays():
     assert mixing.source_basis is None
 
 
-def test_source_basis_frees_the_target_groups_the_first_apply_built():
-    rng = np.random.default_rng(30)
+_LAYOUTS = {"transfer", "source_basis", "target_groups"}
+
+
+def _layout_channel(layout, rng):
+    """A 3-cell q = 2 dense channel (transfer) or an 8-cell q = 16 rank-2 one (source_basis)."""
+    if layout == "transfer":
+        return random_channel(counting_space(3), counting_space(3), 2, 2, branching=2, seed=rng)
     space = counting_space(8)
     kernel = MarkovKernel(space, space, random_stochastic_matrix(8, 8, rng))
-    ch = non_interacting(kernel, random_kraus_set(16, 2, rng))
-    w = random_state(space, 16, rng)
+    return non_interacting(kernel, random_kraus_set(16, 2, rng))
+
+
+@pytest.mark.parametrize("first", ["one state", "stack of two"])
+@pytest.mark.parametrize("layout", ["transfer", "source_basis"])
+def test_derived_layout_is_read_from_the_second_apply_or_a_stack(layout, first):
+    rng = np.random.default_rng(30)
+    ch = _layout_channel(layout, rng)
+    states = [random_state(ch.src_space, ch.qdim_src, rng) for _ in range(2)]
+    expected = [apply_oracle(ch, w) for w in states]
+    if first == "one state":
+        assert np.abs(apply(ch, states[0]).masses - expected[0]).max() <= 1e-12
+        assert vars(ch).keys() & _LAYOUTS == {"target_groups"}
+        assert np.abs(apply(ch, states[1]).masses - expected[1]).max() <= 1e-12
+        assert vars(ch).keys() & _LAYOUTS == {"target_groups", layout}
+    else:
+        out = _apply_stack(ch, np.stack([w.masses for w in states]))
+        assert vars(ch).keys() & _LAYOUTS == {layout}
+        assert max(np.abs(o - e).max() for o, e in zip(out, expected)) <= 1e-12
+    assert getattr(ch, layout) is not None
+
+
+def test_source_basis_refuses_a_basis_that_misses_a_row(monkeypatch):
+    rng = np.random.default_rng(33)
+    ch = _layout_channel("source_basis", rng)
+    w = random_state(ch.src_space, 16, rng)
     expected = apply_oracle(ch, w)
-    assert np.abs(apply(ch, w).masses - expected).max() <= 1e-12
-    assert "target_groups" in vars(ch)  # the first apply runs the rows
-    for _ in range(2):
+    original, calls = np.linalg.svd, []
+
+    def off_by_a_millionth(a, *args, **kwargs):
+        u, sv, vh = original(a, *args, **kwargs)
+        calls.append(np.shape(a))
+        return u, sv, vh + 1e-6  # every row moves by far more than the rank cutoff
+
+    monkeypatch.setattr(np.linalg, "svd", off_by_a_millionth)
+    for _ in range(2):  # the second apply factors the rows, refuses the basis and runs the rows
         assert np.abs(apply(ch, w).masses - expected).max() <= 1e-12
-    assert ch.source_basis is not None and "target_groups" not in vars(ch)
+    assert calls and ch.source_basis is None
+    assert vars(ch).keys() & _LAYOUTS == {"target_groups", "source_basis"}
 
 
 def test_source_basis_shape_rule_rejects_before_any_factorisation(svd_calls):
@@ -486,6 +525,7 @@ def test_real_transfer_apply_is_hermitian_and_per_state(qdims, n_src, n_dst, b, 
     q_src, q_dst = qdims
     ch = _patterned_channel("dense", n_src, n_dst, q_src, q_dst, rng)
     states = [random_state(ch.src_space, q_src, rng) for _ in range(b)]
+    apply(ch, states[0])  # a channel's first single-state apply runs its rows
     out = _apply_stack(ch, np.stack([w.masses for w in states]))
     # every target reads every source at a product within the limit: the transfer branch ran
     table = ch.transfer

@@ -38,6 +38,11 @@ def test_discretize_interval_bad_inputs():
         discretize_interval(1.0, 0.0, 3)
     with pytest.raises(BadRange):
         discretize_interval(0.0, 1.0, 0)
+    # a non-integer cell count or a non-real end is refused, not passed on to numpy
+    for args in [(0.0, 1.0, 2.5), ("0", 1, 2), (None, 1, 2), (1j, 2, 2)]:
+        with pytest.raises(BadRange):
+            discretize_interval(*args)
+    assert discretize_interval(np.float64(0.0), 1, np.int64(3)).size == 3
 
 
 def test_space_requires_positive_weights():
@@ -49,6 +54,10 @@ def test_space_requires_positive_weights():
         ClassicalSpace(np.ones(2), ("a",))
     with pytest.raises(BadRange, match="at least one cell"):
         counting_space(0)
+    for n_cells in [2.5, True, "3"]:
+        with pytest.raises(BadRange, match="integer count of at least one cell"):
+            counting_space(n_cells)
+    assert counting_space(np.int64(3)).size == 3
 
 
 def test_space_equality_ignores_labels():
@@ -71,6 +80,14 @@ def test_kernel_from_map_identity_swap_constant():
 def test_kernel_from_map_out_of_range():
     with pytest.raises(BadMap):
         kernel_from_map(counting_space(2), [0, 5])
+
+
+@pytest.mark.parametrize(
+    "phi", [[0.5, 1, 2], ["1", 1, 2], [True, False, 2], lambda n: 0.7, [0, 1], [0, 1, 2, 0]]
+)
+def test_kernel_from_map_refuses_a_target_that_is_not_a_cell(phi):
+    with pytest.raises(BadMap):
+        kernel_from_map(counting_space(3), phi)
 
 
 def test_kernel_from_map_bijection_is_doubly_stochastic():
