@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .classical import ClassicalSpace, MarkovKernel
+from .classical import ClassicalSpace, MarkovKernel, _is_cell
 from .errors import (
     BadBasis,
     IncompleteChannel,
@@ -319,14 +319,16 @@ def _unchecked_from_rows(
 ) -> HybridChannel:
     """:func:`from_rows` without the completeness check.
 
-    Coerces the rows, stably sorts them by (dst, src), checks shapes, the cell
-    range and finiteness, and makes the three arrays read-only.  Only a caller
+    Coerces the rows, stably sorts them by (dst, src), checks integer cells, shapes,
+    the cell range and finiteness, and makes the three arrays read-only.  Only a caller
     that has proven every source cell complete by other means may use it.
     """
     if qdim_src < 1 or qdim_dst < 1:
         raise ShapeMismatch("quantum dimensions must be positive")
-    dst = np.asarray(dst, dtype=np.intp)
-    src = np.asarray(src, dtype=np.intp)
+    dst, src = np.asarray(dst), np.asarray(src)
+    if any(a.size and a.dtype.kind not in "iu" for a in (dst, src)):  # 0.7 would cast to 0
+        raise ShapeMismatch(f"cell indices must be integers, got {dst.dtype} and {src.dtype}")
+    dst, src = dst.astype(np.intp, copy=False), src.astype(np.intp, copy=False)
     kraus = np.asarray(kraus, dtype=complex)
     if kraus.size == 0:  # no rows, whatever the given shape
         try:
@@ -387,12 +389,14 @@ def from_blocks(
     qdim_dst: int,
     blocks,
 ) -> HybridChannel:
-    """Build a channel from {(m, n): [L, ...]} and verify per-source completeness."""
+    """Build a channel from {(m, n): [L, ...]}, m and n integer cells, and verify completeness."""
     dst: list[int] = []
     src: list[int] = []
     stacks = []
     for key, stack in blocks.items():
-        m, n = int(key[0]), int(key[1])
+        if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_cell, key))):
+            raise ShapeMismatch(f"block key {key!r:.40} is not a pair of integer cells")
+        m, n = key
         stack = np.asarray(stack, dtype=complex)
         if stack.ndim == 2:
             stack = stack[None]
@@ -430,7 +434,7 @@ def apply(channel: HybridChannel, state: HybridState) -> HybridState:
 def _apply_stack(channel: HybridChannel, masses: np.ndarray) -> np.ndarray:
     """Unvalidated output masses (B, n_dst, q_dst, q_dst) of a (B, n_src, q_src, q_src) mass stack.
 
-    The masses must be Hermitian; masses from ``new_state`` or ``_checked``,
+    The masses must be Hermitian; masses from ``new_state`` or ``linalg.densities``,
     real mixtures of those and earlier outputs are.  A channel's first
     single-state apply runs the rows in :attr:`HybridChannel.target_groups`:
     one batched product forms every sigma_src[r] L_r^dag and a second

@@ -8,9 +8,10 @@ so column sums equal one regardless of the cell weights.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from numbers import Real
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,14 +67,18 @@ def counting_space(n_cells: int, labels: tuple | None = None) -> ClassicalSpace:
 
 
 def discretize_interval(a: float, b: float, n_cells: int) -> ClassicalSpace:
-    """Uniform partition of [a, b] into cells of Lebesgue weight (b - a) / n."""
-    if not all(isinstance(x, Real) and np.isfinite(x) for x in (a, b)) or a >= b:
+    """Uniform partition of [a, b], ends finite reals, into cells of Lebesgue weight (b - a) / n."""
+    try:  # each end is taken as a float; an int beyond the float range overflows
+        lo, hi = (float(x) if isinstance(x, Real) else math.nan for x in (a, b))
+    except OverflowError:
+        lo = hi = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise BadRange(f"invalid interval [{a!r:.40}, {b!r:.40}]")
     if not _is_cell(n_cells) or n_cells < 1:
         raise BadRange(f"need an integer count of at least one cell, got {n_cells!r:.40}")
-    edges = np.linspace(a, b, n_cells + 1)
+    edges = np.linspace(lo, hi, n_cells + 1)
     labels = tuple((float(edges[i]), float(edges[i + 1])) for i in range(n_cells))
-    return ClassicalSpace(np.full(n_cells, (b - a) / n_cells), labels)
+    return ClassicalSpace(np.full(n_cells, (hi - lo) / n_cells), labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +137,14 @@ def validate_kernel(kernel) -> KernelReport:
 def kernel_from_map(space: ClassicalSpace, phi: Callable[[int], int] | Sequence[int]) -> MarkovKernel:
     """Deterministic kernel sending all mass of cell n to cell phi(n), an integer (not a bool)."""
     n = space.size
-    if not callable(phi) and len(phi) != n:
-        raise BadMap(f"map has {len(phi)} targets for {n} cells")
-    targets = [phi(i) for i in range(n)] if callable(phi) else list(phi)
+    if callable(phi):
+        targets = [phi(i) for i in range(n)]
+    elif isinstance(phi, Sequence) or (isinstance(phi, np.ndarray) and phi.ndim == 1):
+        targets = list(phi)
+    else:
+        raise BadMap(f"a map is a callable or a sequence of {n} targets, got {phi!r:.40}")
+    if len(targets) != n:
+        raise BadMap(f"map has {len(targets)} targets for {n} cells")
     matrix = np.zeros((n, n))
     for src, dst in enumerate(targets):
         if not (_is_cell(dst) and 0 <= dst < n):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .channel import COMPLETENESS_TOL, HybridChannel, apply, interaction_defect
 from .errors import HybridError, NotAnEnsemble
-from .linalg import block_margins, entropies, nonnegative, spectra, von_neumann_entropy
+from .linalg import densities, entropies, nonnegative, spectra, von_neumann_entropy
 from .state import (
     _ONE_SEGMENT,
     HybridState,
@@ -49,17 +49,13 @@ class Ensemble:
             raise NotAnEnsemble(f"states of shape {rho.shape} do not match {p.size} probabilities")
         if not is_probability_vector(p):
             raise NotAnEnsemble("probabilities must be non-negative and sum to 1")
-        margins = block_margins(rho)
         error = lambda _, problem: NotAnEnsemble(f"a member {problem}")
-        margins.require(error)
-        margins.require_unit_traces(error)
-        sym = margins.sym
+        sym, eigs = densities(rho, np.arange(p.size), error)
         p = np.clip(p, 0.0, None)
-        for arr in (p, sym, margins.eigenvalues):
-            arr.flags.writeable = False
+        p.flags.writeable = False
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "states", sym)
-        object.__setattr__(self, "eigenvalues", margins.eigenvalues)
+        object.__setattr__(self, "eigenvalues", eigs)
 
     @property
     def size(self) -> int:

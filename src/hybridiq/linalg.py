@@ -107,18 +107,13 @@ class BlockMargins(NamedTuple):
             if verdict.block is not None:
                 raise error(verdict.block, verdict.problem)
 
-    def require_unit_traces(self, error: Callable[[int, str], Exception]) -> None:
-        """Raise ``error(block, problem)`` at the first block that require_unit refuses."""
-        require_unit(np.einsum("rii->r", self.sym).real, error)
-
 
 def require_unit(traces: np.ndarray, error: Callable[[int, str], Exception]) -> None:
     """Raise ``error(index, problem)`` at the first trace that is off 1 by more than TRACE_TOL.
 
-    The one unit-trace rule, per block or per stacked state: density inputs
-    (through _require_density or require_unit_traces), ensemble members and
-    the property suites' stacked draws all call it.  One reduction, as the
-    traces are scanned as Python floats.
+    The one unit-trace rule, per block or per segment: _require_density,
+    :func:`densities` and the property suites' mixture weights call it.  One
+    reduction, as the traces are scanned as Python floats.
     """
     for index, tr in enumerate(traces.tolist()):
         if abs(tr - 1.0) > TRACE_TOL:
@@ -322,13 +317,26 @@ def is_psd(m) -> bool:
     return positive.block is None
 
 
-def _density_spectrum(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
-    """Check a density matrix; return its Hermitian part and ascending eigenvalues."""
-    margins = block_margins(as_cmatrix(rho, name)[None])
-    error = lambda _, problem: NotAState(f"{name} {problem}")
+def densities(
+    stack: np.ndarray, starts: np.ndarray, error: Callable[[int, str], Exception]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Hermitian parts and ascending spectra of a (n, d, d) stack of densities.
+
+    ``block_margins(stack).require(error)``, then :func:`require_unit` on the total trace of
+    each segment, the blocks from ``starts[s]`` up to the next; ``error`` gets the index.
+    """
+    margins = block_margins(stack)
     margins.require(error)
-    margins.require_unit_traces(error)
-    return margins.sym[0], margins.eigenvalues[0]
+    require_unit(np.add.reduceat(np.einsum("nii->n", margins.sym).real, starts), error)
+    margins.sym.flags.writeable = margins.eigenvalues.flags.writeable = False
+    return margins.sym, margins.eigenvalues
+
+
+def _density_spectrum(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:
+    """Check a density matrix; return its read-only Hermitian part and ascending eigenvalues."""
+    error = lambda _, problem: NotAState(f"{name} {problem}")
+    sym, eigs = densities(as_cmatrix(rho, name)[None], [0], error)
+    return sym[0], eigs[0]
 
 
 def _require_density(rho, name: str = "state") -> np.ndarray:

@@ -14,6 +14,7 @@ r outcomes) to the next level's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -74,20 +75,20 @@ class LoccProtocol:
     """Local dimensions and rounds, checked once at construction.
 
     First, from the outcome counts alone and before any instrument is read,
-    it needs positive dims and at least one round, and each round's ``side``
-    (1 or 2, when not None) and ``outcomes`` (at least 1) must be Python ints,
-    by the rule io reads JSON integers with; else ShapeMismatch.  The
-    reachable records (see :func:`_histories`) may number at most
+    it needs two positive dims and at least one round, and the dims and each
+    round's ``side`` (1 or 2, when not None) and ``outcomes`` (at least 1)
+    must be Python ints, by the rule io reads JSON integers with; else
+    ShapeMismatch.  The reachable records (see :attr:`levels`) may number at most
     RECORD_SPACE_LIMIT, and records x rounds, about the tuple slots the
     enumeration keeps, at most RECORD_SPACE_LIMIT * RECORD_SPACE_LIMIT.bit_length()
     (1 700 000): what rounds that each at least double the record count reach
     under the limit.
     So a long run of one-outcome rounds is refused too, and 10^5 rounds are
     refused in bounded time, with RecordSpaceTooLarge.  Then each instrument
-    is checked for its history and shape (ShapeMismatch), finite entries
-    (NumericalFailure naming the round and history) and completeness at
-    COMPLETENESS_TOL, in one batched kraus_defect pass per round
-    (IncompleteInstrument with the history and its deviation).  This is the
+    is checked for its history, a tuple of Python ints in range, and its shape
+    (ShapeMismatch), finite entries (NumericalFailure naming the round and
+    history) and completeness at COMPLETENESS_TOL, in one batched kraus_defect
+    pass per round (IncompleteInstrument with the history and its deviation).  This is the
     only place an instrument's completeness is measured: the worst defect is
     kept as ``completeness_defect``, which ``hybridiq validate`` reports and
     the lowering relies on.
@@ -99,7 +100,9 @@ class LoccProtocol:
     completeness_defect: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        d1, d2 = int(self.dims[0]), int(self.dims[1])
+        if not isinstance(self.dims, (tuple, list)) or len(self.dims) != 2:
+            raise ShapeMismatch(f"dims must be two local dimensions, got {self.dims!r:.40}")
+        d1, d2 = (require_integer(d, "local dimension", ShapeMismatch) for d in self.dims)
         if d1 < 1 or d2 < 1:
             raise ShapeMismatch("both local dimensions must be positive")
         object.__setattr__(self, "dims", (d1, d2))
@@ -127,12 +130,13 @@ class LoccProtocol:
             d_side = (d1, d2)[side - 1]
             histories, stacks = [], []
             for history, ops in rnd.instrument.items():
-                history = tuple(int(x) for x in history)
-                if len(history) != r:
+                if not isinstance(history, tuple) or len(history) != r:
                     raise ShapeMismatch(
-                        f"round {r} has instrument for history {history} of length "
-                        f"{len(history)}, expected {r}"
+                        f"round {r} has instrument for history {history!r:.40}, "
+                        f"expected a tuple of length {r}"
                     )
+                for x in history:
+                    require_integer(x, f"round {r} history entry", ShapeMismatch)
                 if any(not 1 <= history[s] <= self.rounds[s].outcomes for s in range(r)):
                     raise ShapeMismatch(f"history {history} has out-of-range outcome labels")
                 stack = np.asarray(ops, dtype=complex)
@@ -163,6 +167,21 @@ class LoccProtocol:
         object.__setattr__(self, "rounds", tuple(resolved))
         object.__setattr__(self, "completeness_defect", worst)
 
+    @cached_property
+    def levels(self) -> tuple[ClassicalSpace, ...]:
+        """Counting space of each record level, built on first read, so construction stays cheap.
+
+        Level r's labels are the histories (x_1, ..., x_r), every x_i >= 1, in
+        lexicographic order; a history's children are contiguous in the next
+        level.  All levels hold 2^(R+1) - 1 records for two outcomes in each of
+        R rounds, a total the record budget checked at construction bounds.
+        """
+        levels = [[()]]
+        for rnd in self.rounds:
+            labels = range(1, rnd.outcomes + 1)
+            levels.append([history + (x,) for history in levels[-1] for x in labels])
+        return tuple(counting_space(len(level), labels=tuple(level)) for level in levels)
+
 
 def _lift(dims: tuple[int, int], side: int, v: np.ndarray) -> np.ndarray:
     """One side's operator, or a (..., d_side, d_side) stack of them, on the full system."""
@@ -173,26 +192,6 @@ def _lift(dims: tuple[int, int], side: int, v: np.ndarray) -> np.ndarray:
     else:
         lifted = np.eye(d1)[:, None, :, None] * v[..., None, :, None, :]
     return lifted.reshape(v.shape[:-2] + (d1 * d2, d1 * d2))
-
-
-def _histories(protocol: LoccProtocol) -> list[list[tuple[int, ...]]]:
-    """Level r lists the histories (x_1, ..., x_r), every x_i >= 1, in lexicographic order.
-
-    These are the records that can carry mass: sum over k of the product of the
-    first k rounds' outcome counts, 2^(R+1) - 1 for two outcomes in each of R
-    rounds.  The protocol's construction has bounded their total.  A history's
-    children are contiguous in the next level.  The levels label both ``run``'s
-    complete records and the lowering's spaces.
-    """
-    levels = [[()]]
-    for rnd in protocol.rounds:
-        labels = range(1, rnd.outcomes + 1)
-        levels.append([history + (x,) for history in levels[-1] for x in labels])
-    return levels
-
-
-def _level_space(level: list[tuple[int, ...]]) -> ClassicalSpace:
-    return counting_space(len(level), labels=tuple(level))
 
 
 def _record_masses(a: np.ndarray, b: np.ndarray, rho4: np.ndarray) -> np.ndarray:
@@ -223,10 +222,10 @@ def run(protocol: LoccProtocol, rho) -> tuple[HybridState, np.ndarray]:
         raise DimensionMismatch(
             f"input state has dimension {density.shape[0]}, expected {d1 * d2}"
         )
-    levels = _histories(protocol)
     rho4 = density.reshape(d1, d2, d1, d2)
     factors = [np.eye(d1, dtype=complex)[None], np.eye(d2, dtype=complex)[None]]
-    for rnd, histories in zip(protocol.rounds, levels):
+    for rnd, level in zip(protocol.rounds, protocol.levels):
+        histories = level.labels
         missing = [i for i, history in enumerate(histories) if history not in rnd.instrument]
         if missing:
             lost = _record_masses(factors[0][missing], factors[1][missing], rho4)
@@ -239,20 +238,20 @@ def run(protocol: LoccProtocol, rho) -> tuple[HybridState, np.ndarray]:
         step = np.stack([rnd.instrument.get(history, pruned) for history in histories])
         factors[acting] = (step @ factors[acting][:, None]).reshape((-1,) + pruned.shape[1:])
         factors[1 - acting] = np.repeat(factors[1 - acting], rnd.outcomes, axis=0)
-    state = new_state(_level_space(levels[-1]), _record_masses(*factors, rho4))
+    state = new_state(protocol.levels[-1], _record_masses(*factors, rho4))
     return state, quantum_marginal(state)
 
 
 def initial_record_state(protocol: LoccProtocol, rho) -> HybridState:
     """``rho`` at the empty history (), the one cell of the first round channel's source."""
-    return point_mass_state(_level_space([()]), 0, rho)
+    return point_mass_state(protocol.levels[0], 0, rho)
 
 
 def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
     """One hybrid channel per round, from the level-r histories to the level-(r + 1) ones.
 
-    Level r's cells are its histories in ``_histories`` order, so the last
-    round's target is ``run``'s space of complete records, cell for cell.
+    Round r maps ``protocol.levels[r]`` to ``levels[r + 1]``, so the last
+    round's target is ``run``'s space of complete records, the same object.
     History i moves to its children, cells i*k ... i*k + k - 1, on the rows
     kron(A_a, I) of its instrument.  sum_a kron(A_a, I)^dag kron(A_a, I) is
     kron(sum_a A_a^dag A_a, I), so the instrument's completeness, measured once
@@ -262,10 +261,9 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
     by round and lexicographically within a round.
     """
     d = protocol.dims[0] * protocol.dims[1]
-    levels = _histories(protocol)
-    spaces = [_level_space(level) for level in levels]
-    channels = []
-    for r, (rnd, histories) in enumerate(zip(protocol.rounds, levels)):
+    levels, channels = protocol.levels, []
+    for r, rnd in enumerate(protocol.rounds):
+        histories = levels[r].labels
         try:
             stacked = np.stack([rnd.instrument[history] for history in histories])
         except KeyError as exc:
@@ -273,7 +271,7 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
         n, k = len(histories), rnd.outcomes
         dst, src = np.arange(n * k), np.repeat(np.arange(n), k)
         rows = _lift(protocol.dims, rnd.side, stacked).reshape(-1, d, d)
-        channels.append(_unchecked_from_rows(spaces[r], spaces[r + 1], d, d, dst, src, rows))
+        channels.append(_unchecked_from_rows(levels[r], levels[r + 1], d, d, dst, src, rows))
     return channels
 
 

@@ -31,7 +31,7 @@ from .correlations import (
 )
 from .errors import BadEffect, NotAnEnsemble, NotAState, UnknownSuite
 from .linalg import (
-    block_margins, entropies, hermitian_part, partial_trace, partial_transpose, relative_entropy,
+    densities, entropies, hermitian_part, partial_trace, partial_transpose, relative_entropy,
     require_unit, trace_norm,
 )
 from .rand import (
@@ -234,13 +234,13 @@ def _drawn_states(rng: np.random.Generator, qs: np.ndarray, sizes: np.ndarray) -
 
 def _checked_stacks(stacks: list) -> list:
     """Hermitian parts of (B, n, q, q) mass stacks, in order, after new_state's verdict
-    on each of their states: one _checked per q over every stack of that q."""
+    on each of their states: one ``densities`` per q over every stack of that q."""
     out = [None] * len(stacks)
     for q in sorted({x.shape[-1] for x in stacks}):
         idx = [i for i, x in enumerate(stacks) if x.shape[-1] == q]
         cells = np.concatenate([np.full(stacks[i].shape[0], stacks[i].shape[1]) for i in idx])
-        masses = _checked(np.concatenate([stacks[i].reshape(-1, q, q) for i in idx]),
-                          np.cumsum(cells) - cells)[0]
+        masses = densities(np.concatenate([stacks[i].reshape(-1, q, q) for i in idx]),
+                           np.cumsum(cells) - cells, _refused_draw)[0]
         bounds = np.cumsum([stacks[i].size // (q * q) for i in idx])[:-1]
         for i, m in zip(idx, np.split(masses, bounds)):
             out[i] = m.reshape(stacks[i].shape)
@@ -387,15 +387,9 @@ def run_vieq(trials: int, seed: int) -> SuiteReport:
     return report
 
 
-def _checked(blocks: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Hermitian parts and spectra of stacked draws, after new_state's verdict:
-    every block finite, Hermitian and positive, and each trial's blocks of total trace one."""
-    margins = block_margins(blocks)
-    margins.require(lambda block, problem: NotAState(f"block {block} {problem}"))
-    traces = np.add.reduceat(np.einsum("nii->n", margins.sym).real, starts)
-    require_unit(traces, lambda state, problem: NotAState(f"state {state} {problem}"))
-    margins.sym.flags.writeable = margins.eigenvalues.flags.writeable = False
-    return margins.sym, margins.eigenvalues
+def _refused_draw(index: int, problem: str) -> NotAState:
+    """The suites' ``densities`` error: a stacked draw's block, or its state, failed."""
+    return NotAState(f"draw {index} {problem}")
 
 
 def _groups(rng: np.random.Generator, qs: np.ndarray, sizes: np.ndarray):
@@ -408,11 +402,11 @@ def _groups(rng: np.random.Generator, qs: np.ndarray, sizes: np.ndarray):
         m = g @ g.conj().transpose(0, 2, 1)
         starts = np.cumsum(sizes[idx]) - sizes[idx]
         totals = np.repeat(np.add.reduceat(np.einsum("nii->n", m).real, starts), sizes[idx])
-        yield (q, idx, *_checked(m / totals[:, None, None], starts), starts)
+        yield (q, idx, *densities(m / totals[:, None, None], starts, _refused_draw), starts)
 
 
 def _trial_states(masses, eigs, starts) -> list[HybridState]:
-    """One HybridState per trial of a stack that passed new_state's verdict in _checked."""
+    """One HybridState per trial of a stack that passed new_state's verdict in ``densities``."""
     return [HybridState(counting_space(len(m)), m.shape[1], m, e)
             for m, e in zip(np.split(masses, starts[1:]), np.split(eigs, starts[1:]))]
 
@@ -445,7 +439,7 @@ def run_correlations(trials: int, seed: int) -> SuiteReport:
     rng = seeded_rng(seed, "correlations.araki")
     ns, qs = rng.integers(1, 9, trials), rng.integers(1, 7, trials)
     for q, idx, masses, eigs, starts in _groups(rng, qs, ns):
-        spectra = _checked(np.add.reduceat(masses, starts), np.arange(idx.size))[1]
+        spectra = densities(np.add.reduceat(masses, starts), np.arange(idx.size), _refused_draw)[1]
         bound = 2.0 * np.maximum(entropies(spectra), 0.0)
         araki_dev[idx] = _mutual_information_segments(masses, eigs, starts) - bound
 
@@ -459,8 +453,8 @@ def run_correlations(trials: int, seed: int) -> SuiteReport:
                                  random_kraus_set(q, int(rng.integers(1, 4)), rng))
             outputs.append(_apply_stack(ch, m[None])[0])
         dst_starts = np.cumsum(n_dst[idx]) - n_dst[idx]
-        after = _mutual_information_segments(*_checked(np.concatenate(outputs), dst_starts),
-                                             dst_starts)
+        outputs = densities(np.concatenate(outputs), dst_starts, _refused_draw)
+        after = _mutual_information_segments(*outputs, dst_starts)
         monotone_dev[idx] = after - _mutual_information_segments(masses, eigs, starts)
 
     rng = seeded_rng(seed, "correlations.product")
@@ -469,7 +463,8 @@ def run_correlations(trials: int, seed: int) -> SuiteReport:
         starts = np.cumsum(ns[idx]) - ns[idx]
         f = rng.uniform(0.1, 1.0, int(ns[idx].sum()))
         f /= np.repeat(np.add.reduceat(f, starts), ns[idx])
-        masses, eigs = _checked(f[:, None, None] * np.repeat(rho, ns[idx], axis=0), starts)
+        masses = f[:, None, None] * np.repeat(rho, ns[idx], axis=0)
+        masses, eigs = densities(masses, starts, _refused_draw)
         product_dev[idx] = _mutual_information_segments(masses, eigs, starts)
 
     rng = seeded_rng(seed, "correlations.identity")

@@ -203,6 +203,36 @@ def test_constructors_refuse_malformed_arguments(error, match, call):
         call()
 
 
+@pytest.mark.parametrize("dst, src", [
+    pytest.param([0.7, 1.2], [0.2, 1.9], id="floats"),
+    pytest.param([True, False], [True, False], id="bools"),
+    pytest.param(["0", "1"], ["0", "1"], id="strings"),
+    pytest.param([0, 1], [0.0, 1.0], id="float-sources"),
+    pytest.param(np.array([0, 1], dtype=object), [0, 1], id="objects"),
+])
+def test_from_rows_refuses_cell_indices_that_are_not_integers(dst, src):
+    # a cast to intp would build cells (0, 0) and (1, 1) from 0.7, 0.2, 1.2 and 1.9
+    with pytest.raises(ShapeMismatch, match="cell indices must be integers"):
+        from_rows(_TWO, _TWO, 1, 1, dst, src, np.ones((2, 1, 1)))
+    uint = np.array([0, 1], dtype=np.uint8)
+    assert from_rows(_TWO, _TWO, 1, 1, uint, uint, np.ones((2, 1, 1))).dst.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("blocks", [
+    pytest.param({(0.5, 0): [np.eye(1)], (1, 1.9): [np.eye(1)]}, id="floats"),
+    pytest.param({(True, 0): [np.eye(1)], (1, 1): [np.eye(1)]}, id="bool"),
+    pytest.param({("0", "0"): [np.eye(1)], (1, 1): [np.eye(1)]}, id="strings"),
+    pytest.param({0: [np.eye(1)], (1, 1): [np.eye(1)]}, id="one-int"),
+    pytest.param({(0, 0, 0): [np.eye(1)], (1, 1): [np.eye(1)]}, id="triple"),
+])
+def test_from_blocks_refuses_keys_that_are_not_cell_pairs(blocks):
+    with pytest.raises(ShapeMismatch, match="is not a pair of integer cells"):
+        from_blocks(_TWO, _TWO, 1, 1, blocks)
+    cells = np.int64(0), np.int64(1)
+    ch = from_blocks(_TWO, _TWO, 1, 1, {(c, c): [np.eye(1)] for c in cells})
+    assert ch.src.tolist() == [0, 1]
+
+
 def test_identity_channel_is_identity():
     rng = np.random.default_rng(1)
     space = counting_space(3)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -39,10 +41,14 @@ def test_discretize_interval_bad_inputs():
     with pytest.raises(BadRange):
         discretize_interval(0.0, 1.0, 0)
     # a non-integer cell count or a non-real end is refused, not passed on to numpy
-    for args in [(0.0, 1.0, 2.5), ("0", 1, 2), (None, 1, 2), (1j, 2, 2)]:
+    # an int beyond the float range does not convert to a finite float
+    for args in [(0.0, 1.0, 2.5), ("0", 1, 2), (None, 1, 2), (1j, 2, 2), (0, 10**400, 2),
+                 (-(10**400), 0, 2)]:
         with pytest.raises(BadRange):
             discretize_interval(*args)
     assert discretize_interval(np.float64(0.0), 1, np.int64(3)).size == 3
+    halves = discretize_interval(Fraction(0), Fraction(1, 2), 2)
+    assert halves.weights.tolist() == [0.25, 0.25] and halves.labels == ((0.0, 0.25), (0.25, 0.5))
 
 
 def test_space_requires_positive_weights():
@@ -83,7 +89,9 @@ def test_kernel_from_map_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "phi", [[0.5, 1, 2], ["1", 1, 2], [True, False, 2], lambda n: 0.7, [0, 1], [0, 1, 2, 0]]
+    "phi", [[0.5, 1, 2], ["1", 1, 2], [True, False, 2], lambda n: 0.7, [0, 1], [0, 1, 2, 0],
+            # not a callable, Sequence or 1-d ndarray: a dict would be read as its keys
+            5, (n for n in range(3)), {0: 1, 1: 2, 2: 0}, np.array(0)]
 )
 def test_kernel_from_map_refuses_a_target_that_is_not_a_cell(phi):
     with pytest.raises(BadMap):

@@ -19,6 +19,7 @@ from hybridiq.linalg import (
     _density_spectrum,
     _require_density,
     block_margins,
+    densities,
     entropies,
     hermitian_eig,
     is_psd,
@@ -346,9 +347,10 @@ def test_unit_trace_rule_names_the_first_block_off_by_more_than_trace_tol():
         np.diag([0.5, 0.5 + 2 * TRACE_TOL]),
         np.diag([0.25, 0.25]),
     ]).astype(complex)
-    block_margins(stack[:2]).require_unit_traces(pytest.fail)  # within the tolerance
+    densities(stack[:2], np.arange(2), pytest.fail)  # within the tolerance
+    densities(stack[[0, 3, 3]], np.array([0, 1]), pytest.fail)  # a segment's total trace is one
     with pytest.raises(NotAState) as info:
-        block_margins(stack).require_unit_traces(lambda block, problem: NotAState(f"{block} {problem}"))
+        densities(stack, np.arange(4), lambda block, problem: NotAState(f"{block} {problem}"))
     trace = float(np.trace(stack[2]).real)
     assert str(info.value) == f"2 has trace {trace!r}, expected 1"
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridiq import io
+from hybridiq import io, locc
 from hybridiq.channel import (
     COMPLETENESS_TOL, _basis_cost, _product_cost, apply, completeness_defect, from_rows
 )
@@ -27,7 +27,6 @@ from hybridiq.locc import (
     RECORD_SPACE_LIMIT,
     LoccProtocol,
     LoccRound,
-    _histories,
     as_hybrid_channels,
     initial_record_state,
     is_ppt,
@@ -285,6 +284,22 @@ def test_protocol_rejects_non_integer_side_and_outcomes(outcomes, side):
         LoccProtocol((2, 2), (LoccRound(outcomes, {(): [P0, P1]}, side=side),))
 
 
+@pytest.mark.parametrize("dims, instrument, match", [
+    pytest.param((2.5, 2), {(1,): [np.eye(2)]}, "must be an integer", id="float-dim"),
+    pytest.param(("2", "2"), {(1,): [np.eye(2)]}, "must be an integer", id="string-dims"),
+    pytest.param((2,), {(1,): [np.eye(2)]}, "two local dimensions", id="one-dim"),
+    pytest.param((2, 2), {(1.5,): [np.eye(2)]}, "must be an integer", id="float-entry"),
+    pytest.param((2, 2), {(1.5,): [np.eye(2)], (1,): [np.eye(2)]}, "must be an integer",
+                 id="float-entry-beside-its-truncation"),
+    pytest.param((2, 2), {(True,): [np.eye(2)]}, "must be an integer", id="bool-entry"),
+    pytest.param((2, 2), {1: [np.eye(2)]}, "expected a tuple of length 1", id="int-key"),
+])
+def test_protocol_refuses_non_integer_dims_and_history_entries(dims, instrument, match):
+    # the rule of side and outcomes: int() would truncate 2.5 to 2 and (1.5,) to (1,)
+    with pytest.raises(ShapeMismatch, match=match):
+        LoccProtocol(dims, (LoccRound(1, {(): [np.eye(2)]}), LoccRound(1, instrument)))
+
+
 def test_default_side_alternation():
     proto = LoccProtocol(
         (2, 3),
@@ -533,8 +548,8 @@ def test_record_space_limit_bounds_records_times_rounds():
     # level reach under the limit (limit x bit_length)
     budget = RECORD_SPACE_LIMIT * RECORD_SPACE_LIMIT.bit_length()
     longest = max(r for r in range(1, math.isqrt(budget) + 1) if (r + 1) * r <= budget)
-    levels = _histories(LoccProtocol((2, 2), (LoccRound(1, {}),) * longest))
-    assert sum(map(len, levels)) == longest + 1 and levels[-1] == [(1,) * longest]
+    levels = LoccProtocol((2, 2), (LoccRound(1, {}),) * longest).levels
+    assert sum(s.size for s in levels) == longest + 1 and levels[-1].labels == ((1,) * longest,)
     for rounds in (longest + 1, 10**4):
         with pytest.raises(RecordSpaceTooLarge):
             LoccProtocol((2, 2), (LoccRound(1, {}),) * rounds)
@@ -551,11 +566,39 @@ def test_record_budget_is_checked_before_any_instrument(kraus_defect_calls):
 
 def test_record_space_limit_counts_every_reachable_record():
     # one round of k outcomes reaches k + 1 records, () included
-    levels = _histories(LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT - 1, {}),)))
-    assert sum(map(len, levels)) == RECORD_SPACE_LIMIT
-    assert levels[0] == [()] and levels[1][0] == (1,) and levels[1][-1] == (RECORD_SPACE_LIMIT - 1,)
+    levels = LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT - 1, {}),)).levels
+    assert sum(s.size for s in levels) == RECORD_SPACE_LIMIT
+    first, last = levels[1].labels[0], levels[1].labels[-1]
+    assert levels[0].labels == ((),) and first == (1,) and last == (RECORD_SPACE_LIMIT - 1,)
     with pytest.raises(RecordSpaceTooLarge):
         LoccProtocol((2, 2), (LoccRound(RECORD_SPACE_LIMIT, {}),))
+
+
+def test_run_lowering_and_initial_state_read_the_protocol_levels(monkeypatch):
+    rng = np.random.default_rng(41)
+    outcomes = (2, 3, 1)
+    prefixes = [tuple(itertools.product(*(range(1, k + 1) for k in outcomes[:r])))
+                for r in range(len(outcomes) + 1)]
+    proto = LoccProtocol((2, 3), tuple(
+        LoccRound(k, {h: random_kraus_set((2, 3)[r % 2], k, rng) for h in prefixes[r]})
+        for r, k in enumerate(outcomes)
+    ))
+    built, counting_space = [], locc.counting_space
+    monkeypatch.setattr(
+        locc, "counting_space", lambda *a, **kw: built.append(a) or counting_space(*a, **kw)
+    )
+    rho = random_density(6, rng)
+    state = run(proto, rho)[0]
+    channels = as_hybrid_channels(proto)
+    start = initial_record_state(proto, rho)
+    assert len(built) == len(outcomes) + 1
+    levels = proto.levels
+    assert state.space is levels[-1] and start.space is levels[0]
+    for r, ch in enumerate(channels):
+        assert ch.src_space is levels[r] and ch.dst_space is levels[r + 1]
+    # lexicographic: the order itertools.product yields and sorted() keeps
+    assert [level.labels for level in levels] == prefixes
+    assert all(list(level.labels) == sorted(level.labels) for level in levels)
 
 
 def test_bench_shaped_eleven_rounds_lower_and_match_run():
