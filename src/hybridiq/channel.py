@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .classical import ClassicalSpace, MarkovKernel, _is_cell
+from .classical import ClassicalSpace, MarkovKernel, _is_cell, _require_count
 from .errors import (
     BadBasis,
     IncompleteChannel,
@@ -323,8 +323,9 @@ def _unchecked_from_rows(
     the cell range and finiteness, and makes the three arrays read-only.  Only a caller
     that has proven every source cell complete by other means may use it.
     """
-    if qdim_src < 1 or qdim_dst < 1:
-        raise ShapeMismatch("quantum dimensions must be positive")
+    if not (_is_cell(qdim_src) and _is_cell(qdim_dst)) or qdim_src < 1 or qdim_dst < 1:
+        got = f"{qdim_src!r:.20} and {qdim_dst!r:.20}"
+        raise ShapeMismatch(f"quantum dimensions must be positive integers, got {got}")
     dst, src = np.asarray(dst), np.asarray(src)
     if any(a.size and a.dtype.kind not in "iu" for a in (dst, src)):  # 0.7 would cast to 0
         raise ShapeMismatch(f"cell indices must be integers, got {dst.dtype} and {src.dtype}")
@@ -413,6 +414,8 @@ def from_blocks(
 
 
 def identity_channel(space: ClassicalSpace, qdim: int) -> HybridChannel:
+    if _require_count(qdim, "qdim", ShapeMismatch) < 1:
+        raise ShapeMismatch("quantum dimensions must be positive")
     cells = np.arange(space.size)
     eye = np.broadcast_to(np.eye(qdim, dtype=complex), (space.size, qdim, qdim))
     return from_rows(space, space, qdim, qdim, cells, cells, eye)
@@ -583,7 +586,7 @@ def from_coeff_kernel(
 
 def extend_with_ancilla(channel: HybridChannel, ancilla_dim: int) -> HybridChannel:
     """Tensor every Kraus row with the identity on a non-interacting ancilla."""
-    if ancilla_dim < 1:
+    if _require_count(ancilla_dim, "ancilla dimension", ShapeMismatch) < 1:
         raise ShapeMismatch("ancilla dimension must be positive")
     if ancilla_dim == 1:
         return channel
@@ -605,7 +608,10 @@ def random_channel(
     seed,
 ) -> HybridChannel:
     """Seeded random channel; each source cell's rows are right-normalized together."""
-    if branching < 1:
+    for qdim in (qdim_src, qdim_dst):
+        if _require_count(qdim, "qdim", ShapeMismatch) < 1:
+            raise ShapeMismatch("quantum dimensions must be positive")
+    if _require_count(branching, "branching", ShapeMismatch) < 1:
         raise ShapeMismatch("branching must be at least 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n_src, n_dst = src_space.size, dst_space.size

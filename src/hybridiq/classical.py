@@ -15,7 +15,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import BadKernel, BadMap, BadRange, SpaceMismatch
+from .errors import BadKernel, BadMap, BadRange, HybridError, SpaceMismatch
 
 STOCHASTIC_TOL = 1e-12
 
@@ -28,7 +28,7 @@ class ClassicalSpace:
     labels: tuple | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _as_numeric(self.weights, float, "cell weights", BadRange)
         if w.ndim != 1 or w.size == 0:
             raise BadRange("a space needs at least one cell")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
@@ -37,7 +37,10 @@ class ClassicalSpace:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         if self.labels is not None:
-            labels = tuple(self.labels)
+            try:
+                labels = tuple(self.labels)
+            except TypeError as exc:
+                raise BadRange(f"labels must be a collection, got {self.labels!r:.40}") from exc
             if len(labels) != w.size:
                 raise BadRange(f"{len(labels)} labels for {w.size} cells")
             object.__setattr__(self, "labels", labels)
@@ -47,8 +50,11 @@ class ClassicalSpace:
         return int(self.weights.size)
 
     def __eq__(self, other) -> bool:
-        # labels never affect computation, so they do not affect identity
-        return isinstance(other, ClassicalSpace) and np.array_equal(self.weights, other.weights)
+        # labels never affect computation, so they do not affect identity; apply,
+        # distance and mix compare spaces on every call, most often a space with itself
+        return self is other or (
+            isinstance(other, ClassicalSpace) and np.array_equal(self.weights, other.weights)
+        )
 
     def __repr__(self) -> str:
         return f"ClassicalSpace(size={self.size})"
@@ -57,6 +63,26 @@ class ClassicalSpace:
 def _is_cell(i) -> bool:
     """Whether ``i`` can name or count cells: a Python or numpy integer, not a bool."""
     return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
+def _as_numeric(value, dtype: type, what: str, error: type[HybridError]) -> np.ndarray:
+    """``np.asarray(value, dtype)``; raises ``error`` when numpy cannot read ``value`` as
+    such an array, as for a string or ragged rows."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise error(f"{what} must be {dtype.__name__} numbers: {exc}") from exc
+
+
+def _require_count(value, what: str, error: type[HybridError]) -> int:
+    """``value`` as a Python int when :func:`_is_cell` holds for it; else raises ``error``.
+
+    The rule for dimension and branching arguments, which internal callers pass
+    as numpy integers; :func:`errors.require_integer` is the stricter JSON rule.
+    """
+    if not _is_cell(value):
+        raise error(f"{what} must be an integer, got {value!r:.40}")
+    return int(value)
 
 
 def counting_space(n_cells: int, labels: tuple | None = None) -> ClassicalSpace:
@@ -90,7 +116,7 @@ class MarkovKernel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = _as_numeric(self.matrix, float, "kernel", BadKernel)
         if m.shape != (self.dst.size, self.src.size):
             raise BadKernel(
                 f"kernel shape {m.shape} does not match spaces "
@@ -113,8 +139,12 @@ class KernelReport:
 
 
 def validate_kernel(kernel) -> KernelReport:
-    """Check non-negativity and unit column sums; names the first bad column."""
-    m = np.asarray(kernel.matrix if isinstance(kernel, MarkovKernel) else kernel, dtype=float)
+    """Check non-negativity and unit column sums; names the first bad column.
+
+    Input that does not read as a real array raises BadKernel.
+    """
+    m = _as_numeric(kernel.matrix if isinstance(kernel, MarkovKernel) else kernel, float,
+                    "kernel", BadKernel)
     if m.ndim != 2 or m.size == 0:
         return KernelReport(False, None, np.inf, "kernel must be a non-empty 2-d matrix")
     if not np.all(np.isfinite(m)):

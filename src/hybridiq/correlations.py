@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import COMPLETENESS_TOL, HybridChannel, apply, interaction_defect
+from .classical import _as_numeric
 from .errors import HybridError, NotAnEnsemble
 from .linalg import densities, entropies, nonnegative, spectra, von_neumann_entropy
 from .state import (
@@ -41,8 +42,8 @@ class Ensemble:
     eigenvalues: np.ndarray = field(init=False, repr=False)  # (r, d) ascending, of each state
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
-        rho = np.asarray(self.states, dtype=complex)
+        p = _as_numeric(self.probabilities, float, "probabilities", NotAnEnsemble)
+        rho = _as_numeric(self.states, complex, "states", NotAnEnsemble)
         if p.ndim != 1 or p.size == 0:
             raise NotAnEnsemble("need at least one member")
         if rho.ndim != 3 or rho.shape != (p.size, rho.shape[1], rho.shape[1]) or rho.size == 0:

@@ -11,6 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .classical import _require_count
 from .errors import DimensionMismatch, NotAState, NotHermitian, NumericalFailure
 
 # Hermiticity is accepted up to this max-entry deviation, positivity up to
@@ -62,7 +63,7 @@ class Verdict(NamedTuple):
 def _verdict(deviations: np.ndarray, worst: float, tolerance: float, problem: str) -> Verdict:
     if worst <= tolerance:
         return Verdict(worst, tolerance)
-    block = int((deviations > tolerance).argmax())
+    block = int((~(deviations <= tolerance)).argmax())  # a NaN deviation fails too
     return Verdict(worst, tolerance, block, problem.format(deviations[block]))
 
 
@@ -147,7 +148,8 @@ def spectra(sym: np.ndarray) -> np.ndarray:
 def block_margins(stack: np.ndarray) -> BlockMargins:
     """Measure a (n, d, d) complex stack with one :func:`spectra` and no eigenvectors.
 
-    Above d = 2, :func:`positive_parts` runs it only for a stack its certificate fails.
+    :func:`positive_parts` and :func:`densities` run it only for a stack their
+    screen or certificate refuses, where it names the failing block.
     """
     nonfinite = ~np.isfinite(stack).all(axis=(1, 2))
     if nonfinite.any():
@@ -160,36 +162,74 @@ def block_margins(stack: np.ndarray) -> BlockMargins:
     return BlockMargins(nonfinite, hermiticity_defect(stack), eigs, scales, sym)
 
 
+def _screened(stack: np.ndarray) -> np.ndarray | None:
+    """The Hermitian part of a (n, d, d) stack whose max |A - A^dag| is within HERMITICITY_TOL.
+
+    One reduction over the whole stack.  A non-finite entry makes that max inf
+    or NaN, so a stack that passes is finite and passes the finite and Hermitian
+    verdicts of ``BlockMargins.worst``; None otherwise.
+    """
+    if np.abs(stack - stack.conj().swapaxes(-1, -2)).max() <= HERMITICITY_TOL:
+        return hermitian_part(stack)
+    return None
+
+
+def _certified_spectra(sym: np.ndarray) -> np.ndarray | None:
+    """:func:`spectra` of a screened Hermitian stack when every
+    lambda_min / max(1, trace norm) >= -PSD_TOL, the positive verdict's rule; else None."""
+    eigs = spectra(sym)
+    low = eigs[:, 0]
+    # every finite lambda_min >= 0 gives a quotient >= 0; only a stack with a
+    # negative, infinite or NaN one needs the quotients
+    if not 0.0 <= low.min() <= low.max() < np.inf:
+        if not (low / np.maximum(1.0, np.abs(eigs).sum(axis=1))).min() >= -PSD_TOL:
+            return None
+    return eigs
+
+
+def _cholesky_certifies(sym: np.ndarray) -> bool:
+    """Whether one batched Cholesky of each block of a screened Hermitian stack, shifted
+    by (PSD_TOL - 2 d^2 eps) * max(1, tr), completes with a finite factor."""
+    n, d = sym.shape[:2]
+    shifted = sym.copy()
+    tol = PSD_TOL - 2 * d * d * np.finfo(float).eps
+    shift = tol * np.maximum(1.0, np.einsum("nii->n", sym).real)
+    shifted.reshape(n, d * d)[:, :: d + 1] += shift[:, None]  # the diagonal, in place
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+    except np.linalg.LinAlgError:
+        return False
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def positive_parts(
     stack: np.ndarray, error: Callable[[int, str], Exception]
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Hermitian parts and, when solved, spectra of a (n, d, d) stack that
     ``block_margins(stack).require(error)`` accepts; raises as it does otherwise.
 
-    Above d = 2 one batched Cholesky of each Hermitian part shifted by
-    (PSD_TOL - 2 d^2 eps) * max(1, tr) certifies the stack without a spectrum
-    (None).  A factorization that completes is exact for a matrix within
-    about d(d+1)/2 eps ||A|| of the shifted part (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 10); the 2 d^2 eps margin covers
-    that and the spectrum rule's own rounding, and max(1, tr) is at most the
-    rule's max(1, trace norm), so the certificate accepts only what the rule
-    accepts.  A non-finite entry fails the Hermiticity test and an overflowed
-    part gives a non-finite factor; neither is certified.  At d <= 2, where
-    the closed-form spectrum costs less than a Cholesky, and whenever the
-    certificate fails, block_margins decides.
+    Screen, then certify.  The screen is one whole-stack max |A - A^dag| <=
+    HERMITICITY_TOL, which also refuses a non-finite entry.  At d <= 2 the
+    certificate is the positive verdict's own rule on the closed-form spectra,
+    returned as block_margins would return them.  Above 2 it is one batched
+    Cholesky of each Hermitian part shifted by (PSD_TOL - 2 d^2 eps) * max(1, tr),
+    and no spectrum is solved (None).  A factorization that completes is exact
+    for a matrix within about d(d+1)/2 eps ||A|| of the shifted part (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 10); the 2 d^2 eps
+    margin covers that and the spectrum rule's own rounding, and max(1, tr) is
+    at most the rule's max(1, trace norm), so the certificate accepts only what
+    the rule accepts.  An overflowed part gives a non-finite factor, which is
+    not certified.  Only a stack that the screen or the certificate refuses
+    runs block_margins, which names the failing block or, where the Cholesky
+    was too strict, accepts it with its spectra.  No numpy warning is raised.
     """
-    d = stack.shape[-1]
-    if d > 2 and hermiticity_defect(stack).max() <= HERMITICITY_TOL:
-        sym = hermitian_part(stack)
-        tol = PSD_TOL - 2 * d * d * np.finfo(float).eps
-        shift = tol * np.maximum(1.0, np.einsum("nii->n", sym).real)
-        # a part near the float maximum overflows here; its factor is then not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                if np.isfinite(np.linalg.cholesky(sym + np.multiply.outer(shift, np.eye(d)))).all():
-                    return sym, None
-            except np.linalg.LinAlgError:
-                pass
+    sym = _screened(stack)
+    if sym is not None:
+        if stack.shape[-1] > 2:
+            if _cholesky_certifies(sym):
+                return sym, None
+        elif (eigs := _certified_spectra(sym)) is not None:
+            return sym, eigs
     margins = block_margins(stack)
     margins.require(error)
     return margins.sym, margins.eigenvalues
@@ -277,14 +317,22 @@ def trace_norm(m) -> float:
         raise NumericalFailure(f"singular value decomposition failed: {exc}") from exc
 
 
-def partial_trace(m, dim_a: int, dim_b: int, side: str) -> np.ndarray:
-    """Trace out factor ``side`` of a matrix on a ``dim_a * dim_b`` product space."""
+def _factored(m, dim_a: int, dim_b: int) -> np.ndarray:
+    """``m`` as a (dim_a, dim_b, dim_a, dim_b) array; DimensionMismatch unless both dims
+    are integers (Python or numpy, not bools) whose product is its dimension."""
     arr = as_cmatrix(m)
+    for dim in (dim_a, dim_b):
+        _require_count(dim, "factor dimension", DimensionMismatch)
     if dim_a < 1 or dim_b < 1 or arr.shape[0] != dim_a * dim_b:
         raise DimensionMismatch(
             f"matrix of dimension {arr.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
-    t = arr.reshape(dim_a, dim_b, dim_a, dim_b)
+    return arr.reshape(dim_a, dim_b, dim_a, dim_b)
+
+
+def partial_trace(m, dim_a: int, dim_b: int, side: str) -> np.ndarray:
+    """Trace out factor ``side`` of a matrix on a ``dim_a * dim_b`` product space."""
+    t = _factored(m, dim_a, dim_b)
     if side == "A":
         return np.einsum("iaib->ab", t)
     if side == "B":
@@ -294,19 +342,14 @@ def partial_trace(m, dim_a: int, dim_b: int, side: str) -> np.ndarray:
 
 def partial_transpose(m, dim_a: int, dim_b: int, side: str) -> np.ndarray:
     """Transpose factor ``side`` of a matrix on a ``dim_a * dim_b`` product space."""
-    arr = as_cmatrix(m)
-    if dim_a < 1 or dim_b < 1 or arr.shape[0] != dim_a * dim_b:
-        raise DimensionMismatch(
-            f"matrix of dimension {arr.shape[0]} does not factor as {dim_a} x {dim_b}"
-        )
-    t = arr.reshape(dim_a, dim_b, dim_a, dim_b)
+    t = _factored(m, dim_a, dim_b)
     if side == "A":
         out = t.transpose(2, 1, 0, 3)
     elif side == "B":
         out = t.transpose(0, 3, 2, 1)
     else:
         raise DimensionMismatch(f"side must be 'A' or 'B', got {side!r}")
-    return out.reshape(arr.shape)
+    return out.reshape(dim_a * dim_b, dim_a * dim_b)
 
 
 def is_psd(m) -> bool:
@@ -317,6 +360,7 @@ def is_psd(m) -> bool:
     return positive.block is None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def densities(
     stack: np.ndarray, starts: np.ndarray, error: Callable[[int, str], Exception]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -324,12 +368,18 @@ def densities(
 
     ``block_margins(stack).require(error)``, then :func:`require_unit` on the total trace of
     each segment, the blocks from ``starts[s]`` up to the next; ``error`` gets the index.
+    The stack takes :func:`positive_parts`' screen, then the positive rule on its
+    spectra at every d; block_margins runs only for a stack either refuses.
     """
-    margins = block_margins(stack)
-    margins.require(error)
-    require_unit(np.add.reduceat(np.einsum("nii->n", margins.sym).real, starts), error)
-    margins.sym.flags.writeable = margins.eigenvalues.flags.writeable = False
-    return margins.sym, margins.eigenvalues
+    sym = _screened(stack)
+    eigs = None if sym is None else _certified_spectra(sym)
+    if eigs is None:
+        margins = block_margins(stack)
+        margins.require(error)
+        sym, eigs = margins.sym, margins.eigenvalues
+    require_unit(np.add.reduceat(np.einsum("nii->n", sym).real, starts), error)
+    sym.flags.writeable = eigs.flags.writeable = False
+    return sym, eigs
 
 
 def _density_spectrum(rho, name: str = "state") -> tuple[np.ndarray, np.ndarray]:

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classical import ClassicalSpace, counting_space, identity_kernel
+from .classical import ClassicalSpace, _as_numeric, counting_space, identity_kernel
 from .errors import (
     DimensionMismatch,
     IncompleteInstrument,
@@ -215,6 +215,9 @@ def run(protocol: LoccProtocol, rho) -> tuple[HybridState, np.ndarray]:
     Lambda(rho) = sum_x W_x rho W_x^dag.  A history without an instrument is
     pruned when its branch mass is at most ZERO_MASS, else IncompleteInstrument
     names the first one, round by round and lexicographically within a round.
+    The input's density check and the record state's ``new_state`` take
+    ``linalg.positive_parts``' screen and certificate, so a valid input above
+    dimension 2 solves no spectrum and measures no per-block margins.
     """
     d1, d2 = protocol.dims
     density = _require_density(rho, "input state")
@@ -286,15 +289,27 @@ def _cell_states(space: ClassicalSpace, states, side: str) -> list[np.ndarray]:
     return eta
 
 
-def separable_from_ensemble(space: ClassicalSpace, f, states_1, states_2) -> np.ndarray:
-    """Discretized separable state sum_n f_n eta1_n (x) eta2_n."""
-    p = np.asarray(f, dtype=float)
+def _checked_ensemble(
+    space: ClassicalSpace, f, states_1, states_2
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """The cell masses ``f`` as a probability vector, then each side's cell states, checked."""
+    p = _as_numeric(f, float, "cell masses", NotAState)
     if p.ndim != 1 or p.size != space.size:
         raise NotAState(f"cell masses have shape {p.shape}, expected ({space.size},)")
     if not is_probability_vector(p):
         raise NotAState("cell masses must be non-negative and sum to 1")
     eta1 = _cell_states(space, states_1, "first-side")
     eta2 = _cell_states(space, states_2, "second-side")
+    return p, eta1, eta2
+
+
+def separable_from_ensemble(space: ClassicalSpace, f, states_1, states_2) -> np.ndarray:
+    """Discretized separable state sum_n f_n eta1_n (x) eta2_n."""
+    return _separable(*_checked_ensemble(space, f, states_1, states_2))
+
+
+def _separable(p: np.ndarray, eta1: list[np.ndarray], eta2: list[np.ndarray]) -> np.ndarray:
+    """:func:`separable_from_ensemble` of an ensemble :func:`_checked_ensemble` returned."""
     d1, d2 = eta1[0].shape[0], eta2[0].shape[0]
     out = np.zeros((d1 * d2, d1 * d2), dtype=complex)
     for weight, a, b in zip(np.clip(p, 0.0, None), eta1, eta2):
@@ -305,15 +320,11 @@ def separable_from_ensemble(space: ClassicalSpace, f, states_1, states_2) -> np.
 def is_ppt(rho, dim_1: int, dim_2: int) -> bool:
     """Partial transpose test: conclusive for separability on 2x2 and 2x3.
 
-    The density check above dimension 2 is the shifted-Cholesky certificate
-    of ``linalg.positive_parts``; the partial transpose's spectrum is solved.
+    The density check is ``linalg.positive_parts``' screen and certificate, a
+    shifted Cholesky above dimension 2; ``linalg.partial_transpose`` checks the
+    dims, and the spectrum of its result is solved.
     """
-    density = _require_density(rho)
-    if density.shape[0] != dim_1 * dim_2:
-        raise DimensionMismatch(
-            f"state of dimension {density.shape[0]} does not factor as {dim_1} x {dim_2}"
-        )
-    transposed = partial_transpose(density, dim_1, dim_2, "B")
+    transposed = partial_transpose(_require_density(rho), dim_1, dim_2, "B")
     return bool(np.linalg.eigvalsh(transposed)[0] >= -PPT_TOL)
 
 
@@ -368,10 +379,9 @@ def steer_to_separable(space: ClassicalSpace, f, states_1, states_2) -> Steering
     |0><k| (x) |0><k'|; the next two steps repopulate side 1 and side 2 cell by
     cell from the eigendecompositions of the target conditional states.
     """
-    eta1 = _cell_states(space, states_1, "first-side")
-    eta2 = _cell_states(space, states_2, "second-side")
+    p, eta1, eta2 = _checked_ensemble(space, f, states_1, states_2)
     d1, d2 = eta1[0].shape[0], eta2[0].shape[0]
-    target = separable_from_ensemble(space, f, eta1, eta2)
+    target = _separable(p, eta1, eta2)
 
     ket0_1 = np.zeros(d1, dtype=complex)
     ket0_1[0] = 1.0
@@ -385,7 +395,7 @@ def steer_to_separable(space: ClassicalSpace, f, states_1, states_2) -> Steering
     collapse = non_interacting(identity_kernel(space), collapse_kraus)
     return SteeringScript(
         space=space,
-        cell_masses=np.asarray(f, dtype=float),
+        cell_masses=p,
         collapse=collapse,
         local_1=_local_repopulation(space, eta1, 1, (d1, d2)),
         local_2=_local_repopulation(space, eta2, 2, (d1, d2)),

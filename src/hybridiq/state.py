@@ -14,7 +14,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .classical import ClassicalSpace, _is_cell
+from .classical import ClassicalSpace, _as_numeric, _is_cell, _require_count
 from .errors import (
     BadEffect,
     BadEvent,
@@ -122,10 +122,13 @@ def new_state(space: ClassicalSpace, masses) -> HybridState:
     Raises NotPositive, naming the lowest failing cell, for a non-finite, then a
     non-Hermitian, then a non-PSD block (``BlockMargins.worst``), and
     NotNormalized when the total trace is off by more than the tolerance.
-    Above qdim 2 a shifted Cholesky certifies positivity (``linalg.positive_parts``)
-    and the spectrum is left to be solved on first read of ``eigenvalues``.
+    The masses take ``linalg.positive_parts``: one whole-stack Hermiticity
+    screen, then at qdim <= 2 the positive rule on the closed-form spectra,
+    which are kept as ``eigenvalues``, and above 2 a shifted Cholesky, which
+    leaves the spectrum to be solved on first read of ``eigenvalues``.  The
+    per-cell margins are measured only to name a failing cell.
     """
-    arr = np.asarray(masses, dtype=complex)
+    arr = _as_numeric(masses, complex, "masses", DimensionMismatch)
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] == 0:
         raise DimensionMismatch(f"masses must stack to (cells, q, q), got shape {arr.shape}")
     if arr.shape[0] != space.size:
@@ -264,7 +267,7 @@ def mix(w1: HybridState, w2: HybridState, t: float) -> HybridState:
 
 def product_state(space: ClassicalSpace, f, rho) -> HybridState:
     """Non-interacting state with classical cell masses ``f`` and quantum state ``rho``."""
-    p = np.asarray(f, dtype=float)
+    p = _as_numeric(f, float, "classical masses", NotAState)
     if p.ndim != 1 or p.size != space.size:
         raise NotAState(f"classical masses have shape {p.shape}, expected ({space.size},)")
     if not is_probability_vector(p):
@@ -318,7 +321,9 @@ def embed_quantum(state: HybridState) -> np.ndarray:
 
 
 def random_state(space: ClassicalSpace, qdim: int, seed) -> HybridState:
-    """Full-rank random state from normalized per-cell Wishart blocks."""
+    """Full-rank random state from normalized per-cell Wishart blocks; qdim an integer >= 1."""
+    if _require_count(qdim, "qdim", DimensionMismatch) < 1:
+        raise DimensionMismatch(f"qdim must be positive, got {qdim}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     g = random_complex(rng, (space.size, qdim, qdim))
     blocks = np.einsum("nij,nkj->nik", g, g.conj())

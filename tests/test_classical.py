@@ -74,6 +74,20 @@ def test_space_equality_ignores_labels():
     assert a != c
 
 
+def test_a_space_equals_itself_without_comparing_weights(monkeypatch):
+    a = ClassicalSpace(np.array([1.0, 2.0]), labels=("x", "y"))
+    b = ClassicalSpace(np.array([1.0, 2.0]))
+    calls = []
+    original = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda *args: calls.append(1) or original(*args))
+    assert a == a and not a != a
+    assert calls == []
+    # distinct spaces still compare their weights, and labels still do not count
+    assert a == b and b == a and a != ClassicalSpace(np.array([1.0, 3.0]))
+    assert len(calls) == 3
+    assert a != "a space" and counting_space(2) == counting_space(2)
+
+
 def test_kernel_from_map_identity_swap_constant():
     space = counting_space(2)
     assert np.array_equal(kernel_from_map(space, [0, 1]).matrix, np.eye(2))

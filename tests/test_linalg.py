@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridiq import linalg
 from hybridiq.classical import counting_space
 from hybridiq.correlations import Ensemble
 from hybridiq.errors import (
@@ -26,7 +27,9 @@ from hybridiq.linalg import (
     kraus_defect,
     partial_trace,
     partial_transpose,
+    positive_parts,
     relative_entropy,
+    require_unit,
     right_normalize,
     spectra,
     trace_norm,
@@ -34,7 +37,7 @@ from hybridiq.linalg import (
 )
 from hybridiq.locc import PPT_TOL, is_ppt
 from hybridiq.rand import random_complex, random_density, random_kraus_set, random_unitary
-from hybridiq.state import HybridState, new_state
+from hybridiq.state import HybridState, new_state, random_state
 
 
 def char_poly_coeffs(m):
@@ -552,3 +555,145 @@ def test_cholesky_certificate_accepts_nothing_the_spectrum_rule_refuses_at_its_e
             assert outcome == _outcome(_new_state_by_spectrum, space, masses)
             verdicts.add(outcome[0] is NotPositive)
     assert verdicts == {True, False}
+
+
+BIG = np.finfo(float).max
+
+
+def _edge_block(kind: str, d: int) -> np.ndarray:
+    """A d x d block at an edge of the screen or the certificate (see EDGE_KINDS)."""
+    m = np.eye(d, dtype=complex) / d
+    last = d - 1
+    if kind in ("nan-diag", "inf-diag", "infj-diag"):
+        m[last, last] = {"nan-diag": np.nan, "inf-diag": np.inf, "infj-diag": 1j * np.inf}[kind]
+    elif kind in ("nan-off", "inf-off", "inf-pair"):
+        m[last, 0] = np.nan if kind == "nan-off" else np.inf
+        if kind == "inf-pair":  # the conjugate is inf too, so A - A^dag reads inf - inf
+            m[0, last] = np.inf
+    elif kind.startswith("hermiticity"):
+        # a defect of exactly HERMITICITY_TOL, or the next float above it
+        defect = HERMITICITY_TOL if kind == "hermiticity-at" else np.nextafter(HERMITICITY_TOL, 1)
+        if d == 1:
+            m[0, 0] += 0.5j * defect  # A - A^dag is then i * defect
+        else:
+            m[last, 0] += defect
+    elif kind.startswith("floor"):
+        # diag(low, 0, ...), whose spectrum is exact: a floor of exactly -PSD_TOL
+        # (scale 1), or the next float below it
+        m = np.zeros((d, d), dtype=complex)
+        m[0, 0] = -PSD_TOL if kind == "floor-at" else np.nextafter(-PSD_TOL, -1)
+    elif kind == "max-diag":
+        m = np.zeros((d, d), dtype=complex)
+        m[last, last] = BIG
+    elif kind == "max-eye":
+        m = BIG * np.eye(d, dtype=complex)
+    elif kind in ("max-pair", "max-anti", "max-complex"):
+        m = np.zeros((d, d), dtype=complex)
+        v = BIG + 1j * BIG if kind == "max-complex" else BIG
+        m[0, last] = v
+        m[last, 0] = -BIG if kind == "max-anti" else np.conj(v)
+    return m
+
+
+EDGE_KINDS = [
+    "valid", "nan-diag", "inf-diag", "infj-diag", "nan-off", "inf-off", "inf-pair",
+    "hermiticity-at", "hermiticity-above", "floor-at", "floor-below",
+    "max-diag", "max-eye", "max-pair", "max-anti", "max-complex",
+]
+_CELL_ERROR = lambda cell, problem: NotPositive(cell, f"cell {cell} {problem}")
+
+
+def _decision(f, *args):
+    """A check's error as (class, message, cell), or its value with arrays as their bytes."""
+    try:
+        value = f(*args)
+    except HybridError as exc:
+        return type(exc), str(exc), getattr(exc, "cell", None)
+    return tuple(None if v is None else v.tobytes() for v in value)
+
+
+def _parts_by_margins(stack, error):
+    margins = block_margins(stack)
+    margins.require(error)
+    return margins.sym, margins.eigenvalues
+
+
+def _densities_by_margins(stack, starts, error):
+    sym, eigs = _parts_by_margins(stack, error)
+    require_unit(np.add.reduceat(np.einsum("nii->n", sym).real, starts), error)
+    return sym, eigs
+
+
+@pytest.mark.parametrize("kind", EDGE_KINDS)
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_screen_and_certificate_decide_as_block_margins(d, kind):
+    stack = np.stack([np.eye(d, dtype=complex) / d, _edge_block(kind, d)])
+    starts = np.arange(2)
+    with np.errstate(all="ignore"):  # block_margins itself may overflow on the max-* blocks
+        want = _decision(_parts_by_margins, stack, _CELL_ERROR)
+        want_densities = _decision(_densities_by_margins, stack, starts, _CELL_ERROR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _decision(positive_parts, stack, _CELL_ERROR)
+        got_densities = _decision(densities, stack, starts, _CELL_ERROR)
+    assert got_densities == want_densities
+    if got[-1] is None and want[-1] is not None and d > 2:
+        assert got[0] == want[0]  # certified by the Cholesky: the same sym, no spectrum
+    else:
+        assert got == want  # the same error, cell and message, or bit-identical sym and eigs
+    if got[0] is NotPositive:  # a refusal names the edge block, never the valid one before it
+        assert got[2] == 1
+
+
+def test_screen_and_certificate_edges_fall_on_both_sides():
+    # the at-tolerance blocks pass and the next float fails, at every d
+    for d in (1, 2, 3, 4):
+        for kind, accepted in [("hermiticity-at", True), ("hermiticity-above", False),
+                               ("floor-at", True), ("floor-below", False)]:
+            stack = _edge_block(kind, d)[None]
+            outcome = _decision(positive_parts, stack, _CELL_ERROR)
+            assert (outcome[0] is not NotPositive) == accepted, (d, kind, outcome)
+
+
+def test_a_nan_floor_names_its_own_block():
+    # eigenvalues -+inf give a NaN floor; the verdict names that block, not block 0
+    stack = np.stack([np.eye(2, dtype=complex) / 2, _edge_block("max-complex", 2)])
+    with pytest.raises(NotPositive, match="^cell 1 is not positive semidefinite$"):
+        positive_parts(stack, _CELL_ERROR)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_screen_and_certificate_match_block_margins_on_random_stacks(d):
+    rng = np.random.default_rng(32 + d)
+    # a 1 x 1 block cannot place lambda_min apart from its trace; the edge tests cover d = 1
+    for kind in ["random", "rank-1", "zero", *(PLACED_LOWS if d > 1 else ())] * 10:
+        stack = np.stack([_placed_density(kind, d, rng) for _ in range(3)])
+        got = _decision(positive_parts, stack, _CELL_ERROR)
+        want = _decision(_parts_by_margins, stack, _CELL_ERROR)
+        if d > 2 and got[-1] is None:
+            assert got[0] == want[0]
+        else:
+            assert got == want
+        starts = np.array([0])
+        assert _decision(densities, stack, starts, _CELL_ERROR) == _decision(
+            _densities_by_margins, stack, starts, _CELL_ERROR
+        )
+
+
+def test_valid_stacks_never_run_block_margins(monkeypatch):
+    def refused(stack):
+        raise AssertionError("block_margins ran on a valid stack")
+
+    monkeypatch.setattr(linalg, "block_margins", refused)
+    rng = np.random.default_rng(32)
+    for q in (1, 2, 3, 4):
+        space = counting_space(5)
+        masses = random_state(space, q, rng).masses
+        new_state(space, masses)
+        rho = random_density(q, rng)
+        _require_density(rho)
+        _density_spectrum(rho)
+        densities(masses / np.einsum("nii->n", masses).real[:, None, None], np.arange(5),
+                  _CELL_ERROR)
+        Ensemble([0.5, 0.5], [rho, rho])
+    is_ppt(random_density(4, rng), 2, 2)

@@ -762,6 +762,26 @@ def test_locc_preserves_ppt_on_separable_inputs():
         assert is_ppt(lam, 2, 2)
 
 
+def test_steering_checks_each_cell_state_once(monkeypatch):
+    calls = []
+    original = locc._require_density
+
+    def counted(rho, name="state"):
+        calls.append(name)
+        return original(rho, name)
+
+    monkeypatch.setattr(locc, "_require_density", counted)
+    space = counting_space(3)
+    rng = np.random.default_rng(32)
+    states_1 = [random_density(2, rng) for _ in range(3)]
+    states_2 = [random_density(2, rng) for _ in range(3)]
+    script = steer_to_separable(space, [0.2, 0.3, 0.5], states_1, states_2)
+    assert len(calls) == 6
+    assert np.array_equal(
+        script.target, separable_from_ensemble(space, [0.2, 0.3, 0.5], states_1, states_2)
+    )
+
+
 def test_steering_bell_to_pure_product():
     space = counting_space(1)
     script = steer_to_separable(space, [1.0], [P0], [P0])

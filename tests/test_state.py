@@ -7,21 +7,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hybridiq import io
-from hybridiq.channel import apply, random_channel
-from hybridiq.classical import counting_space, discretize_interval
+from hybridiq.channel import (
+    apply, extend_with_ancilla, from_rows, identity_channel, random_channel,
+)
+from hybridiq.classical import (
+    ClassicalSpace, MarkovKernel, counting_space, discretize_interval, validate_kernel,
+)
+from hybridiq.correlations import Ensemble
 from hybridiq.errors import (
     BadEffect,
     BadEvent,
+    BadKernel,
+    BadRange,
     DimensionMismatch,
     HybridError,
+    NotAnEnsemble,
     NotAState,
     NotNormalized,
     NotPositive,
+    ShapeMismatch,
     SpaceMismatch,
     ZeroMassCell,
     ZeroProbability,
 )
-from hybridiq.linalg import PSD_TOL, partial_trace, trace_norm
+from hybridiq.linalg import PSD_TOL, partial_trace, partial_transpose, trace_norm
+from hybridiq.locc import is_ppt, separable_from_ensemble
 from hybridiq.rand import random_density, random_effect, random_probability_vector, random_unitary
 from hybridiq.state import (
     Effect,
@@ -371,6 +381,83 @@ BAD_ARGUMENTS = [
     pytest.param(lambda: condition_on_effect(_two_cell_qdim_3(), np.eye(2) / 2), DimensionMismatch,
                  "qdim 3 does not factor with ancilla dim 2", id="condition-on-effect-dimension"),
 ]
+
+
+# input that numpy cannot read as a number array: a string, ragged rows, a bare int
+# where a collection is expected
+MALFORMED_INPUTS = [
+    pytest.param(lambda: new_state(counting_space(1), "abc"), DimensionMismatch, id="masses-string"),
+    pytest.param(lambda: new_state(counting_space(2), [KET0, [[1.0, 0.0]]]), DimensionMismatch,
+                 id="masses-ragged"),
+    pytest.param(lambda: product_state(counting_space(2), ["a", "b"], KET0), NotAState,
+                 id="product-state-strings"),
+    pytest.param(lambda: Ensemble(["a"], [KET0]), NotAnEnsemble, id="ensemble-strings"),
+    pytest.param(lambda: Ensemble([0.5, 0.5], [KET0, [[1.0]]]), NotAnEnsemble,
+                 id="ensemble-ragged"),
+    pytest.param(lambda: MarkovKernel(counting_space(2), counting_space(2), "ab"), BadKernel,
+                 id="kernel-string"),
+    pytest.param(lambda: validate_kernel([[1, 0], [0]]), BadKernel, id="kernel-ragged"),
+    pytest.param(lambda: ClassicalSpace([1.0, 1.0], labels=5), BadRange, id="labels-int"),
+    pytest.param(lambda: ClassicalSpace("ab"), BadRange, id="weights-string"),
+    pytest.param(lambda: separable_from_ensemble(counting_space(1), ["a"], [KET0], [KET0]),
+                 NotAState, id="separable-strings"),
+]
+
+
+@pytest.mark.parametrize("call, error", MALFORMED_INPUTS)
+def test_malformed_input_raises_the_documented_error(call, error):
+    with pytest.raises(HybridError) as info:
+        call()
+    assert type(info.value) is error
+
+
+_I4 = np.eye(4, dtype=complex)
+_CH = identity_channel(counting_space(2), 2)
+
+# dimension and branching arguments are Python or numpy integers, not bools or floats
+NON_INTEGER_DIMENSIONS = [
+    pytest.param(lambda: extend_with_ancilla(_CH, 2.5), ShapeMismatch, id="ancilla-float"),
+    pytest.param(lambda: extend_with_ancilla(_CH, "2"), ShapeMismatch, id="ancilla-string"),
+    pytest.param(lambda: extend_with_ancilla(_CH, True), ShapeMismatch, id="ancilla-bool"),
+    pytest.param(lambda: identity_channel(counting_space(2), 2.5), ShapeMismatch,
+                 id="identity-float"),
+    pytest.param(lambda: identity_channel(counting_space(2), -1), ShapeMismatch,
+                 id="identity-negative"),
+    pytest.param(lambda: random_channel(counting_space(2), counting_space(2), 2.5, 2, 1, 1),
+                 ShapeMismatch, id="random-channel-qdim"),
+    pytest.param(lambda: random_channel(counting_space(2), counting_space(2), 2, 0, 1, 1),
+                 ShapeMismatch, id="random-channel-qdim-zero"),
+    pytest.param(lambda: random_channel(counting_space(2), counting_space(2), 2, 2, 2.5, 1),
+                 ShapeMismatch, id="random-channel-branching"),
+    pytest.param(lambda: from_rows(counting_space(1), counting_space(1), 2.5, 2.5, [], [], ()),
+                 ShapeMismatch, id="from-rows-qdim"),
+    pytest.param(lambda: random_state(counting_space(2), 2.5, 1), DimensionMismatch,
+                 id="random-state-float"),
+    pytest.param(lambda: random_state(counting_space(2), -1, 1), DimensionMismatch,
+                 id="random-state-negative"),
+    pytest.param(lambda: partial_trace(_I4, 2.5, 1.6, "A"), DimensionMismatch,
+                 id="partial-trace"),
+    pytest.param(lambda: partial_transpose(_I4, "2", 2, "A"), DimensionMismatch,
+                 id="partial-transpose"),
+    pytest.param(lambda: is_ppt(_I4 / 4, 2.0, 2.0), DimensionMismatch, id="is-ppt"),
+]
+
+
+@pytest.mark.parametrize("call, error", NON_INTEGER_DIMENSIONS)
+def test_dimension_arguments_must_be_integers(call, error):
+    with pytest.raises(HybridError) as info:
+        call()
+    assert type(info.value) is error
+
+
+def test_dimension_arguments_accept_numpy_integers():
+    space = counting_space(2)
+    assert extend_with_ancilla(_CH, np.int64(2)).qdim_src == 4
+    assert identity_channel(space, np.int32(2)).qdim_dst == 2
+    assert random_channel(space, space, np.int64(2), np.int64(2), np.int64(1), 1).qdim_src == 2
+    assert random_state(space, np.int64(2), 1).qdim == 2
+    assert np.array_equal(partial_trace(_I4, np.int64(2), np.int64(2), "A"), 2 * np.eye(2))
+    assert is_ppt(_I4 / 4, np.int64(2), np.int64(2))
 
 
 @pytest.mark.parametrize("call, error, message", BAD_ARGUMENTS)
