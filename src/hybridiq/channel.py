@@ -323,9 +323,8 @@ def _unchecked_from_rows(
     the cell range and finiteness, and makes the three arrays read-only.  Only a caller
     that has proven every source cell complete by other means may use it.
     """
-    if not (_is_cell(qdim_src) and _is_cell(qdim_dst)) or qdim_src < 1 or qdim_dst < 1:
-        got = f"{qdim_src!r:.20} and {qdim_dst!r:.20}"
-        raise ShapeMismatch(f"quantum dimensions must be positive integers, got {got}")
+    for qdim in (qdim_src, qdim_dst):
+        _require_count(qdim, "quantum dimensions must be positive integers", ShapeMismatch)
     dst, src = np.asarray(dst), np.asarray(src)
     if any(a.size and a.dtype.kind not in "iu" for a in (dst, src)):  # 0.7 would cast to 0
         raise ShapeMismatch(f"cell indices must be integers, got {dst.dtype} and {src.dtype}")
@@ -414,8 +413,7 @@ def from_blocks(
 
 
 def identity_channel(space: ClassicalSpace, qdim: int) -> HybridChannel:
-    if _require_count(qdim, "qdim", ShapeMismatch) < 1:
-        raise ShapeMismatch("quantum dimensions must be positive")
+    _require_count(qdim, "quantum dimensions must be positive integers", ShapeMismatch)
     cells = np.arange(space.size)
     eye = np.broadcast_to(np.eye(qdim, dtype=complex), (space.size, qdim, qdim))
     return from_rows(space, space, qdim, qdim, cells, cells, eye)
@@ -586,8 +584,7 @@ def from_coeff_kernel(
 
 def extend_with_ancilla(channel: HybridChannel, ancilla_dim: int) -> HybridChannel:
     """Tensor every Kraus row with the identity on a non-interacting ancilla."""
-    if _require_count(ancilla_dim, "ancilla dimension", ShapeMismatch) < 1:
-        raise ShapeMismatch("ancilla dimension must be positive")
+    _require_count(ancilla_dim, "ancilla dimension must be positive and an integer", ShapeMismatch)
     if ancilla_dim == 1:
         return channel
     q_src, q_dst = channel.qdim_src * ancilla_dim, channel.qdim_dst * ancilla_dim
@@ -609,10 +606,8 @@ def random_channel(
 ) -> HybridChannel:
     """Seeded random channel; each source cell's rows are right-normalized together."""
     for qdim in (qdim_src, qdim_dst):
-        if _require_count(qdim, "qdim", ShapeMismatch) < 1:
-            raise ShapeMismatch("quantum dimensions must be positive")
-    if _require_count(branching, "branching", ShapeMismatch) < 1:
-        raise ShapeMismatch("branching must be at least 1")
+        _require_count(qdim, "quantum dimensions must be positive integers", ShapeMismatch)
+    _require_count(branching, "branching must be at least 1 and an integer", ShapeMismatch)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n_src, n_dst = src_space.size, dst_space.size
     raw = np.stack([random_complex(rng, (n_dst * branching, qdim_dst, qdim_src))

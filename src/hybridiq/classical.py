@@ -74,21 +74,22 @@ def _as_numeric(value, dtype: type, what: str, error: type[HybridError]) -> np.n
         raise error(f"{what} must be {dtype.__name__} numbers: {exc}") from exc
 
 
-def _require_count(value, what: str, error: type[HybridError]) -> int:
-    """``value`` as a Python int when :func:`_is_cell` holds for it; else raises ``error``.
+def _require_count(value, rule: str, error: type[HybridError]) -> int:
+    """``value`` as a Python int when it is a positive integer under :func:`_is_cell`;
+    else raises ``error(f"{rule}, got {value!r}")``.
 
-    The rule for dimension and branching arguments, which internal callers pass
-    as numpy integers; :func:`errors.require_integer` is the stricter JSON rule.
+    The rule for cell counts and dimension and branching arguments, which internal
+    callers pass as numpy integers; :func:`errors.require_integer` is the stricter
+    JSON rule.
     """
-    if not _is_cell(value):
-        raise error(f"{what} must be an integer, got {value!r:.40}")
+    if not _is_cell(value) or value < 1:
+        raise error(f"{rule}, got {value!r:.40}")
     return int(value)
 
 
 def counting_space(n_cells: int, labels: tuple | None = None) -> ClassicalSpace:
     """Counting-measure space: ``n_cells`` cells of weight one."""
-    if not _is_cell(n_cells) or n_cells < 1:
-        raise BadRange(f"need an integer count of at least one cell, got {n_cells!r:.40}")
+    _require_count(n_cells, "need an integer count of at least one cell", BadRange)
     return ClassicalSpace(np.ones(n_cells), labels)
 
 
@@ -100,8 +101,7 @@ def discretize_interval(a: float, b: float, n_cells: int) -> ClassicalSpace:
         lo = hi = math.nan
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise BadRange(f"invalid interval [{a!r:.40}, {b!r:.40}]")
-    if not _is_cell(n_cells) or n_cells < 1:
-        raise BadRange(f"need an integer count of at least one cell, got {n_cells!r:.40}")
+    _require_count(n_cells, "need an integer count of at least one cell", BadRange)
     edges = np.linspace(lo, hi, n_cells + 1)
     labels = tuple((float(edges[i]), float(edges[i + 1])) for i in range(n_cells))
     return ClassicalSpace(np.full(n_cells, (hi - lo) / n_cells), labels)

@@ -178,12 +178,8 @@ def _certified_spectra(sym: np.ndarray) -> np.ndarray | None:
     """:func:`spectra` of a screened Hermitian stack when every
     lambda_min / max(1, trace norm) >= -PSD_TOL, the positive verdict's rule; else None."""
     eigs = spectra(sym)
-    low = eigs[:, 0]
-    # every finite lambda_min >= 0 gives a quotient >= 0; only a stack with a
-    # negative, infinite or NaN one needs the quotients
-    if not 0.0 <= low.min() <= low.max() < np.inf:
-        if not (low / np.maximum(1.0, np.abs(eigs).sum(axis=1))).min() >= -PSD_TOL:
-            return None
+    if not (eigs[:, 0] / np.maximum(1.0, np.abs(eigs).sum(axis=1))).min() >= -PSD_TOL:
+        return None
     return eigs
 
 
@@ -319,11 +315,11 @@ def trace_norm(m) -> float:
 
 def _factored(m, dim_a: int, dim_b: int) -> np.ndarray:
     """``m`` as a (dim_a, dim_b, dim_a, dim_b) array; DimensionMismatch unless both dims
-    are integers (Python or numpy, not bools) whose product is its dimension."""
+    are positive integers (Python or numpy, not bools) whose product is its dimension."""
     arr = as_cmatrix(m)
     for dim in (dim_a, dim_b):
-        _require_count(dim, "factor dimension", DimensionMismatch)
-    if dim_a < 1 or dim_b < 1 or arr.shape[0] != dim_a * dim_b:
+        _require_count(dim, "factor dimensions must be positive integers", DimensionMismatch)
+    if arr.shape[0] != dim_a * dim_b:
         raise DimensionMismatch(
             f"matrix of dimension {arr.shape[0]} does not factor as {dim_a} x {dim_b}"
         )

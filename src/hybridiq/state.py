@@ -322,8 +322,7 @@ def embed_quantum(state: HybridState) -> np.ndarray:
 
 def random_state(space: ClassicalSpace, qdim: int, seed) -> HybridState:
     """Full-rank random state from normalized per-cell Wishart blocks; qdim an integer >= 1."""
-    if _require_count(qdim, "qdim", DimensionMismatch) < 1:
-        raise DimensionMismatch(f"qdim must be positive, got {qdim}")
+    _require_count(qdim, "qdim must be a positive integer", DimensionMismatch)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     g = random_complex(rng, (space.size, qdim, qdim))
     blocks = np.einsum("nij,nkj->nik", g, g.conj())

@@ -346,6 +346,13 @@ def _two_cell_qdim_3():
     return new_state(counting_space(2), np.stack([np.eye(3), np.eye(3)]) / 6)
 
 
+_I4 = np.eye(4, dtype=complex)
+_CH = identity_channel(counting_space(2), 2)
+# numpy's message for rows that do not stack to one array
+_RAGGED = ("setting an array element with a sequence. The requested array has an inhomogeneous "
+           "shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part.")
+
+
 # each public entry point's own refusal of a malformed argument: call, class, message
 BAD_ARGUMENTS = [
     pytest.param(lambda: Effect([["a", "b"], ["c", "d"]]), BadEffect,
@@ -380,74 +387,69 @@ BAD_ARGUMENTS = [
                  "classical masses must be non-negative and sum to 1", id="product-state-masses"),
     pytest.param(lambda: condition_on_effect(_two_cell_qdim_3(), np.eye(2) / 2), DimensionMismatch,
                  "qdim 3 does not factor with ancilla dim 2", id="condition-on-effect-dimension"),
-]
-
-
-# input that numpy cannot read as a number array: a string, ragged rows, a bare int
-# where a collection is expected
-MALFORMED_INPUTS = [
-    pytest.param(lambda: new_state(counting_space(1), "abc"), DimensionMismatch, id="masses-string"),
+    # input that numpy cannot read as a number array: a string, ragged rows, a bare int
+    # where a collection is expected
+    pytest.param(lambda: new_state(counting_space(1), "abc"), DimensionMismatch,
+                 "masses must be complex numbers: complex() arg is a malformed string",
+                 id="masses-string"),
     pytest.param(lambda: new_state(counting_space(2), [KET0, [[1.0, 0.0]]]), DimensionMismatch,
-                 id="masses-ragged"),
+                 f"masses must be complex numbers: {_RAGGED}", id="masses-ragged"),
     pytest.param(lambda: product_state(counting_space(2), ["a", "b"], KET0), NotAState,
+                 "classical masses must be float numbers: could not convert string to float: 'a'",
                  id="product-state-strings"),
-    pytest.param(lambda: Ensemble(["a"], [KET0]), NotAnEnsemble, id="ensemble-strings"),
+    pytest.param(lambda: Ensemble(["a"], [KET0]), NotAnEnsemble,
+                 "probabilities must be float numbers: could not convert string to float: 'a'",
+                 id="ensemble-strings"),
     pytest.param(lambda: Ensemble([0.5, 0.5], [KET0, [[1.0]]]), NotAnEnsemble,
-                 id="ensemble-ragged"),
+                 f"states must be complex numbers: {_RAGGED}", id="ensemble-ragged"),
     pytest.param(lambda: MarkovKernel(counting_space(2), counting_space(2), "ab"), BadKernel,
+                 "kernel must be float numbers: could not convert string to float: 'ab'",
                  id="kernel-string"),
-    pytest.param(lambda: validate_kernel([[1, 0], [0]]), BadKernel, id="kernel-ragged"),
-    pytest.param(lambda: ClassicalSpace([1.0, 1.0], labels=5), BadRange, id="labels-int"),
-    pytest.param(lambda: ClassicalSpace("ab"), BadRange, id="weights-string"),
+    pytest.param(lambda: validate_kernel([[1, 0], [0]]), BadKernel,
+                 f"kernel must be float numbers: {_RAGGED}", id="kernel-ragged"),
+    pytest.param(lambda: ClassicalSpace([1.0, 1.0], labels=5), BadRange,
+                 "labels must be a collection, got 5", id="labels-int"),
+    pytest.param(lambda: ClassicalSpace("ab"), BadRange,
+                 "cell weights must be float numbers: could not convert string to float: 'ab'",
+                 id="weights-string"),
     pytest.param(lambda: separable_from_ensemble(counting_space(1), ["a"], [KET0], [KET0]),
-                 NotAState, id="separable-strings"),
-]
-
-
-@pytest.mark.parametrize("call, error", MALFORMED_INPUTS)
-def test_malformed_input_raises_the_documented_error(call, error):
-    with pytest.raises(HybridError) as info:
-        call()
-    assert type(info.value) is error
-
-
-_I4 = np.eye(4, dtype=complex)
-_CH = identity_channel(counting_space(2), 2)
-
-# dimension and branching arguments are Python or numpy integers, not bools or floats
-NON_INTEGER_DIMENSIONS = [
-    pytest.param(lambda: extend_with_ancilla(_CH, 2.5), ShapeMismatch, id="ancilla-float"),
-    pytest.param(lambda: extend_with_ancilla(_CH, "2"), ShapeMismatch, id="ancilla-string"),
-    pytest.param(lambda: extend_with_ancilla(_CH, True), ShapeMismatch, id="ancilla-bool"),
+                 NotAState,
+                 "cell masses must be float numbers: could not convert string to float: 'a'",
+                 id="separable-strings"),
+    # dimension and branching arguments are positive Python or numpy integers, not bools
+    pytest.param(lambda: extend_with_ancilla(_CH, 2.5), ShapeMismatch,
+                 "ancilla dimension must be positive and an integer, got 2.5", id="ancilla-float"),
+    pytest.param(lambda: extend_with_ancilla(_CH, "2"), ShapeMismatch,
+                 "ancilla dimension must be positive and an integer, got '2'", id="ancilla-string"),
+    pytest.param(lambda: extend_with_ancilla(_CH, True), ShapeMismatch,
+                 "ancilla dimension must be positive and an integer, got True", id="ancilla-bool"),
     pytest.param(lambda: identity_channel(counting_space(2), 2.5), ShapeMismatch,
-                 id="identity-float"),
+                 "quantum dimensions must be positive integers, got 2.5", id="identity-float"),
     pytest.param(lambda: identity_channel(counting_space(2), -1), ShapeMismatch,
-                 id="identity-negative"),
+                 "quantum dimensions must be positive integers, got -1", id="identity-negative"),
     pytest.param(lambda: random_channel(counting_space(2), counting_space(2), 2.5, 2, 1, 1),
-                 ShapeMismatch, id="random-channel-qdim"),
+                 ShapeMismatch, "quantum dimensions must be positive integers, got 2.5",
+                 id="random-channel-qdim"),
     pytest.param(lambda: random_channel(counting_space(2), counting_space(2), 2, 0, 1, 1),
-                 ShapeMismatch, id="random-channel-qdim-zero"),
+                 ShapeMismatch, "quantum dimensions must be positive integers, got 0",
+                 id="random-channel-qdim-zero"),
     pytest.param(lambda: random_channel(counting_space(2), counting_space(2), 2, 2, 2.5, 1),
-                 ShapeMismatch, id="random-channel-branching"),
+                 ShapeMismatch, "branching must be at least 1 and an integer, got 2.5",
+                 id="random-channel-branching"),
     pytest.param(lambda: from_rows(counting_space(1), counting_space(1), 2.5, 2.5, [], [], ()),
-                 ShapeMismatch, id="from-rows-qdim"),
+                 ShapeMismatch, "quantum dimensions must be positive integers, got 2.5",
+                 id="from-rows-qdim"),
     pytest.param(lambda: random_state(counting_space(2), 2.5, 1), DimensionMismatch,
-                 id="random-state-float"),
+                 "qdim must be a positive integer, got 2.5", id="random-state-float"),
     pytest.param(lambda: random_state(counting_space(2), -1, 1), DimensionMismatch,
-                 id="random-state-negative"),
+                 "qdim must be a positive integer, got -1", id="random-state-negative"),
     pytest.param(lambda: partial_trace(_I4, 2.5, 1.6, "A"), DimensionMismatch,
-                 id="partial-trace"),
+                 "factor dimensions must be positive integers, got 2.5", id="partial-trace"),
     pytest.param(lambda: partial_transpose(_I4, "2", 2, "A"), DimensionMismatch,
-                 id="partial-transpose"),
-    pytest.param(lambda: is_ppt(_I4 / 4, 2.0, 2.0), DimensionMismatch, id="is-ppt"),
+                 "factor dimensions must be positive integers, got '2'", id="partial-transpose"),
+    pytest.param(lambda: is_ppt(_I4 / 4, 2.0, 2.0), DimensionMismatch,
+                 "factor dimensions must be positive integers, got 2.0", id="is-ppt"),
 ]
-
-
-@pytest.mark.parametrize("call, error", NON_INTEGER_DIMENSIONS)
-def test_dimension_arguments_must_be_integers(call, error):
-    with pytest.raises(HybridError) as info:
-        call()
-    assert type(info.value) is error
 
 
 def test_dimension_arguments_accept_numpy_integers():
