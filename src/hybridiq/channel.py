@@ -36,7 +36,9 @@ from .errors import (
     ShapeMismatch,
     SpaceMismatch,
 )
-from .linalg import hermitian_part, identity_defect, kraus_defect, kraus_grams, right_normalize
+from .linalg import (
+    hermitian_part, identity_defect, kraus_defect, kraus_grams, right_normalize, trace_scaled,
+)
 from .rand import random_complex
 from .state import HybridState, new_state
 
@@ -514,11 +516,11 @@ def _psd_factors(mats: np.ndarray, dst: np.ndarray, src: np.ndarray):
     sqrt(lambda_g) times the eigenvector; eigenvalues at or below
     COEFF_EIGENVALUE_CUTOFF of the largest are dropped (the factorization is
     not unique and minimal rank is not needed), so a matrix may yield no rows.
-    An eigenvalue below -COMPLETENESS_TOL of the trace norm raises
-    NotPSDCoefficients for the first such cell pair (dst[i], src[i]).
+    A matrix that fails the positive rule at COMPLETENESS_TOL (``linalg.trace_scaled``)
+    raises NotPSDCoefficients for the first such cell pair (dst[i], src[i]).
     """
     vals, vecs = np.linalg.eigh(hermitian_part(mats))
-    negative = vals[:, 0] < -COMPLETENESS_TOL * np.maximum(1.0, np.abs(vals).sum(axis=1))
+    negative = ~(trace_scaled(vals[:, 0], vals) >= -COMPLETENESS_TOL)
     if negative.any():
         i = int(negative.argmax())
         raise NotPSDCoefficients(int(dst[i]), int(src[i]))

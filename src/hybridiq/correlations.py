@@ -151,14 +151,6 @@ class MonotonicityReport:
     violation: bool
     bound_2S: float
 
-    def to_dict(self) -> dict:
-        return {
-            "I_before": self.I_before,
-            "I_after": self.I_after,
-            "violation": self.violation,
-            "bound_2S": self.bound_2S,
-        }
-
 
 def monotonicity_report(state: HybridState, channel: HybridChannel) -> MonotonicityReport:
     """Mutual information before and after a channel of non-interacting subsystems.

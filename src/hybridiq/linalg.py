@@ -7,6 +7,7 @@ natural logarithm throughout.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -43,8 +44,8 @@ def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> np.ndarray:
-    """Max-entry deviation from Hermiticity of each matrix of a (..., d, d) array."""
-    return np.abs(m - np.swapaxes(m, -1, -2).conj()).max(axis=(-2, -1))
+    """|A - A^dag| entry by entry over the last two axes; a matrix's defect is its max."""
+    return np.abs(m - m.conj().swapaxes(-1, -2))
 
 
 class Verdict(NamedTuple):
@@ -77,13 +78,8 @@ class BlockMargins(NamedTuple):
     nonfinite: np.ndarray    # (n,) block has a non-finite entry
     hermiticity: np.ndarray  # (n,) max-entry deviation from Hermiticity
     eigenvalues: np.ndarray  # (n, d) ascending eigenvalues of the Hermitian part
-    scales: np.ndarray       # (n,) max(1, trace norm of the Hermitian part)
+    floor: np.ndarray        # (n,) trace_scaled lambda_min; positive when >= -PSD_TOL
     sym: np.ndarray          # (n, d, d) Hermitian part
-
-    @property
-    def floor(self) -> np.ndarray:
-        """lambda_min / max(1, trace norm); a block is positive when this is >= -PSD_TOL."""
-        return self.eigenvalues[:, 0] / self.scales
 
     def worst(self) -> tuple[Verdict, Verdict, Verdict]:
         """The finite, Hermitian and positive verdicts over the stack, in that order.
@@ -102,11 +98,12 @@ class BlockMargins(NamedTuple):
             _verdict(-floor, -float(floor.min()), PSD_TOL, "is not positive semidefinite"),
         )
 
-    def require(self, error: Callable[[int, str], Exception]) -> None:
-        """Raise ``error(block, problem)`` for the first failing verdict of :meth:`worst`."""
+    def require(self, error: Callable[[int, str], Exception]) -> tuple[np.ndarray, np.ndarray]:
+        """Raise ``error(block, problem)`` at the first failing verdict; else (sym, eigenvalues)."""
         for verdict in self.worst():
             if verdict.block is not None:
                 raise error(verdict.block, verdict.problem)
+        return self.sym, self.eigenvalues
 
 
 def require_unit(traces: np.ndarray, error: Callable[[int, str], Exception]) -> None:
@@ -145,40 +142,47 @@ def spectra(sym: np.ndarray) -> np.ndarray:
     return out
 
 
-def block_margins(stack: np.ndarray) -> BlockMargins:
-    """Measure a (n, d, d) complex stack with one :func:`spectra` and no eigenvectors.
+def trace_scaled(values: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """values / max(1, trace norm) per block of an (n, d) spectrum: the one scale of the
+    positive rule (on lambda_min) and of the effect ceiling (on 1 - lambda_max).
 
-    :func:`positive_parts` and :func:`densities` run it only for a stack their
-    screen or certificate refuses, where it names the failing block.
+    A trace norm past the float maximum, or an infinite eigenvalue, reads as the float
+    maximum, a lower bound of the true norm, so its quotient errs toward refusal; every
+    finite norm is used as it is.  A caller near the float maximum ignores the overflow.
+    """
+    return values / np.minimum(np.maximum(1.0, np.abs(eigs).sum(axis=1)), sys.float_info.max)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def block_margins(stack: np.ndarray) -> BlockMargins:
+    """Measure a (n, d, d) complex stack with one :func:`spectra`, no eigenvectors and no
+    numpy warning.  :func:`positive_parts` and :func:`densities` run it only for a stack
+    their screen or certificate refuses, where it names the failing block.
     """
     nonfinite = ~np.isfinite(stack).all(axis=(1, 2))
     if nonfinite.any():
         stack = np.where(nonfinite[:, None, None], 0.0, stack)
     sym = hermitian_part(stack)
     eigs = spectra(sym)
-    # a trace norm beyond the float maximum sums to inf, which is still max(1, trace norm)
-    with np.errstate(over="ignore"):
-        scales = np.maximum(1.0, np.abs(eigs).sum(axis=1))
-    return BlockMargins(nonfinite, hermiticity_defect(stack), eigs, scales, sym)
+    floor = trace_scaled(eigs[:, 0], eigs)
+    return BlockMargins(nonfinite, hermiticity_defect(stack).max(axis=(1, 2)), eigs, floor, sym)
 
 
 def _screened(stack: np.ndarray) -> np.ndarray | None:
-    """The Hermitian part of a (n, d, d) stack whose max |A - A^dag| is within HERMITICITY_TOL.
-
-    One reduction over the whole stack.  A non-finite entry makes that max inf
-    or NaN, so a stack that passes is finite and passes the finite and Hermitian
-    verdicts of ``BlockMargins.worst``; None otherwise.
+    """The Hermitian part of a (n, d, d) stack whose :func:`hermiticity_defect` is within
+    HERMITICITY_TOL everywhere, in one reduction; None otherwise.  A non-finite entry
+    makes it inf or NaN, so a stack that passes also passes the finite and Hermitian verdicts.
     """
-    if np.abs(stack - stack.conj().swapaxes(-1, -2)).max() <= HERMITICITY_TOL:
+    if hermiticity_defect(stack).max() <= HERMITICITY_TOL:
         return hermitian_part(stack)
     return None
 
 
 def _certified_spectra(sym: np.ndarray) -> np.ndarray | None:
-    """:func:`spectra` of a screened Hermitian stack when every
-    lambda_min / max(1, trace norm) >= -PSD_TOL, the positive verdict's rule; else None."""
+    """:func:`spectra` of a screened Hermitian stack when every block passes the
+    positive verdict's rule, trace_scaled lambda_min >= -PSD_TOL; else None."""
     eigs = spectra(sym)
-    if not (eigs[:, 0] / np.maximum(1.0, np.abs(eigs).sum(axis=1))).min() >= -PSD_TOL:
+    if not trace_scaled(eigs[:, 0], eigs).min() >= -PSD_TOL:
         return None
     return eigs
 
@@ -226,9 +230,7 @@ def positive_parts(
                 return sym, None
         elif (eigs := _certified_spectra(sym)) is not None:
             return sym, eigs
-    margins = block_margins(stack)
-    margins.require(error)
-    return margins.sym, margins.eigenvalues
+    return block_margins(stack).require(error)
 
 
 def kraus_gram(stack: np.ndarray) -> np.ndarray:
@@ -268,14 +270,19 @@ def right_normalize(raw: np.ndarray, error: Callable[[int, str], Exception]) -> 
 
     Sets are laid out as in :func:`kraus_gram` and normalized by one batched
     eigh.  Raises ``error(set, problem)`` for the first set, in row-major order
-    over the batch axes, whose sum is singular.
+    over the batch axes, whose sum is singular.  One pass misses by about the sum's
+    condition number times eps, so a set conditioned past 1e6 takes a second pass.
     """
     vals, vecs = np.linalg.eigh(kraus_gram(raw))
-    singular = ~(vals[..., 0] > 1e-12 * vals[..., -1])
+    low, high = vals[..., 0], vals[..., -1]
+    singular = ~(low > 1e-12 * high)
     if singular.any():
         raise error(int(singular.argmax()), "is singular")
     inverse_root = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return raw @ inverse_root[..., None, :, :]
+    out = raw @ inverse_root[..., None, :, :]
+    if (again := low <= 1e-6 * high).any():
+        out[again] = right_normalize(out[again], error)
+    return out
 
 
 class HermEig(NamedTuple):
@@ -293,7 +300,7 @@ def hermitian_eig(m) -> HermEig:
     eigenvalue order.
     """
     arr = as_cmatrix(m)
-    defect = float(hermiticity_defect(arr))
+    defect = float(hermiticity_defect(arr).max())
     if defect > HERMITICITY_TOL:
         raise NotHermitian(f"matrix deviates from Hermiticity by {defect:.3e}")
     sym = hermitian_part(arr)
@@ -370,9 +377,7 @@ def densities(
     sym = _screened(stack)
     eigs = None if sym is None else _certified_spectra(sym)
     if eigs is None:
-        margins = block_margins(stack)
-        margins.require(error)
-        sym, eigs = margins.sym, margins.eigenvalues
+        sym, eigs = block_margins(stack).require(error)
     require_unit(np.add.reduceat(np.einsum("nii->n", sym).real, starts), error)
     sym.flags.writeable = eigs.flags.writeable = False
     return sym, eigs

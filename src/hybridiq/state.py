@@ -28,7 +28,8 @@ from .errors import (
     ZeroProbability,
 )
 from .linalg import (
-    PSD_TOL, TRACE_TOL, block_margins, hermitian_part, positive_parts, spectra, _require_density,
+    PSD_TOL, TRACE_TOL, block_margins, hermitian_part, positive_parts, spectra, trace_scaled,
+    _require_density,
 )
 from .rand import random_complex
 
@@ -87,16 +88,16 @@ class Effect:
         return int(self.matrix.shape[0])
 
 
+@np.errstate(over="ignore")  # a trace norm near the float maximum: see trace_scaled
 def require_effects(stack: np.ndarray, error: Callable[[int, str], Exception]) -> None:
     """Raise ``error(block, problem)`` at the lowest failing block of a (n, d, d) effect stack.
 
     The one effect rule: every block finite, Hermitian and positive
-    (``BlockMargins.require``), then lambda_max <= 1 + PSD_TOL * max(1, trace norm).
+    (``BlockMargins.require``), then the positive rule on 1 - lambda_max (``trace_scaled``).
     """
-    margins = block_margins(stack)
-    margins.require(error)
-    top = margins.eigenvalues[:, -1]
-    above = top > 1.0 + PSD_TOL * margins.scales
+    _, eigs = block_margins(stack).require(error)
+    top = eigs[:, -1]
+    above = ~(trace_scaled(1.0 - top, eigs) >= -PSD_TOL)
     if above.any():
         block = int(above.argmax())
         raise error(block, f"has eigenvalue {top[block]!r} above one")

@@ -368,10 +368,3 @@ def test_monotonicity_requires_non_interacting():
         with pytest.raises(HybridError, match=measured):
             monotonicity_report(random_state(refuse.src_space, 2, rng), refuse)
 
-
-def test_report_dict_shape():
-    space = counting_space(2)
-    w = random_state(space, 2, 2)
-    ch = non_interacting(identity_kernel(space), [np.eye(2)])
-    d = monotonicity_report(w, ch).to_dict()
-    assert set(d) == {"I_before", "I_after", "violation", "bound_2S"}

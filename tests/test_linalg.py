@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridiq import linalg
+from hybridiq import io, linalg
 from hybridiq.classical import counting_space
+from hybridiq.cli import main
 from hybridiq.correlations import Ensemble
 from hybridiq.errors import (
-    DimensionMismatch, HybridError, NotAnEnsemble, NotAState, NotHermitian, NotNormalized,
-    NotPositive, NumericalFailure,
+    BadEffect, DimensionMismatch, HybridError, NotAnEnsemble, NotAState, NotHermitian,
+    NotNormalized, NotPositive, NumericalFailure,
 )
 from hybridiq.linalg import (
     HERMITICITY_TOL,
@@ -33,11 +36,12 @@ from hybridiq.linalg import (
     right_normalize,
     spectra,
     trace_norm,
+    trace_scaled,
     von_neumann_entropy,
 )
-from hybridiq.locc import PPT_TOL, is_ppt
+from hybridiq.locc import PPT_TOL, LoccProtocol, LoccRound, is_ppt, run
 from hybridiq.rand import random_complex, random_density, random_kraus_set, random_unitary
-from hybridiq.state import HybridState, new_state, random_state
+from hybridiq.state import Effect, HybridState, new_state, random_state
 
 
 def char_poly_coeffs(m):
@@ -252,7 +256,7 @@ def test_block_margins():
     # blocks with a zero Hermitian part read exact zero eigenvalues, scale 1 and floor 0
     dead = [1, 4, 5, 6]
     assert np.array_equal(m.eigenvalues[dead], np.zeros((4, 2)))
-    assert np.array_equal(m.scales[dead], np.ones(4))
+    assert np.array_equal(trace_scaled(np.ones(4), m.eigenvalues[dead]), np.ones(4))
     assert np.array_equal(m.floor[dead], np.zeros(4))
     # the other blocks measure bit for bit as they do on their own
     live = [0, 2, 3]
@@ -395,6 +399,19 @@ def test_right_normalize_is_batched_over_leading_axes():
         right_normalize(raw, error)
 
 
+def test_right_normalize_completes_an_ill_conditioned_set_and_keeps_the_others():
+    rng = np.random.default_rng(0)
+    u, _, vh = np.linalg.svd(random_complex(rng, (3, 3)))
+    ill = (u * [1.0, 1e-2, 1e-4]) @ vh  # sum L^dag L has condition number 1e8
+    well = random_complex(rng, (2, 3, 3))
+    error = lambda index, problem: NumericalFailure(f"set {index} {problem}")
+    once = right_normalize(well, error)
+    # one pass left this set 2.7e-9 off the identity, past COMPLETENESS_TOL
+    assert kraus_defect(right_normalize(ill[None], error)) <= 1e-14
+    batched = right_normalize(np.stack([well, np.stack([ill, 0 * ill])]), error)
+    assert np.array_equal(batched[0], once) and (kraus_defect(batched) <= 1e-14).all()
+
+
 def test_entropies_are_batched_and_skip_sub_cutoff_eigenvalues_exactly():
     eigs = np.array([
         [[0.5, 0.5, 1e-15, -1e-16], [1.0, 0.0, 0.0, 0.0]],
@@ -492,12 +509,12 @@ def _placed_density(kind: str, d: int, rng) -> np.ndarray:
 # The spectrum rule, as new_state, the density checks and is_ppt applied it to every
 # stack before the Cholesky certificate: block_margins decides each block.
 def _new_state_by_spectrum(space, masses):
-    margins = block_margins(masses)
-    margins.require(lambda cell, problem: NotPositive(cell, f"mass block at cell {cell} {problem}"))
-    total = float(np.einsum("nii->", margins.sym).real)
+    error = lambda cell, problem: NotPositive(cell, f"mass block at cell {cell} {problem}")
+    sym, eigs = block_margins(masses).require(error)
+    total = float(np.einsum("nii->", sym).real)
     if abs(total - 1.0) > TRACE_TOL:
         raise NotNormalized(total)
-    return margins.sym, margins.eigenvalues
+    return sym, eigs
 
 
 def _is_ppt_by_spectrum(rho, dim_1, dim_2):
@@ -613,9 +630,7 @@ def _decision(f, *args):
 
 
 def _parts_by_margins(stack, error):
-    margins = block_margins(stack)
-    margins.require(error)
-    return margins.sym, margins.eigenvalues
+    return block_margins(stack).require(error)
 
 
 def _densities_by_margins(stack, starts, error):
@@ -629,11 +644,10 @@ def _densities_by_margins(stack, starts, error):
 def test_screen_and_certificate_decide_as_block_margins(d, kind):
     stack = np.stack([np.eye(d, dtype=complex) / d, _edge_block(kind, d)])
     starts = np.arange(2)
-    with np.errstate(all="ignore"):  # block_margins itself may overflow on the max-* blocks
-        want = _decision(_parts_by_margins, stack, _CELL_ERROR)
-        want_densities = _decision(_densities_by_margins, stack, starts, _CELL_ERROR)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        want = _decision(_parts_by_margins, stack, _CELL_ERROR)
+        want_densities = _decision(_densities_by_margins, stack, starts, _CELL_ERROR)
         got = _decision(positive_parts, stack, _CELL_ERROR)
         got_densities = _decision(densities, stack, starts, _CELL_ERROR)
     assert got_densities == want_densities
@@ -656,10 +670,63 @@ def test_screen_and_certificate_edges_fall_on_both_sides():
 
 
 def test_a_nan_floor_names_its_own_block():
-    # eigenvalues -+inf give a NaN floor; the verdict names that block, not block 0
-    stack = np.stack([np.eye(2, dtype=complex) / 2, _edge_block("max-complex", 2)])
+    # LAPACK solves a complex pair at the float maximum to NaN eigenvalues at d = 3, so
+    # the floor is NaN; the verdict names that block, not block 0
+    stack = np.stack([np.eye(3, dtype=complex) / 3, _edge_block("max-complex", 3)])
+    assert np.isnan(block_margins(stack).floor[1])
     with pytest.raises(NotPositive, match="^cell 1 is not positive semidefinite$"):
         positive_parts(stack, _CELL_ERROR)
+
+
+# Blocks near the float maximum: eigenvalues +-1e308 from a real and from a complex pair,
+# whose trace norm passes the maximum, and an anti-Hermitian pair at the maximum itself.
+HUGE_PAIRS = {
+    "real": [[0, 1e308], [1e308, 0]],
+    "complex": [[0, 1e308 * (1 + 1j)], [1e308 * (1 - 1j), 0]],
+    "anti": [[0, BIG], [-BIG, 0]],
+}
+
+
+@pytest.mark.parametrize("kind", HUGE_PAIRS)
+def test_huge_pairs_are_refused_without_a_warning(kind, tmp_path, capsys):
+    m = np.array(HUGE_PAIRS[kind], dtype=complex)
+    padded = np.zeros((3, 3), dtype=complex)
+    padded[:2, :2] = m
+    hermitian = kind != "anti"
+    problem = "is not positive semidefinite" if hermitian else "deviates from Hermiticity by inf"
+    path = tmp_path / "state.json"
+    io.dump_json({"space": {"weights": [1.0]}, "qdim": 2, "masses": [io.matrix_to_json(m)]}, path)
+    identity = LoccProtocol((2, 1), (LoccRound(1, {(): [np.eye(2)]}),))
+    refusals = [
+        (lambda: Effect(m), BadEffect, f"effect {problem}"),
+        *[(lambda b=b: new_state(counting_space(1), b[None]), NotPositive,
+           f"mass block at cell 0 {problem}") for b in (m, padded)],
+        (lambda: densities(m[None], np.array([0]), _CELL_ERROR), NotPositive, f"cell 0 {problem}"),
+        (lambda: Ensemble([1.0], [m]), NotAnEnsemble, f"a member {problem}"),
+        (lambda: _require_density(m), NotAState, f"state {problem}"),
+        (lambda: is_ppt(m, 2, 1), NotAState, f"state {problem}"),
+        (lambda: run(identity, m), NotAState, f"input state {problem}"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if not hermitian:
+            with pytest.raises(NotHermitian, match="^matrix deviates from Hermiticity by inf$"):
+                is_psd(m)
+        else:
+            assert is_psd(m) is False
+        for call, error, message in refusals:
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                call()
+        assert main(["validate", str(path)]) == 2
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["reports"][0]["checks"]}
+    if not hermitian:  # an infinite deviation is written as null; the Hermitian part is zero
+        assert checks["masses_hermitian"]["deviation"] is None
+        assert not checks["masses_hermitian"]["ok"] and checks["masses_positive"]["ok"]
+    else:  # eigenvalues -+|m01|; the trace norm passes the float maximum, which scales it
+        assert checks["masses_positive"] == {
+            "name": "masses_positive", "deviation": np.abs(m[0, 1]) / BIG, "tolerance": PSD_TOL,
+            "ok": False, "error": "NotPositive: negative eigenvalue at cell 0",
+        }
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

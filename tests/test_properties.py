@@ -39,6 +39,12 @@ def test_correlations_reports_are_deterministic():
     assert run_suite("correlations", 40, 9).to_dict() == run_suite("correlations", 40, 9).to_dict()
 
 
+def test_correlations_suite_completes_an_ill_conditioned_kraus_draw():
+    # this seed draws a random_kraus_set whose sum L^dag L has condition number 1.9e7;
+    # normalized once, its non_interacting channel missed completeness by 1.3e-9
+    assert run_suite("correlations", 25, 5266555250335175771).ok
+
+
 @pytest.mark.parametrize("trials", [7, 305])
 def test_correlations_trial_counts(trials):
     counts = {c.name: c.trials for c in run_suite("correlations", trials, 4).checks}
