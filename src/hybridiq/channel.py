@@ -37,7 +37,8 @@ from .errors import (
     SpaceMismatch,
 )
 from .linalg import (
-    hermitian_part, identity_defect, kraus_defect, kraus_grams, right_normalize, trace_scaled,
+    hermitian_part, identity_defect, kraus_defect, kraus_grams, kron, right_normalize,
+    trace_scaled,
 )
 from .rand import random_complex
 from .state import HybridState, new_state
@@ -590,11 +591,9 @@ def extend_with_ancilla(channel: HybridChannel, ancilla_dim: int) -> HybridChann
     if ancilla_dim == 1:
         return channel
     q_src, q_dst = channel.qdim_src * ancilla_dim, channel.qdim_dst * ancilla_dim
-    # kron(L, I)[i a + k, j a + l] = L[i, j] I[k, l]
-    kraus = np.einsum("rij,kl->rikjl", channel.kraus, np.eye(ancilla_dim))
     return from_rows(
         channel.src_space, channel.dst_space, q_src, q_dst, channel.dst, channel.src,
-        kraus.reshape(-1, q_dst, q_src),
+        kron(channel.kraus, np.eye(ancilla_dim)),
     )
 
 

@@ -159,7 +159,7 @@ def validate_kernel(kernel) -> KernelReport:
     if dev.max() > STOCHASTIC_TOL:
         col = int(dev.argmax())
         return KernelReport(
-            False, col, float(dev[col]), f"column {col} sums to {sums[col]!r}, expected 1"
+            False, col, float(dev[col]), f"column {col} sums to {float(sums[col])!r}, expected 1"
         )
     return KernelReport(True, None, float(dev.max()), "ok")
 

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .classical import _require_count
+from .classical import _as_numeric, _require_count
 from .errors import DimensionMismatch, NotAState, NotHermitian, NumericalFailure
 
 # Hermiticity is accepted up to this max-entry deviation, positivity up to
@@ -31,9 +31,20 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return half + half.conj().swapaxes(-1, -2)
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last two axes, broadcast over any leading axes.
+
+    kron(a, b)[..., i p + k, j q + l] = a[..., i, j] b[..., k, l] for (p, q) b's
+    matrix shape: one product per entry, so each entry is np.kron's bit for bit.
+    """
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    return out.reshape(out.shape[:-4] + (m * p, n * q))
+
+
 def as_cmatrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a square complex matrix with finite entries."""
-    arr = np.asarray(m, dtype=complex)
+    """Coerce to a square complex matrix with finite entries; DimensionMismatch if unreadable."""
+    arr = _as_numeric(m, complex, name, DimensionMismatch)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:

@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classical import ClassicalSpace, _as_numeric, counting_space, identity_kernel
+from .classical import ClassicalSpace, counting_space, identity_kernel
 from .errors import (
     DimensionMismatch,
     IncompleteInstrument,
@@ -30,11 +30,11 @@ from .errors import (
     ShapeMismatch,
     require_integer,
 )
-from .linalg import _require_density, hermitian_eig, kraus_defect, partial_transpose
+from .linalg import _require_density, hermitian_eig, kraus_defect, kron, partial_transpose
 from .state import (
     HybridState,
     ZERO_MASS,
-    is_probability_vector,
+    _mass_vector,
     new_state,
     point_mass_state,
     product_state,
@@ -185,13 +185,7 @@ class LoccProtocol:
 
 def _lift(dims: tuple[int, int], side: int, v: np.ndarray) -> np.ndarray:
     """One side's operator, or a (..., d_side, d_side) stack of them, on the full system."""
-    # one broadcast product against the identity gives np.kron's entries, bit for bit
-    d1, d2 = dims
-    if side == 1:
-        lifted = v[..., :, None, :, None] * np.eye(d2)[:, None, :]
-    else:
-        lifted = np.eye(d1)[:, None, :, None] * v[..., None, :, None, :]
-    return lifted.reshape(v.shape[:-2] + (d1 * d2, d1 * d2))
+    return kron(v, np.eye(dims[1])) if side == 1 else kron(np.eye(dims[0]), v)
 
 
 def _record_masses(a: np.ndarray, b: np.ndarray, rho4: np.ndarray) -> np.ndarray:
@@ -293,11 +287,7 @@ def _checked_ensemble(
     space: ClassicalSpace, f, states_1, states_2
 ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """The cell masses ``f`` as a probability vector, then each side's cell states, checked."""
-    p = _as_numeric(f, float, "cell masses", NotAState)
-    if p.ndim != 1 or p.size != space.size:
-        raise NotAState(f"cell masses have shape {p.shape}, expected ({space.size},)")
-    if not is_probability_vector(p):
-        raise NotAState("cell masses must be non-negative and sum to 1")
+    p = _mass_vector(space, f, "cell masses")
     eta1 = _cell_states(space, states_1, "first-side")
     eta2 = _cell_states(space, states_2, "second-side")
     return p, eta1, eta2
@@ -310,11 +300,8 @@ def separable_from_ensemble(space: ClassicalSpace, f, states_1, states_2) -> np.
 
 def _separable(p: np.ndarray, eta1: list[np.ndarray], eta2: list[np.ndarray]) -> np.ndarray:
     """:func:`separable_from_ensemble` of an ensemble :func:`_checked_ensemble` returned."""
-    d1, d2 = eta1[0].shape[0], eta2[0].shape[0]
-    out = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for weight, a, b in zip(np.clip(p, 0.0, None), eta1, eta2):
-        out += weight * np.kron(a, b)
-    return out
+    weights = np.clip(p, 0.0, None)[:, None, None]
+    return (weights * kron(np.stack(eta1), np.stack(eta2))).sum(axis=0)
 
 
 def is_ppt(rho, dim_1: int, dim_2: int) -> bool:
@@ -383,15 +370,9 @@ def steer_to_separable(space: ClassicalSpace, f, states_1, states_2) -> Steering
     d1, d2 = eta1[0].shape[0], eta2[0].shape[0]
     target = _separable(p, eta1, eta2)
 
-    ket0_1 = np.zeros(d1, dtype=complex)
-    ket0_1[0] = 1.0
-    ket0_2 = np.zeros(d2, dtype=complex)
-    ket0_2[0] = 1.0
-    collapse_kraus = [
-        np.kron(np.outer(ket0_1, np.eye(d1)[k]), np.outer(ket0_2, np.eye(d2)[kp]))
-        for k in range(d1)
-        for kp in range(d2)
-    ]
+    # the product family, k-major, from each side's stack of |0><k| = kron(|0>, <k|)
+    ground_1, ground_2 = (kron(np.eye(d, 1), np.eye(d)[:, None, :]) for d in (d1, d2))
+    collapse_kraus = kron(ground_1[:, None], ground_2).reshape(-1, d1 * d2, d1 * d2)
     collapse = non_interacting(identity_kernel(space), collapse_kraus)
     return SteeringScript(
         space=space,

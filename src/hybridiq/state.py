@@ -28,8 +28,8 @@ from .errors import (
     ZeroProbability,
 )
 from .linalg import (
-    PSD_TOL, TRACE_TOL, block_margins, hermitian_part, positive_parts, spectra, trace_scaled,
-    _require_density,
+    PSD_TOL, TRACE_TOL, block_margins, hermitian_part, kron, positive_parts, spectra,
+    trace_scaled, _require_density,
 )
 from .rand import random_complex
 
@@ -100,7 +100,7 @@ def require_effects(stack: np.ndarray, error: Callable[[int, str], Exception]) -
     above = ~(trace_scaled(1.0 - top, eigs) >= -PSD_TOL)
     if above.any():
         block = int(above.argmax())
-        raise error(block, f"has eigenvalue {top[block]!r} above one")
+        raise error(block, f"has eigenvalue {float(top[block])!r} above one")
 
 
 def as_effect(e) -> Effect:
@@ -262,17 +262,23 @@ def mix(w1: HybridState, w2: HybridState, t: float) -> HybridState:
     if not isinstance(t, Real):
         raise HybridError(f"mixing weight must be a real number, got {t!r:.40}")
     if not 0.0 <= t <= 1.0:
-        raise HybridError(f"mixing weight {t!r} outside [0, 1]")
+        raise HybridError(f"mixing weight {t} outside [0, 1]")  # str: a numpy float reads 2.0
     return new_state(w1.space, t * w1.masses + (1.0 - t) * w2.masses)
+
+
+def _mass_vector(space: ClassicalSpace, f, name: str) -> np.ndarray:
+    """``f`` as an unclipped probability vector over ``space``'s cells; else NotAState(name ...)."""
+    p = _as_numeric(f, float, name, NotAState)
+    if p.ndim != 1 or p.size != space.size:
+        raise NotAState(f"{name} have shape {p.shape}, expected ({space.size},)")
+    if not is_probability_vector(p):
+        raise NotAState(f"{name} must be non-negative and sum to 1")
+    return p
 
 
 def product_state(space: ClassicalSpace, f, rho) -> HybridState:
     """Non-interacting state with classical cell masses ``f`` and quantum state ``rho``."""
-    p = _as_numeric(f, float, "classical masses", NotAState)
-    if p.ndim != 1 or p.size != space.size:
-        raise NotAState(f"classical masses have shape {p.shape}, expected ({space.size},)")
-    if not is_probability_vector(p):
-        raise NotAState("classical masses must be non-negative and sum to 1")
+    p = _mass_vector(space, f, "classical masses")
     density = _require_density(rho)
     return new_state(space, np.clip(p, 0.0, None)[:, None, None] * density)
 
@@ -280,8 +286,7 @@ def product_state(space: ClassicalSpace, f, rho) -> HybridState:
 def tensor_with_quantum(state: HybridState, rho_q) -> HybridState:
     """Adjoin a non-interacting quantum ancilla: each mass becomes sigma_n (x) rho_q."""
     density = _require_density(rho_q, "ancilla state")
-    blocks = np.stack([np.kron(m, density) for m in state.masses])
-    return new_state(state.space, blocks)
+    return new_state(state.space, kron(state.masses, density))
 
 
 def condition_on_effect(state: HybridState, effect_on_ancilla) -> Conditioned:
@@ -300,7 +305,7 @@ def condition_on_effect(state: HybridState, effect_on_ancilla) -> Conditioned:
 
     vals, vecs = np.linalg.eigh(hermitian_part(eff.matrix))
     sqrt_f = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    lifted = np.kron(np.eye(d), sqrt_f)
+    lifted = kron(np.eye(d), sqrt_f)
 
     conjugated = np.einsum("ij,njk,kl->nil", lifted, state.masses, lifted)
     prob = total_trace(conjugated)
@@ -315,10 +320,10 @@ def condition_on_effect(state: HybridState, effect_on_ancilla) -> Conditioned:
 def embed_quantum(state: HybridState) -> np.ndarray:
     """Block-diagonal quantum embedding sum_n sigma_n (x) |n><n| (cell register last)."""
     n_cells, q = state.space.size, state.qdim
-    out = np.zeros((q * n_cells, q * n_cells), dtype=complex)
-    for n in range(n_cells):
-        out[n::n_cells, n::n_cells] = state.masses[n]
-    return out
+    out = np.zeros((q, n_cells, q, n_cells), dtype=complex)
+    cells = np.arange(n_cells)
+    out[:, cells, :, cells] = state.masses  # out[i, n, j, n] = sigma_n[i, j]
+    return out.reshape(q * n_cells, q * n_cells)
 
 
 def random_state(space: ClassicalSpace, qdim: int, seed) -> HybridState:

@@ -125,6 +125,7 @@ def test_validate_kernel_reports():
     assert validate_kernel(np.eye(3)).ok
     bad_sum = validate_kernel(np.array([[0.5, 0.0], [0.4, 1.0]]))
     assert not bad_sum.ok and bad_sum.column == 0
+    assert bad_sum.message == "column 0 sums to 0.9, expected 1"
     bad_neg = validate_kernel(np.array([[-0.1, 0.0], [1.1, 1.0]]))
     assert not bad_neg.ok and bad_neg.column == 0
     for matrix in (np.ones(2), np.zeros((0, 2)), np.array([[np.nan, 0.0], [1.0, 1.0]])):

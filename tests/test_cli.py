@@ -64,7 +64,10 @@ def test_validate_malformed_json_exits_1(tmp_path, capsys):
 def test_validate_kernel_and_channel(tmp_path):
     bad_kernel = tmp_path / "kernel.json"
     io.dump_json({"P": [0.5, 0.4, 0.0, 1.0], "rows": 2, "cols": 2}, bad_kernel)
-    assert main(["validate", str(bad_kernel)]) == 2
+    report = tmp_path / "report.json"
+    assert main(["validate", str(bad_kernel), "--out", str(report)]) == 2
+    (check,) = json.loads(report.read_text())["reports"][0]["checks"]
+    assert check["error"] == "column 0 sums to 0.5, expected 1"
 
     ch = identity_channel(counting_space(2), 2)
     obj = io.channel_to_json(ch)

@@ -370,6 +370,22 @@ def test_density_and_ensemble_share_the_unit_trace_message():
         Ensemble(np.array([0.5, 0.5]), np.stack([np.eye(2) / 2, rho]))
 
 
+def test_kron_is_np_kron_bit_for_bit_and_broadcasts_over_leading_axes():
+    rng = np.random.default_rng(3)
+    a = random_complex(rng, (3, 1, 2, 3))
+    b = random_complex(rng, (4, 2, 2))
+    out = linalg.kron(a, b)
+    assert out.shape == (3, 4, 4, 6)
+    for i in range(3):
+        for j in range(4):
+            assert out[i, j].tobytes() == np.kron(a[i, 0], b[j]).tobytes()
+    # a real identity on either side, as an operator is lifted to the full system
+    eye = np.eye(3)
+    for lifted, oracle in ((linalg.kron(eye, b), [np.kron(eye, m) for m in b]),
+                           (linalg.kron(b, eye), [np.kron(m, eye) for m in b])):
+        assert lifted.tobytes() == np.stack(oracle).tobytes()
+
+
 def test_kraus_defect_is_batched_over_leading_axes():
     rng = np.random.default_rng(8)
     sets = np.stack([

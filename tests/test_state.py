@@ -30,7 +30,9 @@ from hybridiq.errors import (
     ZeroMassCell,
     ZeroProbability,
 )
-from hybridiq.linalg import PSD_TOL, partial_trace, partial_transpose, trace_norm
+from hybridiq.linalg import (
+    PSD_TOL, hermitian_eig, partial_trace, partial_transpose, trace_norm, von_neumann_entropy,
+)
 from hybridiq.locc import is_ppt, separable_from_ensemble
 from hybridiq.rand import random_density, random_effect, random_probability_vector, random_unitary
 from hybridiq.state import (
@@ -171,12 +173,14 @@ def test_effect_rejects_bad_block(block):
 
 def test_effect_stack_rule_names_the_lowest_failing_block():
     eye = np.eye(2, dtype=complex)
-    with pytest.raises(BadEffect, match="^effect has eigenvalue .* above one$"):
+    with pytest.raises(BadEffect) as info:
         Effect(2.0 * eye)  # the one-block case keeps Effect's own message
+    assert str(info.value) == "effect has eigenvalue 2.0 above one"
     error = lambda block, problem: BadEffect(f"block {block} {problem}")
     require_effects(np.stack([0.0 * eye, 0.5 * eye, eye]), error)
-    with pytest.raises(BadEffect, match="^block 1 has eigenvalue .* above one$"):
+    with pytest.raises(BadEffect) as info:
         require_effects(np.stack([0.5 * eye, 2.0 * eye, 0.2 * eye, 3.0 * eye]), error)
+    assert str(info.value) == "block 1 has eigenvalue 2.0 above one"
     # the finite, Hermitian and positive verdicts come before the upper bound
     with pytest.raises(BadEffect, match="^block 2 is not positive semidefinite$"):
         require_effects(np.stack([2.0 * eye, 0.5 * eye, -eye]), error)
@@ -381,6 +385,8 @@ BAD_ARGUMENTS = [
                  "states live on different spaces", id="mix-spaces"),
     pytest.param(lambda: mix(two_cell_state(), two_cell_state(), 1.5), HybridError,
                  "mixing weight 1.5 outside [0, 1]", id="mix-weight"),
+    pytest.param(lambda: mix(two_cell_state(), two_cell_state(), np.float64(2.0)), HybridError,
+                 "mixing weight 2.0 outside [0, 1]", id="mix-numpy-weight"),
     pytest.param(lambda: product_state(counting_space(2), [1.0], KET0), NotAState,
                  "classical masses have shape (1,), expected (2,)", id="product-state-shape"),
     pytest.param(lambda: product_state(counting_space(2), [0.7, 0.7], KET0), NotAState,
@@ -394,6 +400,18 @@ BAD_ARGUMENTS = [
                  id="masses-string"),
     pytest.param(lambda: new_state(counting_space(2), [KET0, [[1.0, 0.0]]]), DimensionMismatch,
                  f"masses must be complex numbers: {_RAGGED}", id="masses-ragged"),
+    pytest.param(lambda: tensor_with_quantum(two_cell_state(), "abc"), DimensionMismatch,
+                 "ancilla state must be complex numbers: complex() arg is a malformed string",
+                 id="ancilla-state-string"),
+    pytest.param(lambda: hermitian_eig("abc"), DimensionMismatch,
+                 "matrix must be complex numbers: complex() arg is a malformed string",
+                 id="hermitian-eig-string"),
+    pytest.param(lambda: is_ppt([[1, 0], [0]], 1, 1), DimensionMismatch,
+                 f"state must be complex numbers: {_RAGGED}", id="is-ppt-ragged"),
+    pytest.param(lambda: von_neumann_entropy([[1, 0], [0]]), DimensionMismatch,
+                 f"state must be complex numbers: {_RAGGED}", id="entropy-ragged"),
+    pytest.param(lambda: partial_trace([[1, 0], [0]], 1, 1, "A"), DimensionMismatch,
+                 f"matrix must be complex numbers: {_RAGGED}", id="partial-trace-ragged"),
     pytest.param(lambda: product_state(counting_space(2), ["a", "b"], KET0), NotAState,
                  "classical masses must be float numbers: could not convert string to float: 'a'",
                  id="product-state-strings"),
@@ -506,6 +524,12 @@ def test_tensor_with_quantum():
     assert probability(wt, [0, 2], np.kron(e, np.eye(2))) == pytest.approx(
         probability(w, [0, 2], e), abs=1e-12
     )
+
+
+def test_embed_quantum_is_the_block_diagonal_sum_over_cells():
+    w = random_state(counting_space(3), 2, np.random.default_rng(8))
+    oracle = sum(np.kron(w.masses[n], np.diag(np.eye(3)[n])) for n in range(3))
+    assert np.array_equal(embed_quantum(w), oracle)
 
 
 def test_condition_on_effect_identity_and_product():
