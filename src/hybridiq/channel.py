@@ -62,7 +62,9 @@ class HybridChannel:
     """Validated Kraus-row channel; construct through :func:`from_blocks` or :func:`from_rows`.
 
     Rows are sorted by (dst, src), the rows of one cell pair keep the order they
-    were given in, and the three row arrays are read-only.
+    were given in, and the three row arrays are read-only, cells of dtype intp.
+    Only rows that meet all of these and are in range, finite and complete may
+    be passed in directly, as ``locc.as_hybrid_channels`` does.
 
     The derived caches are built on first use and kept: :attr:`target_groups`
     by the first single-state apply, :attr:`transfer` or :attr:`source_basis`
@@ -311,7 +313,7 @@ def interaction_defect(channel: HybridChannel) -> float:
     return float(np.abs(chois - weights[:, None, None] * c0).max())
 
 
-def _unchecked_from_rows(
+def from_rows(
     src_space: ClassicalSpace,
     dst_space: ClassicalSpace,
     qdim_src: int,
@@ -320,11 +322,13 @@ def _unchecked_from_rows(
     src,
     kraus,
 ) -> HybridChannel:
-    """:func:`from_rows` without the completeness check.
+    """Build a channel from parallel rows (target cell, source cell, Kraus operator).
 
-    Coerces the rows, stably sorts them by (dst, src), checks integer cells, shapes,
-    the cell range and finiteness, and makes the three arrays read-only.  Only a caller
-    that has proven every source cell complete by other means may use it.
+    Coerces the rows, stably sorts them by (dst, src), checks integer cells,
+    shapes, the cell range and finiteness, makes the three arrays read-only and
+    verifies per-source completeness; IncompleteChannel names the first source
+    cell that fails.  An entry so large that sum L^dag L overflows gives an
+    infinite deviation, so it is refused too, without a numpy warning.
     """
     for qdim in (qdim_src, qdim_dst):
         _require_count(qdim, "quantum dimensions must be positive integers", ShapeMismatch)
@@ -358,26 +362,7 @@ def _unchecked_from_rows(
         raise NumericalFailure(f"blocks at ({dst[r]}, {src[r]}) have non-finite entries")
     for arr in (dst, src, kraus):
         arr.flags.writeable = False
-    return HybridChannel(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus)
-
-
-def from_rows(
-    src_space: ClassicalSpace,
-    dst_space: ClassicalSpace,
-    qdim_src: int,
-    qdim_dst: int,
-    dst,
-    src,
-    kraus,
-) -> HybridChannel:
-    """Build a channel from parallel rows (target cell, source cell, Kraus operator).
-
-    Rows are stably sorted by (dst, src) and per-source completeness is
-    verified; IncompleteChannel names the first source cell that fails.  An
-    entry so large that sum L^dag L overflows gives an infinite deviation, so
-    it is refused too, without a numpy warning.
-    """
-    channel = _unchecked_from_rows(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus)
+    channel = HybridChannel(src_space, dst_space, qdim_src, qdim_dst, dst, src, kraus)
     defects = _defects_per_source(channel)
     bad = np.flatnonzero(defects > COMPLETENESS_TOL)
     if bad.size:

@@ -5,10 +5,12 @@ may depend on the history of earlier outcomes.  Outcome labels start at 1, and
 a record is a history: the tuple of outcomes so far.  Running a protocol
 produces a hybrid state over complete records plus the overall quantum
 operation Lambda(rho).  ``run`` evaluates in product form: a record's branch
-operator is A_x (x) B_x, so it tracks only the two local factors and never
-forms an operator on the full system.  The same protocol can be lowered to one
-hybrid channel per round, from the histories of that round's level (those with
-r outcomes) to the next level's.
+operator is W_x = A_x (x) B_x, and the two local factors stay per side through
+the rounds; W_x is formed once per complete record, only for its mass
+W_x rho W_x^dag.  The same protocol can be lowered to one hybrid channel per
+round, from the histories of that round's level (those with r outcomes) to the
+next level's.  Both read :attr:`LoccProtocol.operators`, each round's
+instrument aligned to its level once, on first read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,7 +45,6 @@ from .state import (
 from .channel import (
     COMPLETENESS_TOL,
     HybridChannel,
-    _unchecked_from_rows,
     apply,
     from_blocks,
     non_interacting,
@@ -62,12 +63,20 @@ class LoccRound:
     entries.  ``side`` may be left None to take the paper's default alternation
     (odd rounds act on side 1, even rounds on side 2).  The rounds a
     :class:`LoccProtocol` stores hold their instrument as a read-only mapping
-    of read-only stacks, checked finite and complete once at construction.
+    of read-only stacks, checked finite and complete once at construction: the
+    rows of one array per round.
     """
 
     outcomes: int
     instrument: Mapping[tuple[int, ...], Sequence[np.ndarray]]
     side: int | None = None
+
+
+class RoundOperators(NamedTuple):
+    """One round's instrument aligned to its level: ``stack[i]`` follows history ``labels[i]``."""
+
+    stack: np.ndarray    # (n_r, outcomes, d_side, d_side), read-only; zeros for a missing history
+    missing: np.ndarray  # (m,) intp, ascending level indices of the histories without an instrument
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,6 +107,8 @@ class LoccProtocol:
     rounds: tuple[LoccRound, ...]
     # worst kraus_defect over all instruments (0.0 if none); validate and the lowering read it
     completeness_defect: float = field(init=False, repr=False)
+    # each round's checked operators, one read-only stack in its instrument's order
+    _stacks: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.dims, (tuple, list)) or len(self.dims) != 2:
@@ -125,7 +136,7 @@ class LoccProtocol:
                     f"protocol has at least {total} reachable records (limit {cap} for {n} rounds)"
                 )
             sides.append(side)
-        resolved, worst = [], 0.0
+        resolved, stacks_per_round, worst = [], [], 0.0
         for r, (rnd, side) in enumerate(zip(self.rounds, sides)):
             d_side = (d1, d2)[side - 1]
             histories, stacks = [], []
@@ -164,8 +175,10 @@ class LoccProtocol:
             stacked.flags.writeable = False
             instrument = MappingProxyType(dict(zip(histories, stacked)))
             resolved.append(LoccRound(rnd.outcomes, instrument, side))
+            stacks_per_round.append(stacked)
         object.__setattr__(self, "rounds", tuple(resolved))
         object.__setattr__(self, "completeness_defect", worst)
+        object.__setattr__(self, "_stacks", tuple(stacks_per_round))
 
     @cached_property
     def levels(self) -> tuple[ClassicalSpace, ...]:
@@ -182,33 +195,60 @@ class LoccProtocol:
             levels.append([history + (x,) for history in levels[-1] for x in labels])
         return tuple(counting_space(len(level), labels=tuple(level)) for level in levels)
 
+    @cached_property
+    def operators(self) -> tuple[RoundOperators, ...]:
+        """Each round's instrument in level order, built on first read, as :attr:`levels` is.
+
+        A round whose instrument names every history of its level, in level
+        order, keeps its stack from construction: the instrument's values are
+        views into it.  Any other round gets an aligned copy, with zero operators
+        at the histories in ``missing``.
+        """
+        rounds = []
+        for rnd, stack, level in zip(self.rounds, self._stacks, self.levels):
+            missing = np.empty(0, dtype=np.intp)
+            if tuple(rnd.instrument) != level.labels:
+                index = dict(zip(level.labels, range(level.size)))
+                rows = np.fromiter(map(index.__getitem__, rnd.instrument), np.intp, len(stack))
+                aligned = np.zeros((level.size,) + stack.shape[1:], dtype=complex)
+                aligned[rows] = stack
+                aligned.flags.writeable = False
+                stack = aligned
+                missing = np.setdiff1d(np.arange(level.size, dtype=np.intp), rows)
+            missing.flags.writeable = False
+            rounds.append(RoundOperators(stack, missing))
+        return tuple(rounds)
+
 
 def _lift(dims: tuple[int, int], side: int, v: np.ndarray) -> np.ndarray:
     """One side's operator, or a (..., d_side, d_side) stack of them, on the full system."""
     return kron(v, np.eye(dims[1])) if side == 1 else kron(np.eye(dims[0]), v)
 
 
-def _record_masses(a: np.ndarray, b: np.ndarray, rho4: np.ndarray) -> np.ndarray:
-    """W_k rho W_k^dag for W_k = a_k (x) b_k, with rho reshaped to (d1, d2, d1, d2)."""
-    # pairwise in a fixed order; einsum's optimize=True would search for a path on every call
-    t = np.einsum("kai,ijlm->kajlm", a, rho4)
-    t = np.einsum("kbj,kajlm->kablm", b, t)
-    t = np.einsum("kablm,kcl->kabcm", t, a.conj())
-    t = np.einsum("kabcm,kem->kabce", t, b.conj())
-    d = a.shape[1] * b.shape[1]
-    return t.reshape(-1, d, d)
+def _record_masses(a: np.ndarray, b: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """W_k rho W_k^dag for W_k = a_k (x) b_k, in two products whatever the record count.
+
+    One product of the stacked W_k rows with rho gives every X_k = W_k rho, and
+    one batched product gives X_k W_k^dag.  numpy makes one gemm call per matrix
+    of a complex stack, so the count of products, not their flops, sets the
+    cost at these sizes.
+    """
+    w = kron(a, b)
+    x = (w.reshape(-1, w.shape[-1]) @ rho).reshape(w.shape)
+    return x @ w.conj().swapaxes(1, 2)
 
 
 def run(protocol: LoccProtocol, rho) -> tuple[HybridState, np.ndarray]:
     """Execute all rounds on ``rho`` in product form.
 
-    Record x has the branch operator W_x = A_x (x) B_x.  Each round multiplies
-    only the acting side's stack of local factors; the cell masses
-    W_x rho W_x^dag then come from one contraction of rho against the two
-    stacks.  Returns the hybrid state over complete outcome records and
-    Lambda(rho) = sum_x W_x rho W_x^dag.  A history without an instrument is
-    pruned when its branch mass is at most ZERO_MASS, else IncompleteInstrument
-    names the first one, round by round and lexicographically within a round.
+    Record x has the branch operator W_x = A_x (x) B_x.  The local factors stay
+    per side through the rounds: each round multiplies only the acting side's
+    stack by its level-aligned :attr:`LoccProtocol.operators`.  W_x is formed
+    once per complete record, only for its cell mass W_x rho W_x^dag.  Returns
+    the hybrid state over complete outcome records and Lambda(rho) =
+    sum_x W_x rho W_x^dag.  A history without an instrument is pruned when its
+    branch mass is at most ZERO_MASS, else IncompleteInstrument names the first
+    one, round by round and lexicographically within a round.
     The input's density check and the record state's ``new_state`` take
     ``linalg.positive_parts``' screen and certificate, so a valid input above
     dimension 2 solves no spectrum and measures no per-block margins.
@@ -219,23 +259,19 @@ def run(protocol: LoccProtocol, rho) -> tuple[HybridState, np.ndarray]:
         raise DimensionMismatch(
             f"input state has dimension {density.shape[0]}, expected {d1 * d2}"
         )
-    rho4 = density.reshape(d1, d2, d1, d2)
     factors = [np.eye(d1, dtype=complex)[None], np.eye(d2, dtype=complex)[None]]
-    for rnd, level in zip(protocol.rounds, protocol.levels):
-        histories = level.labels
-        missing = [i for i, history in enumerate(histories) if history not in rnd.instrument]
-        if missing:
-            lost = _record_masses(factors[0][missing], factors[1][missing], rho4)
-            for i, mass in zip(missing, np.einsum("kii->k", lost).real):
-                if mass > ZERO_MASS:
-                    raise IncompleteInstrument(histories[i])
+    for rnd, level, ops in zip(protocol.rounds, protocol.levels, protocol.operators):
+        if ops.missing.size:
+            lost = _record_masses(factors[0][ops.missing], factors[1][ops.missing], density)
+            heavy = np.flatnonzero(np.einsum("kii->k", lost).real > ZERO_MASS)
+            if heavy.size:
+                raise IncompleteInstrument(level.labels[ops.missing[heavy[0]]])
         # a pruned history continues with zero operators, so its records keep zero mass
         acting = rnd.side - 1
-        pruned = np.zeros((rnd.outcomes,) + factors[acting].shape[1:], dtype=complex)
-        step = np.stack([rnd.instrument.get(history, pruned) for history in histories])
-        factors[acting] = (step @ factors[acting][:, None]).reshape((-1,) + pruned.shape[1:])
+        shape = factors[acting].shape[1:]
+        factors[acting] = (ops.stack @ factors[acting][:, None]).reshape((-1,) + shape)
         factors[1 - acting] = np.repeat(factors[1 - acting], rnd.outcomes, axis=0)
-    state = new_state(protocol.levels[-1], _record_masses(*factors, rho4))
+    state = new_state(protocol.levels[-1], _record_masses(*factors, density))
     return state, quantum_marginal(state)
 
 
@@ -250,25 +286,26 @@ def as_hybrid_channels(protocol: LoccProtocol) -> list[HybridChannel]:
     Round r maps ``protocol.levels[r]`` to ``levels[r + 1]``, so the last
     round's target is ``run``'s space of complete records, the same object.
     History i moves to its children, cells i*k ... i*k + k - 1, on the rows
-    kron(A_a, I) of its instrument.  sum_a kron(A_a, I)^dag kron(A_a, I) is
-    kron(sum_a A_a^dag A_a, I), so the instrument's completeness, measured once
-    when the protocol was built, carries over and is not measured again.  The
+    kron(A_a, I) of its instrument, lifted from :attr:`LoccProtocol.operators`
+    in one batched product.  These rows are sorted by (dst, src), in range and
+    finite, and sum_a kron(A_a, I)^dag kron(A_a, I) is kron(sum_a A_a^dag A_a, I),
+    so the instrument's completeness, measured once when the protocol was built,
+    carries over: each channel is built as is, with nothing left to check.  The
     lowering never sees the input state, so it cannot prune as ``run`` does:
     IncompleteInstrument names the first history without an instrument, round
     by round and lexicographically within a round.
     """
     d = protocol.dims[0] * protocol.dims[1]
     levels, channels = protocol.levels, []
-    for r, rnd in enumerate(protocol.rounds):
-        histories = levels[r].labels
-        try:
-            stacked = np.stack([rnd.instrument[history] for history in histories])
-        except KeyError as exc:
-            raise IncompleteInstrument(exc.args[0]) from None
-        n, k = len(histories), rnd.outcomes
-        dst, src = np.arange(n * k), np.repeat(np.arange(n), k)
-        rows = _lift(protocol.dims, rnd.side, stacked).reshape(-1, d, d)
-        channels.append(_unchecked_from_rows(levels[r], levels[r + 1], d, d, dst, src, rows))
+    for r, (rnd, ops) in enumerate(zip(protocol.rounds, protocol.operators)):
+        if ops.missing.size:
+            raise IncompleteInstrument(levels[r].labels[ops.missing[0]])
+        n, k = ops.stack.shape[:2]
+        dst, src = np.arange(n * k, dtype=np.intp), np.repeat(np.arange(n, dtype=np.intp), k)
+        rows = _lift(protocol.dims, rnd.side, ops.stack).reshape(-1, d, d)
+        for arr in (dst, src, rows):
+            arr.flags.writeable = False
+        channels.append(HybridChannel(levels[r], levels[r + 1], d, d, dst, src, rows))
     return channels
 
 

@@ -10,7 +10,6 @@ from hybridiq.channel import (
     TRANSFER_QDIM_PRODUCT_LIMIT,
     HybridChannel,
     _apply_stack,
-    _unchecked_from_rows,
     apply,
     completeness_defect,
     compose,
@@ -522,7 +521,8 @@ def test_transfer_splits_a_hub_target_into_slices():
 
 def test_rowless_channel_has_an_empty_transfer_table():
     # no cell pair has rows, so there is no transfer matrix at all
-    ch = _unchecked_from_rows(counting_space(3), counting_space(2), 2, 1, [], [], ())
+    none, kraus = np.empty(0, dtype=np.intp), np.empty((0, 1, 2), dtype=complex)
+    ch = HybridChannel(counting_space(3), counting_space(2), 2, 1, none, none, kraus)
     assert ch.transfer is None
     w = random_state(ch.src_space, 2, np.random.default_rng(20))
     with pytest.raises(HybridError):  # all output mass is zero

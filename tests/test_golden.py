@@ -1,7 +1,8 @@
 """Fresh suite reports match the committed golden reports under ``tests/golden/``.
 
-Structure, strings, booleans and integers compare exactly; floats compare
-within ``1e-12 * max(1, |golden|)``.  The largest float deviation of each file
+So does the ``hybridiq locc`` report on the committed 3-round protocol and
+input state.  Structure, strings, booleans and integers compare exactly; floats
+compare within ``1e-12 * max(1, |golden|)``.  The largest float deviation of each file
 is printed (``pytest -s`` shows it).  ``python tests/regen_golden.py`` rewrites
 the files.
 """
@@ -12,7 +13,7 @@ import math
 import pytest
 
 from hybridiq.properties import run_suite
-from regen_golden import GOLDEN, SPECS
+from regen_golden import GOLDEN, LOCC_REPORT, SPECS, write_locc_report
 
 FLOAT_REL = 1e-12
 
@@ -40,6 +41,14 @@ def test_suite_report_matches_golden(suite):
     trials, seed = SPECS[suite]
     fresh = json.loads(json.dumps(run_suite(suite, trials, seed).to_dict()))
     print(f"golden {suite}.json: largest float deviation {_drift(golden, fresh):.3g}")
+
+
+def test_locc_report_matches_golden(tmp_path):
+    golden = json.loads(LOCC_REPORT.read_text(encoding="utf-8"))
+    write_locc_report(tmp_path / "report.json")
+    fresh = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert len(fresh["records"]) == 2 * 3 * 2  # every record of the three rounds
+    print(f"golden {LOCC_REPORT.name}: largest float deviation {_drift(golden, fresh):.3g}")
 
 
 def test_drift_compares_floats_within_the_bound_and_all_else_exactly():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -35,7 +36,7 @@ from hybridiq.locc import (
     separable_from_ensemble,
     steer_to_separable,
 )
-from hybridiq.properties import _locc_oracle
+from hybridiq.properties import _locc_oracle, _random_protocol
 from hybridiq.rand import random_density, random_kraus_set, random_probability_vector, seeded_rng
 from hybridiq.state import quantum_marginal
 
@@ -492,12 +493,16 @@ def near_tolerance_protocol():
 
 
 def test_lowering_is_accepted_unchanged_by_validating_constructor():
-    # the lowering measures no completeness: from_rows re-checks every round channel,
-    # including one whose instrument sits just inside the tolerance
+    # the lowering builds its channels directly and measures no completeness: each must
+    # be what from_rows builds from the same rows (sorted, intp cells, read-only, finite
+    # and complete), including one whose instrument sits just inside the tolerance
     near = near_tolerance_protocol()
     assert 0.85 * COMPLETENESS_TOL < near.completeness_defect <= COMPLETENESS_TOL
     protocols = [bench_shaped_protocol(seed) for seed in (7, 701, 801)] + mixed_protocols()
-    protocols.append(near)
+    rng = seeded_rng(35, "locc.lowered")
+    drawn = [_random_protocol(rng, dims=dims) for dims in ((2, 2), (2, 3), (3, 2)) * 4]
+    assert {rnd.outcomes for proto in drawn for rnd in proto.rounds} == {1, 2}
+    protocols += drawn + [near]
     assert {p.dims for p in protocols} == {(2, 2), (2, 3), (3, 2)}
     for proto in protocols:
         d = proto.dims[0] * proto.dims[1]
@@ -507,9 +512,57 @@ def test_lowering_is_accepted_unchanged_by_validating_constructor():
             checked = from_rows(ch.src_space, ch.dst_space, d, d, ch.dst, ch.src, ch.kraus)
             for name in ("dst", "src", "kraus"):
                 a, b = getattr(ch, name), getattr(checked, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
+            assert ch.dst.dtype == ch.src.dtype == np.intp
             assert completeness_defect(ch) <= COMPLETENESS_TOL
+
+
+def test_each_protocol_aligns_its_instruments_once(monkeypatch):
+    builds, build = [], LoccProtocol.__dict__["operators"].func
+    counted = functools.cached_property(lambda self: builds.append(self) or build(self))
+    counted.__set_name__(LoccProtocol, "operators")
+    monkeypatch.setattr(LoccProtocol, "operators", counted)
+    proto = bench_shaped_protocol(35, rounds=4)
+    rho = random_density(4, np.random.default_rng(35))
+    state, _ = run(proto, rho)
+    channels = as_hybrid_channels(proto)
+    assert builds == [proto]
+    # one copy of the operators: the instrument's values are rows of the aligned stack
+    for rnd, level, ops in zip(proto.rounds, proto.levels, proto.operators):
+        assert ops.stack.shape == (level.size, rnd.outcomes, 2, 2) and ops.missing.size == 0
+        assert not ops.stack.flags.writeable and not ops.missing.flags.writeable
+        for i, history in enumerate(level.labels):
+            assert np.shares_memory(ops.stack, rnd.instrument[history])
+            assert np.array_equal(ops.stack[i], rnd.instrument[history])
+
+    # instruments given out of level order are aligned by a copy, and run and lower alike
+    reversed_rounds = tuple(
+        LoccRound(rnd.outcomes, dict(reversed(rnd.instrument.items())), rnd.side)
+        for rnd in proto.rounds
+    )
+    shuffled = LoccProtocol(proto.dims, reversed_rounds)
+    again, _ = run(shuffled, rho)
+    assert np.array_equal(again.masses, state.masses)
+    for ch, other in zip(channels, as_hybrid_channels(shuffled)):
+        assert np.array_equal(ch.kraus, other.kraus)
+    for ours, theirs in zip(proto.operators, shuffled.operators):
+        assert np.array_equal(ours.stack, theirs.stack)
+        assert not np.shares_memory(ours.stack, theirs.stack)
+
+    # a reachable history without an instrument: both paths name it
+    rounds = list(proto.rounds)
+    instrument = dict(rounds[2].instrument)
+    del instrument[(1, 2)]
+    rounds[2] = LoccRound(2, instrument, rounds[2].side)
+    incomplete = LoccProtocol(proto.dims, tuple(rounds))
+    ops = incomplete.operators[2]
+    assert ops.missing.tolist() == [1] and not ops.stack[1].any()
+    for path in (lambda: run(incomplete, rho), lambda: as_hybrid_channels(incomplete)):
+        with pytest.raises(IncompleteInstrument) as info:
+            path()
+        assert info.value.history == (1, 2)
+    assert builds == [proto, shuffled, incomplete]
 
 
 def test_lowering_measures_no_completeness(kraus_defect_calls):
